@@ -53,8 +53,8 @@ cargo run --release -p fame-bench --bin crash_torture -- --quick | tail -n 10
 echo "== concurrent readers stress (E8 correctness + E9 snapshot coherence)"
 cargo test -q -p fame-dbms --features concurrency-multi,statistics --test concurrent_readers
 
-echo "== concurrent writers stress (E12 serializability + lock-stats surfacing)"
-cargo test -q -p fame-dbms --features concurrency-multi-writer,commit-force,commit-group,statistics --test concurrent_writers
+echo "== concurrent writers stress (E12 serializability + lock-stats surfacing + batch lock-before-read)"
+cargo test -q -p fame-dbms --features concurrency-multi-writer,commit-force,commit-group,statistics,api-batch --test concurrent_writers
 
 echo "== obs trace suite (E13 golden schema + windowed proptests + causal chain)"
 cargo test -q -p fame-dbms --features concurrency-multi-writer,commit-force,commit-group,obs-trace --test obs_trace
@@ -122,6 +122,20 @@ if ! diff <(cargo tree -p fame-dbms --no-default-features \
           <(cargo tree -p fame-dbms --no-default-features \
                 --features standard,transactions,commit-force,concurrency-multi-writer -e normal); then
     echo "FAIL: composing concurrency-multi-writer in changed the crate dependency graph" >&2
+    exit 1
+fi
+
+echo "== facade budget (crates/core: cfg gates and lines; lower the ceilings, never raise them)"
+# One engine behind the facade (DESIGN.md §13): a second copy of a
+# protocol or a read path shows up here first. The two ceilings are what
+# PR 14 reached; a PR that deletes code lowers them.
+FACADE_CFG_CEILING=404
+FACADE_LINES_CEILING=3898
+facade_cfg=$(cat crates/core/src/*.rs | grep -c 'cfg(')
+facade_lines=$(cat crates/core/src/*.rs | wc -l)
+echo "   crates/core/src/*.rs: $facade_cfg cfg gates (<= $FACADE_CFG_CEILING), $facade_lines lines (<= $FACADE_LINES_CEILING)"
+if [ "$facade_cfg" -gt "$FACADE_CFG_CEILING" ] || [ "$facade_lines" -gt "$FACADE_LINES_CEILING" ]; then
+    echo "FAIL: crates/core outgrew its facade budget" >&2
     exit 1
 fi
 

@@ -50,6 +50,14 @@ impl ReplacementKind {
     }
 }
 
+/// The LRU and LFU lazy heaps gain an entry per page *access*, and only
+/// `victim()` pops: an all-hit workload would grow them without bound.
+/// Past this multiple of the frame count a heap sheds its stale entries —
+/// `O(frames)` once per `O(frames)` accesses — which are exactly the ones
+/// `victim()` would have skipped.
+#[cfg(any(feature = "lru", feature = "lfu"))]
+const HEAP_SLACK: usize = 4;
+
 /// Interface every replacement policy implements.
 pub trait ReplacementPolicy: Send {
     /// A resident frame was read or written.
@@ -73,14 +81,16 @@ pub mod lru {
     //!
     //! Victim selection uses a *lazy min-heap*: every access pushes a
     //! `(stamp, frame)` entry; `victim()` pops entries until one matches
-    //! the frame's current stamp. Amortized `O(log n)` per operation —
+    //! the frame's current stamp, and the heap sheds its stale entries
+    //! when it outgrows [`HEAP_SLACK`](super::HEAP_SLACK) entries per
+    //! frame. Amortized `O(log n)` per operation —
     //! the straightforward "scan all frames" alternative makes every
     //! buffer miss `O(frames)`, which dominates at realistic pool sizes.
 
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
 
-    use super::{FrameIdx, ReplacementPolicy};
+    use super::{FrameIdx, ReplacementPolicy, HEAP_SLACK};
 
     /// LRU: evicts the occupied frame with the oldest access stamp.
     #[derive(Debug)]
@@ -106,6 +116,15 @@ pub mod lru {
             self.clock += 1;
             self.stamps[frame] = Some(self.clock);
             self.heap.push(Reverse((self.clock, frame)));
+            if self.heap.len() > HEAP_SLACK * self.stamps.len() {
+                self.heap
+                    .retain(|&Reverse((stamp, frame))| self.stamps[frame] == Some(stamp));
+            }
+        }
+
+        #[cfg(test)]
+        pub(super) fn heap_len(&self) -> usize {
+            self.heap.len()
         }
     }
 
@@ -148,13 +167,13 @@ pub mod lfu {
     //!
     //! Uses the same lazy-heap scheme as LRU: `victim()` pops
     //! `(count, inserted_at, frame)` entries until one matches the frame's
-    //! current state. Amortized `O(log n)` instead of an `O(frames)` scan
-    //! per buffer miss.
+    //! current state, with the same bound on the heap. Amortized
+    //! `O(log n)` instead of an `O(frames)` scan per buffer miss.
 
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
 
-    use super::{FrameIdx, ReplacementPolicy};
+    use super::{FrameIdx, ReplacementPolicy, HEAP_SLACK};
 
     /// LFU: evicts the occupied frame with the fewest accesses; ties are
     /// broken by insertion order (older first) so scans don't thrash a
@@ -177,6 +196,19 @@ pub mod lfu {
                 heap: BinaryHeap::new(),
             }
         }
+
+        fn push(&mut self, count: u64, at: u64, frame: FrameIdx) {
+            self.heap.push(Reverse((count, at, frame)));
+            if self.heap.len() > HEAP_SLACK * self.counts.len() {
+                self.heap
+                    .retain(|&Reverse((count, at, frame))| self.counts[frame] == Some((count, at)));
+            }
+        }
+
+        #[cfg(test)]
+        pub(super) fn heap_len(&self) -> usize {
+            self.heap.len()
+        }
     }
 
     impl ReplacementPolicy for Lfu {
@@ -184,14 +216,14 @@ pub mod lfu {
             if let Some((c, at)) = &mut self.counts[frame] {
                 *c += 1;
                 let (c, at) = (*c, *at);
-                self.heap.push(Reverse((c, at, frame)));
+                self.push(c, at, frame);
             }
         }
 
         fn on_insert(&mut self, frame: FrameIdx) {
             self.insert_clock += 1;
             self.counts[frame] = Some((1, self.insert_clock));
-            self.heap.push(Reverse((1, self.insert_clock, frame)));
+            self.push(1, self.insert_clock, frame);
         }
 
         fn on_remove(&mut self, frame: FrameIdx) {
@@ -327,6 +359,30 @@ mod tests {
             p.on_insert(2);
             assert_eq!(p.victim(), Some(0));
         }
+
+        /// An all-hit workload never calls `victim()`; the heap must stay
+        /// `O(frames)` anyway and still nominate in true LRU order.
+        #[test]
+        fn heap_stays_bounded_without_evictions() {
+            let mut p = Lru::new(4);
+            (0..4).for_each(|f| p.on_insert(f));
+            let mut last = [0u64; 4];
+            let mut x = 1u64;
+            for tick in 1..=1_000_000u64 {
+                x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+                let frame = (x >> 33) as usize % 4;
+                p.on_access(frame);
+                last[frame] = tick;
+                assert!(p.heap_len() <= 4 * super::super::HEAP_SLACK);
+            }
+            let mut expected = [0, 1, 2, 3];
+            expected.sort_by_key(|&f| last[f]);
+            for frame in expected {
+                assert_eq!(p.victim(), Some(frame));
+                p.on_remove(frame);
+            }
+            assert_eq!(p.victim(), None);
+        }
     }
 
     #[cfg(feature = "lfu")]
@@ -365,6 +421,31 @@ mod tests {
             p.on_remove(0);
             p.on_insert(0); // fresh page in frame 0, count back to 1
             assert_eq!(p.victim(), Some(1)); // 1 older at same count
+        }
+
+        /// An all-hit workload never calls `victim()`; the heap must stay
+        /// `O(frames)` anyway and still nominate in true LFU order.
+        #[test]
+        fn heap_stays_bounded_without_evictions() {
+            let mut p = Lfu::new(4);
+            (0..4).for_each(|f| p.on_insert(f));
+            let mut count = [1u64; 4];
+            let mut x = 1u64;
+            for _ in 0..1_000_000 {
+                x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+                // Skewed, so the four counts differ.
+                let frame = ((x >> 33) as usize % 10).min(3);
+                p.on_access(frame);
+                count[frame] += 1;
+                assert!(p.heap_len() <= 4 * super::super::HEAP_SLACK);
+            }
+            let mut expected = [0, 1, 2, 3];
+            expected.sort_by_key(|&f| count[f]);
+            for frame in expected {
+                assert_eq!(p.victim(), Some(frame));
+                p.on_remove(frame);
+            }
+            assert_eq!(p.victim(), None);
         }
     }
 

@@ -2,15 +2,9 @@
 
 use fame_buffer::BufferPool;
 use fame_os::BlockDevice;
-use fame_storage::Pager;
+use fame_storage::{PageRead, Pager};
 
 use std::ops::{Deref, DerefMut};
-#[cfg(all(
-    feature = "concurrency-multi",
-    feature = "statistics",
-    not(feature = "concurrency-multi-writer")
-))]
-use std::sync::Arc;
 #[cfg(feature = "concurrency-multi-writer")]
 use std::sync::{Arc, Mutex};
 
@@ -28,11 +22,11 @@ use crate::error::{DbmsError, Result};
 
 /// Root slot of the primary key/value index.
 const KV_ROOT_SLOT: usize = 0;
-/// Root slot of the optional queue.
-#[cfg(feature = "index-queue")]
-const QUEUE_ROOT_SLOT: usize = 1;
 
 /// The primary index, dispatching over the composed access methods.
+/// `Copy`: read handles carry their own. Only the B+-tree's root page can
+/// move (splits), which [`Kv::lookup_olc`] re-resolves per lookup.
+#[derive(Clone, Copy)]
 enum Kv {
     #[cfg(feature = "index-btree")]
     BTree(BTree),
@@ -42,10 +36,51 @@ enum Kv {
     Hash(HashIndex),
 }
 
+impl Kv {
+    /// Point lookup under exclusive access: run `f` over the value bytes
+    /// in place.
+    fn lookup<P: PageRead, R>(
+        &self,
+        pager: &mut P,
+        key: &[u8],
+        f: impl FnOnce(&[u8]) -> R,
+    ) -> Result<Option<R>> {
+        Ok(match self {
+            #[cfg(feature = "index-btree")]
+            Kv::BTree(t) => t.get_with(pager, key, f)?,
+            #[cfg(feature = "index-list")]
+            Kv::List(l) => l.get_with(pager, key, f)?,
+            #[cfg(feature = "index-hash")]
+            Kv::Hash(h) => h.get_with(pager, key, f)?,
+        })
+    }
+
+    /// Point lookup beside a writer ([`DbReader`], [`DbSnapshot`]): the
+    /// B+-tree descends by optimistic lock coupling — it resolves the root
+    /// itself and chases child pointers on page-version checks, restarting
+    /// if a concurrent split moves a node underneath it. No latch is taken
+    /// on the hit path. Over a snapshot pager every token is the
+    /// always-valid sentinel, because the observed tree is frozen.
+    #[cfg(feature = "concurrency-multi")]
+    fn lookup_olc<P: PageRead, R>(
+        &self,
+        pager: &mut P,
+        key: &[u8],
+        f: impl FnOnce(&[u8]) -> R,
+    ) -> Result<Option<R>> {
+        Ok(match self {
+            #[cfg(feature = "index-btree")]
+            Kv::BTree(_) => BTree::get_olc(pager, KV_ROOT_SLOT, key, f)?,
+            #[cfg(feature = "index-list")]
+            Kv::List(l) => l.get_with(pager, key, f)?,
+            #[cfg(feature = "index-hash")]
+            Kv::Hash(h) => h.get_with(pager, key, f)?,
+        })
+    }
+}
+
 /// The storage half of a product: the pager plus the composed primary
-/// index. Single products own it inline inside [`Database`]; MultiWriter
-/// products share one instance behind a mutex so [`DbWriter`] handles can
-/// reach it from other threads.
+/// index.
 struct StorageCore {
     pager: Pager,
     kv: Kv,
@@ -75,14 +110,7 @@ impl StorageCore {
     }
 
     fn kv_get(&mut self, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        match &self.kv {
-            #[cfg(feature = "index-btree")]
-            Kv::BTree(t) => Ok(t.get(&mut self.pager, key)?),
-            #[cfg(feature = "index-list")]
-            Kv::List(l) => Ok(l.get(&mut self.pager, key)?),
-            #[cfg(feature = "index-hash")]
-            Kv::Hash(h) => Ok(h.get(&mut self.pager, key)?),
-        }
+        self.kv.lookup(&mut self.pager, key, |v| v.to_vec())
     }
 
     #[cfg(any(feature = "api-remove", feature = "transactions"))]
@@ -136,6 +164,19 @@ impl StorageCore {
         }
     }
 
+    /// Apply an aborted transaction's compensating actions (newest
+    /// first), stopping at the first storage error.
+    #[cfg(feature = "transactions")]
+    fn apply_undo(&mut self, undo: Vec<fame_txn::UndoAction>) -> Result<()> {
+        for action in undo {
+            match action.restore {
+                Some(old) => self.kv_put(&action.key, &old)?,
+                None => self.kv_remove(&action.key)?,
+            };
+        }
+        Ok(())
+    }
+
     fn len(&mut self) -> Result<usize> {
         Ok(match &self.kv {
             #[cfg(feature = "index-btree")]
@@ -148,346 +189,99 @@ impl StorageCore {
     }
 }
 
-/// Where the storage core lives (*Concurrency* alternative, Fig. 2
-/// extension): owned inline for `Single`/`MultiReader` products — the seed
-/// layout, zero indirection — or behind `Arc<Mutex>` for `MultiWriter` so
-/// clone-cheap [`DbWriter`] handles share it across threads.
+/// The one engine behind the facade (*Concurrency* alternative, Fig. 2
+/// extension). Each write protocol is written once: the single-writer one
+/// in [`Database`] over `Own`, the MultiWriter one in [`DbWriter`], which
+/// the facade's transactional API delegates to over `Shared`.
 ///
 /// One instance per `Database`; boxing `Own` to shrink the enum would put
 /// a pointer chase on every sequential-product operation for no memory win.
 #[allow(clippy::large_enum_variant)]
-enum StorageCell {
-    /// The facade owns storage exclusively (`&mut` everywhere).
-    Own(StorageCore),
-    /// Shared with [`DbWriter`] handles (`Concurrency::MultiWriter`).
+enum Engine {
+    /// `Single`/`MultiReader` products own storage and the single-writer
+    /// transaction manager inline — the seed layout, zero indirection.
+    Own {
+        core: StorageCore,
+        /// `None` when transactions are not configured at runtime.
+        #[cfg(feature = "transactions")]
+        txn: Option<fame_txn::TxnManager>,
+    },
+    /// `MultiWriter` products share both with the handles
+    /// [`Database::writer`] clones out of this one.
     #[cfg(feature = "concurrency-multi-writer")]
-    Shared(Arc<Mutex<StorageCore>>),
+    Shared(DbWriter),
 }
 
-impl StorageCell {
-    /// Mutable access to the core; locks the storage mutex in MultiWriter
-    /// products, a plain reborrow otherwise.
-    fn get(&mut self) -> CoreGuard<'_> {
+impl Engine {
+    /// Mutable access to the storage core: a plain reborrow when owned,
+    /// the storage mutex in MultiWriter products.
+    fn core(&mut self) -> CoreRef<'_> {
         match self {
-            StorageCell::Own(core) => CoreGuard::Own(core),
+            Engine::Own { core, .. } => CoreRef::Own(core),
             #[cfg(feature = "concurrency-multi-writer")]
-            StorageCell::Shared(arc) => {
-                CoreGuard::Shared(arc.lock().expect("storage mutex poisoned"))
-            }
+            Engine::Shared(w) => CoreRef::Shared(w.storage()),
         }
     }
 
-    /// Read access from `&self` receivers (stats, `reader()`).
-    fn peek(&self) -> CorePeek<'_> {
+    /// Read access from `&self` receivers (pool counters, handle setup).
+    /// In MultiWriter products this still takes the mutex — such calls are
+    /// rare and exclusive access keeps what they read coherent.
+    fn peek<R>(&self, f: impl FnOnce(&StorageCore) -> R) -> R {
         match self {
-            StorageCell::Own(core) => CorePeek::Own(core),
+            Engine::Own { core, .. } => f(core),
             #[cfg(feature = "concurrency-multi-writer")]
-            StorageCell::Shared(arc) => {
-                CorePeek::Shared(arc.lock().expect("storage mutex poisoned"))
-            }
+            Engine::Shared(w) => f(&w.storage()),
         }
     }
 }
 
-/// Mutable storage-core guard (see [`StorageCell::get`]).
-enum CoreGuard<'a> {
+#[cfg(feature = "transactions")]
+impl Engine {
+    /// Read the transaction manager's counters; `None` when transactions
+    /// are not configured.
+    fn txn_peek<R>(&self, f: impl FnOnce(&fame_txn::TxnManager) -> R) -> Option<R> {
+        match self {
+            Engine::Own { txn, .. } => txn.as_ref().map(f),
+            #[cfg(feature = "concurrency-multi-writer")]
+            Engine::Shared(w) => Some(w.txn.with_inner(|m| f(m))),
+        }
+    }
+
+    /// Log maintenance outside any transaction (flush, recovery seal);
+    /// `None` when transactions are not configured.
+    fn txn_mut<R>(&mut self, f: impl FnOnce(&mut fame_txn::TxnManager) -> R) -> Option<R> {
+        match self {
+            Engine::Own { txn, .. } => txn.as_mut().map(f),
+            #[cfg(feature = "concurrency-multi-writer")]
+            Engine::Shared(w) => Some(w.txn.with_inner(f)),
+        }
+    }
+}
+
+/// Mutable storage-core guard (see [`Engine::core`]).
+enum CoreRef<'a> {
     Own(&'a mut StorageCore),
     #[cfg(feature = "concurrency-multi-writer")]
     Shared(std::sync::MutexGuard<'a, StorageCore>),
 }
 
-impl Deref for CoreGuard<'_> {
+impl Deref for CoreRef<'_> {
     type Target = StorageCore;
     fn deref(&self) -> &StorageCore {
         match self {
-            CoreGuard::Own(c) => c,
+            CoreRef::Own(c) => c,
             #[cfg(feature = "concurrency-multi-writer")]
-            CoreGuard::Shared(g) => g,
+            CoreRef::Shared(g) => g,
         }
     }
 }
 
-impl DerefMut for CoreGuard<'_> {
+impl DerefMut for CoreRef<'_> {
     fn deref_mut(&mut self) -> &mut StorageCore {
         match self {
-            CoreGuard::Own(c) => c,
+            CoreRef::Own(c) => c,
             #[cfg(feature = "concurrency-multi-writer")]
-            CoreGuard::Shared(g) => g,
-        }
-    }
-}
-
-/// Shared storage-core peek (see [`StorageCell::peek`]). In MultiWriter
-/// products this still takes the mutex — `&self` facade methods are rare
-/// (stats, reader setup) and exclusive access keeps snapshots coherent.
-enum CorePeek<'a> {
-    Own(&'a StorageCore),
-    #[cfg(feature = "concurrency-multi-writer")]
-    Shared(std::sync::MutexGuard<'a, StorageCore>),
-}
-
-impl Deref for CorePeek<'_> {
-    type Target = StorageCore;
-    fn deref(&self) -> &StorageCore {
-        match self {
-            CorePeek::Own(c) => c,
-            #[cfg(feature = "concurrency-multi-writer")]
-            CorePeek::Shared(g) => g,
-        }
-    }
-}
-
-/// Which transaction manager the product composed (*Transaction →
-/// Concurrency*): none at runtime, the single-writer manager owned inline
-/// (the seed path), or the shareable blocking-lock + group-commit manager
-/// of MultiWriter products.
-///
-/// One instance per `Database`; see [`StorageCell`] for why `Own` stays
-/// unboxed.
-#[cfg(feature = "transactions")]
-#[allow(clippy::large_enum_variant)]
-enum TxnSlot {
-    /// Transactions not configured at runtime.
-    None,
-    /// Single-writer manager owned inline.
-    Own(fame_txn::TxnManager),
-    /// Block-lock table + cross-writer group commit, shared with
-    /// [`DbWriter`] handles.
-    #[cfg(feature = "concurrency-multi-writer")]
-    Shared(Arc<fame_txn::SharedTxnManager>),
-}
-
-#[cfg(feature = "transactions")]
-impl TxnSlot {
-    fn is_configured(&self) -> bool {
-        !matches!(self, TxnSlot::None)
-    }
-
-    /// `true` when the shared MultiWriter manager drives this product —
-    /// it emits its own transaction spans, so the facade must not.
-    #[cfg(feature = "obs-trace")]
-    fn is_shared(&self) -> bool {
-        #[cfg(feature = "concurrency-multi-writer")]
-        {
-            matches!(self, TxnSlot::Shared(_))
-        }
-        #[cfg(not(feature = "concurrency-multi-writer"))]
-        {
-            false
-        }
-    }
-
-    /// The single-writer manager, for paths the shared product reaches
-    /// through [`SharedTxnManager::with_inner`] instead.
-    fn own_mut(&mut self) -> &mut fame_txn::TxnManager {
-        match self {
-            TxnSlot::Own(m) => m,
-            _ => panic!("transactions not configured (caller must check)"),
-        }
-    }
-
-    fn begin(&mut self) -> std::result::Result<fame_txn::TxnId, fame_txn::TxnError> {
-        match self {
-            #[cfg(feature = "concurrency-multi-writer")]
-            TxnSlot::Shared(s) => s.begin(),
-            _ => self.own_mut().begin(),
-        }
-    }
-
-    /// Take the read lock for `key` (blocking block lock in MultiWriter
-    /// products, the no-wait key lock otherwise).
-    fn lock_read(
-        &mut self,
-        txn: fame_txn::TxnId,
-        key: &[u8],
-    ) -> std::result::Result<(), fame_txn::TxnError> {
-        match self {
-            #[cfg(feature = "concurrency-multi-writer")]
-            TxnSlot::Shared(s) => s.lock_read(txn, key),
-            _ => self.own_mut().lock_read(txn, key),
-        }
-    }
-
-    /// Take the exclusive block lock for `key` *before* reading the old
-    /// value. A no-op in single-writer products, whose no-wait lock is
-    /// taken inside `log_*`.
-    fn lock_write(
-        &mut self,
-        txn: fame_txn::TxnId,
-        key: &[u8],
-    ) -> std::result::Result<(), fame_txn::TxnError> {
-        match self {
-            #[cfg(feature = "concurrency-multi-writer")]
-            TxnSlot::Shared(s) => s.lock_write(txn, key),
-            _ => {
-                let _ = (txn, key);
-                Ok(())
-            }
-        }
-    }
-
-    fn log_put(
-        &mut self,
-        txn: fame_txn::TxnId,
-        index: u8,
-        key: &[u8],
-        old: Option<Vec<u8>>,
-        new: &[u8],
-    ) -> std::result::Result<fame_txn::Lsn, fame_txn::TxnError> {
-        match self {
-            #[cfg(feature = "concurrency-multi-writer")]
-            TxnSlot::Shared(s) => s.log_put(txn, index, key, old, new),
-            _ => self.own_mut().log_put(txn, index, key, old, new),
-        }
-    }
-
-    fn log_remove(
-        &mut self,
-        txn: fame_txn::TxnId,
-        index: u8,
-        key: &[u8],
-        old: Vec<u8>,
-    ) -> std::result::Result<fame_txn::Lsn, fame_txn::TxnError> {
-        match self {
-            #[cfg(feature = "concurrency-multi-writer")]
-            TxnSlot::Shared(s) => s.log_remove(txn, index, key, old),
-            _ => self.own_mut().log_remove(txn, index, key, old),
-        }
-    }
-
-    #[cfg(feature = "api-batch")]
-    fn log_batch(
-        &mut self,
-        txn: fame_txn::TxnId,
-        ops: &[fame_txn::BatchWrite],
-    ) -> std::result::Result<fame_txn::Lsn, fame_txn::TxnError> {
-        match self {
-            #[cfg(feature = "concurrency-multi-writer")]
-            TxnSlot::Shared(s) => s.log_batch(txn, ops),
-            _ => self.own_mut().log_batch(txn, ops),
-        }
-    }
-
-    /// Commit; in MultiWriter products this rides the cross-transaction
-    /// group-commit channel and releases the block locks on success.
-    fn commit(&mut self, txn: fame_txn::TxnId) -> std::result::Result<(), fame_txn::TxnError> {
-        match self {
-            #[cfg(feature = "concurrency-multi-writer")]
-            TxnSlot::Shared(s) => s.commit(txn),
-            _ => self.own_mut().commit(txn),
-        }
-    }
-
-    #[cfg(feature = "api-batch")]
-    fn commit_batch(
-        &mut self,
-        txn: fame_txn::TxnId,
-    ) -> std::result::Result<(), fame_txn::TxnError> {
-        match self {
-            // A group-commit drain already counts as one commit toward the
-            // Group quota, which is exactly the batch accounting.
-            #[cfg(feature = "concurrency-multi-writer")]
-            TxnSlot::Shared(s) => s.commit(txn),
-            _ => self.own_mut().commit_batch(txn),
-        }
-    }
-
-    fn abort(
-        &mut self,
-        txn: fame_txn::TxnId,
-    ) -> std::result::Result<Vec<fame_txn::UndoAction>, fame_txn::TxnError> {
-        match self {
-            #[cfg(feature = "concurrency-multi-writer")]
-            TxnSlot::Shared(s) => s.abort(txn),
-            _ => self.own_mut().abort(txn),
-        }
-    }
-
-    /// Drop `txn`'s block locks *after* its undo has been applied to
-    /// storage. No-op in single-writer products (their no-wait locks were
-    /// released inside `abort`).
-    fn release_locks(&mut self, txn: fame_txn::TxnId) {
-        match self {
-            #[cfg(feature = "concurrency-multi-writer")]
-            TxnSlot::Shared(s) => s.release_locks(txn),
-            _ => {
-                let _ = txn;
-            }
-        }
-    }
-
-    fn flush(&mut self) -> std::result::Result<(), fame_txn::TxnError> {
-        match self {
-            TxnSlot::None => Ok(()),
-            TxnSlot::Own(m) => m.flush(),
-            #[cfg(feature = "concurrency-multi-writer")]
-            TxnSlot::Shared(s) => s.flush(),
-        }
-    }
-
-    fn seal_recovery(
-        &mut self,
-        losers: &[fame_txn::TxnId],
-    ) -> std::result::Result<(), fame_txn::TxnError> {
-        match self {
-            TxnSlot::None => Ok(()),
-            TxnSlot::Own(m) => m.seal_recovery(losers),
-            #[cfg(feature = "concurrency-multi-writer")]
-            TxnSlot::Shared(s) => s.with_inner(|m| m.seal_recovery(losers)),
-        }
-    }
-
-    fn stats(&self) -> Option<(u64, u64)> {
-        match self {
-            TxnSlot::None => None,
-            TxnSlot::Own(m) => Some(m.stats()),
-            #[cfg(feature = "concurrency-multi-writer")]
-            TxnSlot::Shared(s) => Some(s.stats()),
-        }
-    }
-
-    fn log_syncs(&self) -> Option<u64> {
-        match self {
-            TxnSlot::None => None,
-            TxnSlot::Own(m) => Some(m.log_syncs()),
-            #[cfg(feature = "concurrency-multi-writer")]
-            TxnSlot::Shared(s) => Some(s.log_syncs()),
-        }
-    }
-
-    fn log_bytes(&self) -> Option<u64> {
-        match self {
-            TxnSlot::None => None,
-            TxnSlot::Own(m) => Some(m.log_bytes()),
-            #[cfg(feature = "concurrency-multi-writer")]
-            TxnSlot::Shared(s) => Some(s.log_bytes()),
-        }
-    }
-
-    #[cfg(feature = "statistics")]
-    fn commit_latency(&self) -> Option<fame_obs::HistogramSnapshot> {
-        match self {
-            TxnSlot::None => None,
-            TxnSlot::Own(m) => Some(m.obs().commit_latency.snapshot()),
-            #[cfg(feature = "concurrency-multi-writer")]
-            TxnSlot::Shared(s) => Some(s.with_inner(|m| m.obs().commit_latency.snapshot())),
-        }
-    }
-
-    /// Block-lock counters of the MultiWriter product.
-    #[cfg(all(feature = "concurrency-multi-writer", feature = "statistics"))]
-    fn lock_stats(&self) -> Option<LockStats> {
-        match self {
-            TxnSlot::Shared(s) => {
-                let obs = s.lock_table().obs();
-                Some(LockStats {
-                    waits: obs.waits.get(),
-                    wait_time: obs.wait_time.snapshot(),
-                    deadlock_aborts: obs.deadlock_aborts.get(),
-                    timeout_aborts: obs.timeout_aborts.get(),
-                })
-            }
-            _ => None,
+            CoreRef::Shared(g) => g,
         }
     }
 }
@@ -498,10 +292,8 @@ impl TxnSlot {
 /// `update` exist only when the corresponding `api-*` cargo feature is
 /// composed; SQL, transactions, replication, and the queue likewise.
 pub struct Database {
-    storage: StorageCell,
+    engine: Engine,
     config: DbmsConfig,
-    #[cfg(feature = "transactions")]
-    txn: TxnSlot,
     #[cfg(feature = "transactions")]
     txn_pending_ship: std::collections::BTreeMap<fame_txn::TxnId, Vec<ShipOpBuf>>,
     #[cfg(feature = "transactions")]
@@ -656,43 +448,58 @@ impl Database {
             },
         );
 
-        // MultiWriter products wrap storage and the transaction manager in
-        // their shareable forms *before* recovery: recovery then runs
-        // through the same cells (single-threaded at open, so the mutexes
+        // MultiWriter products move storage and the transaction manager
+        // into their shareable forms *before* recovery: recovery then runs
+        // through the same engine (single-threaded at open, so the mutexes
         // are uncontended) and `writer()` can clone out handles afterwards.
+        // `DbmsConfig::check` guarantees MultiWriter comes with transactions.
         #[cfg(feature = "concurrency-multi-writer")]
         let multi_writer = matches!(
             config.concurrency,
             fame_buffer::Concurrency::MultiWriter { .. }
         );
         let core = StorageCore { pager, kv };
-        #[cfg(feature = "concurrency-multi-writer")]
-        let storage = if multi_writer {
-            StorageCell::Shared(Arc::new(Mutex::new(core)))
-        } else {
-            StorageCell::Own(core)
-        };
-        #[cfg(not(feature = "concurrency-multi-writer"))]
-        let storage = StorageCell::Own(core);
-
+        #[cfg(not(feature = "transactions"))]
+        let engine = Engine::Own { core };
         #[cfg(feature = "transactions")]
-        let txn = match txn {
+        let engine = match txn {
             #[cfg(feature = "concurrency-multi-writer")]
             Some(mgr) if multi_writer => {
-                TxnSlot::Shared(Arc::new(fame_txn::SharedTxnManager::new(
+                let txn = Arc::new(fame_txn::SharedTxnManager::new(
                     mgr,
                     std::time::Duration::from_millis(config.lock_timeout_ms),
-                )))
+                ));
+                // Snapshot feature: apply the configured chain cap and
+                // wire the version-install hook into the group-commit
+                // leader, so every drained batch publishes its page
+                // versions at a fresh commit timestamp. Installed before
+                // recovery so replayed commits (which run single-threaded
+                // through the same manager) stay consistent.
+                #[cfg(feature = "concurrency-snapshot")]
+                let pool = {
+                    let pool = core.pager.pool().shared_handle().ok_or_else(|| {
+                        DbmsError::Config("Concurrency::MultiWriter needs a shared pool".into())
+                    })?;
+                    pool.set_version_chain_cap(config.snapshot_chain_cap);
+                    let hook_pool = pool.clone();
+                    txn.set_install_hook(Box::new(move |batch, ts| {
+                        hook_pool.install_commits(batch, ts);
+                    }));
+                    pool
+                };
+                Engine::Shared(DbWriter {
+                    storage: Arc::new(Mutex::new(core)),
+                    txn,
+                    #[cfg(feature = "concurrency-snapshot")]
+                    pool,
+                })
             }
-            Some(mgr) => TxnSlot::Own(mgr),
-            None => TxnSlot::None,
+            txn => Engine::Own { core, txn },
         };
 
         let mut db = Database {
-            storage,
+            engine,
             config,
-            #[cfg(feature = "transactions")]
-            txn,
             #[cfg(feature = "transactions")]
             txn_pending_ship: std::collections::BTreeMap::new(),
             #[cfg(feature = "transactions")]
@@ -720,33 +527,18 @@ impl Database {
         {
             let sink = db.recorder.sink();
             #[cfg(feature = "concurrency-multi")]
-            if let Some(pool) = db.storage.peek().pager.pool().shared_handle() {
+            if let Some(pool) = db.engine.peek(|core| core.pager.pool().shared_handle()) {
                 pool.set_trace_sink(std::sync::Arc::clone(sink));
             }
             #[cfg(feature = "concurrency-multi-writer")]
-            if let TxnSlot::Shared(mgr) = &db.txn {
-                mgr.set_trace_sink(std::sync::Arc::clone(sink));
+            if let Engine::Shared(w) = &db.engine {
+                w.txn.set_trace_sink(std::sync::Arc::clone(sink));
             }
             #[cfg(feature = "replication")]
             if let Some(p) = &mut db.replication {
                 p.set_trace_sink(std::sync::Arc::clone(sink));
             }
             let _ = sink;
-        }
-        // Snapshot feature: apply the configured chain cap and wire the
-        // version-install hook into the group-commit leader, so every
-        // drained batch publishes its page versions at a fresh commit
-        // timestamp. Installed before recovery so replayed commits (which
-        // run single-threaded through the same manager) stay consistent.
-        #[cfg(feature = "concurrency-snapshot")]
-        if let TxnSlot::Shared(mgr) = &db.txn {
-            if let Some(pool) = db.storage.peek().pager.pool().shared_handle() {
-                pool.set_version_chain_cap(db.config.snapshot_chain_cap);
-                let hook_pool = pool.clone();
-                mgr.set_install_hook(Box::new(move |batch, ts| {
-                    hook_pool.install_commits(batch, ts);
-                }));
-            }
         }
         #[cfg(feature = "transactions")]
         if let Some((records, resume)) = replay {
@@ -769,8 +561,8 @@ impl Database {
     /// uncommitted effects recovery can no longer undo.
     pub fn sync(&mut self) -> Result<()> {
         #[cfg(feature = "transactions")]
-        self.txn.flush()?;
-        self.storage.get().pager.sync()?;
+        self.engine.txn_mut(|m| m.flush()).transpose()?;
+        self.engine.core().pager.sync()?;
         #[cfg(feature = "statistics")]
         self.trace.record(fame_obs::OpKind::Sync, 0, 0);
         Ok(())
@@ -780,7 +572,7 @@ impl Database {
     /// invariant (meta page, free list, index structures). The crash-torture
     /// harness runs this after every simulated crash + recovery.
     pub fn verify_integrity(&mut self) -> Result<fame_storage::IntegrityReport> {
-        let report = fame_storage::check_pager(&mut self.storage.get().pager)?;
+        let report = fame_storage::check_pager(&mut self.engine.core().pager)?;
         #[cfg(feature = "statistics")]
         {
             self.last_integrity = Some(IntegritySummary {
@@ -804,28 +596,18 @@ impl Database {
     /// then owns an exclusive pool with no latches to share.
     #[cfg(feature = "concurrency-multi")]
     pub fn reader(&self) -> Result<DbReader> {
-        let core = self.storage.peek();
-        let pager = core.pager.shared().ok_or_else(|| {
+        let (pager, kv) = self.engine.peek(|core| (core.pager.shared(), core.kv));
+        let pager = pager.ok_or_else(|| {
             DbmsError::Config(
                 "reader() needs Concurrency::MultiReader in the runtime configuration".into(),
             )
         })?;
-        let kv = match &core.kv {
-            #[cfg(feature = "index-btree")]
-            Kv::BTree(_) => ReaderKv::BTree {
-                root_slot: KV_ROOT_SLOT,
-            },
-            #[cfg(feature = "index-list")]
-            Kv::List(l) => ReaderKv::List(*l),
-            #[cfg(feature = "index-hash")]
-            Kv::Hash(h) => ReaderKv::Hash(*h),
-        };
         Ok(DbReader {
             pager,
             kv,
             #[cfg(feature = "statistics")]
             obs: ReaderObs {
-                acc: Arc::clone(&self.reader_acc),
+                acc: std::sync::Arc::clone(&self.reader_acc),
                 gets: 0,
                 hits: 0,
             },
@@ -842,34 +624,16 @@ impl Database {
     /// the cross-transaction group channel — concurrent committers share
     /// one coalesced WAL append and one protocol sync per drain.
     ///
-    /// Errors unless this instance runs `Concurrency::MultiWriter` with
-    /// transactions configured.
+    /// Errors unless this instance runs `Concurrency::MultiWriter` (which
+    /// the configuration check only admits with transactions).
     #[cfg(feature = "concurrency-multi-writer")]
     pub fn writer(&self) -> Result<DbWriter> {
-        let storage = match &self.storage {
-            StorageCell::Shared(arc) => Arc::clone(arc),
-            StorageCell::Own(_) => {
-                return Err(DbmsError::Config(
-                    "writer() needs Concurrency::MultiWriter in the runtime configuration".into(),
-                ))
-            }
-        };
-        let txn = match &self.txn {
-            TxnSlot::Shared(s) => Arc::clone(s),
-            _ => {
-                return Err(DbmsError::Config(
-                    "writer() needs transactions configured alongside MultiWriter".into(),
-                ))
-            }
-        };
-        #[cfg(feature = "concurrency-snapshot")]
-        let pool = self.storage.peek().pager.pool().shared_handle();
-        Ok(DbWriter {
-            storage,
-            txn,
-            #[cfg(feature = "concurrency-snapshot")]
-            pool,
-        })
+        match &self.engine {
+            Engine::Shared(w) => Ok(w.clone()),
+            Engine::Own { .. } => Err(DbmsError::Config(
+                "writer() needs Concurrency::MultiWriter in the runtime configuration".into(),
+            )),
+        }
     }
 
     /// A wait-free point-in-time read view (feature
@@ -889,32 +653,22 @@ impl Database {
     /// more than `snapshot_chain_cap` commits to one page can be
     /// stranded: its lookups then fail with a "too old" I/O error.
     ///
-    /// Errors unless this instance runs `Concurrency::MultiWriter` with
-    /// transactions configured (versions are installed by the writers'
-    /// group commit).
+    /// Errors unless this instance runs `Concurrency::MultiWriter`
+    /// (versions are installed by the writers' group commit).
     #[cfg(feature = "concurrency-snapshot")]
     pub fn snapshot(&self) -> Result<DbSnapshot> {
-        if !matches!(&self.txn, TxnSlot::Shared(_)) {
-            return Err(DbmsError::Config(
-                "snapshot() needs transactions configured alongside MultiWriter".into(),
-            ));
-        }
-        let core = self.storage.peek();
-        let shared = core.pager.shared().ok_or_else(|| {
+        let view = match &self.engine {
+            Engine::Shared(w) => {
+                let core = w.storage();
+                core.pager.shared().map(|shared| (shared, core.kv))
+            }
+            Engine::Own { .. } => None,
+        };
+        let (shared, kv) = view.ok_or_else(|| {
             DbmsError::Config(
                 "snapshot() needs Concurrency::MultiWriter in the runtime configuration".into(),
             )
         })?;
-        let kv = match &core.kv {
-            #[cfg(feature = "index-btree")]
-            Kv::BTree(_) => ReaderKv::BTree {
-                root_slot: KV_ROOT_SLOT,
-            },
-            #[cfg(feature = "index-list")]
-            Kv::List(l) => ReaderKv::List(*l),
-            #[cfg(feature = "index-hash")]
-            Kv::Hash(h) => ReaderKv::Hash(*h),
-        };
         let ts = shared.pool().snapshot_begin();
         Ok(DbSnapshot {
             pager: shared.snapshot_at(ts),
@@ -924,12 +678,12 @@ impl Database {
 
     /// Pager / buffer-pool statistics.
     pub fn pool_stats(&self) -> fame_buffer::PoolStats {
-        self.storage.peek().pager.pool().stats()
+        self.engine.peek(|core| core.pager.pool().stats())
     }
 
     /// Device statistics of the data device.
     pub fn device_stats(&self) -> fame_os::DeviceStats {
-        self.storage.peek().pager.pool().device_stats()
+        self.engine.peek(|core| core.pager.pool().device_stats())
     }
 
     // ---- raw byte-string API (Fig. 2: Access -> API, or-group) ----------
@@ -937,7 +691,7 @@ impl Database {
     /// Insert or overwrite a key (feature `api-put`).
     #[cfg(feature = "api-put")]
     pub fn put(&mut self, key: &[u8], value: &[u8]) -> Result<()> {
-        self.kv_put(key, value)?;
+        self.engine.core().kv_put(key, value)?;
         #[cfg(feature = "replication")]
         self.ship_put(key, value)?;
         #[cfg(feature = "statistics")]
@@ -957,16 +711,9 @@ impl Database {
     /// [`get`](Self::get) is the `to_vec` wrapper over this.
     #[cfg(feature = "api-get")]
     pub fn get_with<R>(&mut self, key: &[u8], f: impl FnOnce(&[u8]) -> R) -> Result<Option<R>> {
-        let mut core = self.storage.get();
+        let mut core = self.engine.core();
         let core = &mut *core;
-        let found = match &core.kv {
-            #[cfg(feature = "index-btree")]
-            Kv::BTree(t) => t.get_with(&mut core.pager, key, f)?,
-            #[cfg(feature = "index-list")]
-            Kv::List(l) => l.get_with(&mut core.pager, key, f)?,
-            #[cfg(feature = "index-hash")]
-            Kv::Hash(h) => h.get_with(&mut core.pager, key, f)?,
-        };
+        let found = core.kv.lookup(&mut core.pager, key, f)?;
         #[cfg(feature = "statistics")]
         self.trace.record(
             fame_obs::OpKind::Get,
@@ -979,7 +726,7 @@ impl Database {
     /// Remove a key; returns whether it existed (feature `api-remove`).
     #[cfg(feature = "api-remove")]
     pub fn remove(&mut self, key: &[u8]) -> Result<bool> {
-        let removed = self.kv_remove(key)?;
+        let removed = self.engine.core().kv_remove(key)?;
         #[cfg(feature = "replication")]
         if removed {
             self.ship_remove(key)?;
@@ -993,10 +740,13 @@ impl Database {
     /// Overwrite an existing key; `false` if absent (feature `api-update`).
     #[cfg(feature = "api-update")]
     pub fn update(&mut self, key: &[u8], value: &[u8]) -> Result<bool> {
-        if self.kv_get(key)?.is_none() {
-            return Ok(false);
+        {
+            let mut core = self.engine.core();
+            if core.kv_get(key)?.is_none() {
+                return Ok(false);
+            }
+            core.kv_put(key, value)?;
         }
-        self.kv_put(key, value)?;
         #[cfg(feature = "replication")]
         self.ship_put(key, value)?;
         #[cfg(feature = "statistics")]
@@ -1008,187 +758,9 @@ impl Database {
         Ok(true)
     }
 
-    // ---- batched writes (Fig. 2: Access -> API -> Batch) -----------------
-
-    /// Apply a [`WriteBatch`] as one unit (feature `api-batch`).
-    ///
-    /// The batch is normalized (last write per key wins) and pushed
-    /// through the bulk storage path ([`fame_storage::BTree::apply_sorted`]
-    /// / `insert_many`). With transactions configured the batch is one
-    /// transaction: every record is encoded into a single WAL frame run
-    /// (`LogWriter::append_many`) and committed with exactly one log sync,
-    /// so recovery observes the batch entirely or not at all. Without
-    /// transactions, record sizes are validated before any page is touched
-    /// but crash atomicity is — as for single-record writes — not provided.
-    ///
-    /// `update` entries fail the whole batch (nothing applied, nothing
-    /// logged) when their key does not exist at that point in the batch;
-    /// `remove` entries of absent keys are dropped, mirroring
-    /// [`remove`](Self::remove) returning `false`.
-    #[cfg(feature = "api-batch")]
-    pub fn apply_batch(&mut self, batch: WriteBatch) -> Result<()> {
-        #[cfg(feature = "statistics")]
-        let start = fame_obs::monotonic_ns();
-        let submitted = batch.ops.len() as u64;
-        if submitted == 0 {
-            return Ok(());
-        }
-        let resolved = self.resolve_batch(batch)?;
-        #[cfg(feature = "replication")]
-        let ship = resolved.clone();
-        #[cfg(feature = "transactions")]
-        {
-            if self.txn.is_configured() {
-                self.apply_batch_txn(&resolved)?;
-            } else {
-                self.kv_apply_bulk(resolved)?;
-            }
-        }
-        #[cfg(not(feature = "transactions"))]
-        self.kv_apply_bulk(resolved)?;
-        #[cfg(feature = "replication")]
-        for (key, op) in ship {
-            match op {
-                Some(value) => self.ship_put(&key, &value)?,
-                None => self.ship_remove(&key)?,
-            }
-        }
-        #[cfg(feature = "statistics")]
-        {
-            self.batch_obs.batches.inc();
-            self.batch_obs.batch_ops.add(submitted);
-            self.batch_obs
-                .latency
-                .record_ns(fame_obs::monotonic_ns().saturating_sub(start));
-            self.trace.record(fame_obs::OpKind::Batch, submitted, 0);
-        }
-        Ok(())
-    }
-
-    /// Turn the submitted op sequence into the batch's *net* effect: one
-    /// `(key, Some(value) | None)` per distinct key. Update/remove
-    /// existence checks run against the pre-batch state overlaid with the
-    /// batch's own earlier ops — the same outcome as issuing the calls one
-    /// at a time — and happen before anything is logged or applied.
-    #[cfg(feature = "api-batch")]
-    fn resolve_batch(&mut self, batch: WriteBatch) -> Result<Vec<ResolvedOp>> {
-        let mut resolved: Vec<ResolvedOp> = Vec::with_capacity(batch.ops.len());
-        // key -> does it exist after the ops seen so far?
-        let mut overlay: std::collections::BTreeMap<Vec<u8>, bool> =
-            std::collections::BTreeMap::new();
-        for op in batch.ops {
-            match op {
-                BatchOp::Put { key, value } => {
-                    overlay.insert(key.clone(), true);
-                    resolved.push((key, Some(value)));
-                }
-                #[cfg(feature = "api-update")]
-                BatchOp::Update { key, value } => {
-                    let exists = match overlay.get(&key) {
-                        Some(e) => *e,
-                        None => self.kv_get(&key)?.is_some(),
-                    };
-                    if !exists {
-                        return Err(DbmsError::Config(
-                            "batch update of a missing key (batch not applied)".into(),
-                        ));
-                    }
-                    overlay.insert(key.clone(), true);
-                    resolved.push((key, Some(value)));
-                }
-                #[cfg(feature = "api-remove")]
-                BatchOp::Remove { key } => {
-                    let exists = match overlay.get(&key) {
-                        Some(e) => *e,
-                        None => self.kv_get(&key)?.is_some(),
-                    };
-                    overlay.insert(key.clone(), false);
-                    if exists {
-                        resolved.push((key, None));
-                    }
-                }
-            }
-        }
-        // Last write per key wins. The bulk appliers re-normalize, but the
-        // WAL must carry the same net op set as storage receives.
-        resolved.sort_by(|a, b| a.0.cmp(&b.0));
-        resolved.dedup_by(|next, prev| {
-            if next.0 == prev.0 {
-                prev.1 = next.1.take();
-                true
-            } else {
-                false
-            }
-        });
-        Ok(resolved)
-    }
-
-    /// Transactional arm of [`apply_batch`](Self::apply_batch): one txn,
-    /// one coalesced WAL append, one commit (= one sync under Force).
-    #[cfg(all(feature = "api-batch", feature = "transactions"))]
-    fn apply_batch_txn(&mut self, resolved: &[ResolvedOp]) -> Result<()> {
-        // Before-images for undo; removes whose key never existed have no
-        // net effect and are dropped from both the log and the apply set.
-        let mut writes = Vec::with_capacity(resolved.len());
-        let mut apply = Vec::with_capacity(resolved.len());
-        for (key, op) in resolved {
-            let old = self.kv_get(key)?;
-            match op {
-                Some(value) => {
-                    writes.push(fame_txn::BatchWrite::Put {
-                        index: 0,
-                        key: key.clone(),
-                        old,
-                        new: value.clone(),
-                    });
-                    apply.push((key.clone(), Some(value.clone())));
-                }
-                None => {
-                    let Some(old) = old else { continue };
-                    writes.push(fame_txn::BatchWrite::Remove {
-                        index: 0,
-                        key: key.clone(),
-                        old,
-                    });
-                    apply.push((key.clone(), None));
-                }
-            }
-        }
-        if writes.is_empty() {
-            return Ok(());
-        }
-        let txn_id = self.txn.begin()?;
-        if let Err(e) = self.txn.log_batch(txn_id, &writes) {
-            // Nothing was logged (locks are taken before the append);
-            // release whatever locks the conflicting acquisition left.
-            let _ = self.txn.abort(txn_id);
-            self.txn.release_locks(txn_id);
-            return Err(e.into());
-        }
-        if let Err(e) = self.kv_apply_bulk(apply) {
-            // Roll the index back so a partial bulk apply is not visible.
-            if let Ok(undo) = self.txn.abort(txn_id) {
-                for action in undo {
-                    match action.restore {
-                        Some(old) => {
-                            let _ = self.kv_put(&action.key, &old);
-                        }
-                        None => {
-                            let _ = self.kv_remove(&action.key);
-                        }
-                    }
-                }
-            }
-            self.txn.release_locks(txn_id);
-            return Err(e);
-        }
-        self.txn.commit_batch(txn_id)?;
-        Ok(())
-    }
-
     /// Number of live keys.
     pub fn len(&mut self) -> Result<usize> {
-        self.storage.get().len()
+        self.engine.core().len()
     }
 
     /// `true` when no keys exist.
@@ -1204,7 +776,7 @@ impl Database {
         start: Option<&[u8]>,
         end: Option<&[u8]>,
     ) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
-        let mut core = self.storage.get();
+        let mut core = self.engine.core();
         let core = &mut *core;
         match &core.kv {
             Kv::BTree(t) => Ok(t.scan(&mut core.pager, start, end)?),
@@ -1215,38 +787,137 @@ impl Database {
         }
     }
 
-    // ---- internal index dispatch (delegates to [`StorageCore`]) ---------
+    // ---- queue access method (Berkeley DB QUEUE, §2.2) -------------------
 
-    #[cfg(any(feature = "api-put", feature = "api-update", feature = "transactions"))]
-    fn kv_put(&mut self, key: &[u8], value: &[u8]) -> Result<bool> {
-        self.storage.get().kv_put(key, value)
+    /// Create or open the fixed-record queue (feature `index-queue`).
+    #[cfg(feature = "index-queue")]
+    pub fn queue(&mut self, record_len: usize) -> Result<QueueHandle<'_>> {
+        /// Root slot of the queue.
+        const QUEUE_ROOT_SLOT: usize = 1;
+        let mut core = self.engine.core();
+        let q = match core.pager.root(QUEUE_ROOT_SLOT)? {
+            Some(_) => fame_storage::Queue::open(&mut core.pager, QUEUE_ROOT_SLOT)?,
+            None => fame_storage::Queue::create(&mut core.pager, QUEUE_ROOT_SLOT, record_len)?,
+        };
+        if q.record_len() != record_len {
+            return Err(DbmsError::Config(format!(
+                "queue exists with record length {}, requested {}",
+                q.record_len(),
+                record_len
+            )));
+        }
+        Ok(QueueHandle { queue: q, core })
+    }
+}
+
+// ---- batched writes (Fig. 2: Access -> API -> Batch) -----------------
+#[cfg(feature = "api-batch")]
+impl Database {
+    /// Apply a [`WriteBatch`] as one unit (feature `api-batch`).
+    ///
+    /// The batch is normalized (last write per key wins) and pushed
+    /// through the bulk storage path ([`fame_storage::BTree::apply_sorted`]
+    /// / `insert_many`). With transactions configured the batch is one
+    /// transaction: every record is encoded into a single WAL frame run
+    /// (`LogWriter::append_many`) and committed with exactly one log sync,
+    /// so recovery observes the batch entirely or not at all. Without
+    /// transactions, record sizes are validated before any page is touched
+    /// but crash atomicity is — as for single-record writes — not provided.
+    ///
+    /// `update` entries fail the whole batch (nothing applied, nothing
+    /// logged) when their key does not exist at that point in the batch;
+    /// `remove` entries of absent keys are dropped, mirroring
+    /// [`remove`](Self::remove) returning `false`.
+    pub fn apply_batch(&mut self, batch: WriteBatch) -> Result<()> {
+        #[cfg(feature = "statistics")]
+        let start = fame_obs::monotonic_ns();
+        let submitted = batch.ops.len() as u64;
+        if submitted == 0 {
+            return Ok(());
+        }
+        match &mut self.engine {
+            #[cfg(feature = "concurrency-multi-writer")]
+            Engine::Shared(w) => w.apply_batch(batch)?,
+            Engine::Own {
+                core,
+                #[cfg(feature = "transactions")]
+                txn,
+            } => {
+                let resolved = core.resolve_batch(batch)?;
+                #[cfg(feature = "replication")]
+                let ship = resolved.clone();
+                #[cfg(feature = "transactions")]
+                match txn {
+                    Some(mgr) => Self::apply_batch_txn(core, mgr, &resolved)?,
+                    None => {
+                        core.kv_apply_bulk(resolved)?;
+                    }
+                }
+                #[cfg(not(feature = "transactions"))]
+                core.kv_apply_bulk(resolved)?;
+                #[cfg(feature = "replication")]
+                for (key, op) in ship {
+                    match op {
+                        Some(value) => self.ship_put(&key, &value)?,
+                        None => self.ship_remove(&key)?,
+                    }
+                }
+            }
+        }
+        #[cfg(feature = "statistics")]
+        {
+            self.batch_obs.batches.inc();
+            self.batch_obs.batch_ops.add(submitted);
+            self.batch_obs
+                .latency
+                .record_ns(fame_obs::monotonic_ns().saturating_sub(start));
+            self.trace.record(fame_obs::OpKind::Batch, submitted, 0);
+        }
+        Ok(())
     }
 
-    fn kv_get(&mut self, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        self.storage.get().kv_get(key)
+    /// Single-writer transactional arm of [`apply_batch`](Self::apply_batch):
+    /// one txn, one coalesced WAL append, one commit (= one sync under
+    /// Force). The no-wait key locks are taken inside `log_batch`.
+    #[cfg(feature = "transactions")]
+    fn apply_batch_txn(
+        core: &mut StorageCore,
+        mgr: &mut fame_txn::TxnManager,
+        resolved: &[ResolvedOp],
+    ) -> Result<()> {
+        let (writes, apply) = core.batch_writes(resolved)?;
+        if writes.is_empty() {
+            return Ok(());
+        }
+        let txn_id = mgr.begin()?;
+        // A failed `log_batch` logged nothing, so the abort only drops the
+        // locks the conflicting acquisition left; a failed bulk apply is
+        // rolled back so a partial apply is not visible.
+        let applied = match mgr.log_batch(txn_id, &writes) {
+            Ok(_) => core.kv_apply_bulk(apply).map(|_| ()),
+            Err(e) => Err(e.into()),
+        };
+        if let Err(e) = applied {
+            if let Ok(undo) = mgr.abort(txn_id) {
+                let _ = core.apply_undo(undo);
+            }
+            return Err(e);
+        }
+        Ok(mgr.commit_batch(txn_id)?)
     }
+}
 
-    #[cfg(any(feature = "api-remove", feature = "transactions"))]
-    fn kv_remove(&mut self, key: &[u8]) -> Result<bool> {
-        self.storage.get().kv_remove(key)
-    }
-
-    #[cfg(feature = "api-batch")]
-    fn kv_apply_bulk(&mut self, ops: Vec<ResolvedOp>) -> Result<usize> {
-        self.storage.get().kv_apply_bulk(ops)
-    }
-
-    // ---- statistics (Berkeley DB STATISTICS, §2.2) ------------------------
-
+// ---- statistics (Berkeley DB STATISTICS, §2.2) ------------------------
+#[cfg(feature = "statistics")]
+impl Database {
     /// A full statistics report of the running product (feature
     /// `statistics` — the Berkeley DB `->stat()` analog).
     ///
     /// The snapshot is *coherent* under concurrent readers: every counter
     /// is read once from its atomic, so repeated calls observe each field
     /// monotonically non-decreasing and never torn.
-    #[cfg(feature = "statistics")]
     pub fn stats(&mut self) -> Result<StatsSnapshot> {
-        let mut core = self.storage.get();
+        let mut core = self.engine.core();
         let keys = core.len()?;
         let pool = core.pager.pool().stats();
         let device = core.pager.pool().device_stats();
@@ -1297,15 +968,18 @@ impl Database {
             #[cfg(feature = "api-batch")]
             batch_latency: self.batch_obs.latency.snapshot(),
             #[cfg(feature = "transactions")]
-            txn: self.txn.stats(),
+            txn: self.txn_stats(),
             #[cfg(feature = "transactions")]
-            log_syncs: self.txn.log_syncs(),
+            log_syncs: self.log_syncs(),
             #[cfg(feature = "transactions")]
-            log_bytes: self.txn.log_bytes(),
+            log_bytes: self.engine.txn_peek(|m| m.log_bytes()),
             #[cfg(feature = "transactions")]
-            commit_latency: self.txn.commit_latency(),
+            commit_latency: self.engine.txn_peek(|m| m.obs().commit_latency.snapshot()),
             #[cfg(feature = "concurrency-multi-writer")]
-            locks: self.txn.lock_stats(),
+            locks: match &self.engine {
+                Engine::Shared(w) => Some(w.lock_stats()),
+                Engine::Own { .. } => None,
+            },
             #[cfg(feature = "concurrency-snapshot")]
             versions,
             #[cfg(feature = "transactions")]
@@ -1321,17 +995,17 @@ impl Database {
 
     /// The op-trace ring, oldest first (feature `statistics`). At most
     /// [`crate::config::StatsConfig::trace_capacity`] most-recent events.
-    #[cfg(feature = "statistics")]
     pub fn op_trace(&self) -> Vec<fame_obs::TraceEvent> {
         self.trace.dump()
     }
+}
 
-    // ---- causal tracing (feature `obs-trace`) -----------------------------
-
+// ---- causal tracing (feature `obs-trace`) -----------------------------
+#[cfg(feature = "obs-trace")]
+impl Database {
     /// Dump the flight recorder: every retained span event plus the
     /// current windowed metrics, ready for
     /// [`fame_obs::TraceDump::to_chrome_json`] / `to_tsv` export.
-    #[cfg(feature = "obs-trace")]
     pub fn dump_trace(&self) -> fame_obs::TraceDump {
         self.recorder.dump(None)
     }
@@ -1340,51 +1014,29 @@ impl Database {
     /// [`crate::config::StatsConfig`]); returns `Some` exactly once per
     /// not-crossed → crossed transition. Callers typically follow up with
     /// [`Database::dump_trace`] stamped with the anomaly's reason.
-    #[cfg(feature = "obs-trace")]
     pub fn trace_anomaly(&self) -> Option<fame_obs::Anomaly> {
         self.recorder.observe()
     }
 
     /// Current windowed metrics (merge-on-read snapshot of the rotating
     /// histogram windows).
-    #[cfg(feature = "obs-trace")]
     pub fn trace_windows(&self) -> fame_obs::WindowsSnapshot {
         self.recorder.sink().windows()
     }
 
     /// The flight recorder itself (sink installation for embedders that
     /// probe their own layers, anomaly-stamped dumps).
-    #[cfg(feature = "obs-trace")]
     pub fn flight_recorder(&self) -> &fame_obs::FlightRecorder {
         &self.recorder
     }
+}
 
-    // ---- queue access method (Berkeley DB QUEUE, §2.2) -------------------
-
-    /// Create or open the fixed-record queue (feature `index-queue`).
-    #[cfg(feature = "index-queue")]
-    pub fn queue(&mut self, record_len: usize) -> Result<QueueHandle<'_>> {
-        let mut core = self.storage.get();
-        let q = match core.pager.root(QUEUE_ROOT_SLOT)? {
-            Some(_) => fame_storage::Queue::open(&mut core.pager, QUEUE_ROOT_SLOT)?,
-            None => fame_storage::Queue::create(&mut core.pager, QUEUE_ROOT_SLOT, record_len)?,
-        };
-        if q.record_len() != record_len {
-            return Err(DbmsError::Config(format!(
-                "queue exists with record length {}, requested {}",
-                q.record_len(),
-                record_len
-            )));
-        }
-        Ok(QueueHandle { queue: q, core })
-    }
-
-    // ---- SQL (Fig. 2: Access -> SQL Engine) ------------------------------
-
+// ---- SQL (Fig. 2: Access -> SQL Engine) ------------------------------
+#[cfg(feature = "sql")]
+impl Database {
     /// Execute a SQL statement (feature `sql`).
-    #[cfg(feature = "sql")]
     pub fn sql(&mut self, statement: &str) -> Result<fame_query::QueryOutput> {
-        let mut core = self.storage.get();
+        let mut core = self.engine.core();
         if self.sql.is_none() {
             self.sql = Some(fame_query::SqlEngine::open_default(&mut core.pager)?);
         }
@@ -1399,44 +1051,59 @@ impl Database {
 
     /// Access path chosen by the last SQL row-sourcing statement
     /// (optimizer diagnostics).
-    #[cfg(feature = "sql")]
     pub fn last_access_path(&self) -> Option<&'static str> {
         self.sql.as_ref().and_then(|e| e.last_access_path())
     }
+}
 
-    // ---- transactions (Fig. 2: Transaction) -----------------------------
-
-    /// Begin a transaction (feature `transactions`).
-    #[cfg(feature = "transactions")]
-    pub fn begin(&mut self) -> Result<TxnHandle> {
-        if !self.txn.is_configured() {
-            return Err(DbmsError::Config(
-                "transactions not enabled in config".into(),
-            ));
-        }
-        let id = self.txn.begin()?;
-        self.txn_pending_ship.insert(id, Vec::new());
-        #[cfg(feature = "statistics")]
-        self.trace.record(fame_obs::OpKind::TxnBegin, id, 0);
-        #[cfg(feature = "obs-trace")]
-        if !self.txn.is_shared() {
-            self.recorder
-                .sink()
-                .emit(fame_obs::SpanKind::TxnBegin, id, 0, 0, 0);
-        }
-        Ok(TxnHandle { id })
+// ---- transactions (Fig. 2: Transaction) -----------------------------
+//
+// Each method holds the single-writer protocol inline (the `Own` arm:
+// WAL + no-wait key lock inside `log_*`, then apply) and hands
+// MultiWriter products to the one block-lock protocol in [`DbWriter`].
+// What wraps both — replica shipping, op trace — stays here.
+#[cfg(feature = "transactions")]
+impl Database {
+    /// The error every transactional call gets on an instance opened
+    /// without transactions — including one handed a [`TxnHandle`] of
+    /// another instance.
+    fn txn_not_enabled() -> DbmsError {
+        DbmsError::Config("transactions not enabled in config".into())
     }
 
-    /// Transactional put: WAL + lock first, then apply. In MultiWriter
-    /// products the exclusive block lock is taken up front (blocking),
-    /// which is what makes the read-log-apply sequence atomic against
-    /// concurrent [`DbWriter`] transactions.
-    #[cfg(all(feature = "transactions", feature = "api-put"))]
+    /// Begin a transaction (feature `transactions`).
+    pub fn begin(&mut self) -> Result<TxnHandle> {
+        let txn = match &mut self.engine {
+            Engine::Own { txn, .. } => {
+                let id = txn.as_mut().ok_or_else(Self::txn_not_enabled)?.begin()?;
+                #[cfg(feature = "obs-trace")]
+                self.recorder
+                    .sink()
+                    .emit(fame_obs::SpanKind::TxnBegin, id, 0, 0, 0);
+                TxnHandle { id }
+            }
+            #[cfg(feature = "concurrency-multi-writer")]
+            Engine::Shared(w) => w.begin()?,
+        };
+        self.txn_pending_ship.insert(txn.id, Vec::new());
+        #[cfg(feature = "statistics")]
+        self.trace.record(fame_obs::OpKind::TxnBegin, txn.id, 0);
+        Ok(txn)
+    }
+
+    /// Transactional put: WAL + lock first, then apply.
+    #[cfg(feature = "api-put")]
     pub fn txn_put(&mut self, txn: TxnHandle, key: &[u8], value: &[u8]) -> Result<()> {
-        self.txn.lock_write(txn.id, key)?;
-        let old = self.kv_get(key)?;
-        self.txn.log_put(txn.id, 0, key, old, value)?;
-        self.kv_put(key, value)?;
+        match &mut self.engine {
+            Engine::Own { core, txn: mgr } => {
+                let mgr = mgr.as_mut().ok_or_else(Self::txn_not_enabled)?;
+                let old = core.kv_get(key)?;
+                mgr.log_put(txn.id, 0, key, old, value)?;
+                core.kv_put(key, value)?;
+            }
+            #[cfg(feature = "concurrency-multi-writer")]
+            Engine::Shared(w) => w.put(txn, key, value)?,
+        }
         if let Some(pending) = self.txn_pending_ship.get_mut(&txn.id) {
             pending.push((key.to_vec(), Some(value.to_vec())));
         }
@@ -1444,45 +1111,67 @@ impl Database {
     }
 
     /// Transactional get (takes a read lock).
-    #[cfg(all(feature = "transactions", feature = "api-get"))]
+    #[cfg(feature = "api-get")]
     pub fn txn_get(&mut self, txn: TxnHandle, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        self.txn.lock_read(txn.id, key)?;
-        self.kv_get(key)
+        match &mut self.engine {
+            Engine::Own { core, txn: mgr } => {
+                mgr.as_mut()
+                    .ok_or_else(Self::txn_not_enabled)?
+                    .lock_read(txn.id, key)?;
+                core.kv_get(key)
+            }
+            #[cfg(feature = "concurrency-multi-writer")]
+            Engine::Shared(w) => w.get(txn, key),
+        }
     }
 
     /// Transactional remove.
-    #[cfg(all(feature = "transactions", feature = "api-remove"))]
+    #[cfg(feature = "api-remove")]
     pub fn txn_remove(&mut self, txn: TxnHandle, key: &[u8]) -> Result<bool> {
-        self.txn.lock_write(txn.id, key)?;
-        let old = self.kv_get(key)?;
-        let Some(old) = old else {
-            return Ok(false);
+        let removed = match &mut self.engine {
+            Engine::Own { core, txn: mgr } => {
+                let mgr = mgr.as_mut().ok_or_else(Self::txn_not_enabled)?;
+                match core.kv_get(key)? {
+                    Some(old) => {
+                        mgr.log_remove(txn.id, 0, key, old)?;
+                        core.kv_remove(key)?
+                    }
+                    None => false,
+                }
+            }
+            #[cfg(feature = "concurrency-multi-writer")]
+            Engine::Shared(w) => w.remove(txn, key)?,
         };
-        self.txn.log_remove(txn.id, 0, key, old)?;
-        self.kv_remove(key)?;
-        if let Some(pending) = self.txn_pending_ship.get_mut(&txn.id) {
-            pending.push((key.to_vec(), None));
+        if removed {
+            if let Some(pending) = self.txn_pending_ship.get_mut(&txn.id) {
+                pending.push((key.to_vec(), None));
+            }
         }
-        Ok(true)
+        Ok(removed)
     }
 
     /// Commit (durability per the composed commit protocol); ships the
     /// transaction's effects to replicas. MultiWriter products commit
     /// through the cross-transaction group channel.
-    #[cfg(feature = "transactions")]
     pub fn commit(&mut self, txn: TxnHandle) -> Result<()> {
-        #[cfg(feature = "obs-trace")]
-        let t0 = fame_obs::monotonic_ns();
-        self.txn.commit(txn.id)?;
-        #[cfg(feature = "obs-trace")]
-        if !self.txn.is_shared() {
-            self.recorder.sink().emit(
-                fame_obs::SpanKind::TxnCommit,
-                txn.id,
-                0,
-                fame_obs::monotonic_ns() - t0,
-                0,
-            );
+        match &mut self.engine {
+            Engine::Own { txn: mgr, .. } => {
+                #[cfg(feature = "obs-trace")]
+                let t0 = fame_obs::monotonic_ns();
+                mgr.as_mut()
+                    .ok_or_else(Self::txn_not_enabled)?
+                    .commit(txn.id)?;
+                #[cfg(feature = "obs-trace")]
+                self.recorder.sink().emit(
+                    fame_obs::SpanKind::TxnCommit,
+                    txn.id,
+                    0,
+                    fame_obs::monotonic_ns() - t0,
+                    0,
+                );
+            }
+            #[cfg(feature = "concurrency-multi-writer")]
+            Engine::Shared(w) => w.commit(txn)?,
         }
         let pending = self.txn_pending_ship.remove(&txn.id).unwrap_or_default();
         #[cfg(feature = "replication")]
@@ -1502,50 +1191,39 @@ impl Database {
     /// Abort: applies compensating actions to the index. In MultiWriter
     /// products the block locks are released only *after* the undo is
     /// applied, so no concurrent writer observes the un-undone value.
-    #[cfg(feature = "transactions")]
     pub fn abort(&mut self, txn: TxnHandle) -> Result<()> {
-        let undo = self.txn.abort(txn.id)?;
         self.txn_pending_ship.remove(&txn.id);
-        let mut first_err = None;
-        for action in undo {
-            let applied = match action.restore {
-                Some(old) => self.kv_put(&action.key, &old).map(|_| ()),
-                None => self.kv_remove(&action.key).map(|_| ()),
-            };
-            if let Err(e) = applied {
-                first_err = Some(e);
-                break;
+        match &mut self.engine {
+            Engine::Own { core, txn: mgr } => {
+                let undo = mgr
+                    .as_mut()
+                    .ok_or_else(Self::txn_not_enabled)?
+                    .abort(txn.id)?;
+                core.apply_undo(undo)?;
+                #[cfg(feature = "obs-trace")]
+                self.recorder
+                    .sink()
+                    .emit(fame_obs::SpanKind::TxnAbort, txn.id, 0, 0, 0);
             }
-        }
-        self.txn.release_locks(txn.id);
-        if let Some(e) = first_err {
-            return Err(e);
+            #[cfg(feature = "concurrency-multi-writer")]
+            Engine::Shared(w) => w.abort(txn)?,
         }
         #[cfg(feature = "statistics")]
         self.trace.record(fame_obs::OpKind::TxnAbort, txn.id, 0);
-        #[cfg(feature = "obs-trace")]
-        if !self.txn.is_shared() {
-            self.recorder
-                .sink()
-                .emit(fame_obs::SpanKind::TxnAbort, txn.id, 0, 0, 0);
-        }
         Ok(())
     }
 
     /// Transaction statistics `(committed, aborted)`.
-    #[cfg(feature = "transactions")]
     pub fn txn_stats(&self) -> Option<(u64, u64)> {
-        self.txn.stats()
+        self.engine.txn_peek(|m| m.stats())
     }
 
     /// Log-device sync count (commit-protocol comparison metric).
-    #[cfg(feature = "transactions")]
     pub fn log_syncs(&self) -> Option<u64> {
-        self.txn.log_syncs()
+        self.engine.txn_peek(|m| m.log_syncs())
     }
 
     /// Replay captured WAL records against the store (run at open).
-    #[cfg(feature = "transactions")]
     fn recover_from_records(
         &mut self,
         records: &[(fame_txn::Lsn, fame_txn::LogRecord)],
@@ -1554,8 +1232,31 @@ impl Database {
         if records.is_empty() {
             return Ok(());
         }
+        /// Adapter implementing the recovery callback over the storage core.
+        struct RecoverInto<'a> {
+            core: &'a mut StorageCore,
+            error: Option<DbmsError>,
+        }
+
+        impl fame_txn::RecoveryTarget for RecoverInto<'_> {
+            fn apply_put(&mut self, _index: u8, key: &[u8], value: &[u8]) {
+                if self.error.is_none() {
+                    if let Err(e) = self.core.kv_put(key, value) {
+                        self.error = Some(e);
+                    }
+                }
+            }
+
+            fn apply_remove(&mut self, _index: u8, key: &[u8]) {
+                if self.error.is_none() {
+                    if let Err(e) = self.core.kv_remove(key) {
+                        self.error = Some(e);
+                    }
+                }
+            }
+        }
         let stats = {
-            let mut core = self.storage.get();
+            let mut core = self.engine.core();
             let mut target = RecoverInto {
                 core: &mut core,
                 error: None,
@@ -1575,7 +1276,9 @@ impl Database {
         let sealed = matches!(records.last(), Some((_, fame_txn::LogRecord::Checkpoint)))
             && stats.losers.is_empty();
         if !sealed {
-            self.txn.seal_recovery(&stats.losers)?;
+            self.engine
+                .txn_mut(|m| m.seal_recovery(&stats.losers))
+                .transpose()?;
         }
         #[cfg(feature = "statistics")]
         self.trace.record(
@@ -1596,16 +1299,16 @@ impl Database {
     }
 
     /// What recovery did at open, if a non-empty log was replayed.
-    #[cfg(feature = "transactions")]
     pub fn last_recovery(&self) -> Option<&fame_txn::RecoveryStats> {
         self.last_recovery.as_ref()
     }
+}
 
-    // ---- replication (Berkeley DB REPLICATION, §2.2) ----------------------
-
+// ---- replication (Berkeley DB REPLICATION, §2.2) ----------------------
+#[cfg(feature = "replication")]
+impl Database {
     /// Attach a replica; pump it with `poll()` or run it with `spawn()`
     /// (feature `replication`).
-    #[cfg(feature = "replication")]
     pub fn attach_replica(&mut self) -> Result<fame_repl::Replica> {
         let r = self
             .replication
@@ -1615,7 +1318,6 @@ impl Database {
     }
 
     /// Replication lag: shipped minus acknowledged sequence numbers.
-    #[cfg(feature = "replication")]
     pub fn replication_lag(&mut self) -> Option<u64> {
         self.replication
             .as_mut()
@@ -1625,9 +1327,9 @@ impl Database {
     /// Digest of the primary's KV state; compare with
     /// [`fame_repl::ReplicaState::digest`] to verify convergence
     /// (B+-tree index only — the digest needs a deterministic order).
-    #[cfg(all(feature = "replication", feature = "index-btree"))]
+    #[cfg(feature = "index-btree")]
     pub fn state_digest(&mut self) -> Result<u64> {
-        let mut core = self.storage.get();
+        let mut core = self.engine.core();
         let core = &mut *core;
         match &core.kv {
             Kv::BTree(t) => {
@@ -1643,7 +1345,6 @@ impl Database {
         }
     }
 
-    #[cfg(feature = "replication")]
     fn ship_put(&mut self, key: &[u8], value: &[u8]) -> Result<()> {
         if let Some(p) = &mut self.replication {
             p.ship(fame_repl::ShipOp::Put {
@@ -1655,7 +1356,6 @@ impl Database {
         Ok(())
     }
 
-    #[cfg(feature = "replication")]
     fn ship_remove(&mut self, key: &[u8]) -> Result<()> {
         if let Some(p) = &mut self.replication {
             p.ship(fame_repl::ShipOp::Remove {
@@ -2046,26 +1746,18 @@ type ResolvedOp = (Vec<u8>, Option<Vec<u8>>);
 #[cfg(feature = "api-batch")]
 #[derive(Debug, Default, Clone)]
 pub struct WriteBatch {
-    ops: Vec<BatchOp>,
+    ops: Vec<(Vec<u8>, BatchOp)>,
 }
 
-/// One queued batch operation.
+/// What one queued batch operation does to its key.
 #[cfg(feature = "api-batch")]
 #[derive(Debug, Clone)]
 enum BatchOp {
-    Put {
-        key: Vec<u8>,
-        value: Vec<u8>,
-    },
+    Put(Vec<u8>),
     #[cfg(feature = "api-update")]
-    Update {
-        key: Vec<u8>,
-        value: Vec<u8>,
-    },
+    Update(Vec<u8>),
     #[cfg(feature = "api-remove")]
-    Remove {
-        key: Vec<u8>,
-    },
+    Remove,
 }
 
 #[cfg(feature = "api-batch")]
@@ -2077,10 +1769,7 @@ impl WriteBatch {
 
     /// Queue an insert-or-overwrite.
     pub fn put(&mut self, key: &[u8], value: &[u8]) -> &mut Self {
-        self.ops.push(BatchOp::Put {
-            key: key.to_vec(),
-            value: value.to_vec(),
-        });
+        self.ops.push((key.to_vec(), BatchOp::Put(value.to_vec())));
         self
     }
 
@@ -2089,10 +1778,8 @@ impl WriteBatch {
     /// not exist at that point in the batch.
     #[cfg(feature = "api-update")]
     pub fn update(&mut self, key: &[u8], value: &[u8]) -> &mut Self {
-        self.ops.push(BatchOp::Update {
-            key: key.to_vec(),
-            value: value.to_vec(),
-        });
+        self.ops
+            .push((key.to_vec(), BatchOp::Update(value.to_vec())));
         self
     }
 
@@ -2100,7 +1787,7 @@ impl WriteBatch {
     /// a no-op, as in [`Database::remove`].
     #[cfg(feature = "api-remove")]
     pub fn remove(&mut self, key: &[u8]) -> &mut Self {
-        self.ops.push(BatchOp::Remove { key: key.to_vec() });
+        self.ops.push((key.to_vec(), BatchOp::Remove));
         self
     }
 
@@ -2120,6 +1807,100 @@ impl WriteBatch {
     }
 }
 
+/// The storage reads a batch needs before anything is logged or applied.
+/// MultiWriter products call these only with every key of the batch
+/// X-locked, so what they read is committed.
+#[cfg(feature = "api-batch")]
+impl StorageCore {
+    /// Turn the submitted op sequence into the batch's *net* effect: one
+    /// `(key, Some(value) | None)` per distinct key. Update/remove
+    /// existence checks run against the pre-batch state overlaid with the
+    /// batch's own earlier ops — the same outcome as issuing the calls one
+    /// at a time.
+    fn resolve_batch(&mut self, batch: WriteBatch) -> Result<Vec<ResolvedOp>> {
+        let mut resolved: Vec<ResolvedOp> = Vec::with_capacity(batch.ops.len());
+        // key -> does it exist after the ops seen so far?
+        let mut overlay: std::collections::BTreeMap<Vec<u8>, bool> =
+            std::collections::BTreeMap::new();
+        for (key, op) in batch.ops {
+            #[cfg(any(feature = "api-update", feature = "api-remove"))]
+            let mut exists = || match overlay.get(&key) {
+                Some(e) => Ok::<_, DbmsError>(*e),
+                None => Ok(self.kv_get(&key)?.is_some()),
+            };
+            let value = match op {
+                BatchOp::Put(value) => Some(value),
+                #[cfg(feature = "api-update")]
+                BatchOp::Update(value) => {
+                    if !exists()? {
+                        return Err(DbmsError::Config(
+                            "batch update of a missing key (batch not applied)".into(),
+                        ));
+                    }
+                    Some(value)
+                }
+                #[cfg(feature = "api-remove")]
+                BatchOp::Remove => {
+                    if !exists()? {
+                        continue;
+                    }
+                    None
+                }
+            };
+            overlay.insert(key.clone(), value.is_some());
+            resolved.push((key, value));
+        }
+        // Last write per key wins. The bulk appliers re-normalize, but the
+        // WAL must carry the same net op set as storage receives.
+        resolved.sort_by(|a, b| a.0.cmp(&b.0));
+        resolved.dedup_by(|next, prev| {
+            if next.0 == prev.0 {
+                prev.1 = next.1.take();
+                true
+            } else {
+                false
+            }
+        });
+        Ok(resolved)
+    }
+
+    /// Pair a resolved batch with its before-images: the WAL records (undo
+    /// needs the old values) and the op run to apply. Removes whose key
+    /// never existed have no net effect and are dropped from both.
+    #[cfg(feature = "transactions")]
+    fn batch_writes(
+        &mut self,
+        resolved: &[ResolvedOp],
+    ) -> Result<(Vec<fame_txn::BatchWrite>, Vec<ResolvedOp>)> {
+        let mut writes = Vec::with_capacity(resolved.len());
+        let mut apply = Vec::with_capacity(resolved.len());
+        for (key, op) in resolved {
+            let old = self.kv_get(key)?;
+            match op {
+                Some(value) => {
+                    writes.push(fame_txn::BatchWrite::Put {
+                        index: 0,
+                        key: key.clone(),
+                        old,
+                        new: value.clone(),
+                    });
+                    apply.push((key.clone(), Some(value.clone())));
+                }
+                None => {
+                    let Some(old) = old else { continue };
+                    writes.push(fame_txn::BatchWrite::Remove {
+                        index: 0,
+                        key: key.clone(),
+                        old,
+                    });
+                    apply.push((key.clone(), None));
+                }
+            }
+        }
+        Ok((writes, apply))
+    }
+}
+
 /// An open transaction (copyable token; the manager owns the state).
 #[cfg(feature = "transactions")]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -2133,20 +1914,6 @@ impl TxnHandle {
     pub fn id(&self) -> fame_txn::TxnId {
         self.id
     }
-}
-
-/// Read-only dispatch state of a [`DbReader`]: which index to search and
-/// where its root lives. All three handles are `Copy`; only the B+-tree's
-/// root page can move (splits), so the reader re-resolves it per lookup.
-#[cfg(feature = "concurrency-multi")]
-#[derive(Clone, Copy)]
-enum ReaderKv {
-    #[cfg(feature = "index-btree")]
-    BTree { root_slot: usize },
-    #[cfg(feature = "index-list")]
-    List(ListIndex),
-    #[cfg(feature = "index-hash")]
-    Hash(HashIndex),
 }
 
 /// Shared accumulator for dropped [`DbReader`] handles' local counters
@@ -2167,7 +1934,7 @@ struct ReaderAccum {
 #[cfg(all(feature = "concurrency-multi", feature = "statistics"))]
 #[derive(Debug)]
 struct ReaderObs {
-    acc: Arc<ReaderAccum>,
+    acc: std::sync::Arc<ReaderAccum>,
     gets: u64,
     hits: u64,
 }
@@ -2176,7 +1943,7 @@ struct ReaderObs {
 impl Clone for ReaderObs {
     fn clone(&self) -> Self {
         ReaderObs {
-            acc: Arc::clone(&self.acc),
+            acc: std::sync::Arc::clone(&self.acc),
             gets: 0,
             hits: 0,
         }
@@ -2198,14 +1965,15 @@ impl Drop for ReaderObs {
 /// `concurrency-multi`).
 ///
 /// Internally an `Arc` over the sharded pool: cloning is cheap and each
-/// clone serves lookups independently, taking only per-shard read latches
-/// on cache hits. The `&mut self` receivers are a formality of the
+/// clone serves lookups independently. Cache hits take no latch and write
+/// no shared cache line (seqlock-validated frame copies); only misses go
+/// through a shard latch. The `&mut self` receivers are a formality of the
 /// [`fame_storage::PageRead`] trait — no writer lock exists on this path.
 #[cfg(feature = "concurrency-multi")]
 #[derive(Clone)]
 pub struct DbReader {
     pager: SharedPager,
-    kv: ReaderKv,
+    kv: Kv,
     /// Handle-local lookup counters (feature `statistics`), merged into
     /// [`Database::stats`]'s `reader_gets`/`reader_hits` when this handle
     /// drops.
@@ -2222,30 +1990,13 @@ impl DbReader {
 
     /// Allocation-free lookup: run `f` over the value bytes in place.
     pub fn get_with<R>(&mut self, key: &[u8], f: impl FnOnce(&[u8]) -> R) -> Result<Option<R>> {
-        let found = self.lookup(key, f)?;
+        let found = self.kv.lookup_olc(&mut self.pager, key, f)?;
         #[cfg(feature = "statistics")]
         {
             self.obs.gets += 1;
             self.obs.hits += u64::from(found.is_some());
         }
         Ok(found)
-    }
-
-    fn lookup<R>(&mut self, key: &[u8], f: impl FnOnce(&[u8]) -> R) -> Result<Option<R>> {
-        match self.kv {
-            #[cfg(feature = "index-btree")]
-            ReaderKv::BTree { root_slot } => {
-                // Optimistic lock coupling: the descent resolves the
-                // root itself and chases child pointers on page-version
-                // checks, restarting if a concurrent split moves a node
-                // underneath it. No latch is taken on the hit path.
-                Ok(BTree::get_olc(&mut self.pager, root_slot, key, f)?)
-            }
-            #[cfg(feature = "index-list")]
-            ReaderKv::List(l) => Ok(l.get_with(&mut self.pager, key, f)?),
-            #[cfg(feature = "index-hash")]
-            ReaderKv::Hash(h) => Ok(h.get_with(&mut self.pager, key, f)?),
-        }
     }
 
     /// `true` when the key exists.
@@ -2273,7 +2024,7 @@ impl DbReader {
 #[cfg(feature = "concurrency-snapshot")]
 pub struct DbSnapshot {
     pager: fame_storage::SnapshotPager,
-    kv: ReaderKv,
+    kv: Kv,
 }
 
 #[cfg(feature = "concurrency-snapshot")]
@@ -2301,21 +2052,10 @@ impl DbSnapshot {
     }
 
     /// Allocation-free snapshot lookup: run `f` over the value bytes.
+    /// The same descent as [`DbReader::get_with`], over the
+    /// timestamp-pinned pager.
     pub fn get_with<R>(&mut self, key: &[u8], f: impl FnOnce(&[u8]) -> R) -> Result<Option<R>> {
-        match self.kv {
-            #[cfg(feature = "index-btree")]
-            ReaderKv::BTree { root_slot } => {
-                // Same optimistic descent as `DbReader`, but over the
-                // timestamp-pinned pager: every page token is the
-                // always-valid sentinel because the observed tree is
-                // frozen (see `SnapshotPager`).
-                Ok(BTree::get_olc(&mut self.pager, root_slot, key, f)?)
-            }
-            #[cfg(feature = "index-list")]
-            ReaderKv::List(l) => Ok(l.get_with(&mut self.pager, key, f)?),
-            #[cfg(feature = "index-hash")]
-            ReaderKv::Hash(h) => Ok(h.get_with(&mut self.pager, key, f)?),
-        }
+        self.kv.lookup_olc(&mut self.pager, key, f)
     }
 
     /// `true` when the key exists in this snapshot.
@@ -2345,6 +2085,11 @@ impl Drop for DbSnapshot {
 /// through the cross-transaction group channel: one WAL append and one
 /// protocol sync cover every transaction in a drain.
 ///
+/// This `impl` is the only place the MultiWriter write protocol exists
+/// (the facade's own transactional API delegates here): block lock →
+/// before-image under the storage mutex → WAL → tagged apply; abort =
+/// undo → version release → unlock.
+///
 /// Lock order (deadlock-free by construction): block-lock table, then the
 /// storage mutex, then the manager mutex — never the reverse.
 #[cfg(feature = "concurrency-multi-writer")]
@@ -2352,18 +2097,27 @@ impl Drop for DbSnapshot {
 pub struct DbWriter {
     storage: Arc<Mutex<StorageCore>>,
     txn: Arc<fame_txn::SharedTxnManager>,
-    /// Snapshot feature: shared pool handle for tagging page writes with
-    /// the owning transaction (pre-image capture) and releasing the
-    /// versions of aborted transactions. `None` only if the pool somehow
-    /// isn't shared — impossible under `Concurrency::MultiWriter`.
+    /// Snapshot feature: shared pool handle for releasing the versions of
+    /// aborted transactions.
     #[cfg(feature = "concurrency-snapshot")]
-    pool: Option<fame_buffer::SharedBufferPool>,
+    pool: fame_buffer::SharedBufferPool,
 }
 
 #[cfg(feature = "concurrency-multi-writer")]
 impl DbWriter {
     fn storage(&self) -> std::sync::MutexGuard<'_, StorageCore> {
         self.storage.lock().expect("storage mutex poisoned")
+    }
+
+    /// Run a storage apply of `txn`. Snapshot feature: the apply is tagged
+    /// with the owning transaction, so the pool captures pre-images for
+    /// the version chains.
+    fn tagged<R>(txn: TxnHandle, apply: impl FnOnce() -> R) -> R {
+        #[cfg(feature = "concurrency-snapshot")]
+        let _scope = fame_buffer::TxnWriteScope::new(txn.id);
+        #[cfg(not(feature = "concurrency-snapshot"))]
+        let _ = txn;
+        apply()
     }
 
     /// Start a transaction.
@@ -2392,11 +2146,7 @@ impl DbWriter {
         let mut core = self.storage();
         let old = core.kv_get(key)?;
         self.txn.log_put(txn.id, 0, key, old, value)?;
-        // Snapshot feature: tag the apply with the owning transaction so
-        // the pool captures pre-images for the version chains.
-        #[cfg(feature = "concurrency-snapshot")]
-        let _vscope = fame_buffer::TxnWriteScope::new(txn.id);
-        core.kv_put(key, value)?;
+        Self::tagged(txn, || core.kv_put(key, value))?;
         Ok(())
     }
 
@@ -2416,10 +2166,41 @@ impl DbWriter {
             return Ok(false);
         };
         self.txn.log_remove(txn.id, 0, key, old)?;
-        #[cfg(feature = "concurrency-snapshot")]
-        let _vscope = fame_buffer::TxnWriteScope::new(txn.id);
-        core.kv_remove(key)?;
-        Ok(true)
+        Self::tagged(txn, || core.kv_remove(key))
+    }
+
+    /// [`Database::apply_batch`] of a MultiWriter product: the batch as
+    /// one transaction of this protocol. Every key is X-locked *before*
+    /// existence and before-images are read, so the batch never acts on
+    /// another writer's uncommitted data; any failure rolls back through
+    /// [`DbWriter::abort`].
+    #[cfg(feature = "api-batch")]
+    fn apply_batch(&self, batch: WriteBatch) -> Result<()> {
+        let txn = self.begin()?;
+        let logged_and_applied = (|| -> Result<()> {
+            for (key, _) in &batch.ops {
+                self.txn.lock_write(txn.id, key)?;
+            }
+            let mut core = self.storage();
+            let resolved = core.resolve_batch(batch)?;
+            let (writes, apply) = core.batch_writes(&resolved)?;
+            if !writes.is_empty() {
+                // The keys are X-locked already: log under the manager mutex
+                // alone, as `log_put` does.
+                self.txn.with_inner(|m| m.log_batch(txn.id, &writes))?;
+                Self::tagged(txn, || core.kv_apply_bulk(apply))?;
+            }
+            Ok(())
+        })();
+        match logged_and_applied {
+            // A group-commit drain already counts as one commit toward the
+            // Group quota, which is exactly the batch accounting.
+            Ok(()) => self.commit(txn),
+            Err(e) => {
+                let _ = self.abort(txn);
+                Err(e)
+            }
+        }
     }
 
     /// Commit through the group channel. On success the transaction's
@@ -2480,38 +2261,17 @@ impl DbWriter {
     /// would read the un-undone value).
     pub fn abort(&self, txn: TxnHandle) -> Result<()> {
         let undo = self.txn.abort(txn.id)?;
-        let mut core = self.storage();
         // Snapshot feature: undo writes stay tagged with the aborting
         // transaction — pages the undo touches for the first time (e.g. a
         // split during the rollback) capture their pre-image under the
         // same pending streak, released below in one step.
-        #[cfg(feature = "concurrency-snapshot")]
-        let vscope = fame_buffer::TxnWriteScope::new(txn.id);
-        let mut first_err = None;
-        for action in undo {
-            let applied = match action.restore {
-                Some(old) => core.kv_put(&action.key, &old).map(|_| ()),
-                None => core.kv_remove(&action.key).map(|_| ()),
-            };
-            if let Err(e) = applied {
-                first_err = Some(e);
-                break;
-            }
-        }
-        drop(core);
-        #[cfg(feature = "concurrency-snapshot")]
-        drop(vscope);
+        let undone = Self::tagged(txn, || self.storage().apply_undo(undo));
         // The heads now hold the restored pre-state; mark the pages
         // committed again so snapshot reads stop detouring to the chains.
         #[cfg(feature = "concurrency-snapshot")]
-        if let Some(pool) = &self.pool {
-            pool.release_aborted_txn(txn.id);
-        }
+        self.pool.release_aborted_txn(txn.id);
         self.txn.release_locks(txn.id);
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        undone
     }
 
     /// `(committed, aborted)` counters of the shared manager.
@@ -2522,6 +2282,18 @@ impl DbWriter {
     /// Log-device sync count (group-commit comparison metric).
     pub fn log_syncs(&self) -> u64 {
         self.txn.log_syncs()
+    }
+
+    /// Block-lock counters (feature `statistics`).
+    #[cfg(feature = "statistics")]
+    fn lock_stats(&self) -> LockStats {
+        let obs = self.txn.lock_table().obs();
+        LockStats {
+            waits: obs.waits.get(),
+            wait_time: obs.wait_time.snapshot(),
+            deadlock_aborts: obs.deadlock_aborts.get(),
+            timeout_aborts: obs.timeout_aborts.get(),
+        }
     }
 }
 
@@ -2546,7 +2318,7 @@ pub struct LockStats {
 #[cfg(feature = "index-queue")]
 pub struct QueueHandle<'a> {
     queue: fame_storage::Queue,
-    core: CoreGuard<'a>,
+    core: CoreRef<'a>,
 }
 
 #[cfg(feature = "index-queue")]
@@ -2582,32 +2354,6 @@ impl QueueHandle<'_> {
     }
 }
 
-/// Adapter implementing the recovery callback over the storage core.
-#[cfg(feature = "transactions")]
-struct RecoverInto<'a> {
-    core: &'a mut StorageCore,
-    error: Option<DbmsError>,
-}
-
-#[cfg(feature = "transactions")]
-impl fame_txn::RecoveryTarget for RecoverInto<'_> {
-    fn apply_put(&mut self, _index: u8, key: &[u8], value: &[u8]) {
-        if self.error.is_none() {
-            if let Err(e) = self.core.kv_put(key, value) {
-                self.error = Some(e);
-            }
-        }
-    }
-
-    fn apply_remove(&mut self, _index: u8, key: &[u8]) {
-        if self.error.is_none() {
-            if let Err(e) = self.core.kv_remove(key) {
-                self.error = Some(e);
-            }
-        }
-    }
-}
-
 // ---- device construction ---------------------------------------------------
 
 fn make_device(config: &DbmsConfig) -> Result<Box<dyn BlockDevice>> {
@@ -2634,7 +2380,10 @@ fn make_device(config: &DbmsConfig) -> Result<Box<dyn BlockDevice>> {
 
     #[cfg(feature = "crypto")]
     if let Some(key) = &config.crypto_key {
-        return Ok(Box::new(WrapCrypto::new(dev, key)));
+        return Ok(Box::new(WrapCrypto {
+            inner: dev,
+            cipher: fame_storage::crypto::PageCipher::new(key),
+        }));
     }
     Ok(dev)
 }
@@ -2692,16 +2441,6 @@ fn new_inmem_log(page_size: usize) -> impl BlockDevice {
 struct WrapCrypto {
     inner: Box<dyn BlockDevice>,
     cipher: fame_storage::crypto::PageCipher,
-}
-
-#[cfg(feature = "crypto")]
-impl WrapCrypto {
-    fn new(inner: Box<dyn BlockDevice>, key: &[u8; 16]) -> Self {
-        WrapCrypto {
-            inner,
-            cipher: fame_storage::crypto::PageCipher::new(key),
-        }
-    }
 }
 
 #[cfg(feature = "crypto")]
@@ -2864,6 +2603,34 @@ mod tests {
         assert_eq!(d.get(b"a").unwrap(), Some(b"1".to_vec()), "abort restored");
         assert_eq!(d.get(b"b").unwrap(), None, "created key rolled back");
         assert_eq!(d.txn_stats(), Some((1, 1)));
+    }
+
+    /// A `TxnHandle` is a plain token, so one can reach an instance opened
+    /// without transactions; every call must answer with a typed error.
+    #[cfg(all(
+        feature = "transactions",
+        feature = "commit-force",
+        feature = "api-put",
+        feature = "api-get",
+        feature = "api-remove"
+    ))]
+    #[test]
+    fn foreign_txn_handle_is_a_config_error_not_a_panic() {
+        let mut cfg = DbmsConfig::default_for_build();
+        cfg.transactions = Some(crate::config::TxnConfig {
+            commit: fame_txn::CommitPolicy::Force,
+        });
+        let foreign = Database::open(cfg).unwrap().begin().unwrap();
+
+        let mut d = db();
+        let is_config = |r: Result<()>| matches!(r, Err(DbmsError::Config(_)));
+        assert!(is_config(d.begin().map(|_| ())));
+        assert!(is_config(d.txn_put(foreign, b"k", b"v")));
+        assert!(is_config(d.txn_get(foreign, b"k").map(|_| ())));
+        assert!(is_config(d.txn_remove(foreign, b"k").map(|_| ())));
+        assert!(is_config(d.commit(foreign)));
+        assert!(is_config(d.abort(foreign)));
+        assert_eq!(d.get(b"k").unwrap(), None);
     }
 
     #[cfg(all(

@@ -266,6 +266,48 @@ fn facade_txns_interoperate_with_writer_handles() {
     assert!(report.is_ok(), "{report}");
 }
 
+/// `Database::apply_batch` locks its keys *before* it reads existence and
+/// before-images. A writer inserts absent key `k` and keeps its X lock;
+/// the batch's `update(k)` must wait for that lock and, once the writer
+/// aborts, find `k` missing and reject the batch — a batch that read
+/// first would take the uncommitted insert for the before-image and
+/// create `k`. The delay before the abort only gives the batch time to
+/// reach the lock: run after the abort instead, it sees the same
+/// committed state, so the assertions hold either way.
+#[cfg(feature = "api-batch")]
+#[test]
+fn apply_batch_locks_before_it_reads() {
+    let mut db = Database::open(mw_config(CommitPolicy::Force)).unwrap();
+    let w = db.writer().unwrap();
+    let (locked_tx, locked_rx) = std::sync::mpsc::channel();
+
+    std::thread::scope(|s| {
+        s.spawn(move || {
+            let txn = w.begin().unwrap();
+            w.put(txn, b"k", b"uncommitted").unwrap();
+            locked_tx.send(()).unwrap();
+            std::thread::sleep(std::time::Duration::from_millis(100));
+            w.abort(txn).unwrap();
+        });
+        locked_rx.recv().unwrap();
+        let mut batch = fame_dbms::WriteBatch::new();
+        batch.put(b"other", b"1").update(b"k", b"v");
+        let err = db
+            .apply_batch(batch)
+            .expect_err("batch acted on another writer's uncommitted insert");
+        assert!(err.to_string().contains("update of a missing key"), "{err}");
+    });
+
+    assert_eq!(db.get(b"k").unwrap(), None, "rejected batch created k");
+    assert_eq!(db.get(b"other").unwrap(), None, "all-or-nothing");
+    // The rejected batch left no locks behind.
+    let mut batch = fame_dbms::WriteBatch::new();
+    batch.put(b"k", b"1").update(b"k", b"2");
+    db.apply_batch(batch).unwrap();
+    assert_eq!(db.get(b"k").unwrap(), Some(b"2".to_vec()));
+    assert!(db.verify_integrity().unwrap().is_ok());
+}
+
 /// Config validation: `MultiWriter` without transactions (or with
 /// replication) is rejected at open, with an explanation.
 #[test]

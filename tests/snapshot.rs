@@ -83,6 +83,54 @@ fn aborted_writes_stay_invisible_to_snapshots() {
     assert_eq!(after.get(b"k").unwrap().as_deref(), Some(b"v0".as_slice()));
 }
 
+/// The facade's own transactions (`Database::begin`/`txn_put`/
+/// `txn_remove`) run the same tagged-write protocol as `DbWriter`: a
+/// snapshot taken while one is open reads the committed pre-state, stays
+/// pinned to it after `commit`, and reads the pre-state again after
+/// `abort`.
+#[test]
+fn facade_transactions_stay_invisible_to_snapshots() {
+    let mut db = Database::open(snap_config(CommitPolicy::Force)).unwrap();
+    let init = db.begin().unwrap();
+    db.txn_put(init, b"k", b"committed").unwrap();
+    db.txn_put(init, b"gone", b"committed").unwrap();
+    db.commit(init).unwrap();
+    let pre_state = |snap: &mut fame_dbms::DbSnapshot, when: &str| {
+        for key in [b"k".as_slice(), b"gone"] {
+            assert_eq!(
+                snap.get(key).unwrap().as_deref(),
+                Some(b"committed".as_slice()),
+                "snapshot {when} observed a facade write"
+            );
+        }
+    };
+
+    let txn = db.begin().unwrap();
+    db.txn_put(txn, b"k", b"uncommitted").unwrap();
+    assert!(db.txn_remove(txn, b"gone").unwrap());
+    let mut during = db.snapshot().unwrap();
+    pre_state(&mut during, "of an open transaction");
+    db.commit(txn).unwrap();
+    pre_state(&mut during, "pinned before the commit");
+    let mut now = db.snapshot().unwrap();
+    assert_eq!(
+        now.get(b"k").unwrap().as_deref(),
+        Some(b"uncommitted".as_slice())
+    );
+    assert!(!now.contains(b"gone").unwrap());
+
+    let txn = db.begin().unwrap();
+    db.txn_put(txn, b"k", b"doomed").unwrap();
+    db.txn_put(txn, b"gone", b"doomed").unwrap();
+    db.abort(txn).unwrap();
+    let mut after = db.snapshot().unwrap();
+    assert_eq!(
+        after.get(b"k").unwrap().as_deref(),
+        Some(b"uncommitted".as_slice())
+    );
+    assert!(!after.contains(b"gone").unwrap());
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
