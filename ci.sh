@@ -77,8 +77,8 @@ if ! diff <(cargo tree -p fame-dbms --no-default-features --features standard,st
     exit 1
 fi
 
-echo "== fig1b_mt smoke (E8 scalability; scaling asserts auto-skip below 2 cores)"
-cargo run --release -p fame-bench --bin fig1b_mt -- --quick --assert-scaling | tail -n 8
+echo "== fig1b_mt smoke (E8 scalability; gate: every reader thread finds every key)"
+cargo run --release -p fame-bench --bin fig1b_mt -- --quick | tail -n 8
 
 echo "== nfp_probe smoke (E9 NFP feedback loop; asserts Measured round-trip)"
 cargo run --release -p fame-bench --bin nfp_probe -- --quick | tail -n 4
@@ -104,8 +104,8 @@ if ! diff <(cargo tree -p fame-dbms --no-default-features --features standard -e
     exit 1
 fi
 
-echo "== write_tput_mt smoke (E12 concurrent writers; concurrency gates auto-skip below 2 cores)"
-cargo run --release -p fame-bench --bin write_tput_mt -- --quick --assert-scaling | tail -n 8
+echo "== write_tput_mt smoke (E12 concurrent writers; gates: Force-1W = 1.0 syncs/txn, Group-1W <= 1/4, zero disjoint deadlocks)"
+cargo run --release -p fame-bench --bin write_tput_mt -- --quick | tail -n 8
 
 echo "== multi-writer-off composition (E12 zero-cost gate)"
 # A MultiReader + transactions product must not have the multi-writer
@@ -125,17 +125,24 @@ if ! diff <(cargo tree -p fame-dbms --no-default-features \
     exit 1
 fi
 
-echo "== facade budget (crates/core: cfg gates and lines; lower the ceilings, never raise them)"
+echo "== code budgets (facade cfg gates and lines, engine lines; lower the ceilings, never raise them)"
 # One engine behind the facade (DESIGN.md §13): a second copy of a
-# protocol or a read path shows up here first. The two ceilings are what
-# PR 14 reached; a PR that deletes code lowers them.
-FACADE_CFG_CEILING=404
+# protocol or a read path shows up here first. The facade ceilings count
+# crates/core; the engine ceiling counts the four crates the engine is
+# made of — one lock table, one commit step, one op ring, two pools (the
+# pools share an outline and no code; ROADMAP records why they stay). A
+# PR that deletes code lowers a ceiling; none is ever raised.
+FACADE_CFG_CEILING=399
 FACADE_LINES_CEILING=3898
+ENGINE_LINES_CEILING=13180
 facade_cfg=$(cat crates/core/src/*.rs | grep -c 'cfg(')
 facade_lines=$(cat crates/core/src/*.rs | wc -l)
+engine_lines=$(cat crates/{buffer,txn,core,obs}/src/*.rs | wc -l)
 echo "   crates/core/src/*.rs: $facade_cfg cfg gates (<= $FACADE_CFG_CEILING), $facade_lines lines (<= $FACADE_LINES_CEILING)"
-if [ "$facade_cfg" -gt "$FACADE_CFG_CEILING" ] || [ "$facade_lines" -gt "$FACADE_LINES_CEILING" ]; then
-    echo "FAIL: crates/core outgrew its facade budget" >&2
+echo "   crates/{buffer,txn,core,obs}/src/*.rs: $engine_lines lines (<= $ENGINE_LINES_CEILING)"
+if [ "$facade_cfg" -gt "$FACADE_CFG_CEILING" ] || [ "$facade_lines" -gt "$FACADE_LINES_CEILING" ] \
+        || [ "$engine_lines" -gt "$ENGINE_LINES_CEILING" ]; then
+    echo "FAIL: the engine outgrew its code budget" >&2
     exit 1
 fi
 
@@ -143,8 +150,8 @@ echo "== snapshot suite (E14 isolation + refresh + cap stranding + serial-prefix
 cargo test -q -p fame-dbms --features standard,transactions,commit-force,commit-group,concurrency-snapshot --test snapshot
 cargo test -q -p fame-buffer --features snapshot
 
-echo "== snapshot_tput smoke (E14 snapshot readers; isolation gates auto-skip below 2 cores)"
-cargo run --release -p fame-bench --features snapshot --bin snapshot_tput -- --quick --assert-scaling | tail -n 8
+echo "== snapshot_tput smoke (E14 snapshot readers; gates: 0 reader lock waits, chains <= cap, registries drained)"
+cargo run --release -p fame-bench --features snapshot --bin snapshot_tput -- --quick | tail -n 8
 
 echo "== snapshot-off composition (E14 zero-cost gate)"
 # A plain MultiWriter product must not have the snapshot feature active,

@@ -21,13 +21,11 @@
 //! * after every handle drops, zero snapshots and zero chain entries
 //!   remain registered — no version-memory leak.
 //!
-//! Concurrency-dependent gates follow the E8/E12 core-count convention
-//! (single-core hosts print SKIP): reader throughput with 8 writers must
-//! hold ≥ 40% of its writer-free level, and the mixed run's deadlock
-//! aborts must stay within 2x + slack of the writer-only baseline — the
-//! readers add zero lock-table pressure.
+//! What depends on how the scheduler interleaves the threads — reader
+//! throughput as writers are added, the mixed run's deadlock aborts
+//! against the writer-only baseline — is reported, not asserted.
 //!
-//! Usage: `cargo run --release -p fame-bench --features snapshot --bin snapshot_tput [--quick] [--assert-scaling]`
+//! Usage: `cargo run --release -p fame-bench --features snapshot --bin snapshot_tput [--quick]`
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
@@ -244,7 +242,6 @@ fn lock_aborts(db: &mut Database) -> (u64, u64, u64) {
 }
 
 fn main() {
-    let assert_scaling = std::env::args().any(|a| a == "--assert-scaling");
     let quick = std::env::args().any(|a| a == "--quick");
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -253,7 +250,7 @@ fn main() {
     println!(
         "E14 — snapshot reader throughput vs writer contention \
          ({READERS} readers over the E12 contended mix)\n\
-         ({cores} cores available; concurrency gates need cores >= 2)\n"
+         ({cores} cores available)\n"
     );
 
     // Phase 1 — reader-only: snapshots against a quiescent database must
@@ -362,39 +359,4 @@ fn main() {
         );
     }
     println!("\ndeterministic gates passed (0 reader lock waits, chain max <= {cap}, registries drained)");
-
-    // Concurrency-dependent gates: reader independence from writer count
-    // needs the writers actually running in parallel.
-    let mut failures: Vec<String> = Vec::new();
-    if assert_scaling {
-        if cores < 2 {
-            println!("SKIP concurrency gates (single-core host)");
-        } else {
-            let one = runs.iter().find(|r| r.writers == 1).unwrap();
-            let eight = runs.iter().find(|r| r.writers == 8).unwrap();
-            let ratio = eight.gets_per_s() / one.gets_per_s();
-            if ratio < 0.4 {
-                failures.push(format!(
-                    "reader throughput collapsed with writers: 8W = {ratio:.2}x 1W (< 0.4x)"
-                ));
-            }
-            let budget = writer_only.deadlock_aborts * 2 + 32;
-            if eight.deadlock_aborts > budget {
-                failures.push(format!(
-                    "mixed 8W deadlock aborts {} > writer-only budget {budget} — \
-                     snapshot readers are adding lock pressure",
-                    eight.deadlock_aborts
-                ));
-            }
-        }
-    }
-
-    if !failures.is_empty() {
-        eprintln!("\nconcurrency gates FAILED:");
-        for f in &failures {
-            eprintln!("  {f}");
-        }
-        std::process::exit(1);
-    }
-    println!("all gates passed");
 }

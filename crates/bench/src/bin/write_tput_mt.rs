@@ -21,11 +21,11 @@
 //!   (retried by the harness) all occur.
 //!
 //! Deterministic accounting gates run on any host (a lone writer under
-//! Force drains alone: exactly 1.0 syncs/txn). Concurrency-dependent
-//! gates (syncs/txn falling with writers, throughput ratios) follow the
-//! E8 convention: single-core hosts print SKIP, multi-core hosts enforce.
+//! Force drains alone: exactly 1.0 syncs/txn). What depends on how the
+//! scheduler interleaves the writers (syncs/txn falling with writers,
+//! throughput ratios) is reported, not asserted.
 //!
-//! Usage: `cargo run --release -p fame-bench --bin write_tput_mt [--quick] [--assert-scaling]`
+//! Usage: `cargo run --release -p fame-bench --bin write_tput_mt [--quick]`
 
 use std::time::Instant;
 
@@ -235,14 +235,13 @@ fn run(mode: KeyMode, policy_label: &'static str, policy: CommitPolicy, writers:
 }
 
 fn main() {
-    let assert_scaling = std::env::args().any(|a| a == "--assert-scaling");
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
 
     println!(
         "E12 — concurrent writer transactions ({PUTS_PER_TXN} puts each) over \
-         1/2/4/8 writer threads\n({cores} cores available; concurrency gates need cores >= 2)\n"
+         1/2/4/8 writer threads\n({cores} cores available)\n"
     );
 
     let mut table = Table::new([
@@ -256,7 +255,6 @@ fn main() {
         "lock waits",
     ]);
     let mut runs: Vec<Run> = Vec::new();
-    let mut failures: Vec<String> = Vec::new();
 
     for mode in [KeyMode::Disjoint, KeyMode::Contended] {
         for (policy_label, policy) in policies() {
@@ -333,51 +331,4 @@ fn main() {
         );
     }
     println!("\naccounting gates passed (Force\u{a0}1W = 1.0 syncs/txn, Group\u{a0}1W <= 1/{GROUP_SIZE})");
-
-    // Concurrency-dependent gates: batching only happens when commits can
-    // actually coincide, so they follow the E8 core-count convention.
-    if assert_scaling {
-        if cores < 2 {
-            println!("SKIP concurrency gates (single-core host)");
-        } else {
-            for mode in [KeyMode::Disjoint, KeyMode::Contended] {
-                // Cross-writer drains must amortize syncs: the 4-writer run
-                // syncs less per txn than the 1-writer run of the same cell.
-                for (policy_label, _) in policies() {
-                    let one = find(mode, policy_label, 1).syncs_per_txn();
-                    let four = find(mode, policy_label, 4).syncs_per_txn();
-                    if four >= one {
-                        failures.push(format!(
-                            "{}/{policy_label}: 4W syncs/txn {four:.4} did not fall \
-                             below 1W {one:.4} — group commit is not batching across writers",
-                            mode.label()
-                        ));
-                    }
-                }
-            }
-            // Throughput target only when the hardware can run the writers.
-            if cores >= 4 {
-                let one = find(KeyMode::Disjoint, "commit-force", 1).txns_per_s();
-                let four = find(KeyMode::Disjoint, "commit-force", 4).txns_per_s();
-                let speedup = four / one;
-                if speedup < 2.0 {
-                    failures.push(format!(
-                        "disjoint/commit-force: 4W = {speedup:.2}x 1W (< 2.0x) — \
-                         sync amortization is not paying"
-                    ));
-                }
-            } else {
-                println!("SKIP 4W throughput target (4 cores needed, have {cores})");
-            }
-        }
-    }
-
-    if !failures.is_empty() {
-        eprintln!("\nconcurrency gates FAILED:");
-        for f in &failures {
-            eprintln!("  {f}");
-        }
-        std::process::exit(1);
-    }
-    println!("all gates passed");
 }

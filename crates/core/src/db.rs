@@ -1,6 +1,5 @@
 //! The [`Database`] facade: one product instance.
 
-use fame_buffer::BufferPool;
 use fame_os::BlockDevice;
 use fame_storage::{PageRead, Pager};
 
@@ -17,8 +16,19 @@ use fame_storage::ListIndex;
 #[cfg(feature = "concurrency-multi")]
 use fame_storage::SharedPager;
 
-use crate::config::{DbmsConfig, IndexKind, OsTarget};
+#[cfg(feature = "api-batch")]
+use crate::batch::ResolvedOp;
+#[cfg(feature = "api-batch")]
+pub use crate::batch::WriteBatch;
+use crate::config::{DbmsConfig, IndexKind};
 use crate::error::{DbmsError, Result};
+use crate::factory::{make_device, make_pool};
+#[cfg(all(feature = "concurrency-multi-writer", feature = "statistics"))]
+pub use crate::stats::LockStats;
+#[cfg(feature = "statistics")]
+pub use crate::stats::{IntegritySummary, StatsSnapshot};
+#[cfg(feature = "statistics")]
+use fame_obs::SpanKind;
 
 /// Root slot of the primary key/value index.
 const KV_ROOT_SLOT: usize = 0;
@@ -81,7 +91,7 @@ impl Kv {
 
 /// The storage half of a product: the pager plus the composed primary
 /// index.
-struct StorageCore {
+pub(crate) struct StorageCore {
     pager: Pager,
     kv: Kv,
 }
@@ -109,7 +119,7 @@ impl StorageCore {
         }
     }
 
-    fn kv_get(&mut self, key: &[u8]) -> Result<Option<Vec<u8>>> {
+    pub(crate) fn kv_get(&mut self, key: &[u8]) -> Result<Option<Vec<u8>>> {
         self.kv.lookup(&mut self.pager, key, |v| v.to_vec())
     }
 
@@ -305,9 +315,11 @@ pub struct Database {
     /// I/O latency histograms of the data device (feature `statistics`).
     #[cfg(feature = "statistics")]
     io: std::sync::Arc<fame_os::IoTiming>,
-    /// Fixed-capacity op-trace ring (feature `statistics`).
+    /// The op trace (feature `statistics`): the last
+    /// `StatsConfig::trace_capacity` facade operations, fed only by
+    /// [`Database::record`].
     #[cfg(feature = "statistics")]
-    trace: fame_obs::TraceRing,
+    trace: fame_obs::SpanRing,
     /// Causal span flight recorder (feature `obs-trace`). Owns the span
     /// sink every probed layer holds an `Arc` of.
     #[cfg(feature = "obs-trace")]
@@ -346,7 +358,7 @@ impl Database {
         let device = make_device(&config)?;
         #[cfg(feature = "transactions")]
         let log_device = match &config.transactions {
-            Some(_) => Some(make_log_device(&config)?),
+            Some(_) => Some(crate::factory::make_log_device(&config)?),
             None => None,
         };
         #[cfg(not(feature = "transactions"))]
@@ -435,7 +447,7 @@ impl Database {
         let sql = None; // lazily initialized: not every instance uses SQL
 
         #[cfg(feature = "statistics")]
-        let trace = fame_obs::TraceRing::new(config.stats.trace_capacity);
+        let trace = fame_obs::SpanRing::new(config.stats.trace_capacity);
 
         #[cfg(feature = "obs-trace")]
         let recorder = fame_obs::FlightRecorder::new(
@@ -564,7 +576,7 @@ impl Database {
         self.engine.txn_mut(|m| m.flush()).transpose()?;
         self.engine.core().pager.sync()?;
         #[cfg(feature = "statistics")]
-        self.trace.record(fame_obs::OpKind::Sync, 0, 0);
+        self.record(SpanKind::Sync, 0, 0, 0);
         Ok(())
     }
 
@@ -695,8 +707,7 @@ impl Database {
         #[cfg(feature = "replication")]
         self.ship_put(key, value)?;
         #[cfg(feature = "statistics")]
-        self.trace
-            .record(fame_obs::OpKind::Put, key.len() as u64, value.len() as u64);
+        self.record(SpanKind::Put, 0, key.len() as u64, value.len() as u64);
         Ok(())
     }
 
@@ -711,15 +722,13 @@ impl Database {
     /// [`get`](Self::get) is the `to_vec` wrapper over this.
     #[cfg(feature = "api-get")]
     pub fn get_with<R>(&mut self, key: &[u8], f: impl FnOnce(&[u8]) -> R) -> Result<Option<R>> {
-        let mut core = self.engine.core();
-        let core = &mut *core;
-        let found = core.kv.lookup(&mut core.pager, key, f)?;
+        let found = {
+            let mut core = self.engine.core();
+            let core = &mut *core;
+            core.kv.lookup(&mut core.pager, key, f)?
+        };
         #[cfg(feature = "statistics")]
-        self.trace.record(
-            fame_obs::OpKind::Get,
-            key.len() as u64,
-            found.is_some() as u64,
-        );
+        self.record(SpanKind::Get, 0, key.len() as u64, found.is_some() as u64);
         Ok(found)
     }
 
@@ -732,8 +741,7 @@ impl Database {
             self.ship_remove(key)?;
         }
         #[cfg(feature = "statistics")]
-        self.trace
-            .record(fame_obs::OpKind::Remove, key.len() as u64, removed as u64);
+        self.record(SpanKind::Remove, 0, key.len() as u64, removed as u64);
         Ok(removed)
     }
 
@@ -750,11 +758,7 @@ impl Database {
         #[cfg(feature = "replication")]
         self.ship_put(key, value)?;
         #[cfg(feature = "statistics")]
-        self.trace.record(
-            fame_obs::OpKind::Update,
-            key.len() as u64,
-            value.len() as u64,
-        );
+        self.record(SpanKind::Update, 0, key.len() as u64, value.len() as u64);
         Ok(true)
     }
 
@@ -871,7 +875,7 @@ impl Database {
             self.batch_obs
                 .latency
                 .record_ns(fame_obs::monotonic_ns().saturating_sub(start));
-            self.trace.record(fame_obs::OpKind::Batch, submitted, 0);
+            self.record(SpanKind::Batch, 0, submitted, 0);
         }
         Ok(())
     }
@@ -903,7 +907,7 @@ impl Database {
             }
             return Err(e);
         }
-        Ok(mgr.commit_batch(txn_id)?)
+        Ok(mgr.commit(txn_id)?)
     }
 }
 
@@ -993,10 +997,30 @@ impl Database {
         })
     }
 
-    /// The op-trace ring, oldest first (feature `statistics`). At most
+    /// The op trace, oldest first (feature `statistics`). At most
     /// [`crate::config::StatsConfig::trace_capacity`] most-recent events.
-    pub fn op_trace(&self) -> Vec<fame_obs::TraceEvent> {
-        self.trace.dump()
+    pub fn op_trace(&self) -> Vec<fame_obs::SpanEvent> {
+        self.trace.events()
+    }
+
+    /// The facade's one recording point. Every event lands in the op
+    /// trace. The transaction lifecycle and recovery are also edges of the
+    /// causal trace (feature `obs-trace`) — unless the MultiWriter engine
+    /// runs the transaction, whose own probes already emitted them. Plain
+    /// operations (`put`, `get`, …) stay out of the flight recorder: they
+    /// would evict the causal events.
+    fn record(&self, kind: SpanKind, txn: u64, a: u64, b: u64) {
+        self.trace.record(kind, txn, 0, a, b);
+        #[cfg(feature = "obs-trace")]
+        if kind == SpanKind::Recovery
+            || (matches!(self.engine, Engine::Own { .. })
+                && matches!(
+                    kind,
+                    SpanKind::TxnBegin | SpanKind::TxnCommit | SpanKind::TxnAbort
+                ))
+        {
+            self.recorder.sink().emit(kind, txn, 0, a, b);
+        }
     }
 }
 
@@ -1044,8 +1068,7 @@ impl Database {
         let out = engine.execute(&mut core.pager, statement)?;
         drop(core);
         #[cfg(feature = "statistics")]
-        self.trace
-            .record(fame_obs::OpKind::Query, statement.len() as u64, 0);
+        self.record(SpanKind::Query, 0, statement.len() as u64, 0);
         Ok(out)
     }
 
@@ -1074,20 +1097,15 @@ impl Database {
     /// Begin a transaction (feature `transactions`).
     pub fn begin(&mut self) -> Result<TxnHandle> {
         let txn = match &mut self.engine {
-            Engine::Own { txn, .. } => {
-                let id = txn.as_mut().ok_or_else(Self::txn_not_enabled)?.begin()?;
-                #[cfg(feature = "obs-trace")]
-                self.recorder
-                    .sink()
-                    .emit(fame_obs::SpanKind::TxnBegin, id, 0, 0, 0);
-                TxnHandle { id }
-            }
+            Engine::Own { txn, .. } => TxnHandle {
+                id: txn.as_mut().ok_or_else(Self::txn_not_enabled)?.begin()?,
+            },
             #[cfg(feature = "concurrency-multi-writer")]
             Engine::Shared(w) => w.begin()?,
         };
         self.txn_pending_ship.insert(txn.id, Vec::new());
         #[cfg(feature = "statistics")]
-        self.trace.record(fame_obs::OpKind::TxnBegin, txn.id, 0);
+        self.record(SpanKind::TxnBegin, txn.id, 0, 0);
         Ok(txn)
     }
 
@@ -1154,25 +1172,23 @@ impl Database {
     /// transaction's effects to replicas. MultiWriter products commit
     /// through the cross-transaction group channel.
     pub fn commit(&mut self, txn: TxnHandle) -> Result<()> {
+        #[cfg(feature = "statistics")]
+        let t0 = fame_obs::monotonic_ns();
         match &mut self.engine {
-            Engine::Own { txn: mgr, .. } => {
-                #[cfg(feature = "obs-trace")]
-                let t0 = fame_obs::monotonic_ns();
-                mgr.as_mut()
-                    .ok_or_else(Self::txn_not_enabled)?
-                    .commit(txn.id)?;
-                #[cfg(feature = "obs-trace")]
-                self.recorder.sink().emit(
-                    fame_obs::SpanKind::TxnCommit,
-                    txn.id,
-                    0,
-                    fame_obs::monotonic_ns() - t0,
-                    0,
-                );
-            }
+            Engine::Own { txn: mgr, .. } => mgr
+                .as_mut()
+                .ok_or_else(Self::txn_not_enabled)?
+                .commit(txn.id)?,
             #[cfg(feature = "concurrency-multi-writer")]
             Engine::Shared(w) => w.commit(txn)?,
         }
+        #[cfg(feature = "statistics")]
+        self.record(
+            SpanKind::TxnCommit,
+            txn.id,
+            fame_obs::monotonic_ns() - t0,
+            0,
+        );
         let pending = self.txn_pending_ship.remove(&txn.id).unwrap_or_default();
         #[cfg(feature = "replication")]
         for (key, op) in pending {
@@ -1183,8 +1199,6 @@ impl Database {
         }
         #[cfg(not(feature = "replication"))]
         drop(pending);
-        #[cfg(feature = "statistics")]
-        self.trace.record(fame_obs::OpKind::TxnCommit, txn.id, 0);
         Ok(())
     }
 
@@ -1200,16 +1214,12 @@ impl Database {
                     .ok_or_else(Self::txn_not_enabled)?
                     .abort(txn.id)?;
                 core.apply_undo(undo)?;
-                #[cfg(feature = "obs-trace")]
-                self.recorder
-                    .sink()
-                    .emit(fame_obs::SpanKind::TxnAbort, txn.id, 0, 0, 0);
             }
             #[cfg(feature = "concurrency-multi-writer")]
             Engine::Shared(w) => w.abort(txn)?,
         }
         #[cfg(feature = "statistics")]
-        self.trace.record(fame_obs::OpKind::TxnAbort, txn.id, 0);
+        self.record(SpanKind::TxnAbort, txn.id, 0, 0);
         Ok(())
     }
 
@@ -1281,15 +1291,8 @@ impl Database {
                 .transpose()?;
         }
         #[cfg(feature = "statistics")]
-        self.trace.record(
-            fame_obs::OpKind::Recovery,
-            stats.redo_applied as u64,
-            stats.undo_applied as u64,
-        );
-        #[cfg(feature = "obs-trace")]
-        self.recorder.sink().emit(
-            fame_obs::SpanKind::Recovery,
-            0,
+        self.record(
+            SpanKind::Recovery,
             0,
             stats.redo_applied as u64,
             stats.undo_applied as u64,
@@ -1364,540 +1367,6 @@ impl Database {
             })?;
         }
         Ok(())
-    }
-}
-
-/// Summary of the last [`Database::verify_integrity`] walk, kept for the
-/// statistics report (feature `statistics`).
-#[cfg(feature = "statistics")]
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct IntegritySummary {
-    /// Structural invariants found violated.
-    pub violations: usize,
-    /// Allocated pages neither reachable nor free.
-    pub leaked_pages: u32,
-}
-
-/// Product statistics report (feature `statistics`).
-///
-/// Coherent point-in-time copy: every field is a plain value read once
-/// from its atomic source, safe to take while concurrent [`DbReader`]s
-/// run. Formerly `DbStats` — the alias still works.
-#[cfg(feature = "statistics")]
-#[derive(Debug, Clone)]
-pub struct StatsSnapshot {
-    /// Live keys in the primary index.
-    pub keys: usize,
-    /// Name of the composed index.
-    pub index: &'static str,
-    /// Pages the pager has handed out (including meta and free list).
-    pub allocated_pages: u32,
-    /// Page size in bytes.
-    pub page_size: usize,
-    /// Buffer-pool counters (hits/misses/evictions/writebacks/latch waits).
-    pub pool: fame_buffer::PoolStats,
-    /// Device counters.
-    pub device: fame_os::DeviceStats,
-    /// Logical pager operations (page reads/writes, allocs/frees).
-    pub pager_ops: fame_storage::PagerOpsSnapshot,
-    /// Data-device I/O latency histograms.
-    pub io: fame_os::IoTimingSnapshot,
-    /// Buffer frames currently resident.
-    pub frames: usize,
-    /// Bytes those frames pin (`frames * page_size`) — the `ram` NFP of
-    /// the buffer.
-    pub frame_bytes: usize,
-    /// Events recorded into the op-trace ring since open.
-    pub ops_traced: u64,
-    /// Windowed span metrics of the flight recorder (feature `obs-trace`):
-    /// per-window lock-wait / commit percentiles plus deadlock and
-    /// restart rates over the last rotation windows, not since boot.
-    #[cfg(feature = "obs-trace")]
-    pub windows: fame_obs::WindowsSnapshot,
-    /// Lookups served by dropped [`DbReader`] handles (handle-local
-    /// counters, merged when a handle drops — live handles' in-flight
-    /// counts are not included).
-    #[cfg(feature = "concurrency-multi")]
-    pub reader_gets: u64,
-    /// How many of those lookups found the key.
-    #[cfg(feature = "concurrency-multi")]
-    pub reader_hits: u64,
-    /// What the last [`Database::verify_integrity`] found; `None` until
-    /// it has been run on this instance.
-    pub integrity: Option<IntegritySummary>,
-    /// Batches applied via [`Database::apply_batch`].
-    #[cfg(feature = "api-batch")]
-    pub batches: u64,
-    /// Operations submitted across those batches.
-    #[cfg(feature = "api-batch")]
-    pub batch_ops: u64,
-    /// Whole-batch apply latency (resolve + log + bulk apply + commit).
-    #[cfg(feature = "api-batch")]
-    pub batch_latency: fame_obs::HistogramSnapshot,
-    /// `(committed, aborted)`, when transactions are configured.
-    #[cfg(feature = "transactions")]
-    pub txn: Option<(u64, u64)>,
-    /// Log-device sync count, when transactions are configured.
-    #[cfg(feature = "transactions")]
-    pub log_syncs: Option<u64>,
-    /// Bytes appended to the WAL (the log tail offset).
-    #[cfg(feature = "transactions")]
-    pub log_bytes: Option<u64>,
-    /// Commit-latency histogram of successful commits.
-    #[cfg(feature = "transactions")]
-    pub commit_latency: Option<fame_obs::HistogramSnapshot>,
-    /// Block-lock counters, when the instance runs MultiWriter.
-    #[cfg(feature = "concurrency-multi-writer")]
-    pub locks: Option<LockStats>,
-    /// Copy-on-write version-chain counters (feature
-    /// `concurrency-snapshot`): chain high-water, live snapshots,
-    /// reclaimed versions.
-    #[cfg(feature = "concurrency-snapshot")]
-    pub versions: Option<fame_buffer::VersionStats>,
-    /// Redo operations applied by recovery at open (0 = clean open).
-    #[cfg(feature = "transactions")]
-    pub recovery_redo: usize,
-    /// Undo operations applied by recovery at open.
-    #[cfg(feature = "transactions")]
-    pub recovery_undo: usize,
-    /// SQL executor counters; `None` until the engine has been used.
-    #[cfg(feature = "sql")]
-    pub query: Option<fame_query::QueryObsSnapshot>,
-    /// Shipped-minus-acknowledged, when replication is configured.
-    #[cfg(feature = "replication")]
-    pub replication_lag: Option<u64>,
-}
-
-/// Pre-rename alias of [`StatsSnapshot`].
-#[cfg(feature = "statistics")]
-pub type DbStats = StatsSnapshot;
-
-#[cfg(feature = "statistics")]
-impl StatsSnapshot {
-    /// Flat `metric<TAB>value` export, one line per scalar — the format
-    /// the E9 probe and external collectors scrape. Histogram fields
-    /// export count/mean/p50/p99/max.
-    pub fn to_tsv(&self) -> String {
-        let mut out = String::new();
-        let mut put = |k: &str, v: u64| {
-            out.push_str(k);
-            out.push('\t');
-            out.push_str(&v.to_string());
-            out.push('\n');
-        };
-        put("keys", self.keys as u64);
-        put("allocated_pages", u64::from(self.allocated_pages));
-        put("page_size", self.page_size as u64);
-        put("pool.hits", self.pool.hits);
-        put("pool.misses", self.pool.misses);
-        put("pool.evictions", self.pool.evictions);
-        put("pool.writebacks", self.pool.writebacks);
-        put("pool.latch_waits", self.pool.latch_waits);
-        put("pool.frames", self.frames as u64);
-        put("pool.frame_bytes", self.frame_bytes as u64);
-        put("device.reads", self.device.reads);
-        put("device.writes", self.device.writes);
-        put("device.syncs", self.device.syncs);
-        put("device.erases", self.device.erases);
-        put("pager.page_reads", self.pager_ops.page_reads);
-        put("pager.page_writes", self.pager_ops.page_writes);
-        put("pager.allocs", self.pager_ops.allocs);
-        put("pager.frees", self.pager_ops.frees);
-        for (name, h) in [
-            ("io.read", &self.io.read),
-            ("io.write", &self.io.write),
-            ("io.sync", &self.io.sync),
-        ] {
-            put(&format!("{name}.count"), h.count);
-            put(&format!("{name}.mean_ns"), h.mean_ns());
-            put(&format!("{name}.p50_ns"), h.percentile_ns(50));
-            put(&format!("{name}.p99_ns"), h.percentile_ns(99));
-            put(&format!("{name}.max_ns"), h.max_ns);
-        }
-        put("ops_traced", self.ops_traced);
-        #[cfg(feature = "concurrency-multi")]
-        {
-            put("reader.gets", self.reader_gets);
-            put("reader.hits", self.reader_hits);
-        }
-        #[cfg(feature = "obs-trace")]
-        {
-            let w = &self.windows;
-            put("trace.spans.recorded", w.recorded);
-            put("trace.spans.dropped", w.dropped);
-            put("trace.lock_wait.p99_ns", w.lock_wait_p99_ns());
-            put("trace.commit.p99_ns", w.commit_p99_ns());
-            put("trace.deadlocks.total", w.deadlocks.total());
-            put("trace.restarts.total", w.restarts.total());
-            // Rates as fixed-point thousandths: `put` (and the scrapers
-            // downstream) speak integers only.
-            put(
-                "trace.deadlocks_per_sec_x1000",
-                (w.deadlocks_per_sec() * 1000.0) as u64,
-            );
-            put(
-                "trace.restarts_per_sec_x1000",
-                (w.restarts_per_sec() * 1000.0) as u64,
-            );
-        }
-        if let Some(i) = &self.integrity {
-            put("integrity.violations", i.violations as u64);
-            put("integrity.leaked_pages", u64::from(i.leaked_pages));
-        }
-        #[cfg(feature = "api-batch")]
-        {
-            put("batch.batches", self.batches);
-            put("batch.ops", self.batch_ops);
-            put("batch.latency.count", self.batch_latency.count);
-            put("batch.latency.mean_ns", self.batch_latency.mean_ns());
-            put("batch.latency.p50_ns", self.batch_latency.percentile_ns(50));
-            put("batch.latency.p99_ns", self.batch_latency.percentile_ns(99));
-            put("batch.latency.max_ns", self.batch_latency.max_ns);
-        }
-        #[cfg(feature = "transactions")]
-        {
-            if let Some((c, a)) = self.txn {
-                put("txn.committed", c);
-                put("txn.aborted", a);
-            }
-            if let Some(s) = self.log_syncs {
-                put("txn.log_syncs", s);
-            }
-            if let Some(b) = self.log_bytes {
-                put("txn.log_bytes", b);
-            }
-            if let Some(h) = &self.commit_latency {
-                put("txn.commit.count", h.count);
-                put("txn.commit.mean_ns", h.mean_ns());
-                put("txn.commit.p50_ns", h.percentile_ns(50));
-                put("txn.commit.p99_ns", h.percentile_ns(99));
-                put("txn.commit.max_ns", h.max_ns);
-            }
-            put("recovery.redo", self.recovery_redo as u64);
-            put("recovery.undo", self.recovery_undo as u64);
-        }
-        #[cfg(feature = "concurrency-multi-writer")]
-        if let Some(l) = &self.locks {
-            put("lock.waits", l.waits);
-            put("lock.wait.count", l.wait_time.count);
-            put("lock.wait.mean_ns", l.wait_time.mean_ns());
-            put("lock.wait.p50_ns", l.wait_time.percentile_ns(50));
-            put("lock.wait.p99_ns", l.wait_time.percentile_ns(99));
-            put("lock.wait.max_ns", l.wait_time.max_ns);
-            put("lock.deadlock_aborts", l.deadlock_aborts);
-            put("lock.timeout_aborts", l.timeout_aborts);
-        }
-        #[cfg(feature = "concurrency-snapshot")]
-        if let Some(v) = &self.versions {
-            put("snapshot.chain_max", v.chain_max);
-            put("snapshot.active", v.active);
-            put("snapshot.pruned", v.pruned);
-            put("snapshot.live_entries", v.live_entries);
-            put("snapshot.pending_pages", v.pending_pages);
-        }
-        #[cfg(feature = "sql")]
-        if let Some(q) = &self.query {
-            put("query.rows_scanned", q.rows_scanned);
-            put("query.full_scans", q.full_scans);
-            put("query.point_lookups", q.point_lookups);
-            put("query.range_scans", q.range_scans);
-        }
-        #[cfg(feature = "replication")]
-        if let Some(lag) = self.replication_lag {
-            put("replication.lag", lag);
-        }
-        out
-    }
-}
-
-#[cfg(feature = "statistics")]
-impl std::fmt::Display for StatsSnapshot {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(f, "index:            {} ({} keys)", self.index, self.keys)?;
-        writeln!(
-            f,
-            "pages:            {} x {} bytes",
-            self.allocated_pages, self.page_size
-        )?;
-        writeln!(
-            f,
-            "buffer:           {:.1}% hits ({} accesses, {} evictions, {} writebacks, {} latch waits)",
-            self.pool.hit_ratio() * 100.0,
-            self.pool.hits + self.pool.misses,
-            self.pool.evictions,
-            self.pool.writebacks,
-            self.pool.latch_waits
-        )?;
-        writeln!(
-            f,
-            "frames:           {} resident ({} bytes)",
-            self.frames, self.frame_bytes
-        )?;
-        writeln!(
-            f,
-            "pager:            {} page reads, {} page writes, {} allocs, {} frees",
-            self.pager_ops.page_reads,
-            self.pager_ops.page_writes,
-            self.pager_ops.allocs,
-            self.pager_ops.frees
-        )?;
-        writeln!(
-            f,
-            "device:           {} reads, {} writes, {} syncs, {} erases",
-            self.device.reads, self.device.writes, self.device.syncs, self.device.erases
-        )?;
-        write!(f, "io read:          {}", self.io.read)?;
-        write!(f, "\nio write:         {}", self.io.write)?;
-        write!(f, "\nio sync:          {}", self.io.sync)?;
-        write!(f, "\nops traced:       {}", self.ops_traced)?;
-        #[cfg(feature = "concurrency-multi")]
-        if self.reader_gets > 0 {
-            write!(
-                f,
-                "\nreaders:          {} gets ({} hits, from dropped handles)",
-                self.reader_gets, self.reader_hits
-            )?;
-        }
-        #[cfg(feature = "obs-trace")]
-        {
-            let w = &self.windows;
-            write!(
-                f,
-                "\nspans:            {} recorded, {} dropped",
-                w.recorded, w.dropped
-            )?;
-            write!(
-                f,
-                "\nwindows:          lock-wait p99 {}ns, commit p99 {}ns, {:.1} deadlocks/s, {:.1} restarts/s",
-                w.lock_wait_p99_ns(),
-                w.commit_p99_ns(),
-                w.deadlocks_per_sec(),
-                w.restarts_per_sec()
-            )?;
-        }
-        if let Some(i) = &self.integrity {
-            write!(
-                f,
-                "\nintegrity:        {} violations, {} leaked pages",
-                i.violations, i.leaked_pages
-            )?;
-        }
-        #[cfg(feature = "api-batch")]
-        if self.batches > 0 {
-            write!(
-                f,
-                "\nbatches:          {} applied ({} ops), latency {}",
-                self.batches, self.batch_ops, self.batch_latency
-            )?;
-        }
-        #[cfg(feature = "transactions")]
-        {
-            if let Some((c, a)) = self.txn {
-                write!(f, "\ntransactions:     {c} committed, {a} aborted")?;
-            }
-            if let (Some(s), Some(b)) = (self.log_syncs, self.log_bytes) {
-                write!(f, "\nwal:              {s} syncs, {b} bytes")?;
-            }
-            if let Some(h) = &self.commit_latency {
-                write!(f, "\ncommit latency:   {h}")?;
-            }
-            if self.recovery_redo + self.recovery_undo > 0 {
-                write!(
-                    f,
-                    "\nrecovery:         {} redo, {} undo",
-                    self.recovery_redo, self.recovery_undo
-                )?;
-            }
-        }
-        #[cfg(feature = "concurrency-multi-writer")]
-        if let Some(l) = &self.locks {
-            write!(
-                f,
-                "\nlocks:            {} waits ({} deadlock aborts, {} timeouts), wait time {}",
-                l.waits, l.deadlock_aborts, l.timeout_aborts, l.wait_time
-            )?;
-        }
-        #[cfg(feature = "sql")]
-        if let Some(q) = &self.query {
-            write!(
-                f,
-                "\nquery:            {} rows scanned ({} point, {} range, {} full)",
-                q.rows_scanned, q.point_lookups, q.range_scans, q.full_scans
-            )?;
-        }
-        #[cfg(feature = "replication")]
-        if let Some(lag) = self.replication_lag {
-            write!(f, "\nreplication lag:  {lag}")?;
-        }
-        Ok(())
-    }
-}
-
-/// A batch's net effect on one key: `Some(value)` writes, `None` removes.
-#[cfg(feature = "api-batch")]
-type ResolvedOp = (Vec<u8>, Option<Vec<u8>>);
-
-/// An ordered set of writes applied as one unit by
-/// [`Database::apply_batch`] (feature `api-batch`).
-///
-/// Later operations on the same key supersede earlier ones — the same net
-/// effect as issuing the calls one at a time, but applied through the bulk
-/// storage path and (with transactions) committed with one log sync.
-#[cfg(feature = "api-batch")]
-#[derive(Debug, Default, Clone)]
-pub struct WriteBatch {
-    ops: Vec<(Vec<u8>, BatchOp)>,
-}
-
-/// What one queued batch operation does to its key.
-#[cfg(feature = "api-batch")]
-#[derive(Debug, Clone)]
-enum BatchOp {
-    Put(Vec<u8>),
-    #[cfg(feature = "api-update")]
-    Update(Vec<u8>),
-    #[cfg(feature = "api-remove")]
-    Remove,
-}
-
-#[cfg(feature = "api-batch")]
-impl WriteBatch {
-    /// An empty batch.
-    pub fn new() -> WriteBatch {
-        WriteBatch::default()
-    }
-
-    /// Queue an insert-or-overwrite.
-    pub fn put(&mut self, key: &[u8], value: &[u8]) -> &mut Self {
-        self.ops.push((key.to_vec(), BatchOp::Put(value.to_vec())));
-        self
-    }
-
-    /// Queue an overwrite of an existing key (feature `api-update`).
-    /// Applying the batch fails — and applies nothing — if the key does
-    /// not exist at that point in the batch.
-    #[cfg(feature = "api-update")]
-    pub fn update(&mut self, key: &[u8], value: &[u8]) -> &mut Self {
-        self.ops
-            .push((key.to_vec(), BatchOp::Update(value.to_vec())));
-        self
-    }
-
-    /// Queue a removal (feature `api-remove`); removing an absent key is
-    /// a no-op, as in [`Database::remove`].
-    #[cfg(feature = "api-remove")]
-    pub fn remove(&mut self, key: &[u8]) -> &mut Self {
-        self.ops.push((key.to_vec(), BatchOp::Remove));
-        self
-    }
-
-    /// Queued operations.
-    pub fn len(&self) -> usize {
-        self.ops.len()
-    }
-
-    /// `true` when nothing is queued.
-    pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
-    }
-
-    /// Drop all queued operations.
-    pub fn clear(&mut self) {
-        self.ops.clear();
-    }
-}
-
-/// The storage reads a batch needs before anything is logged or applied.
-/// MultiWriter products call these only with every key of the batch
-/// X-locked, so what they read is committed.
-#[cfg(feature = "api-batch")]
-impl StorageCore {
-    /// Turn the submitted op sequence into the batch's *net* effect: one
-    /// `(key, Some(value) | None)` per distinct key. Update/remove
-    /// existence checks run against the pre-batch state overlaid with the
-    /// batch's own earlier ops — the same outcome as issuing the calls one
-    /// at a time.
-    fn resolve_batch(&mut self, batch: WriteBatch) -> Result<Vec<ResolvedOp>> {
-        let mut resolved: Vec<ResolvedOp> = Vec::with_capacity(batch.ops.len());
-        // key -> does it exist after the ops seen so far?
-        let mut overlay: std::collections::BTreeMap<Vec<u8>, bool> =
-            std::collections::BTreeMap::new();
-        for (key, op) in batch.ops {
-            #[cfg(any(feature = "api-update", feature = "api-remove"))]
-            let mut exists = || match overlay.get(&key) {
-                Some(e) => Ok::<_, DbmsError>(*e),
-                None => Ok(self.kv_get(&key)?.is_some()),
-            };
-            let value = match op {
-                BatchOp::Put(value) => Some(value),
-                #[cfg(feature = "api-update")]
-                BatchOp::Update(value) => {
-                    if !exists()? {
-                        return Err(DbmsError::Config(
-                            "batch update of a missing key (batch not applied)".into(),
-                        ));
-                    }
-                    Some(value)
-                }
-                #[cfg(feature = "api-remove")]
-                BatchOp::Remove => {
-                    if !exists()? {
-                        continue;
-                    }
-                    None
-                }
-            };
-            overlay.insert(key.clone(), value.is_some());
-            resolved.push((key, value));
-        }
-        // Last write per key wins. The bulk appliers re-normalize, but the
-        // WAL must carry the same net op set as storage receives.
-        resolved.sort_by(|a, b| a.0.cmp(&b.0));
-        resolved.dedup_by(|next, prev| {
-            if next.0 == prev.0 {
-                prev.1 = next.1.take();
-                true
-            } else {
-                false
-            }
-        });
-        Ok(resolved)
-    }
-
-    /// Pair a resolved batch with its before-images: the WAL records (undo
-    /// needs the old values) and the op run to apply. Removes whose key
-    /// never existed have no net effect and are dropped from both.
-    #[cfg(feature = "transactions")]
-    fn batch_writes(
-        &mut self,
-        resolved: &[ResolvedOp],
-    ) -> Result<(Vec<fame_txn::BatchWrite>, Vec<ResolvedOp>)> {
-        let mut writes = Vec::with_capacity(resolved.len());
-        let mut apply = Vec::with_capacity(resolved.len());
-        for (key, op) in resolved {
-            let old = self.kv_get(key)?;
-            match op {
-                Some(value) => {
-                    writes.push(fame_txn::BatchWrite::Put {
-                        index: 0,
-                        key: key.clone(),
-                        old,
-                        new: value.clone(),
-                    });
-                    apply.push((key.clone(), Some(value.clone())));
-                }
-                None => {
-                    let Some(old) = old else { continue };
-                    writes.push(fame_txn::BatchWrite::Remove {
-                        index: 0,
-                        key: key.clone(),
-                        old,
-                    });
-                    apply.push((key.clone(), None));
-                }
-            }
-        }
-        Ok((writes, apply))
     }
 }
 
@@ -2297,21 +1766,6 @@ impl DbWriter {
     }
 }
 
-/// Block-lock counters of a MultiWriter product (feature `statistics`):
-/// how often writers park, for how long, and why transactions died.
-#[cfg(all(feature = "concurrency-multi-writer", feature = "statistics"))]
-#[derive(Debug, Clone)]
-pub struct LockStats {
-    /// Acquisitions that had to park (at least one condvar wait).
-    pub waits: u64,
-    /// Time spent parked, per blocking acquisition.
-    pub wait_time: fame_obs::HistogramSnapshot,
-    /// Transactions aborted as deadlock victims.
-    pub deadlock_aborts: u64,
-    /// Acquisitions that gave up on timeout.
-    pub timeout_aborts: u64,
-}
-
 /// Borrowed handle to the queue access method. Holds the storage guard
 /// for its lifetime, so in MultiWriter products concurrent writers block
 /// until the handle is dropped.
@@ -2351,168 +1805,6 @@ impl QueueHandle<'_> {
     /// `true` when empty.
     pub fn is_empty(&mut self) -> Result<bool> {
         Ok(self.queue.is_empty(&mut self.core.pager)?)
-    }
-}
-
-// ---- device construction ---------------------------------------------------
-
-fn make_device(config: &DbmsConfig) -> Result<Box<dyn BlockDevice>> {
-    let dev: Box<dyn BlockDevice> = match &config.os {
-        #[cfg(feature = "os-inmem")]
-        OsTarget::InMemory { capacity_pages } => match capacity_pages {
-            Some(cap) => Box::new(fame_os::InMemoryDevice::with_capacity(
-                config.page_size,
-                *cap,
-            )),
-            None => Box::new(fame_os::InMemoryDevice::new(config.page_size)),
-        },
-        #[cfg(feature = "os-std")]
-        OsTarget::File { path } => {
-            if path.exists() {
-                Box::new(fame_os::FileDevice::open(path, config.page_size)?)
-            } else {
-                Box::new(fame_os::FileDevice::create(path, config.page_size)?)
-            }
-        }
-        #[cfg(feature = "os-flash")]
-        OsTarget::Flash(fc) => Box::new(fame_os::FlashDevice::new(*fc)),
-    };
-
-    #[cfg(feature = "crypto")]
-    if let Some(key) = &config.crypto_key {
-        return Ok(Box::new(WrapCrypto {
-            inner: dev,
-            cipher: fame_storage::crypto::PageCipher::new(key),
-        }));
-    }
-    Ok(dev)
-}
-
-/// The log lives next to the data: `<path>.log` for file targets, a fresh
-/// in-memory device otherwise.
-#[cfg(feature = "transactions")]
-fn make_log_device(config: &DbmsConfig) -> Result<Box<dyn BlockDevice>> {
-    Ok(match &config.os {
-        #[cfg(feature = "os-std")]
-        OsTarget::File { path } => {
-            let mut log_path = path.clone();
-            let mut name = log_path
-                .file_name()
-                .map(|n| n.to_string_lossy().into_owned())
-                .unwrap_or_else(|| "fame".to_string());
-            name.push_str(".log");
-            log_path.set_file_name(name);
-            if log_path.exists() {
-                Box::new(fame_os::FileDevice::open(&log_path, config.page_size)?)
-            } else {
-                Box::new(fame_os::FileDevice::create(&log_path, config.page_size)?)
-            }
-        }
-        #[allow(unreachable_patterns)]
-        _ => Box::new(new_inmem_log(config.page_size)),
-    })
-}
-
-#[cfg(feature = "transactions")]
-fn new_inmem_log(page_size: usize) -> impl BlockDevice {
-    // Volatile log: commit protocols still run (and are measured), but a
-    // process restart starts from a clean log. In-memory products are
-    // volatile as a whole, so this is consistent.
-    #[cfg(feature = "os-inmem")]
-    {
-        fame_os::InMemoryDevice::new(page_size)
-    }
-    #[cfg(not(feature = "os-inmem"))]
-    {
-        // Fall back to a flash-simulated log on flash-only builds.
-        fame_os::FlashDevice::new(fame_os::FlashConfig {
-            page_size,
-            pages_per_block: 16,
-            capacity_pages: 16 * 256,
-            erase_endurance: None,
-        })
-    }
-}
-
-/// Crypto wrapper over a boxed device (the generic
-/// `fame_storage::CryptoDevice<D>` needs a concrete `D`; products hold
-/// devices as trait objects).
-#[cfg(feature = "crypto")]
-struct WrapCrypto {
-    inner: Box<dyn BlockDevice>,
-    cipher: fame_storage::crypto::PageCipher,
-}
-
-#[cfg(feature = "crypto")]
-impl BlockDevice for WrapCrypto {
-    fn page_size(&self) -> usize {
-        self.inner.page_size()
-    }
-    fn num_pages(&self) -> u32 {
-        self.inner.num_pages()
-    }
-    fn read_page(
-        &mut self,
-        page: u32,
-        buf: &mut [u8],
-    ) -> std::result::Result<(), fame_os::OsError> {
-        self.inner.read_page(page, buf)?;
-        if buf.iter().any(|&b| b != 0) {
-            self.cipher.decrypt_page(page, buf);
-        }
-        Ok(())
-    }
-    fn write_page(&mut self, page: u32, buf: &[u8]) -> std::result::Result<(), fame_os::OsError> {
-        let mut ct = buf.to_vec();
-        self.cipher.encrypt_page(page, &mut ct);
-        self.inner.write_page(page, &ct)
-    }
-    fn ensure_pages(&mut self, pages: u32) -> std::result::Result<(), fame_os::OsError> {
-        self.inner.ensure_pages(pages)
-    }
-    fn sync(&mut self) -> std::result::Result<(), fame_os::OsError> {
-        self.inner.sync()
-    }
-    fn stats(&self) -> fame_os::DeviceStats {
-        self.inner.stats()
-    }
-}
-
-fn make_pool(config: &DbmsConfig, device: Box<dyn BlockDevice>) -> BufferPool {
-    #[cfg(feature = "buffer")]
-    {
-        #[cfg(feature = "concurrency-multi")]
-        {
-            let shared_shards = match config.concurrency {
-                fame_buffer::Concurrency::MultiReader { shards } => Some(shards),
-                // MultiWriter runs on the same sharded pool; the writer
-                // coordination lives above it (block locks, group commit).
-                #[cfg(feature = "concurrency-multi-writer")]
-                fame_buffer::Concurrency::MultiWriter { shards } => Some(shards),
-                #[allow(unreachable_patterns)]
-                _ => None,
-            };
-            if let Some(shards) = shared_shards {
-                let shards = if shards == 0 {
-                    fame_buffer::DEFAULT_SHARDS
-                } else {
-                    shards
-                };
-                return match &config.buffer {
-                    Some(b) => BufferPool::new_shared(device, b.replacement, b.policy(), shards),
-                    None => BufferPool::unbuffered_shared(device),
-                };
-            }
-        }
-        match &config.buffer {
-            Some(b) => BufferPool::new(device, b.replacement, b.policy()),
-            None => BufferPool::unbuffered(device),
-        }
-    }
-    #[cfg(not(feature = "buffer"))]
-    {
-        let _ = config;
-        BufferPool::unbuffered(device)
     }
 }
 
@@ -2871,7 +2163,10 @@ mod tests {
         assert!(!trace.is_empty());
         assert!(trace.len() <= d.config().stats.trace_capacity.max(1));
         // Ring holds the most recent events: the last one is the sync.
-        assert_eq!(trace.last().unwrap().op, fame_obs::OpKind::Sync);
+        assert_eq!(trace.last().unwrap().kind, SpanKind::Sync);
+        // One ring, one ticket sequence: `seq` counts every recorded op.
+        assert_eq!(trace.last().unwrap().seq, 200);
+        assert!(trace.windows(2).all(|w| w[0].seq + 1 == w[1].seq));
 
         // Integrity findings are absent until verified, cached afterwards.
         assert!(s.integrity.is_none());

@@ -1,0 +1,168 @@
+//! Device and pool construction: what [`crate::Database::open`] builds
+//! from a [`DbmsConfig`] before the engine exists — the data device (with
+//! the crypto wrapper when configured), the log device, the buffer pool.
+
+use fame_buffer::BufferPool;
+use fame_os::BlockDevice;
+
+use crate::config::{DbmsConfig, OsTarget};
+use crate::error::Result;
+
+pub(crate) fn make_device(config: &DbmsConfig) -> Result<Box<dyn BlockDevice>> {
+    let dev: Box<dyn BlockDevice> = match &config.os {
+        #[cfg(feature = "os-inmem")]
+        OsTarget::InMemory { capacity_pages } => match capacity_pages {
+            Some(cap) => Box::new(fame_os::InMemoryDevice::with_capacity(
+                config.page_size,
+                *cap,
+            )),
+            None => Box::new(fame_os::InMemoryDevice::new(config.page_size)),
+        },
+        #[cfg(feature = "os-std")]
+        OsTarget::File { path } => Box::new(open_or_create(path, config.page_size)?),
+        #[cfg(feature = "os-flash")]
+        OsTarget::Flash(fc) => Box::new(fame_os::FlashDevice::new(*fc)),
+    };
+
+    #[cfg(feature = "crypto")]
+    if let Some(key) = &config.crypto_key {
+        return Ok(Box::new(WrapCrypto {
+            inner: dev,
+            cipher: fame_storage::crypto::PageCipher::new(key),
+        }));
+    }
+    Ok(dev)
+}
+
+#[cfg(feature = "os-std")]
+fn open_or_create(path: &std::path::Path, page_size: usize) -> Result<fame_os::FileDevice> {
+    Ok(if path.exists() {
+        fame_os::FileDevice::open(path, page_size)?
+    } else {
+        fame_os::FileDevice::create(path, page_size)?
+    })
+}
+
+/// The log lives next to the data: `<path>.log` for file targets, a fresh
+/// in-memory device otherwise.
+#[cfg(feature = "transactions")]
+pub(crate) fn make_log_device(config: &DbmsConfig) -> Result<Box<dyn BlockDevice>> {
+    Ok(match &config.os {
+        #[cfg(feature = "os-std")]
+        OsTarget::File { path } => {
+            let mut log_path = path.clone();
+            let mut name = log_path
+                .file_name()
+                .map(|n| n.to_string_lossy().into_owned())
+                .unwrap_or_else(|| "fame".to_string());
+            name.push_str(".log");
+            log_path.set_file_name(name);
+            Box::new(open_or_create(&log_path, config.page_size)?)
+        }
+        #[allow(unreachable_patterns)]
+        _ => Box::new(new_inmem_log(config.page_size)),
+    })
+}
+
+#[cfg(feature = "transactions")]
+fn new_inmem_log(page_size: usize) -> impl BlockDevice {
+    // Volatile log: commit protocols still run (and are measured), but a
+    // process restart starts from a clean log. In-memory products are
+    // volatile as a whole, so this is consistent.
+    #[cfg(feature = "os-inmem")]
+    {
+        fame_os::InMemoryDevice::new(page_size)
+    }
+    #[cfg(not(feature = "os-inmem"))]
+    {
+        // Fall back to a flash-simulated log on flash-only builds.
+        fame_os::FlashDevice::new(fame_os::FlashConfig {
+            page_size,
+            pages_per_block: 16,
+            capacity_pages: 16 * 256,
+            erase_endurance: None,
+        })
+    }
+}
+
+/// Crypto wrapper over a boxed device (the generic
+/// `fame_storage::CryptoDevice<D>` needs a concrete `D`; products hold
+/// devices as trait objects).
+#[cfg(feature = "crypto")]
+struct WrapCrypto {
+    inner: Box<dyn BlockDevice>,
+    cipher: fame_storage::crypto::PageCipher,
+}
+
+#[cfg(feature = "crypto")]
+impl BlockDevice for WrapCrypto {
+    fn page_size(&self) -> usize {
+        self.inner.page_size()
+    }
+    fn num_pages(&self) -> u32 {
+        self.inner.num_pages()
+    }
+    fn read_page(
+        &mut self,
+        page: u32,
+        buf: &mut [u8],
+    ) -> std::result::Result<(), fame_os::OsError> {
+        self.inner.read_page(page, buf)?;
+        if buf.iter().any(|&b| b != 0) {
+            self.cipher.decrypt_page(page, buf);
+        }
+        Ok(())
+    }
+    fn write_page(&mut self, page: u32, buf: &[u8]) -> std::result::Result<(), fame_os::OsError> {
+        let mut ct = buf.to_vec();
+        self.cipher.encrypt_page(page, &mut ct);
+        self.inner.write_page(page, &ct)
+    }
+    fn ensure_pages(&mut self, pages: u32) -> std::result::Result<(), fame_os::OsError> {
+        self.inner.ensure_pages(pages)
+    }
+    fn sync(&mut self) -> std::result::Result<(), fame_os::OsError> {
+        self.inner.sync()
+    }
+    fn stats(&self) -> fame_os::DeviceStats {
+        self.inner.stats()
+    }
+}
+
+pub(crate) fn make_pool(config: &DbmsConfig, device: Box<dyn BlockDevice>) -> BufferPool {
+    #[cfg(feature = "buffer")]
+    {
+        #[cfg(feature = "concurrency-multi")]
+        {
+            let shared_shards = match config.concurrency {
+                fame_buffer::Concurrency::MultiReader { shards } => Some(shards),
+                // MultiWriter runs on the same sharded pool; the writer
+                // coordination lives above it (block locks, group commit).
+                #[cfg(feature = "concurrency-multi-writer")]
+                fame_buffer::Concurrency::MultiWriter { shards } => Some(shards),
+                #[allow(unreachable_patterns)]
+                _ => None,
+            };
+            if let Some(shards) = shared_shards {
+                let shards = if shards == 0 {
+                    fame_buffer::DEFAULT_SHARDS
+                } else {
+                    shards
+                };
+                return match &config.buffer {
+                    Some(b) => BufferPool::new_shared(device, b.replacement, b.policy(), shards),
+                    None => BufferPool::unbuffered_shared(device),
+                };
+            }
+        }
+        match &config.buffer {
+            Some(b) => BufferPool::new(device, b.replacement, b.policy()),
+            None => BufferPool::unbuffered(device),
+        }
+    }
+    #[cfg(not(feature = "buffer"))]
+    {
+        let _ = config;
+        BufferPool::unbuffered(device)
+    }
+}

@@ -56,10 +56,15 @@ compile_error!("FAME-DBMS needs at least one OS backend: os-std, os-inmem, or os
 ))]
 compile_error!("feature `transactions` needs a commit protocol: commit-force or commit-group");
 
+#[cfg(feature = "api-batch")]
+mod batch;
 pub mod config;
 pub mod db;
 pub mod error;
+mod factory;
 pub mod features;
+#[cfg(feature = "statistics")]
+mod stats;
 
 #[cfg(feature = "transactions")]
 pub use config::TxnConfig;
@@ -83,7 +88,7 @@ pub use db::TxnHandle;
 #[cfg(feature = "api-batch")]
 pub use db::WriteBatch;
 #[cfg(feature = "statistics")]
-pub use db::{DbStats, IntegritySummary, StatsSnapshot};
+pub use db::{IntegritySummary, StatsSnapshot};
 #[cfg(feature = "buffer")]
 pub use fame_buffer::Concurrency;
 

@@ -1,0 +1,363 @@
+//! The statistics report of a running product (feature `statistics` — the
+//! Berkeley DB `->stat()` analog): the snapshot [`crate::Database::stats`]
+//! fills in, and its TSV and human-readable renderings.
+
+/// Summary of the last [`crate::Database::verify_integrity`] walk, kept for the
+/// statistics report (feature `statistics`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct IntegritySummary {
+    /// Structural invariants found violated.
+    pub violations: usize,
+    /// Allocated pages neither reachable nor free.
+    pub leaked_pages: u32,
+}
+
+/// Product statistics report (feature `statistics`).
+///
+/// Coherent point-in-time copy: every field is a plain value read once
+/// from its atomic source, safe to take while concurrent [`crate::DbReader`]s
+/// run.
+#[derive(Debug, Clone)]
+pub struct StatsSnapshot {
+    /// Live keys in the primary index.
+    pub keys: usize,
+    /// Name of the composed index.
+    pub index: &'static str,
+    /// Pages the pager has handed out (including meta and free list).
+    pub allocated_pages: u32,
+    /// Page size in bytes.
+    pub page_size: usize,
+    /// Buffer-pool counters (hits/misses/evictions/writebacks/latch waits).
+    pub pool: fame_buffer::PoolStats,
+    /// Device counters.
+    pub device: fame_os::DeviceStats,
+    /// Logical pager operations (page reads/writes, allocs/frees).
+    pub pager_ops: fame_storage::PagerOpsSnapshot,
+    /// Data-device I/O latency histograms.
+    pub io: fame_os::IoTimingSnapshot,
+    /// Buffer frames currently resident.
+    pub frames: usize,
+    /// Bytes those frames pin (`frames * page_size`) — the `ram` NFP of
+    /// the buffer.
+    pub frame_bytes: usize,
+    /// Events recorded into the op-trace ring since open.
+    pub ops_traced: u64,
+    /// Windowed span metrics of the flight recorder (feature `obs-trace`):
+    /// per-window lock-wait / commit percentiles plus deadlock and
+    /// restart rates over the last rotation windows, not since boot.
+    #[cfg(feature = "obs-trace")]
+    pub windows: fame_obs::WindowsSnapshot,
+    /// Lookups served by dropped [`crate::DbReader`] handles (handle-local
+    /// counters, merged when a handle drops — live handles' in-flight
+    /// counts are not included).
+    #[cfg(feature = "concurrency-multi")]
+    pub reader_gets: u64,
+    /// How many of those lookups found the key.
+    #[cfg(feature = "concurrency-multi")]
+    pub reader_hits: u64,
+    /// What the last [`crate::Database::verify_integrity`] found; `None` until
+    /// it has been run on this instance.
+    pub integrity: Option<IntegritySummary>,
+    /// Batches applied via [`crate::Database::apply_batch`].
+    #[cfg(feature = "api-batch")]
+    pub batches: u64,
+    /// Operations submitted across those batches.
+    #[cfg(feature = "api-batch")]
+    pub batch_ops: u64,
+    /// Whole-batch apply latency (resolve + log + bulk apply + commit).
+    #[cfg(feature = "api-batch")]
+    pub batch_latency: fame_obs::HistogramSnapshot,
+    /// `(committed, aborted)`, when transactions are configured.
+    #[cfg(feature = "transactions")]
+    pub txn: Option<(u64, u64)>,
+    /// Log-device sync count, when transactions are configured.
+    #[cfg(feature = "transactions")]
+    pub log_syncs: Option<u64>,
+    /// Bytes appended to the WAL (the log tail offset).
+    #[cfg(feature = "transactions")]
+    pub log_bytes: Option<u64>,
+    /// Commit-latency histogram of successful commits.
+    #[cfg(feature = "transactions")]
+    pub commit_latency: Option<fame_obs::HistogramSnapshot>,
+    /// Block-lock counters, when the instance runs MultiWriter.
+    #[cfg(feature = "concurrency-multi-writer")]
+    pub locks: Option<LockStats>,
+    /// Copy-on-write version-chain counters (feature
+    /// `concurrency-snapshot`): chain high-water, live snapshots,
+    /// reclaimed versions.
+    #[cfg(feature = "concurrency-snapshot")]
+    pub versions: Option<fame_buffer::VersionStats>,
+    /// Redo operations applied by recovery at open (0 = clean open).
+    #[cfg(feature = "transactions")]
+    pub recovery_redo: usize,
+    /// Undo operations applied by recovery at open.
+    #[cfg(feature = "transactions")]
+    pub recovery_undo: usize,
+    /// SQL executor counters; `None` until the engine has been used.
+    #[cfg(feature = "sql")]
+    pub query: Option<fame_query::QueryObsSnapshot>,
+    /// Shipped-minus-acknowledged, when replication is configured.
+    #[cfg(feature = "replication")]
+    pub replication_lag: Option<u64>,
+}
+
+impl StatsSnapshot {
+    /// Flat `metric<TAB>value` export, one line per scalar — the format
+    /// the E9 probe and external collectors scrape. Histogram fields
+    /// export count/mean/p50/p99/max.
+    pub fn to_tsv(&self) -> String {
+        fn put_hist(put: &mut impl FnMut(&str, u64), name: &str, h: &fame_obs::HistogramSnapshot) {
+            put(&format!("{name}.count"), h.count);
+            put(&format!("{name}.mean_ns"), h.mean_ns());
+            put(&format!("{name}.p50_ns"), h.percentile_ns(50));
+            put(&format!("{name}.p99_ns"), h.percentile_ns(99));
+            put(&format!("{name}.max_ns"), h.max_ns);
+        }
+        let mut out = String::new();
+        let mut put = |k: &str, v: u64| {
+            out.push_str(k);
+            out.push('\t');
+            out.push_str(&v.to_string());
+            out.push('\n');
+        };
+        put("keys", self.keys as u64);
+        put("allocated_pages", u64::from(self.allocated_pages));
+        put("page_size", self.page_size as u64);
+        put("pool.hits", self.pool.hits);
+        put("pool.misses", self.pool.misses);
+        put("pool.evictions", self.pool.evictions);
+        put("pool.writebacks", self.pool.writebacks);
+        put("pool.latch_waits", self.pool.latch_waits);
+        put("pool.frames", self.frames as u64);
+        put("pool.frame_bytes", self.frame_bytes as u64);
+        put("device.reads", self.device.reads);
+        put("device.writes", self.device.writes);
+        put("device.syncs", self.device.syncs);
+        put("device.erases", self.device.erases);
+        put("pager.page_reads", self.pager_ops.page_reads);
+        put("pager.page_writes", self.pager_ops.page_writes);
+        put("pager.allocs", self.pager_ops.allocs);
+        put("pager.frees", self.pager_ops.frees);
+        put_hist(&mut put, "io.read", &self.io.read);
+        put_hist(&mut put, "io.write", &self.io.write);
+        put_hist(&mut put, "io.sync", &self.io.sync);
+        put("ops_traced", self.ops_traced);
+        #[cfg(feature = "concurrency-multi")]
+        {
+            put("reader.gets", self.reader_gets);
+            put("reader.hits", self.reader_hits);
+        }
+        #[cfg(feature = "obs-trace")]
+        {
+            let w = &self.windows;
+            put("trace.spans.recorded", w.recorded);
+            put("trace.spans.dropped", w.dropped);
+            put("trace.lock_wait.p99_ns", w.lock_wait_p99_ns());
+            put("trace.commit.p99_ns", w.commit_p99_ns());
+            put("trace.deadlocks.total", w.deadlocks.total());
+            put("trace.restarts.total", w.restarts.total());
+            // Rates as fixed-point thousandths: `put` (and the scrapers
+            // downstream) speak integers only.
+            put(
+                "trace.deadlocks_per_sec_x1000",
+                (w.deadlocks_per_sec() * 1000.0) as u64,
+            );
+            put(
+                "trace.restarts_per_sec_x1000",
+                (w.restarts_per_sec() * 1000.0) as u64,
+            );
+        }
+        if let Some(i) = &self.integrity {
+            put("integrity.violations", i.violations as u64);
+            put("integrity.leaked_pages", u64::from(i.leaked_pages));
+        }
+        #[cfg(feature = "api-batch")]
+        {
+            put("batch.batches", self.batches);
+            put("batch.ops", self.batch_ops);
+            put_hist(&mut put, "batch.latency", &self.batch_latency);
+        }
+        #[cfg(feature = "transactions")]
+        {
+            if let Some((c, a)) = self.txn {
+                put("txn.committed", c);
+                put("txn.aborted", a);
+            }
+            if let Some(s) = self.log_syncs {
+                put("txn.log_syncs", s);
+            }
+            if let Some(b) = self.log_bytes {
+                put("txn.log_bytes", b);
+            }
+            if let Some(h) = &self.commit_latency {
+                put_hist(&mut put, "txn.commit", h);
+            }
+            put("recovery.redo", self.recovery_redo as u64);
+            put("recovery.undo", self.recovery_undo as u64);
+        }
+        #[cfg(feature = "concurrency-multi-writer")]
+        if let Some(l) = &self.locks {
+            put("lock.waits", l.waits);
+            put_hist(&mut put, "lock.wait", &l.wait_time);
+            put("lock.deadlock_aborts", l.deadlock_aborts);
+            put("lock.timeout_aborts", l.timeout_aborts);
+        }
+        #[cfg(feature = "concurrency-snapshot")]
+        if let Some(v) = &self.versions {
+            put("snapshot.chain_max", v.chain_max);
+            put("snapshot.active", v.active);
+            put("snapshot.pruned", v.pruned);
+            put("snapshot.live_entries", v.live_entries);
+            put("snapshot.pending_pages", v.pending_pages);
+        }
+        #[cfg(feature = "sql")]
+        if let Some(q) = &self.query {
+            put("query.rows_scanned", q.rows_scanned);
+            put("query.full_scans", q.full_scans);
+            put("query.point_lookups", q.point_lookups);
+            put("query.range_scans", q.range_scans);
+        }
+        #[cfg(feature = "replication")]
+        if let Some(lag) = self.replication_lag {
+            put("replication.lag", lag);
+        }
+        out
+    }
+}
+
+impl std::fmt::Display for StatsSnapshot {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        writeln!(f, "index:            {} ({} keys)", self.index, self.keys)?;
+        writeln!(
+            f,
+            "pages:            {} x {} bytes",
+            self.allocated_pages, self.page_size
+        )?;
+        writeln!(
+            f,
+            "buffer:           {:.1}% hits ({} accesses, {} evictions, {} writebacks, {} latch waits)",
+            self.pool.hit_ratio() * 100.0,
+            self.pool.hits + self.pool.misses,
+            self.pool.evictions,
+            self.pool.writebacks,
+            self.pool.latch_waits
+        )?;
+        writeln!(
+            f,
+            "frames:           {} resident ({} bytes)",
+            self.frames, self.frame_bytes
+        )?;
+        writeln!(
+            f,
+            "pager:            {} page reads, {} page writes, {} allocs, {} frees",
+            self.pager_ops.page_reads,
+            self.pager_ops.page_writes,
+            self.pager_ops.allocs,
+            self.pager_ops.frees
+        )?;
+        writeln!(
+            f,
+            "device:           {} reads, {} writes, {} syncs, {} erases",
+            self.device.reads, self.device.writes, self.device.syncs, self.device.erases
+        )?;
+        write!(f, "io read:          {}", self.io.read)?;
+        write!(f, "\nio write:         {}", self.io.write)?;
+        write!(f, "\nio sync:          {}", self.io.sync)?;
+        write!(f, "\nops traced:       {}", self.ops_traced)?;
+        #[cfg(feature = "concurrency-multi")]
+        if self.reader_gets > 0 {
+            write!(
+                f,
+                "\nreaders:          {} gets ({} hits, from dropped handles)",
+                self.reader_gets, self.reader_hits
+            )?;
+        }
+        #[cfg(feature = "obs-trace")]
+        {
+            let w = &self.windows;
+            write!(
+                f,
+                "\nspans:            {} recorded, {} dropped",
+                w.recorded, w.dropped
+            )?;
+            write!(
+                f,
+                "\nwindows:          lock-wait p99 {}ns, commit p99 {}ns, {:.1} deadlocks/s, {:.1} restarts/s",
+                w.lock_wait_p99_ns(),
+                w.commit_p99_ns(),
+                w.deadlocks_per_sec(),
+                w.restarts_per_sec()
+            )?;
+        }
+        if let Some(i) = &self.integrity {
+            write!(
+                f,
+                "\nintegrity:        {} violations, {} leaked pages",
+                i.violations, i.leaked_pages
+            )?;
+        }
+        #[cfg(feature = "api-batch")]
+        if self.batches > 0 {
+            write!(
+                f,
+                "\nbatches:          {} applied ({} ops), latency {}",
+                self.batches, self.batch_ops, self.batch_latency
+            )?;
+        }
+        #[cfg(feature = "transactions")]
+        {
+            if let Some((c, a)) = self.txn {
+                write!(f, "\ntransactions:     {c} committed, {a} aborted")?;
+            }
+            if let (Some(s), Some(b)) = (self.log_syncs, self.log_bytes) {
+                write!(f, "\nwal:              {s} syncs, {b} bytes")?;
+            }
+            if let Some(h) = &self.commit_latency {
+                write!(f, "\ncommit latency:   {h}")?;
+            }
+            if self.recovery_redo + self.recovery_undo > 0 {
+                write!(
+                    f,
+                    "\nrecovery:         {} redo, {} undo",
+                    self.recovery_redo, self.recovery_undo
+                )?;
+            }
+        }
+        #[cfg(feature = "concurrency-multi-writer")]
+        if let Some(l) = &self.locks {
+            write!(
+                f,
+                "\nlocks:            {} waits ({} deadlock aborts, {} timeouts), wait time {}",
+                l.waits, l.deadlock_aborts, l.timeout_aborts, l.wait_time
+            )?;
+        }
+        #[cfg(feature = "sql")]
+        if let Some(q) = &self.query {
+            write!(
+                f,
+                "\nquery:            {} rows scanned ({} point, {} range, {} full)",
+                q.rows_scanned, q.point_lookups, q.range_scans, q.full_scans
+            )?;
+        }
+        #[cfg(feature = "replication")]
+        if let Some(lag) = self.replication_lag {
+            write!(f, "\nreplication lag:  {lag}")?;
+        }
+        Ok(())
+    }
+}
+
+/// Block-lock counters of a MultiWriter product (feature `statistics`):
+/// how often writers park, for how long, and why transactions died.
+#[cfg(feature = "concurrency-multi-writer")]
+#[derive(Debug, Clone)]
+pub struct LockStats {
+    /// Acquisitions that had to park (at least one condvar wait).
+    pub waits: u64,
+    /// Time spent parked, per blocking acquisition.
+    pub wait_time: fame_obs::HistogramSnapshot,
+    /// Transactions aborted as deadlock victims.
+    pub deadlock_aborts: u64,
+    /// Acquisitions that gave up on timeout.
+    pub timeout_aborts: u64,
+}

@@ -11,8 +11,9 @@
 //! * [`Histogram`] — a fixed-bucket latency histogram with power-of-two
 //!   nanosecond buckets, no allocation, no floating point on the record
 //!   path;
-//! * [`TraceRing`] — a fixed-capacity ring of recent operations for
-//!   post-mortem dumps, allocated once at init;
+//! * [`SpanRing`] — a fixed-capacity, lock-free ring of recent
+//!   [`SpanEvent`]s (the facade's op trace) for post-mortem dumps,
+//!   allocated once at init;
 //! * [`monotonic_ns`] — a process-relative monotonic clock.
 //!
 //! Everything here is `Sync`, embedded-friendly (bounded memory, decided
@@ -26,8 +27,9 @@
 //! child) grows this into a full tracing/metrics subsystem — still
 //! dependency-free and bounded:
 //!
-//! * [`SpanEvent`]/[`SpanKind`] — causal span events keyed on transaction
-//!   ids, recorded into lock-free per-thread rings ([`TraceSink`]);
+//! * [`TraceSink`] — *causal* span events keyed on transaction ids (the
+//!   same [`SpanEvent`]/[`SpanKind`]), recorded into one [`SpanRing`] per
+//!   thread;
 //! * [`WindowedHistogram`]/[`WindowedCounter`] — rotating N-second metric
 //!   windows with merge-on-read snapshots (p50/p99/max *now*, not
 //!   since-boot);
@@ -43,15 +45,13 @@ mod histogram;
 mod recorder;
 #[cfg(feature = "trace")]
 mod ring;
-#[cfg(feature = "trace")]
 mod span;
-mod trace;
 #[cfg(feature = "trace")]
 mod window;
 
 pub use counter::Counter;
 pub use histogram::{Histogram, HistogramSnapshot, HISTOGRAM_BUCKETS};
-pub use trace::{OpKind, TraceEvent, TraceRing};
+pub use span::{SpanEvent, SpanKind, SpanRing};
 
 #[cfg(feature = "trace")]
 pub use export::{chrome_trace_json, spans_tsv, TraceDump};
@@ -59,8 +59,6 @@ pub use export::{chrome_trace_json, spans_tsv, TraceDump};
 pub use recorder::{Anomaly, AnomalyThresholds, FlightRecorder};
 #[cfg(feature = "trace")]
 pub use ring::{TraceSink, WindowsSnapshot};
-#[cfg(feature = "trace")]
-pub use span::{SpanEvent, SpanKind};
 #[cfg(feature = "trace")]
 pub use window::{
     WindowSnapshot, WindowedCounter, WindowedCounterSnapshot, WindowedHistogram,

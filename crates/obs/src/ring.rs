@@ -1,24 +1,12 @@
-//! Lock-free per-thread span rings and the [`TraceSink`] façade.
+//! The [`TraceSink`] façade: per-thread [`SpanRing`]s for causal events.
 //!
-//! Probe sites sit on paths we must not slow down or, worse, block: the
-//! lock table emits while holding its table mutex, the pool emits under a
-//! shard latch. So recording must be wait-free in practice and can never
-//! take a lock. The scheme:
-//!
-//! * The sink owns `R` rings. Each thread hashes to a *home ring* (a
-//!   round-robin thread-local hint), and a ring is owned by **at most one
-//!   writer at a time**: recording claims the ring's `busy` flag with a
-//!   single compare-exchange. On collision (two threads sharing a home
-//!   ring, mid-record) the writer simply probes the next ring; after `R`
-//!   failed probes the event is counted in `dropped` and abandoned —
-//!   recording never spins and never blocks the probe site.
-//! * Within a claimed ring the writer is exclusive, so each slot needs to
-//!   defend only against concurrent *readers*. Slots use the audited
-//!   seqlock idiom of `fame-buffer`'s frames: store odd ticket, Release
-//!   fence, payload stores, publish even ticket with Release; readers
-//!   re-validate after an Acquire fence and skip torn slots.
-//! * Rings overwrite oldest (slot = ticket % capacity), so memory is
-//!   bounded at init like every other fame-obs structure.
+//! One [`SpanRing`] admits one writer at a time and drops an event when a
+//! second thread is mid-record. Probe sites run on every writer thread, so
+//! the sink owns `R` rings: each thread hashes to a *home ring* (a
+//! round-robin thread-local hint), and on collision (two threads sharing
+//! a home ring, mid-record) the writer simply probes the next ring; after
+//! `R` failed probes the event is counted in `dropped` and abandoned —
+//! recording never spins and never blocks the probe site.
 //!
 //! Draining ([`TraceSink::events`]) is non-destructive: it copies every
 //! currently-valid slot and merges all rings by timestamp, so the flight
@@ -29,129 +17,14 @@
 //! restart rates), so one `emit` feeds both the causal trace and the
 //! windowed metrics.
 
-use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
-use crate::span::{SpanEvent, SpanKind};
+use crate::span::{SpanEvent, SpanKind, SpanRing};
 use crate::window::{
     WindowedCounter, WindowedCounterSnapshot, WindowedHistogram, WindowedHistogramSnapshot,
     DEFAULT_WINDOWS,
 };
 use crate::Counter;
-
-/// One seqlock slot: `seq` holds `2·(ticket+1)` once published,
-/// `2·(ticket+1) − 1` while the (single) ring writer is inside the write
-/// window, and 0 while never written.
-struct SpanSlot {
-    seq: AtomicU64,
-    at_ns: AtomicU64,
-    kind: AtomicU64,
-    txn: AtomicU64,
-    parent: AtomicU64,
-    a: AtomicU64,
-    b: AtomicU64,
-}
-
-impl SpanSlot {
-    const fn empty() -> Self {
-        SpanSlot {
-            seq: AtomicU64::new(0),
-            at_ns: AtomicU64::new(0),
-            kind: AtomicU64::new(0),
-            txn: AtomicU64::new(0),
-            parent: AtomicU64::new(0),
-            a: AtomicU64::new(0),
-            b: AtomicU64::new(0),
-        }
-    }
-}
-
-/// A single-writer, multi-reader, overwrite-oldest span ring.
-struct SpanRing {
-    /// Writer-exclusivity claim; see the module docs.
-    busy: AtomicBool,
-    /// Next ticket. Only the `busy` owner advances it.
-    head: AtomicU64,
-    slots: Box<[SpanSlot]>,
-}
-
-impl SpanRing {
-    fn new(capacity: usize) -> Self {
-        SpanRing {
-            busy: AtomicBool::new(false),
-            head: AtomicU64::new(0),
-            slots: (0..capacity).map(|_| SpanSlot::empty()).collect(),
-        }
-    }
-
-    /// Try to record; `false` means the ring is mid-record elsewhere.
-    fn try_record(
-        &self,
-        at_ns: u64,
-        kind: SpanKind,
-        txn: u64,
-        parent: u64,
-        a: u64,
-        b: u64,
-    ) -> bool {
-        if self
-            .busy
-            .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
-            .is_err()
-        {
-            return false;
-        }
-        // Exclusive from here to the Release store of `busy`.
-        let ticket = self.head.load(Ordering::Relaxed);
-        let slot = &self.slots[(ticket % self.slots.len() as u64) as usize];
-        // Seqlock write window (crossbeam idiom, as in SharedFrame):
-        // odd marks the slot torn for readers racing the payload stores.
-        slot.seq.store(2 * (ticket + 1) - 1, Ordering::Relaxed);
-        fence(Ordering::Release);
-        slot.at_ns.store(at_ns, Ordering::Relaxed);
-        slot.kind.store(kind as u64, Ordering::Relaxed);
-        slot.txn.store(txn, Ordering::Relaxed);
-        slot.parent.store(parent, Ordering::Relaxed);
-        slot.a.store(a, Ordering::Relaxed);
-        slot.b.store(b, Ordering::Relaxed);
-        slot.seq.store(2 * (ticket + 1), Ordering::Release);
-        self.head.store(ticket + 1, Ordering::Relaxed);
-        self.busy.store(false, Ordering::Release);
-        true
-    }
-
-    /// Copy every currently-valid slot into `out` (ring index `ring`).
-    fn drain_into(&self, ring: u32, out: &mut Vec<SpanEvent>) {
-        for slot in self.slots.iter() {
-            let s1 = slot.seq.load(Ordering::Acquire);
-            if s1 == 0 || s1 % 2 == 1 {
-                continue;
-            }
-            let at_ns = slot.at_ns.load(Ordering::Relaxed);
-            let kind = slot.kind.load(Ordering::Relaxed);
-            let txn = slot.txn.load(Ordering::Relaxed);
-            let parent = slot.parent.load(Ordering::Relaxed);
-            let a = slot.a.load(Ordering::Relaxed);
-            let b = slot.b.load(Ordering::Relaxed);
-            fence(Ordering::Acquire);
-            if slot.seq.load(Ordering::Relaxed) != s1 {
-                continue; // torn by a concurrent overwrite — skip
-            }
-            let Some(kind) = u8::try_from(kind).ok().and_then(SpanKind::from_u8) else {
-                continue;
-            };
-            out.push(SpanEvent {
-                seq: s1 / 2 - 1,
-                ring,
-                at_ns,
-                kind,
-                txn,
-                parent,
-                a,
-                b,
-            });
-        }
-    }
-}
 
 /// Round-robin home-ring hint for the calling thread. Purely a load
 /// balancer: correctness never depends on it (collisions fall through to
@@ -234,7 +107,7 @@ impl TraceSink {
         let n = self.rings.len();
         let start = ring_hint() % n;
         for i in 0..n {
-            if self.rings[(start + i) % n].try_record(at_ns, kind, txn, parent, a, b) {
+            if self.rings[(start + i) % n].record_at(at_ns, kind, txn, parent, a, b) {
                 return;
             }
         }
@@ -243,10 +116,7 @@ impl TraceSink {
 
     /// Total events ever recorded (sum of ring tickets).
     pub fn recorded(&self) -> u64 {
-        self.rings
-            .iter()
-            .map(|r| r.head.load(Ordering::Relaxed))
-            .sum()
+        self.rings.iter().map(SpanRing::recorded).sum()
     }
 
     /// Events abandoned because every ring was busy.
@@ -256,7 +126,7 @@ impl TraceSink {
 
     /// Total retained-slot capacity across rings.
     pub fn capacity(&self) -> usize {
-        self.rings.iter().map(|r| r.slots.len()).sum()
+        self.rings.iter().map(SpanRing::capacity).sum()
     }
 
     /// Non-destructive drain: every currently-valid slot of every ring,

@@ -14,16 +14,20 @@
 //! * [`log`] — an append-only log over any [`fame_os::BlockDevice`], with
 //!   torn-tail detection on read-back;
 //! * [`manager`] — [`manager::TxnManager`]: transaction table, undo
-//!   tracking, commit protocols;
-//! * [`locks`] — a no-wait key-level lock manager (shared/exclusive).
-//!   No-wait means a conflicting request fails immediately — the classic
-//!   deadlock-*avoidance* choice for embedded engines, where blocking an
-//!   interrupt-driven task is worse than retrying;
-//! * [`lock_table`] — the *blocking* S/X block-lock table behind the
-//!   `Concurrency → MultiWriter` alternative: FIFO condvar parking, lock
-//!   timeout, waits-for deadlock detection aborting the youngest txn;
+//!   tracking, and the commit protocol as three phases (append the commit
+//!   records, the one sync step, release) that a single commit and a
+//!   group-commit drain both run;
+//! * [`lock_table`] — the one S/X block-lock table, with two faces over
+//!   one grant rule. *No-wait* (`try_acquire`): a conflicting request
+//!   fails immediately — the classic deadlock-*avoidance* choice for
+//!   embedded engines, where blocking an interrupt-driven task is worse
+//!   than retrying; the manager locks every key it logs this way.
+//!   *Blocking* (`acquire`), behind the `Concurrency → MultiWriter`
+//!   alternative: FIFO condvar parking, lock timeout, waits-for deadlock
+//!   detection aborting the youngest txn;
 //! * [`shared`] (feature `multi-writer`) — [`shared::SharedTxnManager`]:
-//!   `&self` transaction API over interior mutability plus leader-based
+//!   `&self` transaction API over interior mutability, a blocking table
+//!   in front of the manager's no-wait one, plus leader-based
 //!   cross-transaction group commit;
 //! * [`recovery`] — redo winners / undo losers against a
 //!   [`recovery::RecoveryTarget`] (implemented by the database facade in
@@ -35,7 +39,6 @@
 compile_error!("fame-txn needs a commit protocol feature: commit-force or commit-group");
 
 pub mod lock_table;
-pub mod locks;
 pub mod log;
 pub mod manager;
 pub mod recovery;
@@ -45,8 +48,7 @@ pub mod wal;
 
 #[cfg(all(feature = "multi-writer", feature = "obs"))]
 pub use lock_table::LockObs;
-pub use lock_table::{block_of, BlockId, LockError, LockTable};
-pub use locks::{LockManager, LockMode};
+pub use lock_table::{block_of, BlockId, LockConflict, LockError, LockMode, LockTable};
 pub use log::{LogReader, LogWriter, Lsn};
 #[cfg(feature = "obs")]
 pub use manager::TxnObs;

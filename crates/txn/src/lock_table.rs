@@ -1,12 +1,17 @@
-//! Blocking S/X block-level lock table (MultiWriter concurrency).
+//! The S/X block-level lock table (two-phase locking), with a no-wait
+//! and a blocking face over one grant rule (`LockTable::try_grant`).
 //!
-//! Where [`crate::locks::LockManager`] rejects conflicts immediately
-//! (no-wait), this table *parks* the requester on a condvar in a FIFO wait
-//! queue until the lock is grantable, a configurable timeout expires, or
-//! deadlock detection picks the requester as victim. It is the concurrency
-//! backbone of the `Concurrency → MultiWriter` product: independent
-//! transactions on disjoint blocks proceed in parallel; conflicting ones
-//! serialize by waiting instead of aborting.
+//! * [`LockTable::try_acquire`] is *no-wait*: a conflicting request fails
+//!   immediately with [`LockConflict`]. No waits-for graph can form, so the
+//!   single-writer engine needs neither a detector nor timeouts; callers
+//!   retry or abort, the standard discipline for control-loop code.
+//!   [`crate::TxnManager`] locks every key it logs this way.
+//! * [`LockTable::acquire`] *parks* the requester on a condvar in a FIFO
+//!   wait queue until the lock is grantable, a configurable timeout
+//!   expires, or deadlock detection picks the requester as victim. It is
+//!   the concurrency backbone of the `Concurrency → MultiWriter` product:
+//!   independent transactions on disjoint blocks proceed in parallel;
+//!   conflicting ones serialize by waiting instead of aborting.
 //!
 //! Keys are hashed (FNV-1a) to a 64-bit [`BlockId`] so the table size is
 //! bounded by live locks, not key length. A hash collision merges two keys
@@ -31,8 +36,41 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::locks::LockMode;
 use crate::wal::TxnId;
+
+/// Requested access mode.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LockMode {
+    /// Shared (readers).
+    Shared,
+    /// Exclusive (writers).
+    Exclusive,
+}
+
+/// A conflicting no-wait lock request ([`LockTable::try_acquire`]'s only
+/// error).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LockConflict {
+    /// The key that could not be locked.
+    pub key: Vec<u8>,
+    /// The transaction that requested it.
+    pub requester: TxnId,
+    /// The *other* transactions holding the key's block at request time,
+    /// so aborts name the txns they collided with in traces.
+    pub holders: Vec<TxnId>,
+}
+
+impl std::fmt::Display for LockConflict {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "lock conflict on key {:?} for txn {} (held by {:?})",
+            self.key, self.requester, self.holders
+        )
+    }
+}
+
+impl std::error::Error for LockConflict {}
 
 /// Hashed block identity a lock protects.
 pub type BlockId = u64;
@@ -138,7 +176,7 @@ enum Grant {
     Upgraded,
 }
 
-/// Blocking S/X lock table keyed by hashed block.
+/// S/X lock table keyed by hashed block.
 #[derive(Debug)]
 pub struct LockTable {
     state: Mutex<TableState>,
@@ -183,76 +221,47 @@ impl LockTable {
         }
     }
 
+    /// No-wait acquire (or upgrade): a conflict fails immediately and
+    /// leaves no trace in the table. Re-acquisition by the holder is a
+    /// no-op; the *sole* shared holder may upgrade to exclusive. A request
+    /// never overtakes a parked [`LockTable::acquire`] waiter.
+    pub fn try_acquire(&self, txn: TxnId, key: &[u8], mode: LockMode) -> Result<(), LockConflict> {
+        let block = block_of(key);
+        let mut state = self.state.lock().expect("lock table poisoned");
+        match Self::try_grant(&mut state, block, txn, mode, false) {
+            Grant::Denied => Err(LockConflict {
+                key: key.to_vec(),
+                requester: txn,
+                holders: state.table.get(&block).map_or_else(Vec::new, |e| {
+                    e.holders.iter().copied().filter(|&h| h != txn).collect()
+                }),
+            }),
+            Grant::Granted | Grant::Upgraded => Ok(()),
+        }
+    }
+
     /// Block until `txn` holds `key`'s block in `mode`, the timeout
     /// expires, or deadlock detection aborts the requester.
     pub fn acquire(&self, txn: TxnId, key: &[u8], mode: LockMode) -> Result<(), LockError> {
-        self.acquire_block(txn, block_of(key), mode)
-    }
-
-    /// [`LockTable::acquire`] on a pre-hashed block.
-    pub fn acquire_block(
-        &self,
-        txn: TxnId,
-        block: BlockId,
-        mode: LockMode,
-    ) -> Result<(), LockError> {
+        let block = block_of(key);
         let mut state = self.state.lock().expect("lock table poisoned");
         let mut queued = false;
         let mut deadline: Option<Instant> = None;
         #[cfg(feature = "obs")]
         let mut wait_start: Option<u64> = None;
 
-        loop {
+        // `Ok(how)` = granted; `Err(deadlock)` = gave up, as deadlock
+        // victim (`true`) or on timeout (`false`).
+        let outcome: Result<Grant, bool> = loop {
             // A prior waiter's detection pass may have flagged us.
             if let Some(pos) = state.victims.iter().position(|&v| v == txn) {
                 state.victims.swap_remove(pos);
-                let holders = Self::unqueue(&mut state, block, txn);
-                #[cfg(feature = "obs")]
-                self.obs.deadlock_aborts.inc();
-                #[cfg(feature = "obs")]
-                if let Some(t0) = wait_start {
-                    self.obs.wait_time.record_ns(fame_obs::monotonic_ns() - t0);
-                }
-                #[cfg(feature = "trace")]
-                self.emit(
-                    fame_obs::SpanKind::DeadlockVictim,
-                    txn,
-                    holders.first().copied().unwrap_or(0),
-                    block,
-                    holders.len() as u64,
-                );
-                return Err(LockError::Deadlock {
-                    block,
-                    requester: txn,
-                    holders,
-                });
+                break Err(true);
             }
 
             match Self::try_grant(&mut state, block, txn, mode, queued) {
                 Grant::Denied => {}
-                granted => {
-                    if queued {
-                        // The next queued waiter may now be grantable too
-                        // (e.g. shared readers draining behind us).
-                        self.cv.notify_all();
-                    }
-                    #[cfg(feature = "obs")]
-                    if let Some(t0) = wait_start {
-                        let waited = fame_obs::monotonic_ns() - t0;
-                        self.obs.wait_time.record_ns(waited);
-                        // Grant-after-park: the wait edge resolves. Fresh
-                        // uncontended grants (the hot path) emit nothing.
-                        #[cfg(feature = "trace")]
-                        self.emit(fame_obs::SpanKind::LockGrant, txn, 0, waited, block);
-                    }
-                    #[cfg(feature = "trace")]
-                    if granted == Grant::Upgraded {
-                        self.emit(fame_obs::SpanKind::LockUpgrade, txn, 0, block, 0);
-                    }
-                    #[cfg(not(feature = "trace"))]
-                    let _ = granted;
-                    return Ok(());
-                }
+                granted => break Ok(granted),
             }
 
             if !queued {
@@ -289,26 +298,7 @@ impl LockTable {
                 // cycle can form.
                 if let Some(victim) = Self::find_deadlock_victim(&state, txn, block) {
                     if victim == txn {
-                        let holders = Self::unqueue(&mut state, block, txn);
-                        #[cfg(feature = "obs")]
-                        self.obs.deadlock_aborts.inc();
-                        #[cfg(feature = "obs")]
-                        if let Some(t0) = wait_start {
-                            self.obs.wait_time.record_ns(fame_obs::monotonic_ns() - t0);
-                        }
-                        #[cfg(feature = "trace")]
-                        self.emit(
-                            fame_obs::SpanKind::DeadlockVictim,
-                            txn,
-                            holders.first().copied().unwrap_or(0),
-                            block,
-                            holders.len() as u64,
-                        );
-                        return Err(LockError::Deadlock {
-                            block,
-                            requester: txn,
-                            holders,
-                        });
+                        break Err(true);
                     }
                     state.victims.push(victim);
                     self.cv.notify_all();
@@ -319,40 +309,84 @@ impl LockTable {
                 .expect("queued implies deadline")
                 .saturating_duration_since(Instant::now());
             if remaining.is_zero() {
-                let holders = Self::unqueue(&mut state, block, txn);
                 // Drop any victim flag racing with the timeout so it cannot
                 // ambush this transaction's next wait.
                 state.victims.retain(|&v| v != txn);
-                #[cfg(feature = "obs")]
-                self.obs.timeout_aborts.inc();
-                #[cfg(feature = "obs")]
-                if let Some(t0) = wait_start {
-                    self.obs.wait_time.record_ns(fame_obs::monotonic_ns() - t0);
-                }
-                #[cfg(feature = "trace")]
-                self.emit(
-                    fame_obs::SpanKind::TimeoutAbort,
-                    txn,
-                    holders.first().copied().unwrap_or(0),
-                    block,
-                    holders.len() as u64,
-                );
-                return Err(LockError::Timeout {
-                    block,
-                    requester: txn,
-                    holders,
-                });
+                break Err(false);
             }
             let (guard, _timed_out) = self
                 .cv
                 .wait_timeout(state, remaining)
                 .expect("lock table poisoned");
             state = guard;
+        };
+
+        // Every way out of a park records how long it lasted.
+        #[cfg(feature = "obs")]
+        if let Some(t0) = wait_start {
+            let waited = fame_obs::monotonic_ns() - t0;
+            self.obs.wait_time.record_ns(waited);
+            // Grant-after-park: the wait edge resolves. Fresh uncontended
+            // grants (the hot path) emit nothing.
+            #[cfg(feature = "trace")]
+            if outcome.is_ok() {
+                self.emit(fame_obs::SpanKind::LockGrant, txn, 0, waited, block);
+            }
+        }
+        match outcome {
+            Ok(granted) => {
+                if queued {
+                    // The next queued waiter may now be grantable too
+                    // (e.g. shared readers draining behind us).
+                    self.cv.notify_all();
+                }
+                #[cfg(feature = "trace")]
+                if granted == Grant::Upgraded {
+                    self.emit(fame_obs::SpanKind::LockUpgrade, txn, 0, block, 0);
+                }
+                #[cfg(not(feature = "trace"))]
+                let _ = granted;
+                Ok(())
+            }
+            Err(deadlock) => {
+                let holders = Self::unqueue(&mut state, block, txn);
+                #[cfg(feature = "obs")]
+                if deadlock {
+                    self.obs.deadlock_aborts.inc();
+                } else {
+                    self.obs.timeout_aborts.inc();
+                }
+                #[cfg(feature = "trace")]
+                self.emit(
+                    if deadlock {
+                        fame_obs::SpanKind::DeadlockVictim
+                    } else {
+                        fame_obs::SpanKind::TimeoutAbort
+                    },
+                    txn,
+                    holders.first().copied().unwrap_or(0),
+                    block,
+                    holders.len() as u64,
+                );
+                Err(if deadlock {
+                    LockError::Deadlock {
+                        block,
+                        requester: txn,
+                        holders,
+                    }
+                } else {
+                    LockError::Timeout {
+                        block,
+                        requester: txn,
+                        holders,
+                    }
+                })
+            }
         }
     }
 
-    /// Release every block `txn` holds and wake all waiters. O(blocks held
-    /// by `txn`) via the reverse index.
+    /// Release every block `txn` holds and wake the waiters queued on
+    /// them. O(blocks held by `txn`) via the reverse index.
     pub fn release_all(&self, txn: TxnId) {
         let mut state = self.state.lock().expect("lock table poisoned");
         state.victims.retain(|&v| v != txn);
@@ -363,7 +397,10 @@ impl LockTable {
         for block in blocks {
             if let Some(e) = state.table.get_mut(&block) {
                 e.holders.retain(|&h| h != txn);
-                woke = true;
+                // A waiter parks only while queued on its block, under the
+                // state mutex held here — so no queue means nobody to wake,
+                // and the no-wait face never pays the condvar's syscall.
+                woke |= !e.queue.is_empty();
                 if e.holders.is_empty() && e.queue.is_empty() {
                     state.table.remove(&block);
                 } else if e.holders.is_empty() {
@@ -558,12 +595,151 @@ mod tests {
         Arc::new(LockTable::new(Duration::from_millis(200)))
     }
 
+    /// Entries of the reverse index for `txn` (re-acquires must not
+    /// double-index, conflicts must not index at all).
+    fn blocks_held_by(lt: &LockTable, txn: TxnId) -> usize {
+        let state = lt.state.lock().unwrap();
+        state.owned.get(&txn).map_or(0, Vec::len)
+    }
+
     #[test]
     fn shared_locks_coexist() {
         let lt = table();
         lt.acquire(1, b"k", LockMode::Shared).unwrap();
         lt.acquire(2, b"k", LockMode::Shared).unwrap();
         assert_eq!(lt.holders(b"k").len(), 2);
+    }
+
+    // ---- the no-wait face ------------------------------------------------
+
+    #[test]
+    fn no_wait_shared_locks_coexist() {
+        let lt = table();
+        assert!(lt.try_acquire(1, b"k", LockMode::Shared).is_ok());
+        assert!(lt.try_acquire(2, b"k", LockMode::Shared).is_ok());
+        assert_eq!(lt.holders(b"k").len(), 2);
+    }
+
+    #[test]
+    fn no_wait_exclusive_blocks_everyone() {
+        let lt = table();
+        assert!(lt.try_acquire(1, b"k", LockMode::Exclusive).is_ok());
+        assert!(lt.try_acquire(2, b"k", LockMode::Shared).is_err());
+        assert!(lt.try_acquire(2, b"k", LockMode::Exclusive).is_err());
+    }
+
+    #[test]
+    fn no_wait_shared_blocks_exclusive() {
+        let lt = table();
+        lt.try_acquire(1, b"k", LockMode::Shared).unwrap();
+        lt.try_acquire(2, b"k", LockMode::Shared).unwrap();
+        assert!(lt.try_acquire(3, b"k", LockMode::Exclusive).is_err());
+    }
+
+    #[test]
+    fn no_wait_sole_shared_holder_upgrades() {
+        let lt = table();
+        lt.try_acquire(1, b"k", LockMode::Shared).unwrap();
+        assert!(lt.try_acquire(1, b"k", LockMode::Exclusive).is_ok());
+        assert!(lt.try_acquire(2, b"k", LockMode::Shared).is_err());
+    }
+
+    #[test]
+    fn no_wait_upgrade_with_other_readers_fails() {
+        let lt = table();
+        lt.try_acquire(1, b"k", LockMode::Shared).unwrap();
+        lt.try_acquire(2, b"k", LockMode::Shared).unwrap();
+        assert!(lt.try_acquire(1, b"k", LockMode::Exclusive).is_err());
+    }
+
+    #[test]
+    fn no_wait_reacquire_is_noop() {
+        let lt = table();
+        lt.try_acquire(1, b"k", LockMode::Exclusive).unwrap();
+        assert!(lt.try_acquire(1, b"k", LockMode::Exclusive).is_ok());
+        assert!(lt.try_acquire(1, b"k", LockMode::Shared).is_ok());
+        assert_eq!(lt.holders(b"k"), vec![1]);
+        assert_eq!(
+            blocks_held_by(&lt, 1),
+            1,
+            "re-acquire must not double-index"
+        );
+    }
+
+    #[test]
+    fn no_wait_release_frees_keys() {
+        let lt = table();
+        lt.try_acquire(1, b"a", LockMode::Exclusive).unwrap();
+        lt.try_acquire(1, b"b", LockMode::Shared).unwrap();
+        lt.try_acquire(2, b"b", LockMode::Shared).unwrap();
+        lt.release_all(1);
+        assert_eq!(lt.locked_blocks(), 1, "only b remains (held by 2)");
+        assert_eq!(blocks_held_by(&lt, 1), 0);
+        assert!(lt.try_acquire(3, b"a", LockMode::Exclusive).is_ok());
+    }
+
+    #[test]
+    fn no_wait_conflict_names_the_holders() {
+        let lt = table();
+        lt.try_acquire(1, b"k", LockMode::Shared).unwrap();
+        lt.try_acquire(2, b"k", LockMode::Shared).unwrap();
+        let err = lt.try_acquire(3, b"k", LockMode::Exclusive).unwrap_err();
+        assert_eq!(err.key, b"k");
+        assert_eq!(err.requester, 3);
+        let mut holders = err.holders.clone();
+        holders.sort_unstable();
+        assert_eq!(holders, vec![1, 2]);
+        // Upgrade conflict: the error must name the *other* reader only.
+        let err = lt.try_acquire(1, b"k", LockMode::Exclusive).unwrap_err();
+        assert_eq!(err.holders, vec![2]);
+    }
+
+    #[test]
+    fn no_wait_failed_probe_leaves_no_trace() {
+        let lt = table();
+        lt.try_acquire(1, b"k", LockMode::Exclusive).unwrap();
+        assert!(lt.try_acquire(2, b"k", LockMode::Shared).is_err());
+        assert_eq!(blocks_held_by(&lt, 2), 0, "conflict must not index the key");
+        lt.release_all(2); // releasing a txn with no locks is a no-op
+        assert_eq!(lt.holders(b"k"), vec![1]);
+        lt.release_all(1);
+        assert_eq!(lt.locked_blocks(), 0, "no empty entry left behind");
+    }
+
+    #[test]
+    fn no_wait_means_no_deadlock() {
+        // The canonical deadlock pattern: T1 holds a wants b, T2 holds b
+        // wants a. Under no-wait the second acquisition of each simply
+        // fails, so no cycle can ever form.
+        let lt = table();
+        lt.try_acquire(1, b"a", LockMode::Exclusive).unwrap();
+        lt.try_acquire(2, b"b", LockMode::Exclusive).unwrap();
+        assert!(lt.try_acquire(1, b"b", LockMode::Exclusive).is_err());
+        assert!(lt.try_acquire(2, b"a", LockMode::Exclusive).is_err());
+        // One of them aborts (releases) and the other proceeds.
+        lt.release_all(2);
+        assert!(lt.try_acquire(1, b"b", LockMode::Exclusive).is_ok());
+    }
+
+    #[test]
+    fn no_wait_request_does_not_overtake_a_parked_waiter() {
+        // 1 holds S; 2 parks for X; a no-wait S request from 3 is
+        // compatible with the holder but must not jump 2's place in line.
+        let lt = table();
+        lt.try_acquire(1, b"k", LockMode::Shared).unwrap();
+        let lt2 = Arc::clone(&lt);
+        let writer = std::thread::spawn(move || lt2.acquire(2, b"k", LockMode::Exclusive));
+        while lt.state.lock().unwrap().table[&block_of(b"k")]
+            .queue
+            .is_empty()
+        {
+            std::thread::yield_now();
+        }
+        let err = lt.try_acquire(3, b"k", LockMode::Shared).unwrap_err();
+        assert_eq!(err.holders, vec![1]);
+        lt.release_all(1);
+        writer.join().unwrap().unwrap();
+        assert_eq!(lt.holders(b"k"), vec![2]);
     }
 
     #[test]

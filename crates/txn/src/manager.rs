@@ -1,12 +1,12 @@
 //! The transaction manager: transaction table, WAL integration, commit
 //! protocols, and undo generation for aborts.
 
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, Entry};
 use std::fmt;
 
 use fame_os::OsError;
 
-use crate::locks::{LockConflict, LockManager, LockMode};
+use crate::lock_table::{LockConflict, LockMode, LockTable};
 use crate::log::{LogWriter, Lsn};
 use crate::wal::LogRecord;
 
@@ -152,7 +152,9 @@ pub struct TxnObs {
 /// Transaction table + WAL + locks + commit protocol.
 pub struct TxnManager {
     log: LogWriter,
-    locks: LockManager,
+    /// Key locks, taken no-wait ([`LockTable::try_acquire`]) — nothing
+    /// ever parks here, so the table's wait timeout is never consulted.
+    locks: LockTable,
     active: BTreeMap<TxnId, TxnState>,
     next_id: TxnId,
     policy: CommitPolicy,
@@ -168,7 +170,7 @@ impl TxnManager {
     pub fn new(log: LogWriter, policy: CommitPolicy) -> Self {
         TxnManager {
             log,
-            locks: LockManager::new(),
+            locks: LockTable::new(std::time::Duration::ZERO),
             active: BTreeMap::new(),
             next_id: 1,
             policy,
@@ -178,11 +180,6 @@ impl TxnManager {
             #[cfg(feature = "obs")]
             obs: TxnObs::default(),
         }
-    }
-
-    /// The commit policy in force.
-    pub fn policy(&self) -> CommitPolicy {
-        self.policy
     }
 
     /// Ids of active transactions.
@@ -211,7 +208,7 @@ impl TxnManager {
     /// Take a read lock on a key.
     pub fn lock_read(&mut self, txn: TxnId, key: &[u8]) -> Result<(), TxnError> {
         self.state(txn)?;
-        self.locks.acquire(txn, key, LockMode::Shared)?;
+        self.locks.try_acquire(txn, key, LockMode::Shared)?;
         Ok(())
     }
 
@@ -226,7 +223,7 @@ impl TxnManager {
         new: &[u8],
     ) -> Result<Lsn, TxnError> {
         self.state(txn)?;
-        self.locks.acquire(txn, key, LockMode::Exclusive)?;
+        self.locks.try_acquire(txn, key, LockMode::Exclusive)?;
         let lsn = self.log.append(&LogRecord::Put {
             txn,
             index,
@@ -252,7 +249,7 @@ impl TxnManager {
         old: Vec<u8>,
     ) -> Result<Lsn, TxnError> {
         self.state(txn)?;
-        self.locks.acquire(txn, key, LockMode::Exclusive)?;
+        self.locks.try_acquire(txn, key, LockMode::Exclusive)?;
         let lsn = self.log.append(&LogRecord::Remove {
             txn,
             index,
@@ -281,7 +278,7 @@ impl TxnManager {
     pub fn log_batch(&mut self, txn: TxnId, ops: &[BatchWrite]) -> Result<Lsn, TxnError> {
         self.state(txn)?;
         for op in ops {
-            self.locks.acquire(txn, op.key(), LockMode::Exclusive)?;
+            self.locks.try_acquire(txn, op.key(), LockMode::Exclusive)?;
         }
         let records: Vec<LogRecord> = ops
             .iter()
@@ -327,34 +324,59 @@ impl TxnManager {
         Ok(lsn)
     }
 
-    /// Commit a batch transaction previously logged with
-    /// [`TxnManager::log_batch`]: exactly one log sync acknowledges the
-    /// whole batch regardless of its size. Under `commit-force` that is
-    /// the commit's own sync; under `commit-group` the batch counts as a
-    /// single commit toward the group quota, so grouping still amortizes
-    /// across batches rather than being defeated by large ones.
-    pub fn commit_batch(&mut self, txn: TxnId) -> Result<(), TxnError> {
-        // One commit record + one protocol step — identical durability
-        // path to a single-operation commit, which is the point: batch
-        // size never multiplies syncs.
-        self.commit(txn)
-    }
-
-    /// Commit: append the commit record and sync per the protocol.
+    /// Commit: append the commit record, then the protocol's durability
+    /// step, then release — the three phases below, for a batch of one.
+    /// A transaction logged with [`TxnManager::log_batch`] commits the same
+    /// way: one commit record and one protocol step (one sync under
+    /// `commit-force`, one tick of the `commit-group` quota) regardless of
+    /// its size, so batch size never multiplies syncs.
     ///
     /// The transaction leaves the active table — and drops its locks and
-    /// undo information — only after the protocol's durability step
-    /// succeeds. If the append or sync fails, the transaction stays fully
-    /// active, so the caller can retry the commit or abort it; the old code
-    /// released everything *before* syncing, leaving a half-committed,
-    /// unabortable transaction behind a failed sync.
+    /// undo information — only after the durability step succeeds. If the
+    /// append or sync fails, the transaction stays fully active, so the
+    /// caller can retry the commit or abort it.
     pub fn commit(&mut self, txn: TxnId) -> Result<(), TxnError> {
-        if !self.active.contains_key(&txn) {
-            return Err(TxnError::UnknownTxn(txn));
-        }
         #[cfg(feature = "obs")]
         let t0 = fame_obs::monotonic_ns();
-        self.log.append(&LogRecord::Commit { txn })?;
+        self.append_commits(&[txn])?;
+        self.sync_batch()?;
+        self.finish_commit(txn)?;
+        #[cfg(feature = "obs")]
+        self.obs
+            .commit_latency
+            .record_ns(fame_obs::monotonic_ns() - t0);
+        Ok(())
+    }
+
+    /// Commit phase 1: append the commit records of a whole batch — the
+    /// one transaction of [`TxnManager::commit`], or a group-commit
+    /// leader's drained queue — without syncing or releasing anything.
+    /// Fails atomically per the log's contract: on error no transaction in
+    /// the batch is committed and all stay active/retriable.
+    pub(crate) fn append_commits(&mut self, txns: &[TxnId]) -> Result<Lsn, TxnError> {
+        for &t in txns {
+            if !self.active.contains_key(&t) {
+                return Err(TxnError::UnknownTxn(t));
+            }
+        }
+        Ok(match *txns {
+            // The single-writer commit: no record vector to allocate.
+            [txn] => self.log.append(&LogRecord::Commit { txn })?,
+            // One coalesced device pass ([`LogWriter::append_many`]).
+            _ => {
+                let records: Vec<LogRecord> =
+                    txns.iter().map(|&txn| LogRecord::Commit { txn }).collect();
+                self.log.append_many(&records)?
+            }
+        })
+    }
+
+    /// Commit phase 2: the commit protocol's durability step — the one
+    /// place that decides whether a commit syncs. A batch appended by
+    /// phase 1 counts as a *single* commit toward a `Group` quota, so
+    /// cross-transaction grouping amortizes syncs as writers rise instead
+    /// of being defeated by them.
+    pub(crate) fn sync_batch(&mut self) -> Result<(), TxnError> {
         match self.policy {
             #[cfg(feature = "commit-force")]
             CommitPolicy::Force => self.log.sync()?,
@@ -368,67 +390,13 @@ impl TxnManager {
                 }
             }
         }
-        // Point of no return: the commit record is as durable as the
-        // protocol promises. Now release.
-        self.active.remove(&txn);
-        self.locks.release_all(txn);
-        self.committed += 1;
-        #[cfg(feature = "obs")]
-        self.obs
-            .commit_latency
-            .record_ns(fame_obs::monotonic_ns() - t0);
         Ok(())
     }
 
-    /// Split commit, phase 1 (MultiWriter group commit): append the commit
-    /// records for a whole drained batch in one coalesced device pass
-    /// ([`LogWriter::append_many`]), without syncing or releasing anything.
-    /// Fails atomically per the log's contract: on error no transaction in
-    /// the batch is committed and all stay active/retriable.
-    #[cfg(feature = "multi-writer")]
-    pub fn append_commits(&mut self, txns: &[TxnId]) -> Result<Lsn, TxnError> {
-        for &t in txns {
-            if !self.active.contains_key(&t) {
-                return Err(TxnError::UnknownTxn(t));
-            }
-        }
-        let records: Vec<LogRecord> = txns.iter().map(|&txn| LogRecord::Commit { txn }).collect();
-        Ok(self.log.append_many(&records)?)
-    }
-
-    /// Split commit, phase 2 (MultiWriter group commit): apply the commit
-    /// protocol's durability step for one *drained batch*. The batch counts
-    /// as a single commit toward a `Group` quota — exactly the accounting
-    /// [`TxnManager::commit_batch`] established for write batches — so
-    /// cross-transaction grouping amortizes syncs as writers rise instead
-    /// of being defeated by them. Returns whether a sync was issued.
-    #[cfg(feature = "multi-writer")]
-    pub fn sync_batch(&mut self) -> Result<bool, TxnError> {
-        match self.policy {
-            #[cfg(feature = "commit-force")]
-            CommitPolicy::Force => {
-                self.log.sync()?;
-                Ok(true)
-            }
-            #[cfg(feature = "commit-group")]
-            CommitPolicy::Group { group_size } => {
-                if self.commits_since_sync + 1 >= group_size {
-                    self.log.sync()?;
-                    self.commits_since_sync = 0;
-                    Ok(true)
-                } else {
-                    self.commits_since_sync += 1;
-                    Ok(false)
-                }
-            }
-        }
-    }
-
-    /// Split commit, phase 3 (MultiWriter group commit): the point of no
-    /// return for one transaction of a durable batch — leave the active
-    /// table, release internal locks, count the commit.
-    #[cfg(feature = "multi-writer")]
-    pub fn finish_commit(&mut self, txn: TxnId) -> Result<(), TxnError> {
+    /// Commit phase 3: the point of no return for one transaction of a
+    /// batch that is as durable as the protocol promises — leave the
+    /// active table, release the key locks, count the commit.
+    pub(crate) fn finish_commit(&mut self, txn: TxnId) -> Result<(), TxnError> {
         if self.active.remove(&txn).is_none() {
             return Err(TxnError::UnknownTxn(txn));
         }
@@ -439,9 +407,16 @@ impl TxnManager {
 
     /// Abort: append the abort record and hand back the compensating
     /// actions (newest first) for the caller to apply to storage.
+    ///
+    /// As in [`TxnManager::commit`], the transaction leaves the active
+    /// table only after its record is appended: a failed append keeps the
+    /// undo list and the locks, so the abort can be retried.
     pub fn abort(&mut self, txn: TxnId) -> Result<Vec<UndoAction>, TxnError> {
-        let state = self.active.remove(&txn).ok_or(TxnError::UnknownTxn(txn))?;
+        let Entry::Occupied(entry) = self.active.entry(txn) else {
+            return Err(TxnError::UnknownTxn(txn));
+        };
         self.log.append(&LogRecord::Abort { txn })?;
+        let state = entry.remove();
         self.locks.release_all(txn);
         self.aborted += 1;
         let mut undo = state.undo;
@@ -459,9 +434,7 @@ impl TxnManager {
     /// Write a checkpoint record (call after flushing data pages).
     pub fn checkpoint(&mut self) -> Result<(), TxnError> {
         self.log.append(&LogRecord::Checkpoint)?;
-        self.log.sync()?;
-        self.commits_since_sync = 0;
-        Ok(())
+        self.flush()
     }
 
     /// Seal a completed recovery. The losers' effects were just compensated
@@ -473,10 +446,7 @@ impl TxnManager {
         for &t in losers {
             self.log.append(&LogRecord::Abort { txn: t })?;
         }
-        self.log.append(&LogRecord::Checkpoint)?;
-        self.log.sync()?;
-        self.commits_since_sync = 0;
-        Ok(())
+        self.checkpoint()
     }
 
     /// Syncs issued on the log device so far (protocol comparison metric).
@@ -713,7 +683,7 @@ mod tests {
             let mut m = manager(CommitPolicy::Force);
             let t = m.begin().unwrap();
             m.log_batch(t, &batch(n)).unwrap();
-            m.commit_batch(t).unwrap();
+            m.commit(t).unwrap();
             assert_eq!(m.log_device_stats().syncs, 1, "batch of {n}: one sync");
             assert_eq!(m.stats(), (1, 0));
             assert!(m.active().is_empty());
@@ -727,7 +697,7 @@ mod tests {
         for _ in 0..8 {
             let t = m.begin().unwrap();
             m.log_batch(t, &batch(16)).unwrap();
-            m.commit_batch(t).unwrap();
+            m.commit(t).unwrap();
         }
         assert_eq!(
             m.log_device_stats().syncs,
@@ -806,7 +776,7 @@ mod tests {
         let mut b = manager(CommitPolicy::Force);
         let t = b.begin().unwrap();
         b.log_batch(t, &ops).unwrap();
-        b.commit_batch(t).unwrap();
+        b.commit(t).unwrap();
 
         let (ra, _) = LogReader::new(a.into_log().into_device())
             .read_all()

@@ -12,22 +12,26 @@
 //!   mutex, so conflicting transactions serialize by waiting while
 //!   disjoint ones interleave freely;
 //! * a leader-based **group commit**: committers enqueue their `TxnId` and
-//!   the first one in becomes leader, draining the queue into one
-//!   [`TxnManager::append_commits`] (a single `append_many` device pass)
-//!   plus one protocol sync per drain — N concurrent writers cost ~one
-//!   fsync per drain instead of one each. Followers park on a condvar
-//!   until the leader posts their result.
+//!   the first one in becomes leader, draining the queue through the
+//!   manager's three commit phases — one coalesced commit-record append
+//!   (a single `append_many` device pass) plus one protocol sync per
+//!   drain — N concurrent writers cost ~one fsync per drain instead of one
+//!   each. Followers park on a condvar until the leader posts their
+//!   result.
 //!
 //! # Invariants
 //!
 //! 1. **Lock order**: `LockTable` → storage mutex → manager mutex. The
 //!    group-state mutex is held only while queueing/collecting, never
 //!    across the drain (the leader drops it before touching the manager).
-//! 2. **Grant superset**: the inner no-wait [`LockManager`](crate::locks)
-//!    stays active as a safety net; because every key's `LockTable` block
-//!    lock is taken first and released last, the no-wait acquire inside
-//!    `log_*` can never see a conflict from a live transaction — the
-//!    blocking table's grant set is a superset of the inner one's.
+//! 2. **Grant superset**: the wrapped manager's own [`LockTable`] — the
+//!    same type, taken no-wait (`try_acquire`) inside `log_*` — stays
+//!    active as a safety net under the blocking one held here. Every
+//!    key's outer block lock is taken first and released last, so the
+//!    inner acquire can never see a conflict from a live transaction: the
+//!    outer table's grant set is a superset of the inner one's. A caller
+//!    that logs without the outer lock gets [`TxnError::Conflict`] from
+//!    the net instead of a lost update.
 //! 3. **Failed drains leave every transaction active**: if the leader's
 //!    append or sync fails, no transaction in the batch is finished,
 //!    all locks stay held, and each committer gets an error
@@ -37,10 +41,9 @@ use std::collections::HashMap;
 use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
-use crate::lock_table::LockTable;
-use crate::locks::LockMode;
+use crate::lock_table::{LockMode, LockTable};
 use crate::log::Lsn;
-use crate::manager::{BatchWrite, TxnError, TxnManager, UndoAction};
+use crate::manager::{TxnError, TxnManager, UndoAction};
 use crate::wal::TxnId;
 
 /// Version-install callback (Snapshot feature): `(drained batch,
@@ -201,14 +204,6 @@ impl SharedTxnManager {
         self.inner().log_remove(txn, index, key, old)
     }
 
-    /// Block-lock every key of a batch, then log it in one device pass.
-    pub fn log_batch(&self, txn: TxnId, ops: &[BatchWrite]) -> Result<Lsn, TxnError> {
-        for op in ops {
-            self.locks.acquire(txn, op.key(), LockMode::Exclusive)?;
-        }
-        self.inner().log_batch(txn, ops)
-    }
-
     /// Commit through the group channel. The first committer to arrive
     /// while no drain is running becomes leader and drains everyone
     /// queued — including transactions that enqueue *during* its drain —
@@ -337,11 +332,6 @@ impl SharedTxnManager {
         self.locks.release_all(txn);
     }
 
-    /// Force any unsynced group-commit tail to the device.
-    pub fn flush(&self) -> Result<(), TxnError> {
-        self.inner().flush()
-    }
-
     /// `(committed, aborted)` counters.
     pub fn stats(&self) -> (u64, u64) {
         self.inner().stats()
@@ -357,11 +347,6 @@ impl SharedTxnManager {
         self.inner().log_syncs()
     }
 
-    /// Total bytes ever appended to the log.
-    pub fn log_bytes(&self) -> u64 {
-        self.inner().log_bytes()
-    }
-
     /// Raw device counters of the log device.
     pub fn log_device_stats(&self) -> fame_os::DeviceStats {
         self.inner().log_device_stats()
@@ -371,12 +356,6 @@ impl SharedTxnManager {
     /// obs snapshots — facade plumbing that needs the raw manager).
     pub fn with_inner<R>(&self, f: impl FnOnce(&mut TxnManager) -> R) -> R {
         f(&mut self.inner())
-    }
-
-    /// Unwrap (tests/recovery round trips). Panics if another handle is
-    /// still using the manager.
-    pub fn into_inner(self) -> TxnManager {
-        self.inner.into_inner().expect("txn manager poisoned")
     }
 }
 

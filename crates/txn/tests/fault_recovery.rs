@@ -4,6 +4,8 @@
 
 use fame_os::{BlockDevice, FaultDevice, FaultPlan, InMemoryDevice};
 use fame_txn::{recover, LogReader, LogRecord, LogWriter, RecoveryTarget};
+#[cfg(feature = "commit-force")]
+use fame_txn::{CommitPolicy, TxnError, TxnManager};
 
 use std::collections::BTreeMap;
 
@@ -237,4 +239,54 @@ fn recovery_after_partial_log_is_consistent() {
             assert!(!stats.winners.contains(&2), "cut at {cut}");
         }
     }
+}
+
+/// An abort whose `Abort` record cannot be appended must leave the
+/// transaction exactly as it was — active, undo list intact, lock held —
+/// so the abort can be retried once the device is back. Dropping it
+/// before the append loses the undo list and leaves the key locked forever.
+#[cfg(feature = "commit-force")]
+#[test]
+fn failed_abort_append_keeps_the_transaction_abortable() {
+    let manager = |dev: Box<dyn BlockDevice>| {
+        TxnManager::new(LogWriter::new(dev, 0).unwrap(), CommitPolicy::Force)
+    };
+    let prefix = |m: &mut TxnManager| {
+        let t = m.begin().unwrap();
+        m.log_put(t, 0, b"k", None, b"v").unwrap();
+        t
+    };
+    // Dry run on a healthy device: how many page writes the prefix takes,
+    // so the fault lands on the very next one — the `Abort` record.
+    let mut dry = manager(Box::new(InMemoryDevice::new(128)));
+    prefix(&mut dry);
+    let plan = FaultPlan {
+        fail_after_writes: Some(dry.log_device_stats().writes),
+        ..Default::default()
+    };
+    let fault = fame_os::SharedDevice::new(FaultDevice::new(InMemoryDevice::new(128), plan));
+    let handle = fault.clone();
+    let mut m = manager(Box::new(fault));
+    let t = prefix(&mut m);
+
+    assert!(matches!(m.abort(t), Err(TxnError::Os(_))), "append fails");
+    assert_eq!(m.active(), vec![t], "the failed abort left t active");
+    assert_eq!(m.stats(), (0, 0));
+
+    handle.with(|d| d.heal());
+    let t2 = m.begin().unwrap();
+    assert!(
+        matches!(
+            m.log_put(t2, 0, b"k", None, b"x"),
+            Err(TxnError::Conflict(_))
+        ),
+        "t still holds its exclusive lock after the failed abort"
+    );
+    let undo = m.abort(t).unwrap();
+    assert_eq!(undo.len(), 1, "the undo list survived the failed abort");
+    assert_eq!(undo[0].key, b"k");
+    assert_eq!(undo[0].restore, None);
+    assert_eq!(m.stats(), (0, 1));
+    m.log_put(t2, 0, b"k", None, b"x").unwrap();
+    m.commit(t2).unwrap();
 }

@@ -101,47 +101,30 @@ fn print_stats(_db: &mut Database) {
     println!("(statistics feature not compiled into this product)");
 }
 
-/// `.trace <n>`: the last `n` causal span events of the flight recorder.
-#[cfg(feature = "obs-trace")]
+/// `.trace <n>`: the last `n` span events — the flight recorder's causal
+/// events with `obs-trace`, else the op trace of plain `statistics`. One
+/// event type, one line format (`SpanEvent`'s `Display`).
+#[cfg(feature = "statistics")]
 fn print_trace(db: &Database, n: usize) {
-    let dump = db.dump_trace();
-    if dump.events.is_empty() {
-        println!("(no span events recorded yet)");
-        return;
-    }
-    println!("at_ns            kind             txn    parent a          b");
-    for e in dump.events.iter().rev().take(n).rev() {
-        println!(
-            "{:<16} {:<16} {:<6} {:<6} {:<10} {}",
-            e.at_ns,
-            e.kind.label(),
-            e.txn,
-            e.parent,
-            e.a,
-            e.b
-        );
-    }
-    println!(
-        "({} shown of {} retained; {} recorded since open)",
-        dump.events.len().min(n),
-        dump.events.len(),
-        dump.windows.recorded
+    #[cfg(feature = "obs-trace")]
+    let (events, source) = (db.dump_trace().events, "flight recorder");
+    #[cfg(not(feature = "obs-trace"))]
+    let (events, source) = (
+        db.op_trace(),
+        "op trace; compose the obs-trace feature in for causal spans",
     );
-}
-
-/// Without the Tracing child the op-trace ring (plain `statistics`) is
-/// the best available record.
-#[cfg(all(feature = "statistics", not(feature = "obs-trace")))]
-fn print_trace(db: &Database, n: usize) {
-    let events = db.op_trace();
     if events.is_empty() {
-        println!("(no ops traced yet)");
+        println!("(no events recorded yet)");
         return;
     }
     for e in events.iter().rev().take(n).rev() {
-        println!("{e:?}");
+        println!("{e}");
     }
-    println!("(op-trace ring; compose the obs-trace feature in for causal spans)");
+    println!(
+        "({} shown of {} retained; {source})",
+        events.len().min(n),
+        events.len()
+    );
 }
 
 #[cfg(not(feature = "statistics"))]

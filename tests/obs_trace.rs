@@ -289,12 +289,20 @@ fn facade_transactions_emit_spans() {
     let t = db.begin().unwrap();
     db.txn_put(t, b"k2", b"v2").unwrap();
     db.abort(t).unwrap();
+    assert_eq!(db.get(b"k").unwrap().as_deref(), Some(b"v".as_slice()));
 
     let dump = db.dump_trace();
     let kinds: Vec<SpanKind> = dump.events.iter().map(|e| e.kind).collect();
     assert!(kinds.contains(&SpanKind::TxnBegin));
     assert!(kinds.contains(&SpanKind::TxnCommit));
     assert!(kinds.contains(&SpanKind::TxnAbort));
+    // Each lifecycle edge once — and the plain `get` only in the op trace:
+    // facade operations would evict the causal events from the recorder.
+    assert_eq!(kinds.len(), 4, "{kinds:?}");
+    assert!(!kinds.contains(&SpanKind::Get));
+    let ops: Vec<SpanKind> = db.op_trace().iter().map(|e| e.kind).collect();
+    assert_eq!(ops.len(), 5, "{ops:?}");
+    assert_eq!(ops.last(), Some(&SpanKind::Get));
 
     let stats = db.stats().unwrap();
     assert!(stats.windows.recorded >= 3);
