@@ -3,9 +3,9 @@
 //! The batched write path (feature `Batch`, Fig. 2: Access → API) buys its
 //! speed in three places: one `WriteBatch` is one transaction (one commit
 //! record, one durability sync instead of one per record), its log records
-//! are encoded into a single frame run that `LogWriter::append_many`
-//! writes with one pass over the tail pages, and the sorted run lets the
-//! B+-tree reuse the descent path across adjacent keys.
+//! are encoded into a single frame run (`TxnManager::log_batch`) copied
+//! into the log tail in one pass, and the sorted run lets the B+-tree
+//! reuse the descent path across adjacent keys.
 //!
 //! This harness sweeps batch size × index × commit policy and reports
 //! ops/s and log syncs per op. The headline cell: under ForceCommit on the

@@ -27,6 +27,27 @@
 //! page checksums or double-write buffer in this engine), so torn data
 //! writes are out of scope here — the data device crashes cleanly at a
 //! write boundary of its volatile cache.
+//!
+//! **Write-through rows** ([`TortureSpec::write_through`]) run the same
+//! workload on devices with no volatile cache — every accepted write is on
+//! the media — and a pool of two frames, so a dirty leaf holding
+//! *uncommitted* effects is evicted onto the media in the middle of a
+//! transaction. That is the interleaving the buffered log tail must
+//! survive: the record of a put has to be written (not synced — these
+//! media have no cache) before the page carrying the put, or recovery has
+//! nothing to undo it with. A write-back device never shows this: an
+//! evicted page sits in the cache until the next barrier, and
+//! `Database::sync` syncs the log first.
+//!
+//! With no cache to drop, the media change write by write, and a logical
+//! (key-level) WAL does not repair an index whose multi-page update was
+//! cut in half — the same limit as torn data writes above. So these rows
+//! keep the index structure still: the universe starts as a committed,
+//! checkpointed image of every key at its largest value (no later put can
+//! overflow a page; the checkpoint also means recovery redoes none of the
+//! image, so nothing papers over a missing undo), the workload overwrites
+//! and never removes (no node merges), and only the *log* device's crash
+//! points are swept.
 
 use std::collections::BTreeMap;
 
@@ -66,6 +87,10 @@ pub struct TortureSpec {
     /// (E10) instead of per-record calls. Aborting slots become poisoned
     /// batches that must be rejected without any effect.
     pub batched: bool,
+    /// Run on write-through devices (no volatile cache), from a preloaded
+    /// universe, sweeping the log device's crash points only — see the
+    /// module docs.
+    pub write_through: bool,
 }
 
 /// Index choice, decoupled from `IndexKind`'s cfg-gated constructors.
@@ -114,11 +139,45 @@ impl TortureResult {
     }
 }
 
-fn fresh_dev(page_size: usize) -> Dev {
-    SharedDevice::new(FaultDevice::write_back(
-        InMemoryDevice::new(page_size),
-        FaultPlan::default(),
-    ))
+fn fresh_dev(spec: &TortureSpec) -> Dev {
+    let (inner, plan) = (InMemoryDevice::new(512), FaultPlan::default());
+    SharedDevice::new(if spec.write_through {
+        FaultDevice::new(inner, plan)
+    } else {
+        FaultDevice::write_back(inner, plan)
+    })
+}
+
+/// The state every universe of `spec` starts from: empty, or — for the
+/// write-through rows — every key at a value no workload value outgrows.
+fn base_state(spec: &TortureSpec) -> Model {
+    if !spec.write_through {
+        return Model::new();
+    }
+    let seed = |n| format!("seed-{n:03}-{}", "s".repeat(27)).into_bytes();
+    (0..KEY_UNIVERSE).map(|n| (key(n), seed(n))).collect()
+}
+
+/// A fresh `(data, log)` pair holding [`base_state`], fault counters at
+/// zero. The base image is committed, synced and — by the reopen, whose
+/// recovery seals the log — checkpointed.
+fn fresh_universe(spec: &TortureSpec) -> (Dev, Dev) {
+    let (data, log) = (fresh_dev(spec), fresh_dev(spec));
+    let base = base_state(spec);
+    if !base.is_empty() {
+        let mut db = open(spec, &data, &log).expect("fault-free preload open");
+        let t = db.begin().expect("preload begin");
+        for (k, v) in &base {
+            db.txn_put(t, k, v).expect("preload put");
+        }
+        db.commit(t).expect("preload commit");
+        db.sync().expect("preload sync");
+        drop(db);
+        drop(open(spec, &data, &log).expect("fault-free preload reopen"));
+        data.with(|d| d.heal());
+        log.with(|d| d.heal());
+    }
+    (data, log)
 }
 
 fn config_for(spec: &TortureSpec) -> DbmsConfig {
@@ -167,7 +226,7 @@ fn build_batch(spec: &TortureSpec, j: usize) -> WriteBatch {
     let mut b = WriteBatch::new();
     for i in 0..spec.ops_per_txn {
         let k = key(j * spec.ops_per_txn + i);
-        if is_remove(j, i) {
+        if is_remove(spec, j, i) {
             b.remove(&k);
         } else {
             b.put(&k, &value(j, i));
@@ -179,21 +238,24 @@ fn build_batch(spec: &TortureSpec, j: usize) -> WriteBatch {
     b
 }
 
-/// Is operation `i` of transaction `j` a remove?
-fn is_remove(j: usize, i: usize) -> bool {
-    (j * 3 + i) % 5 == 4
+/// Is operation `i` of transaction `j` a remove? Never in a write-through
+/// row: removes merge B-tree nodes, and those rows keep the index
+/// structure still (module docs).
+fn is_remove(spec: &TortureSpec, j: usize, i: usize) -> bool {
+    !spec.write_through && (j * 3 + i) % 5 == 4
 }
 
 /// Pure model of the workload: the key/value state after each committed
-/// prefix. `states[0]` is empty, `states[m]` the state after `m` commits.
+/// prefix. `states[0]` is the base state, `states[m]` the state after `m`
+/// commits.
 fn committed_states(spec: &TortureSpec) -> Vec<Model> {
-    let mut states = vec![Model::new()];
-    let mut cur = Model::new();
+    let mut cur = base_state(spec);
+    let mut states = vec![cur.clone()];
     for j in 0..spec.txns {
         let mut draft = cur.clone();
         for i in 0..spec.ops_per_txn {
             let k = key(j * spec.ops_per_txn + i);
-            if is_remove(j, i) {
+            if is_remove(spec, j, i) {
                 draft.remove(&k);
             } else {
                 draft.insert(k, value(j, i));
@@ -262,7 +324,7 @@ fn run_workload(db: &mut Database, spec: &TortureSpec, log: &Dev, data: &Dev) ->
             };
             for i in 0..spec.ops_per_txn {
                 let k = key(j * spec.ops_per_txn + i);
-                let r = if is_remove(j, i) {
+                let r = if is_remove(spec, j, i) {
                     db.txn_remove(t, &k).map(|_| ())
                 } else {
                     db.txn_put(t, &k, &value(j, i)).map(|_| ())
@@ -306,7 +368,7 @@ fn run_workload(db: &mut Database, spec: &TortureSpec, log: &Dev, data: &Dev) ->
         for j in 0..spec.txns {
             for i in 0..spec.ops_per_txn {
                 let k = key(j * spec.ops_per_txn + i);
-                let r = if is_remove(j, i) {
+                let r = if is_remove(spec, j, i) {
                     db.remove(&k).map(|_| ())
                 } else {
                     db.put(&k, &value(j, i)).map(|_| ())
@@ -340,8 +402,7 @@ pub struct Recording {
 
 /// Fault-free run: sizes the sweep and snapshots the oracles.
 pub fn record(spec: &TortureSpec) -> Recording {
-    let data = fresh_dev(512);
-    let log = fresh_dev(512);
+    let (data, log) = fresh_universe(spec);
     let mut db = open(spec, &data, &log).expect("fault-free open");
 
     // For the non-txn oracle, sample the state at each explicit sync by
@@ -354,7 +415,7 @@ pub fn record(spec: &TortureSpec) -> Recording {
                 let mut draft = model.clone();
                 for i in 0..spec.ops_per_txn {
                     let k = key(j * spec.ops_per_txn + i);
-                    if is_remove(j, i) {
+                    if is_remove(spec, j, i) {
                         draft.remove(&k);
                     } else {
                         draft.insert(k, value(j, i));
@@ -373,7 +434,7 @@ pub fn record(spec: &TortureSpec) -> Recording {
             } else {
                 for i in 0..spec.ops_per_txn {
                     let k = key(j * spec.ops_per_txn + i);
-                    if is_remove(j, i) {
+                    if is_remove(spec, j, i) {
                         model.remove(&k);
                         db.remove(&k).expect("fault-free remove");
                     } else {
@@ -423,8 +484,7 @@ fn crash_once(
     plan_log: Option<FaultPlan>,
     plan_data: Option<FaultPlan>,
 ) -> CrashRow {
-    let data = fresh_dev(512);
-    let log = fresh_dev(512);
+    let (data, log) = fresh_universe(spec);
     if let Some(p) = plan_log {
         log.with(|d| d.set_plan(p));
     }
@@ -633,9 +693,10 @@ pub fn torture(spec: &TortureSpec) -> TortureResult {
         }
     }
     // Crash on the k-th data write: clean only (no torn-page protection on
-    // data media — see the module docs).
+    // data media), and only where a volatile cache makes the media change
+    // barrier by barrier — see the module docs.
     let mut k = 1;
-    while k <= rec.data_writes {
+    while !spec.write_through && k <= rec.data_writes {
         out.rows.push(crash_once(
             spec,
             &rec,
@@ -664,6 +725,7 @@ pub fn default_specs() -> Vec<TortureSpec> {
             ops_per_txn: 4,
             stride: 1,
             batched: false,
+            write_through: false,
         },
         TortureSpec {
             name: "btree/buffered/group3",
@@ -674,6 +736,7 @@ pub fn default_specs() -> Vec<TortureSpec> {
             ops_per_txn: 4,
             stride: 1,
             batched: false,
+            write_through: false,
         },
         TortureSpec {
             name: "list/buffered/force",
@@ -684,6 +747,7 @@ pub fn default_specs() -> Vec<TortureSpec> {
             ops_per_txn: 4,
             stride: 2,
             batched: false,
+            write_through: false,
         },
         TortureSpec {
             name: "hash/buffered/group2",
@@ -694,6 +758,7 @@ pub fn default_specs() -> Vec<TortureSpec> {
             ops_per_txn: 4,
             stride: 2,
             batched: false,
+            write_through: false,
         },
         TortureSpec {
             name: "btree/unbuffered/no-txn",
@@ -704,6 +769,7 @@ pub fn default_specs() -> Vec<TortureSpec> {
             ops_per_txn: 4,
             stride: 2,
             batched: false,
+            write_through: false,
         },
         TortureSpec {
             name: "list/unbuffered/no-txn",
@@ -714,6 +780,7 @@ pub fn default_specs() -> Vec<TortureSpec> {
             ops_per_txn: 4,
             stride: 2,
             batched: false,
+            write_through: false,
         },
         // E10: batched write path — each slot is one WriteBatch applied
         // through the coalesced WAL commit; recovery must observe every
@@ -727,6 +794,7 @@ pub fn default_specs() -> Vec<TortureSpec> {
             ops_per_txn: 6,
             stride: 1,
             batched: true,
+            write_through: false,
         },
         TortureSpec {
             name: "hash/batched/group3",
@@ -737,6 +805,7 @@ pub fn default_specs() -> Vec<TortureSpec> {
             ops_per_txn: 6,
             stride: 2,
             batched: true,
+            write_through: false,
         },
         TortureSpec {
             name: "list/batched/no-txn",
@@ -747,6 +816,44 @@ pub fn default_specs() -> Vec<TortureSpec> {
             ops_per_txn: 6,
             stride: 2,
             batched: true,
+            write_through: false,
+        },
+        // Write-through media, a pool of two frames, transactions that
+        // straddle leaves: uncommitted pages are evicted onto the media
+        // mid-transaction, and only the log-tail barrier in front of the
+        // data device keeps them undoable.
+        TortureSpec {
+            name: "btree/2-frames/force/wt",
+            index: TortureIndex::BTree,
+            buffer_frames: Some(2),
+            commit: Some(CommitPolicy::Force),
+            txns: 10,
+            ops_per_txn: 6,
+            stride: 1,
+            batched: false,
+            write_through: true,
+        },
+        TortureSpec {
+            name: "btree/2-frames/group3/wt",
+            index: TortureIndex::BTree,
+            buffer_frames: Some(2),
+            commit: Some(CommitPolicy::Group { group_size: 3 }),
+            txns: 10,
+            ops_per_txn: 6,
+            stride: 1,
+            batched: false,
+            write_through: true,
+        },
+        TortureSpec {
+            name: "btree/2-frames/batched/wt",
+            index: TortureIndex::BTree,
+            buffer_frames: Some(2),
+            commit: Some(CommitPolicy::Force),
+            txns: 10,
+            ops_per_txn: 6,
+            stride: 1,
+            batched: true,
+            write_through: true,
         },
     ]
 }

@@ -395,6 +395,43 @@ impl Database {
             let io = observed.timing();
             (Box::new(observed) as Box<dyn BlockDevice>, io)
         };
+        // Read the surviving log back *before* the pool exists: the
+        // records position the writer's resume LSN and drive recovery once
+        // the facade is assembled, and the writer's barrier goes in front
+        // of the data device — appends are buffered, so no data page may
+        // be written ahead of the log records describing it (the WAL rule,
+        // for both pools and for evictions by reader threads alike).
+        #[cfg(feature = "transactions")]
+        let (device, txn, replay) = match (&config.transactions, log_device) {
+            (Some(tc), Some(log_dev)) => {
+                let mut reader = fame_txn::LogReader::new(log_dev);
+                let (records, resume) = reader.read_all()?;
+                let writer = fame_txn::LogWriter::new(reader.into_device(), resume)?;
+                let ordered = fame_os::OrderedDevice::new(device, writer.barrier());
+                let mut mgr = fame_txn::TxnManager::new(writer, tc.commit);
+                mgr.resume_ids_after(
+                    records
+                        .iter()
+                        .filter_map(|(_, r)| r.txn())
+                        .max()
+                        .unwrap_or(0),
+                );
+                (
+                    Box::new(ordered) as Box<dyn BlockDevice>,
+                    Some(mgr),
+                    Some((records, resume)),
+                )
+            }
+            (Some(_), None) => {
+                return Err(DbmsError::Config(
+                    "transactions enabled but no log device supplied".into(),
+                ))
+            }
+            (None, _) => (device, None, None),
+        };
+        #[cfg(not(feature = "transactions"))]
+        drop(log_device);
+
         let pool = make_pool(&config, device);
         let mut pager = Pager::open(pool)?;
 
@@ -415,30 +452,6 @@ impl Database {
                 None => HashIndex::create(&mut pager, KV_ROOT_SLOT, *buckets)?,
             }),
         };
-
-        // Read the surviving log back *before* attaching the writer: the
-        // records both position the writer's resume LSN and drive recovery
-        // once the facade is assembled.
-        #[cfg(feature = "transactions")]
-        let (txn, replay) = match (&config.transactions, log_device) {
-            (Some(tc), Some(log_dev)) => {
-                let mut reader = fame_txn::LogReader::new(log_dev);
-                let (records, resume) = reader.read_all()?;
-                let writer = fame_txn::LogWriter::new(reader.into_device(), resume)?;
-                (
-                    Some(fame_txn::TxnManager::new(writer, tc.commit)),
-                    Some((records, resume)),
-                )
-            }
-            (Some(_), None) => {
-                return Err(DbmsError::Config(
-                    "transactions enabled but no log device supplied".into(),
-                ))
-            }
-            (None, _) => (None, None),
-        };
-        #[cfg(not(feature = "transactions"))]
-        drop(log_device);
 
         #[cfg(feature = "replication")]
         let replication = config.replication.map(fame_repl::Primary::new);
@@ -823,7 +836,7 @@ impl Database {
     /// through the bulk storage path ([`fame_storage::BTree::apply_sorted`]
     /// / `insert_many`). With transactions configured the batch is one
     /// transaction: every record is encoded into a single WAL frame run
-    /// (`LogWriter::append_many`) and committed with exactly one log sync,
+    /// (`TxnManager::log_batch`) and committed with exactly one log sync,
     /// so recovery observes the batch entirely or not at all. Without
     /// transactions, record sizes are validated before any page is touched
     /// but crash atomicity is — as for single-record writes — not provided.

@@ -26,10 +26,7 @@ pub(crate) fn make_device(config: &DbmsConfig) -> Result<Box<dyn BlockDevice>> {
 
     #[cfg(feature = "crypto")]
     if let Some(key) = &config.crypto_key {
-        return Ok(Box::new(WrapCrypto {
-            inner: dev,
-            cipher: fame_storage::crypto::PageCipher::new(key),
-        }));
+        return Ok(Box::new(fame_storage::CryptoDevice::new(dev, key)));
     }
     Ok(dev)
 }
@@ -82,50 +79,6 @@ fn new_inmem_log(page_size: usize) -> impl BlockDevice {
             capacity_pages: 16 * 256,
             erase_endurance: None,
         })
-    }
-}
-
-/// Crypto wrapper over a boxed device (the generic
-/// `fame_storage::CryptoDevice<D>` needs a concrete `D`; products hold
-/// devices as trait objects).
-#[cfg(feature = "crypto")]
-struct WrapCrypto {
-    inner: Box<dyn BlockDevice>,
-    cipher: fame_storage::crypto::PageCipher,
-}
-
-#[cfg(feature = "crypto")]
-impl BlockDevice for WrapCrypto {
-    fn page_size(&self) -> usize {
-        self.inner.page_size()
-    }
-    fn num_pages(&self) -> u32 {
-        self.inner.num_pages()
-    }
-    fn read_page(
-        &mut self,
-        page: u32,
-        buf: &mut [u8],
-    ) -> std::result::Result<(), fame_os::OsError> {
-        self.inner.read_page(page, buf)?;
-        if buf.iter().any(|&b| b != 0) {
-            self.cipher.decrypt_page(page, buf);
-        }
-        Ok(())
-    }
-    fn write_page(&mut self, page: u32, buf: &[u8]) -> std::result::Result<(), fame_os::OsError> {
-        let mut ct = buf.to_vec();
-        self.cipher.encrypt_page(page, &mut ct);
-        self.inner.write_page(page, &ct)
-    }
-    fn ensure_pages(&mut self, pages: u32) -> std::result::Result<(), fame_os::OsError> {
-        self.inner.ensure_pages(pages)
-    }
-    fn sync(&mut self) -> std::result::Result<(), fame_os::OsError> {
-        self.inner.sync()
-    }
-    fn stats(&self) -> fame_os::DeviceStats {
-        self.inner.stats()
     }
 }
 

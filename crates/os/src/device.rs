@@ -113,6 +113,46 @@ pub trait BlockDevice: Send + Sync {
     fn stats(&self) -> DeviceStats;
 }
 
+/// A boxed device is a device: decorators generic over `D: BlockDevice`
+/// (the crypto wrapper, the fault injector) stack over trait objects too.
+impl<D: BlockDevice + ?Sized> BlockDevice for Box<D> {
+    fn page_size(&self) -> usize {
+        (**self).page_size()
+    }
+
+    fn num_pages(&self) -> u32 {
+        (**self).num_pages()
+    }
+
+    fn read_page(&mut self, page: PageId, buf: &mut [u8]) -> Result<()> {
+        (**self).read_page(page, buf)
+    }
+
+    fn supports_shared_read(&self) -> bool {
+        (**self).supports_shared_read()
+    }
+
+    fn read_page_at(&self, page: PageId, buf: &mut [u8]) -> Result<()> {
+        (**self).read_page_at(page, buf)
+    }
+
+    fn write_page(&mut self, page: PageId, buf: &[u8]) -> Result<()> {
+        (**self).write_page(page, buf)
+    }
+
+    fn ensure_pages(&mut self, pages: u32) -> Result<()> {
+        (**self).ensure_pages(pages)
+    }
+
+    fn sync(&mut self) -> Result<()> {
+        (**self).sync()
+    }
+
+    fn stats(&self) -> DeviceStats {
+        (**self).stats()
+    }
+}
+
 /// Validate a caller-provided buffer length against the device page size.
 pub(crate) fn check_buf(page_size: usize, buf_len: usize) -> Result<()> {
     if buf_len != page_size {

@@ -1,7 +1,6 @@
 //! `std::fs` block device — the Linux/Win32 port of the OS abstraction.
 
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -60,6 +59,32 @@ impl FileDevice {
     fn offset(&self, page: PageId) -> u64 {
         page as u64 * self.page_size as u64
     }
+
+    /// Positional read: one `pread` on unix, seek + read elsewhere.
+    fn read_at(&self, buf: &mut [u8], offset: u64) -> std::io::Result<()> {
+        #[cfg(unix)]
+        return std::os::unix::fs::FileExt::read_exact_at(&self.file, buf, offset);
+        #[cfg(not(unix))]
+        {
+            use std::io::{Read, Seek, SeekFrom};
+            let mut file = &self.file;
+            file.seek(SeekFrom::Start(offset))?;
+            file.read_exact(buf)
+        }
+    }
+
+    /// Positional write: one `pwrite` on unix, seek + write elsewhere.
+    fn write_at(&self, buf: &[u8], offset: u64) -> std::io::Result<()> {
+        #[cfg(unix)]
+        return std::os::unix::fs::FileExt::write_all_at(&self.file, buf, offset);
+        #[cfg(not(unix))]
+        {
+            use std::io::{Seek, SeekFrom, Write};
+            let mut file = &self.file;
+            file.seek(SeekFrom::Start(offset))?;
+            file.write_all(buf)
+        }
+    }
 }
 
 impl BlockDevice for FileDevice {
@@ -74,8 +99,7 @@ impl BlockDevice for FileDevice {
     fn read_page(&mut self, page: PageId, buf: &mut [u8]) -> Result<()> {
         check_buf(self.page_size, buf.len())?;
         check_range(page, self.num_pages)?;
-        self.file.seek(SeekFrom::Start(self.offset(page)))?;
-        self.file.read_exact(buf)?;
+        self.read_at(buf, self.offset(page))?;
         self.stats.reads += 1;
         Ok(())
     }
@@ -83,8 +107,7 @@ impl BlockDevice for FileDevice {
     fn write_page(&mut self, page: PageId, buf: &[u8]) -> Result<()> {
         check_buf(self.page_size, buf.len())?;
         check_range(page, self.num_pages)?;
-        self.file.seek(SeekFrom::Start(self.offset(page)))?;
-        self.file.write_all(buf)?;
+        self.write_at(buf, self.offset(page))?;
         self.stats.writes += 1;
         Ok(())
     }
@@ -109,10 +132,9 @@ impl BlockDevice for FileDevice {
 
     #[cfg(unix)]
     fn read_page_at(&self, page: PageId, buf: &mut [u8]) -> Result<()> {
-        use std::os::unix::fs::FileExt;
         check_buf(self.page_size, buf.len())?;
         check_range(page, self.num_pages)?;
-        self.file.read_exact_at(buf, self.offset(page))?;
+        self.read_at(buf, self.offset(page))?;
         self.shared_reads.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
@@ -189,7 +211,7 @@ mod tests {
         let mut out = vec![0; 128];
         d.read_page_at(2, &mut out).unwrap();
         assert_eq!(out, vec![0x77; 128]);
-        // Positional reads do not disturb the seek-based path.
+        // Shared and exclusive reads see the same bytes.
         let mut out2 = vec![0; 128];
         d.read_page(2, &mut out2).unwrap();
         assert_eq!(out2, vec![0x77; 128]);

@@ -14,7 +14,9 @@
 //!   so this simulation exercises the same code paths (page-aligned I/O,
 //!   no overwrite in place, tight RAM);
 //! * [`fault::FaultDevice`] — a wrapper that injects I/O failures and torn
-//!   writes for crash/recovery testing (cargo feature `fault`).
+//!   writes for crash/recovery testing (cargo feature `fault`);
+//! * [`ordered::OrderedDevice`] — a wrapper that runs a barrier before
+//!   every page write (the write-ahead rule of a buffered log).
 //!
 //! It also hosts the frame-allocation policies (feature *Memory Alloc*:
 //! `Static` vs `Dynamic`) used by the buffer manager.
@@ -31,6 +33,7 @@ pub mod flash;
 pub mod memory;
 #[cfg(feature = "obs")]
 pub mod observed;
+pub mod ordered;
 pub mod shared;
 
 pub use alloc::{AllocPolicy, FrameAllocator};
@@ -45,4 +48,5 @@ pub use flash::{FlashConfig, FlashDevice};
 pub use memory::InMemoryDevice;
 #[cfg(feature = "obs")]
 pub use observed::{IoTiming, IoTimingSnapshot, ObservedDevice};
+pub use ordered::OrderedDevice;
 pub use shared::SharedDevice;

@@ -2,11 +2,25 @@
 //!
 //! The log treats the device as a byte stream: records are framed as
 //! `[len:u32][checksum:u32][payload]` and packed back to back across page
-//! boundaries. The writer keeps the tail page in memory and writes it out
-//! on every append (embedded logs are small; correctness first), so after
-//! a crash the reader sees every appended byte up to the last device write
-//! and stops at the first frame whose length or checksum is implausible —
-//! the torn tail.
+//! boundaries. The writer buffers the tail page in memory: an append is a
+//! copy into that page, and the device is touched only when a page fills
+//! or at [`LogWriter::sync`] (the dirty tail is written once, then the
+//! barrier). After a crash the reader sees every byte up to the last
+//! device write and stops at the first frame whose length or checksum is
+//! implausible — the torn tail.
+//!
+//! Buffering hands two duties to the engine (DESIGN.md §11). The
+//! write-ahead rule: a record must be on the log device before the data
+//! page it describes is on the data device, so the facade runs
+//! [`LogWriter::barrier`] ahead of every data-page write; the tail sits
+//! behind a mutex for that — a *leaf* lock, never held while another is
+//! taken. And the meaning of an unsynced commit: under
+//! `CommitPolicy::Group`, a commit acknowledged before its group's sync
+//! is in this process's memory only — lost to a process kill as well as
+//! to power loss. A clean close loses nothing: dropping the writer writes
+//! the pending tail.
+
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use fame_os::{BlockDevice, OsError, PageId};
 
@@ -17,41 +31,104 @@ pub type Lsn = u64;
 
 const FRAME_HEADER: usize = 8;
 
+/// The log device and the buffered page at its end — what the writer and
+/// its barriers share.
+struct Tail {
+    device: Box<dyn BlockDevice>,
+    /// Image of page `page_no`, the page the next append lands in.
+    page: Vec<u8>,
+    page_no: PageId,
+    /// `page` holds bytes the device does not.
+    dirty: bool,
+}
+
+impl Tail {
+    /// Write the tail page if it is dirty (no sync).
+    fn write_out(&mut self) -> Result<(), OsError> {
+        if self.dirty {
+            self.device.ensure_pages(self.page_no + 1)?;
+            self.device.write_page(self.page_no, &self.page)?;
+            self.dirty = false;
+        }
+        Ok(())
+    }
+
+    /// Take `data` in at byte `at` of the log (the current end). A run
+    /// that stays inside the tail page is a copy. One that fills it sends
+    /// every page it fills to the device — the tail page, then whole pages
+    /// straight from `data` — and only then moves the buffer on, so a
+    /// failed write leaves the writer where it was and the append can be
+    /// retried.
+    fn extend(&mut self, at: Lsn, data: &[u8]) -> Result<(), OsError> {
+        let ps = self.page.len();
+        let off = (at % ps as u64) as usize;
+        let (head, rest) = data.split_at(data.len().min(ps - off));
+        self.page[off..off + head.len()].copy_from_slice(head);
+        self.dirty = true;
+        if off + head.len() < ps {
+            return Ok(());
+        }
+        let whole = rest.chunks_exact(ps);
+        let partial = whole.remainder();
+        let next = self.page_no + 1 + whole.len() as PageId;
+        let written = self.write_out().and_then(|()| {
+            self.device.ensure_pages(next)?;
+            (self.page_no + 1..next)
+                .zip(whole)
+                .try_for_each(|(page, chunk)| self.device.write_page(page, chunk))
+        });
+        if let Err(e) = written {
+            // The device may hold part of the run; the next write of this
+            // page puts the bytes before `at` back under a clean tail.
+            self.page[off..].fill(0);
+            self.dirty = true;
+            return Err(e);
+        }
+        self.page_no = next;
+        self.page.fill(0);
+        self.page[..partial.len()].copy_from_slice(partial);
+        self.dirty = !partial.is_empty();
+        Ok(())
+    }
+}
+
 /// Appends records to a log device.
 pub struct LogWriter {
-    device: Box<dyn BlockDevice>,
+    shared: Arc<Mutex<Tail>>,
     /// Next byte to write.
     tail: u64,
-    /// In-memory image of the page containing `tail`.
-    tail_page: Vec<u8>,
-    tail_page_no: PageId,
     /// Records appended since the last sync.
     unsynced: u64,
     /// Persistent frame-encode buffer, reused across appends so a
-    /// steady-state append performs no heap allocation. Holds one frame
-    /// for [`LogWriter::append`], a whole run of frames for
-    /// [`LogWriter::append_many`].
+    /// steady-state append performs no heap allocation.
     frame_buf: Vec<u8>,
 }
 
 impl LogWriter {
-    /// Start a writer at byte `tail` (0 for a fresh log; use
-    /// [`LogReader::scan_end`] to resume an existing one).
+    /// Start a writer at byte `tail` (0 for a fresh log; the end
+    /// [`LogReader::read_all`] returns to resume an existing one).
     pub fn new(mut device: Box<dyn BlockDevice>, tail: u64) -> Result<Self, OsError> {
         let ps = device.page_size() as u64;
-        let tail_page_no = (tail / ps) as PageId;
-        let mut tail_page = vec![0u8; ps as usize];
-        if tail_page_no < device.num_pages() {
-            device.read_page(tail_page_no, &mut tail_page)?;
+        let page_no = (tail / ps) as PageId;
+        let mut page = vec![0u8; ps as usize];
+        if page_no < device.num_pages() {
+            device.read_page(page_no, &mut page)?;
         }
         Ok(LogWriter {
-            device,
+            shared: Arc::new(Mutex::new(Tail {
+                device,
+                page,
+                page_no,
+                dirty: false,
+            })),
             tail,
-            tail_page,
-            tail_page_no,
             unsynced: 0,
             frame_buf: Vec::new(),
         })
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Tail> {
+        self.shared.lock().expect("log tail poisoned")
     }
 
     /// Current end of the log.
@@ -64,36 +141,65 @@ impl LogWriter {
         self.unsynced
     }
 
-    /// Append a record; returns its LSN. The record is written to the
-    /// device but NOT synced — call [`LogWriter::sync`] per the commit
-    /// protocol.
-    pub fn append(&mut self, record: &LogRecord) -> Result<Lsn, OsError> {
-        self.frame_buf.clear();
-        Self::encode_frame(&mut self.frame_buf, record);
-
-        let lsn = self.tail;
-        self.flush_frame_buf()?;
-        self.unsynced += 1;
-        Ok(lsn)
+    /// The write-ahead barrier: a closure that writes the pending tail
+    /// page to the log device, if there is one — a write, not a sync — for
+    /// whoever must order its own device writes behind the log's. A no-op
+    /// once the writer is gone: a dropped writer has written its tail.
+    pub fn barrier(&self) -> impl Fn() -> Result<(), OsError> + Send + Sync + 'static {
+        let tail = Arc::downgrade(&self.shared);
+        move || match tail.upgrade() {
+            Some(tail) => tail.lock().expect("log tail poisoned").write_out(),
+            None => Ok(()),
+        }
     }
 
-    /// Append a run of records as one coalesced device write sequence;
-    /// returns the LSN of the first record. All frames are encoded into
-    /// the persistent buffer and handed to the device in a single pass,
-    /// so each touched log page is written once — not once per record as
-    /// a loop over [`LogWriter::append`] would. Like `append`, nothing is
-    /// synced; the commit protocol decides when the barrier happens.
+    /// Append a record; returns its LSN. The record is buffered, neither
+    /// written nor synced — call [`LogWriter::sync`] per the commit
+    /// protocol.
+    pub fn append(&mut self, record: &LogRecord) -> Result<Lsn, OsError> {
+        self.append_many(std::slice::from_ref(record))
+    }
+
+    /// Append a run of records; returns the LSN of the first. Like
+    /// `append`, nothing is synced; the commit protocol decides when the
+    /// barrier happens.
     pub fn append_many(&mut self, records: &[LogRecord]) -> Result<Lsn, OsError> {
+        self.append_encoded(records, LogRecord::encode_into)
+    }
+
+    /// Append one record whose payload `encode` writes from borrowed
+    /// parts (the commit path's puts and removes).
+    pub(crate) fn append_with(&mut self, encode: impl Fn(&mut Vec<u8>)) -> Result<Lsn, OsError> {
+        self.append_encoded(&[()], |(), out| encode(out))
+    }
+
+    /// The one append routine: one `[len][checksum][payload]` frame per
+    /// item, its payload encoded in place into the persistent buffer (no
+    /// intermediate allocation), the whole run handed to the tail in one
+    /// pass.
+    pub(crate) fn append_encoded<T>(
+        &mut self,
+        items: &[T],
+        encode: impl Fn(&T, &mut Vec<u8>),
+    ) -> Result<Lsn, OsError> {
         let lsn = self.tail;
-        if records.is_empty() {
-            return Ok(lsn);
+        let buf = &mut self.frame_buf;
+        buf.clear();
+        for item in items {
+            let start = buf.len();
+            buf.extend_from_slice(&[0u8; FRAME_HEADER]);
+            encode(item, buf);
+            let payload = &buf[start + FRAME_HEADER..];
+            let len = (payload.len() as u32).to_le_bytes();
+            let sum = checksum(payload).to_le_bytes();
+            buf[start..start + 4].copy_from_slice(&len);
+            buf[start + 4..start + FRAME_HEADER].copy_from_slice(&sum);
         }
-        self.frame_buf.clear();
-        for record in records {
-            Self::encode_frame(&mut self.frame_buf, record);
+        if !items.is_empty() {
+            self.lock().extend(lsn, &self.frame_buf)?;
+            self.tail += self.frame_buf.len() as u64;
+            self.unsynced += items.len() as u64;
         }
-        self.flush_frame_buf()?;
-        self.unsynced += records.len() as u64;
         Ok(lsn)
     }
 
@@ -103,64 +209,46 @@ impl LogWriter {
         self.frame_buf.capacity()
     }
 
-    /// Encode `record` as a `[len][checksum][payload]` frame appended to
-    /// `buf`, without intermediate allocation.
-    fn encode_frame(buf: &mut Vec<u8>, record: &LogRecord) {
-        let start = buf.len();
-        buf.extend_from_slice(&[0u8; FRAME_HEADER]);
-        record.encode_into(buf);
-        let payload = &buf[start + FRAME_HEADER..];
-        let len = (payload.len() as u32).to_le_bytes();
-        let sum = checksum(payload).to_le_bytes();
-        buf[start..start + 4].copy_from_slice(&len);
-        buf[start + 4..start + FRAME_HEADER].copy_from_slice(&sum);
-    }
-
-    /// Write the current frame buffer at the tail, keeping its allocation.
-    fn flush_frame_buf(&mut self) -> Result<(), OsError> {
-        let buf = std::mem::take(&mut self.frame_buf);
-        let result = self.write_bytes(&buf);
-        self.frame_buf = buf;
-        result
-    }
-
-    fn write_bytes(&mut self, mut data: &[u8]) -> Result<(), OsError> {
-        let ps = self.device.page_size();
-        while !data.is_empty() {
-            let page_no = (self.tail / ps as u64) as PageId;
-            let off = (self.tail % ps as u64) as usize;
-
-            if page_no != self.tail_page_no {
-                // Crossed into a fresh page.
-                self.tail_page_no = page_no;
-                self.tail_page.fill(0);
-            }
-            self.device.ensure_pages(page_no + 1)?;
-
-            let n = (ps - off).min(data.len());
-            self.tail_page[off..off + n].copy_from_slice(&data[..n]);
-            self.device.write_page(page_no, &self.tail_page)?;
-            self.tail += n as u64;
-            data = &data[n..];
-        }
-        Ok(())
-    }
-
-    /// Durability barrier on the log device.
+    /// Durability barrier on the log device: the pending tail page is
+    /// written, then the device synced.
     pub fn sync(&mut self) -> Result<(), OsError> {
-        self.device.sync()?;
+        let mut tail = self.lock();
+        tail.write_out()?;
+        tail.device.sync()?;
+        drop(tail);
         self.unsynced = 0;
         Ok(())
     }
 
     /// Device counters (syncs per commit protocol, bytes written, ...).
     pub fn device_stats(&self) -> fame_os::DeviceStats {
-        self.device.stats()
+        self.lock().device.stats()
     }
 
-    /// Reclaim the device (tests).
+    /// Reclaim the device, pending tail written (tests, tools).
     pub fn into_device(self) -> Box<dyn BlockDevice> {
-        self.device
+        let mut shared = Arc::clone(&self.shared);
+        drop(self);
+        // Only barriers' weak handles are left; one may be running on
+        // another thread and hold a strong reference for that long.
+        loop {
+            match Arc::try_unwrap(shared) {
+                Ok(tail) => return tail.into_inner().unwrap_or_else(|p| p.into_inner()).device,
+                Err(still_shared) => shared = still_shared,
+            }
+            std::thread::yield_now();
+        }
+    }
+}
+
+impl Drop for LogWriter {
+    /// A clean close loses no appended record: write the pending tail
+    /// (errors cannot be surfaced from drop; after a crash the device is
+    /// offline and the tail is lost, as unsynced bytes are).
+    fn drop(&mut self) {
+        if let Ok(mut tail) = self.shared.lock() {
+            let _ = tail.write_out();
+        }
     }
 }
 
@@ -190,11 +278,6 @@ impl LogReader {
             page_buf,
             cached_page_no: None,
         }
-    }
-
-    /// Current read position.
-    pub fn position(&self) -> Lsn {
-        self.pos
     }
 
     /// Reclaim the device (e.g. to hand it to a [`LogWriter`] after a scan).
@@ -269,14 +352,6 @@ impl LogReader {
             out.push(item);
         }
         Ok((out, self.pos))
-    }
-
-    /// Scan to the end of the log; returns the resume LSN.
-    pub fn scan_end(device: Box<dyn BlockDevice>) -> Result<(Lsn, Box<dyn BlockDevice>), OsError> {
-        let mut r = LogReader::new(device);
-        while r.next_record()?.is_some() {}
-        let pos = r.pos;
-        Ok((pos, r.device))
     }
 }
 
@@ -363,14 +438,14 @@ mod tests {
     }
 
     #[test]
-    fn resume_writing_after_scan_end() {
+    fn resume_writing_at_the_end_read_all_returns() {
         let mut w = LogWriter::new(Box::new(InMemoryDevice::new(128)), 0).unwrap();
         for r in records(5) {
             w.append(&r).unwrap();
         }
-        let dev = w.into_device();
-        let (end, dev) = LogReader::scan_end(dev).unwrap();
-        let mut w = LogWriter::new(dev, end).unwrap();
+        let mut r = LogReader::new(w.into_device());
+        let (_, end) = r.read_all().unwrap();
+        let mut w = LogWriter::new(r.into_device(), end).unwrap();
         w.append(&LogRecord::Checkpoint).unwrap();
         let mut r = LogReader::new(w.into_device());
         let (read, _) = r.read_all().unwrap();
@@ -412,42 +487,41 @@ mod tests {
     }
 
     #[test]
-    fn append_many_round_trips_and_coalesces_page_writes() {
-        // Same records through append() and append_many() must produce an
-        // identical log; append_many must touch each log page once rather
-        // than once per record.
+    fn either_append_path_writes_each_page_once() {
+        // A loop over append() and one append_many() leave the same log
+        // behind, and either way a page goes to the device once: when it
+        // fills, or — the last, partial one — when the writer syncs.
         let recs = records(40);
+        let writer = || LogWriter::new(Box::new(InMemoryDevice::new(256)), 0).unwrap();
 
-        let mut loop_w = LogWriter::new(Box::new(InMemoryDevice::new(256)), 0).unwrap();
+        let mut loop_w = writer();
         for r in &recs {
             loop_w.append(r).unwrap();
         }
-        let loop_tail = loop_w.tail();
-        let loop_writes = loop_w.device_stats().writes;
-
-        let mut batch_w = LogWriter::new(Box::new(InMemoryDevice::new(256)), 0).unwrap();
-        let first_lsn = batch_w.append_many(&recs).unwrap();
-        assert_eq!(first_lsn, 0);
-        assert_eq!(batch_w.tail(), loop_tail, "identical byte stream length");
+        let mut batch_w = writer();
+        assert_eq!(batch_w.append_many(&recs).unwrap(), 0);
+        let tail = loop_w.tail();
+        assert_eq!(batch_w.tail(), tail, "identical byte stream length");
         assert_eq!(batch_w.unsynced(), recs.len() as u64);
-        let batch_writes = batch_w.device_stats().writes;
-        let pages_used = loop_tail.div_ceil(256);
-        assert_eq!(
-            batch_writes, pages_used,
-            "append_many writes each touched page exactly once"
-        );
-        assert!(
-            batch_writes < loop_writes,
-            "coalesced batch ({batch_writes} writes) beats per-record appends ({loop_writes})"
-        );
 
-        let mut r = LogReader::new(batch_w.into_device());
-        let (read, end) = r.read_all().unwrap();
-        assert_eq!(end, loop_tail);
-        assert_eq!(read.len(), recs.len());
-        for ((_, got), want) in read.iter().zip(&recs) {
-            assert_eq!(got, want);
+        for w in [&mut loop_w, &mut batch_w] {
+            assert_eq!(
+                w.device_stats().writes,
+                tail / 256,
+                "one write per page filled"
+            );
+            w.sync().unwrap();
+            assert_eq!(
+                w.device_stats().writes,
+                tail.div_ceil(256),
+                "plus the tail, once"
+            );
         }
+        let (read, end) = LogReader::new(batch_w.into_device()).read_all().unwrap();
+        assert_eq!(end, tail);
+        assert!(read.iter().map(|(_, r)| r).eq(&recs));
+        let (looped, _) = LogReader::new(loop_w.into_device()).read_all().unwrap();
+        assert_eq!(looped, read);
     }
 
     #[test]
@@ -485,14 +559,6 @@ mod tests {
             warm,
             "steady-state appends must not reallocate the frame buffer"
         );
-
-        // append_many over the same records reuses the same buffer too:
-        // a second identical batch must not grow it further.
-        let batch = vec![r; 8];
-        w.append_many(&batch).unwrap();
-        let batch_warm = w.frame_buf_capacity();
-        w.append_many(&batch).unwrap();
-        assert_eq!(w.frame_buf_capacity(), batch_warm);
     }
 
     #[test]

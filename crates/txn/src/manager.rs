@@ -8,7 +8,7 @@ use fame_os::OsError;
 
 use crate::lock_table::{LockConflict, LockMode, LockTable};
 use crate::log::{LogWriter, Lsn};
-use crate::wal::LogRecord;
+use crate::wal::{self, LogRecord};
 
 pub use crate::wal::TxnId;
 
@@ -182,6 +182,14 @@ impl TxnManager {
         }
     }
 
+    /// Hand out ids above `last` from now on — the highest id in a log
+    /// that is being reopened. Recovery classifies transactions by id over
+    /// the whole log, so an id reused after a restart would inherit its
+    /// predecessor's `Commit`.
+    pub fn resume_ids_after(&mut self, last: TxnId) {
+        self.next_id = self.next_id.max(last + 1);
+    }
+
     /// Ids of active transactions.
     pub fn active(&self) -> Vec<TxnId> {
         self.active.keys().copied().collect()
@@ -224,13 +232,9 @@ impl TxnManager {
     ) -> Result<Lsn, TxnError> {
         self.state(txn)?;
         self.locks.try_acquire(txn, key, LockMode::Exclusive)?;
-        let lsn = self.log.append(&LogRecord::Put {
-            txn,
-            index,
-            key: key.to_vec(),
-            old: old.clone(),
-            new: new.to_vec(),
-        })?;
+        let lsn = self
+            .log
+            .append_with(|out| wal::encode_put(out, txn, index, key, old.as_deref(), new))?;
         self.state(txn)?.undo.push(UndoAction {
             index,
             key: key.to_vec(),
@@ -250,12 +254,9 @@ impl TxnManager {
     ) -> Result<Lsn, TxnError> {
         self.state(txn)?;
         self.locks.try_acquire(txn, key, LockMode::Exclusive)?;
-        let lsn = self.log.append(&LogRecord::Remove {
-            txn,
-            index,
-            key: key.to_vec(),
-            old: old.clone(),
-        })?;
+        let lsn = self
+            .log
+            .append_with(|out| wal::encode_remove(out, txn, index, key, &old))?;
         self.state(txn)?.undo.push(UndoAction {
             index,
             key: key.to_vec(),
@@ -265,45 +266,29 @@ impl TxnManager {
     }
 
     /// Log a whole batch of writes *before* the caller applies them to
-    /// storage (WAL rule), as one coalesced device pass.
+    /// storage (WAL rule), as one append.
     ///
     /// Every key is locked up front, so a conflict anywhere fails the
     /// batch before a single record reaches the log — all-or-nothing at
-    /// the lock layer too. The records then go out via
-    /// [`LogWriter::append_many`]: one frame-buffer encode, one write
-    /// sequence that touches each log page once, instead of one tail-page
-    /// rewrite per record as a loop over [`TxnManager::log_put`] would
-    /// issue. Undo actions are recorded per operation, so an abort after
-    /// a partial storage apply compensates exactly as for single writes.
+    /// the lock layer too. Undo actions are recorded per operation, so an
+    /// abort after a partial storage apply compensates exactly as for
+    /// single writes.
     pub fn log_batch(&mut self, txn: TxnId, ops: &[BatchWrite]) -> Result<Lsn, TxnError> {
         self.state(txn)?;
         for op in ops {
             self.locks.try_acquire(txn, op.key(), LockMode::Exclusive)?;
         }
-        let records: Vec<LogRecord> = ops
-            .iter()
-            .map(|op| match op {
-                BatchWrite::Put {
-                    index,
-                    key,
-                    old,
-                    new,
-                } => LogRecord::Put {
-                    txn,
-                    index: *index,
-                    key: key.clone(),
-                    old: old.clone(),
-                    new: new.clone(),
-                },
-                BatchWrite::Remove { index, key, old } => LogRecord::Remove {
-                    txn,
-                    index: *index,
-                    key: key.clone(),
-                    old: old.clone(),
-                },
-            })
-            .collect();
-        let lsn = self.log.append_many(&records)?;
+        let lsn = self.log.append_encoded(ops, |op, out| match op {
+            BatchWrite::Put {
+                index,
+                key,
+                old,
+                new,
+            } => wal::encode_put(out, txn, *index, key, old.as_deref(), new),
+            BatchWrite::Remove { index, key, old } => {
+                wal::encode_remove(out, txn, *index, key, old)
+            }
+        })?;
         let state = self.state(txn)?;
         for op in ops {
             state.undo.push(match op {
@@ -359,16 +344,8 @@ impl TxnManager {
                 return Err(TxnError::UnknownTxn(t));
             }
         }
-        Ok(match *txns {
-            // The single-writer commit: no record vector to allocate.
-            [txn] => self.log.append(&LogRecord::Commit { txn })?,
-            // One coalesced device pass ([`LogWriter::append_many`]).
-            _ => {
-                let records: Vec<LogRecord> =
-                    txns.iter().map(|&txn| LogRecord::Commit { txn }).collect();
-                self.log.append_many(&records)?
-            }
-        })
+        let encode = |&txn: &TxnId, out: &mut Vec<u8>| LogRecord::Commit { txn }.encode_into(out);
+        Ok(self.log.append_encoded(txns, encode)?)
     }
 
     /// Commit phase 2: the commit protocol's durability step — the one
@@ -497,36 +474,6 @@ mod tests {
         m.commit(t).unwrap();
         assert!(m.active().is_empty());
         assert_eq!(m.stats(), (1, 0));
-    }
-
-    #[cfg(feature = "commit-force")]
-    #[test]
-    fn force_syncs_every_commit() {
-        let mut m = manager(CommitPolicy::Force);
-        for _ in 0..5 {
-            let t = m.begin().unwrap();
-            m.log_put(t, 0, b"k", None, b"v").unwrap();
-            m.commit(t).unwrap();
-        }
-        assert_eq!(m.log_device_stats().syncs, 5);
-    }
-
-    #[cfg(feature = "commit-group")]
-    #[test]
-    fn group_commit_amortizes_syncs() {
-        let mut m = manager(CommitPolicy::Group { group_size: 4 });
-        for _ in 0..8 {
-            let t = m.begin().unwrap();
-            m.log_put(t, 0, b"k", None, b"v").unwrap();
-            m.commit(t).unwrap();
-        }
-        assert_eq!(m.log_device_stats().syncs, 2, "8 commits / group of 4");
-        // A ninth commit sits unsynced until flush.
-        let t = m.begin().unwrap();
-        m.commit(t).unwrap();
-        assert_eq!(m.log_device_stats().syncs, 2);
-        m.flush().unwrap();
-        assert_eq!(m.log_device_stats().syncs, 3);
     }
 
     #[cfg(feature = "commit-force")]

@@ -13,17 +13,20 @@
 //!   disjoint ones interleave freely;
 //! * a leader-based **group commit**: committers enqueue their `TxnId` and
 //!   the first one in becomes leader, draining the queue through the
-//!   manager's three commit phases — one coalesced commit-record append
-//!   (a single `append_many` device pass) plus one protocol sync per
-//!   drain — N concurrent writers cost ~one fsync per drain instead of one
-//!   each. Followers park on a condvar until the leader posts their
-//!   result.
+//!   manager's three commit phases — one commit-record append plus one
+//!   protocol sync (one write of the log tail) per drain — N concurrent
+//!   writers cost ~one fsync per drain instead of one each. Followers
+//!   park on a condvar until the leader posts their result.
 //!
 //! # Invariants
 //!
-//! 1. **Lock order**: `LockTable` → storage mutex → manager mutex. The
-//!    group-state mutex is held only while queueing/collecting, never
-//!    across the drain (the leader drops it before touching the manager).
+//! 1. **Lock order**: `LockTable` → storage mutex → manager mutex → log
+//!    tail. The group-state mutex is held only while queueing/collecting,
+//!    never across the drain (the leader drops it before touching the
+//!    manager). The log tail ([`crate::log`]) is a leaf: an append or sync
+//!    holds it under the manager mutex, the write-ahead barrier in front
+//!    of the data device holds it under the pool's device latch, and
+//!    nothing is ever acquired while it is held.
 //! 2. **Grant superset**: the wrapped manager's own [`LockTable`] — the
 //!    same type, taken no-wait (`try_acquire`) inside `log_*` — stays
 //!    active as a safety net under the blocking one held here. Every
@@ -303,8 +306,8 @@ impl SharedTxnManager {
         }
     }
 
-    /// One drain: a single coalesced commit-record append, one protocol
-    /// sync step, then the per-transaction point of no return.
+    /// One drain: a single commit-record append, one protocol sync step,
+    /// then the per-transaction point of no return.
     fn drain(&self, batch: &[TxnId]) -> Result<(), TxnError> {
         let mut inner = self.inner();
         inner.append_commits(batch)?;

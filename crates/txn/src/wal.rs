@@ -85,10 +85,6 @@ impl LogRecord {
     /// one persistent frame buffer and encodes every record into it, so a
     /// steady-state append performs no heap allocation.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
-        fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
-            out.extend_from_slice(&(b.len() as u32).to_le_bytes());
-            out.extend_from_slice(b);
-        }
         match self {
             LogRecord::Begin { txn } => {
                 out.push(1);
@@ -108,32 +104,13 @@ impl LogRecord {
                 key,
                 old,
                 new,
-            } => {
-                out.push(4);
-                out.extend_from_slice(&txn.to_le_bytes());
-                out.push(*index);
-                put_bytes(out, key);
-                match old {
-                    None => out.push(0),
-                    Some(o) => {
-                        out.push(1);
-                        put_bytes(out, o);
-                    }
-                }
-                put_bytes(out, new);
-            }
+            } => encode_put(out, *txn, *index, key, old.as_deref(), new),
             LogRecord::Remove {
                 txn,
                 index,
                 key,
                 old,
-            } => {
-                out.push(5);
-                out.extend_from_slice(&txn.to_le_bytes());
-                out.push(*index);
-                put_bytes(out, key);
-                put_bytes(out, old);
-            }
+            } => encode_remove(out, *txn, *index, key, old),
             LogRecord::Checkpoint => out.push(6),
         }
     }
@@ -199,6 +176,45 @@ impl LogRecord {
             _ => return None,
         })
     }
+}
+
+fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
+    out.extend_from_slice(&(b.len() as u32).to_le_bytes());
+    out.extend_from_slice(b);
+}
+
+/// The payload of a [`LogRecord::Put`], from borrowed parts: the commit
+/// path encodes the caller's slices straight into the frame buffer
+/// instead of copying them into a throw-away record first.
+pub(crate) fn encode_put(
+    out: &mut Vec<u8>,
+    txn: TxnId,
+    index: u8,
+    key: &[u8],
+    old: Option<&[u8]>,
+    new: &[u8],
+) {
+    out.push(4);
+    out.extend_from_slice(&txn.to_le_bytes());
+    out.push(index);
+    put_bytes(out, key);
+    match old {
+        None => out.push(0),
+        Some(o) => {
+            out.push(1);
+            put_bytes(out, o);
+        }
+    }
+    put_bytes(out, new);
+}
+
+/// The payload of a [`LogRecord::Remove`], from borrowed parts.
+pub(crate) fn encode_remove(out: &mut Vec<u8>, txn: TxnId, index: u8, key: &[u8], old: &[u8]) {
+    out.push(5);
+    out.extend_from_slice(&txn.to_le_bytes());
+    out.push(index);
+    put_bytes(out, key);
+    put_bytes(out, old);
 }
 
 /// Fletcher-32 over the record payload. Kept local so the transaction

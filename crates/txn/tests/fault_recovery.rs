@@ -100,10 +100,15 @@ fn power_loss_mid_append_preserves_prefix() {
         let dev = FaultDevice::new(shared.clone(), plan);
         let mut w = LogWriter::new(Box::new(dev), 0).unwrap();
 
+        // Each record is synced, so each costs one page write (the
+        // buffered tail goes out at the barrier).
         let mut appended = 0u64;
         for i in 0..budget + 3 {
-            match w.append(&LogRecord::Begin { txn: i }) {
-                Ok(_) => appended = i + 1,
+            match w
+                .append(&LogRecord::Begin { txn: i })
+                .and_then(|_| w.sync())
+            {
+                Ok(()) => appended = i + 1,
                 Err(_) => break, // power loss
             }
         }
@@ -251,13 +256,17 @@ fn failed_abort_append_keeps_the_transaction_abortable() {
     let manager = |dev: Box<dyn BlockDevice>| {
         TxnManager::new(LogWriter::new(dev, 0).unwrap(), CommitPolicy::Force)
     };
+    // Appends are buffered, so one fails only when it fills the tail page
+    // and the page write fails. Size the put so the prefix ends 8 bytes
+    // short of the 128-byte page: the 17-byte `Abort` frame straddles it.
     let prefix = |m: &mut TxnManager| {
         let t = m.begin().unwrap();
-        m.log_put(t, 0, b"k", None, b"v").unwrap();
+        m.log_put(t, 0, b"k", None, &[7u8; 75]).unwrap();
+        assert_eq!(m.log_bytes(), 120);
         t
     };
-    // Dry run on a healthy device: how many page writes the prefix takes,
-    // so the fault lands on the very next one — the `Abort` record.
+    // Dry run on a healthy device: the prefix costs no page write, so the
+    // fault lands on the very first one — the `Abort` record's.
     let mut dry = manager(Box::new(InMemoryDevice::new(128)));
     prefix(&mut dry);
     let plan = FaultPlan {
@@ -289,4 +298,16 @@ fn failed_abort_append_keeps_the_transaction_abortable() {
     assert_eq!(m.stats(), (0, 1));
     m.log_put(t2, 0, b"k", None, b"x").unwrap();
     m.commit(t2).unwrap();
+
+    // The failed append left nothing behind: every record of the history
+    // reads back, none hidden behind a half-written frame.
+    let (records, _) = LogReader::new(m.into_log().into_device())
+        .read_all()
+        .unwrap();
+    let txns: Vec<_> = records.iter().map(|(_, r)| r.txn()).collect();
+    assert_eq!(
+        txns,
+        [t, t, t2, t, t2, t2].map(Some),
+        "begin t, put, begin t2, abort t, put, commit t2"
+    );
 }

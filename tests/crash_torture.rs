@@ -676,3 +676,136 @@ fn crash_sweep_group_clean_and_sync_fail() {
         );
     }
 }
+
+/// The WAL rule with a buffered log tail: a log record reaches the log
+/// device before the data page it describes reaches the data device —
+/// `fame_os::OrderedDevice` in front of the data device writes the pending
+/// tail ahead of every page write. Both devices are write-through here
+/// (every accepted write is on the media) and the pool has a handful of
+/// frames, so the page a `txn_put` dirtied is evicted — an uncommitted
+/// value on the media — before the commit that never comes. Recovery can
+/// undo the put only if its record got to the log device first. Without
+/// the barrier call in `OrderedDevice::write_page` this test fails: the
+/// record dies in memory and the uncommitted value survives the reopen.
+/// Both pools are covered (transactions cannot be composed with the
+/// unbuffered pager: `DbmsConfig::check`).
+#[test]
+fn a_data_page_never_outruns_the_log_record_that_describes_it() {
+    const ROWS: u32 = 64;
+    let row = |i: u32| format!("row-{i:03}").into_bytes();
+    let committed = |i: u32| format!("committed-{i:03}-{}", "c".repeat(40)).into_bytes();
+
+    let mut pools = vec![("exclusive pool", config(CommitPolicy::Force))];
+    #[cfg(feature = "concurrency-multi")]
+    pools.push(("shared pool", {
+        let mut cfg = config(CommitPolicy::Force);
+        cfg.concurrency = fame_dbms::Concurrency::MultiReader { shards: 1 };
+        cfg
+    }));
+    for (label, mut cfg) in pools {
+        cfg.buffer.as_mut().expect("buffered").frames = 4;
+        let write_through = || {
+            SharedDevice::new(FaultDevice::new(
+                InMemoryDevice::new(PAGE),
+                FaultPlan::default(),
+            ))
+        };
+        let (data, log) = (write_through(), write_through());
+        let open = || {
+            Database::open_with_devices(
+                cfg.clone(),
+                Box::new(data.clone()),
+                Some(Box::new(log.clone()) as Box<dyn BlockDevice>),
+            )
+        };
+
+        // Several leaves of committed rows, all of them on the media, and
+        // a reopen: recovery seals the log with a checkpoint, so the next
+        // one redoes none of this and cannot paper over a missing undo.
+        // (It also restarts the id sequence — see the test below.)
+        let mut db = open().expect("open");
+        let t = db.begin().unwrap();
+        for i in 0..ROWS {
+            db.txn_put(t, &row(i), &committed(i)).unwrap();
+        }
+        db.commit(t).unwrap();
+        db.sync().unwrap();
+        drop(db);
+        let mut db = open().expect("reopen");
+
+        // One uncommitted overwrite, then reads of every other leaf: the
+        // dirty page leaves memory.
+        let writes_before = data.with(|d| d.writes_done());
+        let t = db.begin().unwrap();
+        db.txn_put(t, &row(7), b"uncommitted").unwrap();
+        for i in 0..ROWS {
+            db.get(&row(i)).unwrap();
+        }
+        assert!(
+            data.with(|d| d.writes_done()) > writes_before,
+            "{label}: the dirty page must have reached the data device"
+        );
+
+        // Power loss before the commit.
+        log.with(|d| d.trip_now());
+        data.with(|d| d.trip_now());
+        drop(db);
+        data.with(|d| d.heal());
+        log.with(|d| d.heal());
+
+        let mut db = open().unwrap_or_else(|e| panic!("{label}: reopen failed: {e:?}"));
+        assert_eq!(
+            db.get(&row(7)).unwrap(),
+            Some(committed(7)),
+            "{label}: the uncommitted put must be undone"
+        );
+        assert_eq!(
+            db.last_recovery().map(|r| r.undo_applied),
+            Some(1),
+            "{label}"
+        );
+        let report = db.verify_integrity().expect("integrity check runs");
+        assert!(report.is_ok(), "{label}: integrity violations: {report}");
+        for i in 0..ROWS {
+            assert_eq!(
+                db.get(&row(i)).unwrap(),
+                Some(committed(i)),
+                "{label}: row {i}"
+            );
+        }
+    }
+}
+
+/// Transaction ids keep rising across a reopen. Recovery classifies by id
+/// over the whole log, so were the sequence to restart at 1, the
+/// uncommitted transaction below would inherit the `Commit` of the first
+/// session's transaction 1 and be redone instead of undone.
+#[test]
+fn a_reopened_log_never_reuses_a_transaction_id() {
+    let (data, log) = (fresh_dev(), fresh_dev());
+    let mut db = open(&data, &log, CommitPolicy::Force).expect("open");
+    let t = db.begin().unwrap();
+    db.txn_put(t, b"k", b"committed").unwrap();
+    db.commit(t).unwrap();
+    db.sync().unwrap();
+    drop(db);
+
+    let mut db = open(&data, &log, CommitPolicy::Force).expect("reopen");
+    let t2 = db.begin().unwrap();
+    assert!(
+        t2.id() > t.id(),
+        "ids continue: {} after {}",
+        t2.id(),
+        t.id()
+    );
+    db.txn_put(t2, b"k", b"uncommitted").unwrap();
+    db.sync().unwrap(); // log and data both durable, the commit never comes
+    log.with(|d| d.trip_now());
+    data.with(|d| d.trip_now());
+    drop(db);
+    data.with(|d| d.heal());
+    log.with(|d| d.heal());
+
+    let mut db = open(&data, &log, CommitPolicy::Force).expect("reopen after crash");
+    assert_eq!(db.get(b"k").unwrap(), Some(b"committed".to_vec()));
+}
