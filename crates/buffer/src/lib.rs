@@ -4,8 +4,7 @@
 //! the paper's feature diagram:
 //!
 //! * **Replacement** — [`lru::Lru`] vs [`lfu::Lfu`] (cargo features `lru`,
-//!   `lfu`; [`clock::Clock`] is an extension), selected via
-//!   [`ReplacementKind`];
+//!   `lfu`), selected via [`ReplacementKind`];
 //! * **Memory Alloc** — `Static` vs `Dynamic` frame allocation, reusing
 //!   [`fame_os::AllocPolicy`].
 //!
@@ -29,8 +28,6 @@ pub mod token;
 #[cfg(feature = "snapshot")]
 pub mod versions;
 
-#[cfg(feature = "clock")]
-pub use replacement::clock;
 #[cfg(feature = "lfu")]
 pub use replacement::lfu;
 #[cfg(feature = "lru")]

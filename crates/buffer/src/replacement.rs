@@ -1,9 +1,7 @@
 //! Replacement policies: the *Replacement* alternative of Figure 2.
 //!
 //! Each policy observes frame accesses and nominates an eviction victim.
-//! The paper's feature diagram offers LRU and LFU; we add Clock (second
-//! chance) as an extension feature to demonstrate how the product line
-//! grows by adding alternatives.
+//! The paper's feature diagram offers LRU and LFU.
 
 /// Index of a frame inside the pool.
 pub type FrameIdx = usize;
@@ -19,9 +17,6 @@ pub enum ReplacementKind {
     /// Least-frequently-used.
     #[cfg(feature = "lfu")]
     Lfu,
-    /// Clock / second chance (extension, not in the paper's diagram).
-    #[cfg(feature = "clock")]
-    Clock,
 }
 
 impl ReplacementKind {
@@ -32,8 +27,6 @@ impl ReplacementKind {
             ReplacementKind::Lru => Box::new(lru::Lru::new(frames)),
             #[cfg(feature = "lfu")]
             ReplacementKind::Lfu => Box::new(lfu::Lfu::new(frames)),
-            #[cfg(feature = "clock")]
-            ReplacementKind::Clock => Box::new(clock::Clock::new(frames)),
         }
     }
 
@@ -44,8 +37,6 @@ impl ReplacementKind {
             ReplacementKind::Lru => "LRU",
             #[cfg(feature = "lfu")]
             ReplacementKind::Lfu => "LFU",
-            #[cfg(feature = "clock")]
-            ReplacementKind::Clock => "Clock",
         }
     }
 }
@@ -250,73 +241,6 @@ pub mod lfu {
     }
 }
 
-#[cfg(feature = "clock")]
-pub mod clock {
-    //! Clock (second chance): an extension alternative.
-
-    use super::{FrameIdx, ReplacementPolicy};
-
-    /// Clock: a rotating hand clears reference bits; the first occupied
-    /// frame found with a clear bit is the victim.
-    #[derive(Debug)]
-    pub struct Clock {
-        /// `None` = empty; `Some(referenced)`.
-        bits: Vec<Option<bool>>,
-        hand: usize,
-    }
-
-    impl Clock {
-        /// Policy for a pool of `frames` frames.
-        pub fn new(frames: usize) -> Self {
-            Clock {
-                bits: vec![None; frames],
-                hand: 0,
-            }
-        }
-    }
-
-    impl ReplacementPolicy for Clock {
-        fn on_access(&mut self, frame: FrameIdx) {
-            if let Some(bit) = &mut self.bits[frame] {
-                *bit = true;
-            }
-        }
-
-        fn on_insert(&mut self, frame: FrameIdx) {
-            self.bits[frame] = Some(true);
-        }
-
-        fn on_remove(&mut self, frame: FrameIdx) {
-            self.bits[frame] = None;
-        }
-
-        fn victim(&mut self) -> Option<FrameIdx> {
-            if self.bits.iter().all(|b| b.is_none()) {
-                return None;
-            }
-            // Two sweeps suffice: the first clears bits, the second must hit.
-            for _ in 0..2 * self.bits.len() {
-                let i = self.hand;
-                self.hand = (self.hand + 1) % self.bits.len();
-                match &mut self.bits[i] {
-                    Some(referenced) if *referenced => *referenced = false,
-                    Some(_) => return Some(i),
-                    None => {}
-                }
-            }
-            unreachable!("occupied frame must be found within two sweeps")
-        }
-
-        fn resize(&mut self, frames: usize) {
-            self.bits.resize(frames, None);
-        }
-
-        fn name(&self) -> &'static str {
-            "Clock"
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -445,31 +369,6 @@ mod tests {
                 assert_eq!(p.victim(), Some(frame));
                 p.on_remove(frame);
             }
-            assert_eq!(p.victim(), None);
-        }
-    }
-
-    #[cfg(feature = "clock")]
-    mod clock_tests {
-        use super::super::clock::Clock;
-        use super::super::ReplacementPolicy;
-
-        #[test]
-        fn second_chance_spares_referenced() {
-            let mut p = Clock::new(3);
-            p.on_insert(0);
-            p.on_insert(1);
-            p.on_insert(2);
-            // First sweep clears all bits, second sweep takes frame 0.
-            assert_eq!(p.victim(), Some(0));
-            p.on_remove(0);
-            p.on_access(1); // re-reference 1
-            assert_eq!(p.victim(), Some(2));
-        }
-
-        #[test]
-        fn empty_pool_no_victim() {
-            let mut p = Clock::new(4);
             assert_eq!(p.victim(), None);
         }
     }

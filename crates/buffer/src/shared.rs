@@ -50,7 +50,7 @@
 //! The exclusive pool's heap-based [`crate::ReplacementPolicy`] objects
 //! need `&mut self` and cannot run latch-free. The shared pool keeps an
 //! `AtomicU64` recency stamp and access count per frame and derives the
-//! victim at eviction time: minimum stamp for LRU/Clock, minimum
+//! victim at eviction time: minimum stamp for LRU, minimum
 //! `(count, stamp)` for LFU. The tick source is a **per-shard** clock
 //! (one cache line per shard, see [`ShardHot`]) rather than one global
 //! `fetch_add` every access — the E8 experiment showed the global clock's
@@ -1396,11 +1396,10 @@ impl Drop for PoolInner {
     }
 }
 
-/// Victim selection by scanning the shard's in-use frames: LRU (and Clock,
-/// which approximates recency) evict the minimum stamp, LFU the minimum
-/// `(count, stamp)`. Vacant frames (tag 0) are never chosen; in-flight
-/// optimistic readers need no pins — their version re-check rejects the
-/// copy if this frame is evicted under them.
+/// Victim selection by scanning the shard's in-use frames: LRU evicts the
+/// minimum stamp, LFU the minimum `(count, stamp)`. Vacant frames (tag 0)
+/// are never chosen; in-flight optimistic readers need no pins — their
+/// version re-check rejects the copy if this frame is evicted under them.
 fn pick_victim(shard: &CachedShard, s: &ShardCore, kind: ReplacementKind) -> Option<usize> {
     let mut best: Option<(u128, usize)> = None;
     for i in 0..s.len {

@@ -1401,7 +1401,7 @@ impl TxnHandle {
 /// Shared accumulator for dropped [`DbReader`] handles' local counters
 /// (feature `statistics`). Live handles count into plain handle-local
 /// `u64`s — the read path writes no shared cache line, which is what
-/// keeps `fig1b_mt` scaling intact — and flush here exactly once, on
+/// keeps reader scaling intact — and flush here exactly once, on
 /// drop.
 #[cfg(all(feature = "concurrency-multi", feature = "statistics"))]
 #[derive(Debug, Default)]

@@ -10,8 +10,8 @@
 //!
 //! The cost model is deliberately coarse (constants in *abstract cost
 //! units per operation*) — the decision it automates is the same one a
-//! domain engineer makes by rule of thumb, and the `storage_ops` bench
-//! validates the relative order of the constants.
+//! domain engineer makes by rule of thumb, and the `queries` bench
+//! (`fig1b/point_queries`) validates the relative order of the constants.
 
 use fame_feature_model::{Configuration, FeatureModel};
 
@@ -144,7 +144,7 @@ pub fn advise(profile: &WorkloadProfile) -> Recommendation {
     let log_n = n.log2().max(1.0);
     let mut rationale = Vec::new();
 
-    // Cost units per operation, validated by the storage_ops bench:
+    // Cost units per operation, validated by the queries bench:
     // B+-tree ops are O(log n) node visits; list reads/writes are O(n)
     // scans; hash is O(1) but unordered; the queue only does FIFO.
     let unsupported = f64::INFINITY;

@@ -3,9 +3,9 @@
 //! The JSON is hand-built (this crate stays dependency-free). Every span
 //! event becomes a chrome *instant* event (`"ph":"i"`, thread scope): the
 //! causal chain is carried in `args` (`span`, `txn`, `parent`), which the
-//! trace viewer shows on click and `obs_report`'s assertions parse back.
-//! The schema is pinned by a golden test in `tests/obs_trace.rs` — change
-//! it deliberately or not at all.
+//! trace viewer shows on click. The schema is pinned by a golden test in
+//! `tests/obs_trace.rs`, whose deadlock test also reads the chain's ids
+//! back out of the JSON — change it deliberately or not at all.
 
 use std::fmt::Write as _;
 

@@ -89,12 +89,21 @@ impl HashIndex {
     /// Open the index persisted in `root_slot`.
     pub fn open(pager: &mut Pager, root_slot: usize) -> Result<HashIndex> {
         let dir = pager.root(root_slot)?.ok_or(StorageError::NotFound)?;
-        let buckets = pager
-            .with_page(dir, |buf| PageView::new(buf).aux())?
-            .ok_or(StorageError::Corrupt {
+        let (page_type, buckets) = pager.with_page(dir, |buf| {
+            let v = PageView::new(buf);
+            (v.page_type(), v.aux().unwrap_or(0))
+        })?;
+        // A torn or zeroed directory must not reach `bucket_head`: a count
+        // of 0 divides by zero there, a too-large one indexes past the page.
+        if page_type != Some(PageType::HashDir)
+            || buckets == 0
+            || buckets > Self::max_buckets(pager)
+        {
+            return Err(StorageError::Corrupt {
                 page: dir,
-                reason: "hash directory missing bucket count".into(),
-            })?;
+                reason: format!("hash directory {page_type:?} with bucket count {buckets}"),
+            });
+        }
         Ok(HashIndex {
             dir,
             buckets,
@@ -395,6 +404,25 @@ mod tests {
         let h2 = HashIndex::open(&mut pg, 2).unwrap();
         assert_eq!(h2.buckets(), 8);
         assert_eq!(h2.get(&mut pg, b"a").unwrap(), Some(b"1".to_vec()));
+    }
+
+    /// A zeroed directory page, a bucket count of 0, one past what the
+    /// page holds, or a page of another type: `open` returns the typed
+    /// error instead of handing out an index whose first `get` panics.
+    #[test]
+    fn open_rejects_a_torn_directory() {
+        let rejected = |tear: &dyn Fn(&mut [u8])| {
+            let mut pg = pager();
+            let dir = HashIndex::create(&mut pg, 2, 8).unwrap().dir;
+            pg.with_page_mut(dir, tear).unwrap();
+            let err = HashIndex::open(&mut pg, 2).unwrap_err();
+            matches!(err, StorageError::Corrupt { page, .. } if page == dir)
+        };
+        let over = HashIndex::max_buckets(&pager()) + 1;
+        assert!(rejected(&|buf| buf.fill(0)));
+        assert!(rejected(&|buf| SlottedPage::new(buf).set_aux(Some(0))));
+        assert!(rejected(&|buf| SlottedPage::new(buf).set_aux(Some(over))));
+        assert!(rejected(&|buf| buf[0] = PageType::HashBucket as u8));
     }
 
     #[test]

@@ -26,10 +26,23 @@ fn multi_config(frames: usize, shards: usize) -> DbmsConfig {
 
 #[test]
 fn readers_agree_with_model_under_eviction_churn() {
+    use fame_dbms::fame_buffer::ReplacementKind;
+    for replacement in [
+        ReplacementKind::Lru,
+        #[cfg(feature = "replace-lfu")]
+        ReplacementKind::Lfu,
+    ] {
+        churn_readers(replacement);
+    }
+}
+
+fn churn_readers(replacement: fame_dbms::fame_buffer::ReplacementKind) {
     // 8 frames over 4 shards against a few hundred keys: nearly every get
     // misses, so readers constantly race evictions and write-backs.
     const KEYS: u32 = 300;
-    let mut db = Database::open(multi_config(8, 4)).unwrap();
+    let mut cfg = multi_config(8, 4);
+    cfg.buffer.as_mut().unwrap().replacement = replacement;
+    let mut db = Database::open(cfg).unwrap();
     for i in 0..KEYS {
         db.put(&i.to_be_bytes(), &value_of(i)).unwrap();
     }

@@ -6,8 +6,7 @@
 //! * the chrome://tracing JSON export schema is **pinned** — a golden
 //!   test builds a deterministic event sequence through the explicit
 //!   timestamp seam and compares the exact string, so any schema drift is
-//!   a deliberate diff here, not a silent breakage of downstream parsers
-//!   (`obs_report` asserts against this schema);
+//!   a deliberate diff here, not a silent breakage of downstream parsers;
 //! * the rotating windowed metrics are coherent — proptests for snapshot
 //!   monotonicity under appends and for merge-equals-sum over arbitrary
 //!   sample sequences;
@@ -28,8 +27,8 @@ use proptest::prelude::*;
 /// The pinned export schema. `emit_at` drives the deterministic seam, a
 /// single ring keeps ticket order stable, and the expected string is
 /// written out byte for byte. If this test fails, either fix the
-/// regression or update the golden below *and* every consumer
-/// (`obs_report`'s JSON assertions, EXPERIMENTS.md E13).
+/// regression or update the golden below *and* every consumer (the JSON
+/// assertions of the deadlock test below, EXPERIMENTS.md E13).
 #[test]
 fn chrome_trace_json_schema_is_pinned() {
     let sink = TraceSink::new(1, 8, 1_000_000_000);
@@ -181,7 +180,9 @@ fn trace_config() -> DbmsConfig {
 /// the complete spliced chain.
 #[test]
 fn deadlock_chain_is_reconstructable_from_dump() {
-    let mut db = Database::open(trace_config()).unwrap();
+    let mut cfg = trace_config();
+    cfg.stats.anomaly_deadlocks_per_sec = Some(0.5);
+    let mut db = Database::open(cfg).unwrap();
     let writer = db.writer().unwrap();
 
     let barrier = std::sync::Barrier::new(2);
@@ -220,7 +221,13 @@ fn deadlock_chain_is_reconstructable_from_dump() {
     });
     drop(writer);
 
-    let dump = db.dump_trace();
+    // The victim landed in the newest window: the poll a server embedding
+    // would run fires the edge-triggered anomaly here, and only once.
+    let anomaly = db.trace_anomaly().expect("the deadlock rate crossed 0.5/s");
+    assert_eq!(db.trace_anomaly(), None, "one crossing fired twice");
+    let dump = db.flight_recorder().dump(Some(anomaly.reason));
+    let reason = dump.anomaly.as_deref().expect("the dump is stamped");
+    assert!(reason.contains("deadlocks/s"), "{reason}");
     let events = &dump.events;
 
     // A victim exists, and its full causal chain survives in the rings.
@@ -262,6 +269,10 @@ fn deadlock_chain_is_reconstructable_from_dump() {
         wait.parent != v,
         "a transaction cannot wait on itself in the rendezvous"
     );
+    // The chrome export carries the chain's ids.
+    let json = dump.to_chrome_json();
+    assert!(json.contains("\"name\":\"deadlock-victim\""), "{json}");
+    assert!(json.contains(&format!("\"parent\":{v}")), "{json}");
 
     // Windowed metrics observed the storm.
     let w = db.trace_windows();

@@ -189,6 +189,36 @@ proptest! {
     }
 }
 
+/// The coalesced commit, by count: under `Force` one `apply_batch` costs
+/// exactly one log sync, whatever the batch size and whatever the index.
+#[test]
+fn a_batch_of_any_size_is_one_log_sync_on_every_index() {
+    for index in [
+        IndexKind::BTree,
+        IndexKind::List,
+        IndexKind::Hash { buckets: 64 },
+    ] {
+        let mut cfg = config_for(index.clone(), false, 64);
+        cfg.transactions = Some(fame_dbms::TxnConfig {
+            commit: fame_dbms::fame_txn::CommitPolicy::Force,
+        });
+        let mut db = Database::open(cfg).unwrap();
+        let mut keys = 0u32;
+        for size in [1, 8, 64, 512] {
+            let before = db.log_syncs().unwrap();
+            let mut batch = fame_dbms::WriteBatch::new();
+            for _ in 0..size {
+                batch.put(&keys.to_be_bytes(), &[7; 16]);
+                keys += 1;
+            }
+            db.apply_batch(batch).unwrap();
+            let syncs = db.log_syncs().unwrap() - before;
+            assert_eq!(syncs, 1, "{index:?}: a batch of {size} made {syncs} syncs");
+        }
+        assert_eq!(db.len().unwrap(), keys as usize, "{index:?}: a key is lost");
+    }
+}
+
 // --- Query evaluation laws (Figure 3 derivation pipeline) ---------------
 //
 // Queries are a positive boolean algebra (Any/All, no negation) over an

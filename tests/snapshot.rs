@@ -9,6 +9,7 @@
 //! `commit_with_retry` serializes contended read-modify-write cycles.
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use fame_dbms::fame_txn::CommitPolicy;
 use fame_dbms::{Concurrency, Database, DbmsConfig, TxnConfig};
@@ -309,13 +310,15 @@ fn capped_chain_strands_too_old_snapshot() {
 }
 
 /// `commit_with_retry` under genuine contention: concurrent
-/// read-modify-write increments serialize through retries, the final
-/// count is exact, and the helper rolls back on non-lock errors too.
+/// read-modify-write increments serialize through retries and the final
+/// count is exact. Two snapshot readers run beside the writers: every get
+/// finds the counter, successive pins never go backwards, and once the
+/// handles drop the version registries are empty.
 #[test]
 fn commit_with_retry_serializes_contended_rmw() {
     const WRITERS: usize = 4;
     const INCREMENTS: u64 = 48;
-    let db = Database::open(snap_config(CommitPolicy::Group { group_size: 4 })).unwrap();
+    let mut db = Database::open(snap_config(CommitPolicy::Group { group_size: 4 })).unwrap();
     let writer = db.writer().unwrap();
     {
         let txn = writer.begin().unwrap();
@@ -323,10 +326,20 @@ fn commit_with_retry_serializes_contended_rmw() {
         writer.commit(txn).unwrap();
     }
 
+    // Counts a writer as done even when it panics, so that the readers
+    // polling the count end with a failed run instead of spinning on it.
+    struct Done<'a>(&'a AtomicUsize);
+    impl Drop for Done<'_> {
+        fn drop(&mut self) {
+            self.0.fetch_add(1, Ordering::Release);
+        }
+    }
+    let writers_done = AtomicUsize::new(0);
     std::thread::scope(|s| {
         for _ in 0..WRITERS {
-            let w = writer.clone();
+            let (w, done) = (writer.clone(), Done(&writers_done));
             s.spawn(move || {
+                let _done = done;
                 for _ in 0..INCREMENTS {
                     let txn = w.begin().unwrap();
                     w.commit_with_retry(txn, 1_000, |w, txn| {
@@ -338,15 +351,64 @@ fn commit_with_retry_serializes_contended_rmw() {
                 }
             });
         }
+        for _ in 0..2 {
+            let (mut snap, writers_done) = (db.snapshot().unwrap(), &writers_done);
+            s.spawn(move || {
+                let mut floor = 0;
+                loop {
+                    snap.refresh();
+                    match snap.get(b"counter") {
+                        Ok(got) => {
+                            let got = got.expect("snapshot get missed the seeded counter");
+                            let n = u64::from_be_bytes(got.try_into().unwrap());
+                            assert!(n >= floor, "counter went backwards: {n} < {floor}");
+                            floor = n;
+                        }
+                        // Stranded by the chain cap: re-pin and carry on.
+                        Err(e) => assert!(e.to_string().contains("too old"), "{e}"),
+                    }
+                    if writers_done.load(Ordering::Acquire) == WRITERS {
+                        break;
+                    }
+                }
+            });
+        }
     });
 
+    let total = (WRITERS as u64 * INCREMENTS).to_be_bytes();
     let mut fin = db.snapshot().unwrap();
-    let got = fin.get(b"counter").unwrap().unwrap();
     assert_eq!(
-        u64::from_be_bytes(got.try_into().unwrap()),
-        WRITERS as u64 * INCREMENTS,
+        fin.get(b"counter").unwrap().as_deref(),
+        Some(&total[..]),
         "lost update through commit_with_retry"
     );
+
+    // Snapshot reads stay out of the lock table: with the counter's X lock
+    // held by an open transaction, reading it moves no lock counter.
+    #[cfg(feature = "statistics")]
+    {
+        let lock_counters = |db: &mut Database| {
+            let l = db.stats().unwrap().locks.expect("MultiWriter lock stats");
+            (l.waits, l.deadlock_aborts, l.timeout_aborts)
+        };
+        let txn = writer.begin().unwrap();
+        writer.put(txn, b"counter", b"uncommitted").unwrap();
+        let before = lock_counters(&mut db);
+        for _ in 0..64 {
+            fin.refresh();
+            assert_eq!(fin.get(b"counter").unwrap().as_deref(), Some(&total[..]));
+        }
+        assert_eq!(lock_counters(&mut db), before, "a snapshot read waited");
+        writer.abort(txn).unwrap();
+
+        drop(fin);
+        let v = db.stats().unwrap().versions.expect("shared pool");
+        let cap = db.config().snapshot_chain_cap as u64;
+        assert!(v.chain_max <= cap, "chain {} > cap {cap}", v.chain_max);
+        assert_eq!((v.active, v.live_entries), (0, 0), "a registry leaked");
+    }
+    let report = db.verify_integrity().unwrap();
+    assert!(report.is_ok(), "{report}");
 }
 
 /// Products without the runtime MultiWriter alternative refuse to hand
