@@ -1,6 +1,11 @@
 //! The buffer pool: frames, page table, eviction, write-back.
-
-use std::collections::HashMap;
+//!
+//! A hit costs one page-table load, one policy stamp store and the page:
+//! the table is indexed by page id (page ids are dense — the pager
+//! allocates them sequentially and `ensure_pages` bounds them), and frame
+//! bytes sit in fixed-size chunks indexed by frame number, so there is no
+//! hashing and no per-frame pointer to chase. The table costs 4 B per
+//! device page: 0.8 % of the data at 512 B pages, 0.1 % at 4 KiB.
 
 use fame_os::{AllocPolicy, BlockDevice, DeviceStats, FrameAllocator, OsError, PageId};
 
@@ -8,17 +13,30 @@ use crate::replacement::{FrameIdx, ReplacementKind, ReplacementPolicy};
 use crate::stats::AtomicPoolStats;
 pub use crate::stats::PoolStats;
 
-#[derive(Debug)]
-struct Frame {
+/// Frames per arena chunk. Growing the pool allocates one more chunk and
+/// never moves an existing one.
+const CHUNK_FRAMES: usize = 64;
+
+/// Page-table entry of a page that is not resident.
+const ABSENT: u32 = u32::MAX;
+
+/// What a frame holds; its bytes are in the arena under the same index.
+#[derive(Debug, Clone, Copy, Default)]
+struct Slot {
     page: Option<PageId>,
-    data: Box<[u8]>,
     dirty: bool,
 }
 
 /// State of the caching mode: frame arena, page table, eviction machinery.
 struct Cached {
-    frames: Vec<Frame>,
-    map: HashMap<PageId, FrameIdx>,
+    page_size: usize,
+    /// Frame bytes: chunk `i` holds frames `CHUNK_FRAMES * i ..`.
+    chunks: Vec<Box<[u8]>>,
+    /// One entry per allocated frame.
+    slots: Vec<Slot>,
+    /// Frame of each resident page, indexed by page id; pages past the end
+    /// are absent.
+    table: Vec<u32>,
     policy: Box<dyn ReplacementPolicy>,
     allocator: FrameAllocator,
     /// Frames currently holding no page (pre-allocated or discarded).
@@ -26,6 +44,48 @@ struct Cached {
 }
 
 impl Cached {
+    fn resident(&self, page: PageId) -> Option<FrameIdx> {
+        match self.table.get(page as usize) {
+            Some(&idx) if idx != ABSENT => Some(idx as FrameIdx),
+            _ => None,
+        }
+    }
+
+    fn bytes(&self, idx: FrameIdx) -> &[u8] {
+        let at = idx % CHUNK_FRAMES * self.page_size;
+        &self.chunks[idx / CHUNK_FRAMES][at..at + self.page_size]
+    }
+
+    fn bytes_mut(&mut self, idx: FrameIdx) -> &mut [u8] {
+        let at = idx % CHUNK_FRAMES * self.page_size;
+        &mut self.chunks[idx / CHUNK_FRAMES][at..at + self.page_size]
+    }
+
+    /// One more frame, if the allocation policy grants it. The last chunk
+    /// of a capped pool is only as long as the cap needs.
+    fn grow(&mut self) -> Option<FrameIdx> {
+        if !self.allocator.try_acquire() {
+            return None;
+        }
+        let idx = self.slots.len();
+        if idx.is_multiple_of(CHUNK_FRAMES) {
+            let limit = self.allocator.policy().limit();
+            let frames = limit.map_or(CHUNK_FRAMES, |l| (l - idx).min(CHUNK_FRAMES));
+            self.chunks
+                .push(vec![0u8; frames * self.page_size].into_boxed_slice());
+        }
+        self.slots.push(Slot::default());
+        self.policy.resize(self.slots.len());
+        Some(idx)
+    }
+
+    /// Empty the frame holding `page`.
+    fn unmap(&mut self, page: PageId, idx: FrameIdx) {
+        self.table[page as usize] = ABSENT;
+        self.slots[idx] = Slot::default();
+        self.policy.on_remove(idx);
+    }
+
     /// Locate (or load) the frame holding `page`.
     fn frame_for(
         &mut self,
@@ -33,7 +93,7 @@ impl Cached {
         stats: &AtomicPoolStats,
         page: PageId,
     ) -> Result<FrameIdx, OsError> {
-        if let Some(&idx) = self.map.get(&page) {
+        if let Some(idx) = self.resident(page) {
             stats.hits.inc();
             self.policy.on_access(idx);
             return Ok(idx);
@@ -44,38 +104,35 @@ impl Cached {
         // an eviction victim.
         let idx = if let Some(idx) = self.free.pop() {
             idx
-        } else if self.allocator.try_acquire() {
-            let idx = self.frames.len();
-            self.frames.push(Frame {
-                page: None,
-                data: vec![0u8; device.page_size()].into_boxed_slice(),
-                dirty: false,
-            });
-            self.policy.resize(self.frames.len());
+        } else if let Some(idx) = self.grow() {
             idx
         } else {
             let victim = self
                 .policy
                 .victim()
                 .ok_or_else(|| OsError::Io("buffer pool has no evictable frame".to_string()))?;
-            let fr = &mut self.frames[victim];
-            if fr.dirty {
-                let old = fr.page.expect("victim frame holds a page");
-                device.write_page(old, &fr.data)?;
+            let slot = self.slots[victim];
+            let old = slot.page.expect("victim frame holds a page");
+            if slot.dirty {
+                device.write_page(old, self.bytes(victim))?;
                 stats.writebacks.inc();
             }
-            if let Some(old) = fr.page.take() {
-                self.map.remove(&old);
-            }
-            fr.dirty = false;
-            self.policy.on_remove(victim);
+            self.unmap(old, victim);
             stats.evictions.inc();
             victim
         };
 
-        device.read_page(page, &mut self.frames[idx].data)?;
-        self.frames[idx].page = Some(page);
-        self.map.insert(page, idx);
+        if let Err(e) = device.read_page(page, self.bytes_mut(idx)) {
+            self.free.push(idx);
+            return Err(e);
+        }
+        // The device served the page, so it is one of its `num_pages()`.
+        if self.table.len() <= page as usize {
+            let pages = (page as usize + 1).max(device.num_pages() as usize);
+            self.table.resize(pages, ABSENT);
+        }
+        self.table[page as usize] = u32::try_from(idx).expect("frame index fits the page table");
+        self.slots[idx].page = Some(page);
         self.policy.on_insert(idx);
         Ok(idx)
     }
@@ -107,7 +164,7 @@ impl Exclusive {
             }
             Mode::Cached(c) => {
                 let idx = c.frame_for(&mut *self.device, &self.stats, page)?;
-                Ok(f(&c.frames[idx].data))
+                Ok(f(c.bytes(idx)))
             }
         }
     }
@@ -129,8 +186,8 @@ impl Exclusive {
             }
             Mode::Cached(c) => {
                 let idx = c.frame_for(&mut *self.device, &self.stats, page)?;
-                c.frames[idx].dirty = true;
-                Ok(f(&mut c.frames[idx].data))
+                c.slots[idx].dirty = true;
+                Ok(f(c.bytes_mut(idx)))
             }
         }
     }
@@ -142,17 +199,16 @@ impl Exclusive {
             // the device instead of the random order eviction history
             // happened to leave in the frame table.
             let mut dirty: Vec<(PageId, usize)> = c
-                .frames
+                .slots
                 .iter()
                 .enumerate()
-                .filter(|(_, fr)| fr.dirty)
-                .map(|(idx, fr)| (fr.page.expect("dirty frame holds a page"), idx))
+                .filter(|(_, slot)| slot.dirty)
+                .map(|(idx, slot)| (slot.page.expect("dirty frame holds a page"), idx))
                 .collect();
             dirty.sort_unstable();
             for (page, idx) in dirty {
-                let fr = &mut c.frames[idx];
-                self.device.write_page(page, &fr.data)?;
-                fr.dirty = false;
+                self.device.write_page(page, c.bytes(idx))?;
+                c.slots[idx].dirty = false;
                 self.stats.writebacks.inc();
             }
         }
@@ -177,31 +233,24 @@ impl BufferPool {
     /// Create a caching pool with the given replacement policy and frame
     /// allocation policy. Static allocation pre-faults the whole arena.
     pub fn new(device: Box<dyn BlockDevice>, kind: ReplacementKind, alloc: AllocPolicy) -> Self {
-        let page_size = device.page_size();
         let prealloc = alloc.preallocate();
-        let mut allocator = FrameAllocator::new(alloc);
-        let mut frames = Vec::with_capacity(prealloc);
+        let mut cached = Cached {
+            page_size: device.page_size(),
+            chunks: Vec::new(),
+            slots: Vec::with_capacity(prealloc),
+            table: Vec::new(),
+            policy: kind.build(0),
+            allocator: FrameAllocator::new(alloc),
+            free: (0..prealloc).rev().collect(),
+        };
         for _ in 0..prealloc {
-            let ok = allocator.try_acquire();
-            debug_assert!(ok, "preallocation within static arena");
-            frames.push(Frame {
-                page: None,
-                data: vec![0u8; page_size].into_boxed_slice(),
-                dirty: false,
-            });
+            let frame = cached.grow();
+            debug_assert!(frame.is_some(), "preallocation within static arena");
         }
-        let policy = kind.build(frames.len());
-        let free = (0..frames.len()).rev().collect();
         BufferPool {
             repr: Repr::Exclusive(Exclusive {
                 device,
-                mode: Mode::Cached(Cached {
-                    frames,
-                    map: HashMap::new(),
-                    policy,
-                    allocator,
-                    free,
-                }),
+                mode: Mode::Cached(cached),
                 stats: AtomicPoolStats::default(),
             }),
         }
@@ -334,10 +383,8 @@ impl BufferPool {
         match &mut self.repr {
             Repr::Exclusive(x) => {
                 if let Mode::Cached(c) = &mut x.mode {
-                    if let Some(idx) = c.map.remove(&page) {
-                        c.frames[idx].page = None;
-                        c.frames[idx].dirty = false;
-                        c.policy.on_remove(idx);
+                    if let Some(idx) = c.resident(page) {
+                        c.unmap(page, idx);
                         c.free.push(idx);
                     }
                 }
@@ -352,7 +399,7 @@ impl BufferPool {
         match &self.repr {
             Repr::Exclusive(x) => match &x.mode {
                 Mode::Unbuffered { .. } => false,
-                Mode::Cached(c) => c.map.contains_key(&page),
+                Mode::Cached(c) => c.resident(page).is_some(),
             },
             #[cfg(feature = "shared")]
             Repr::Shared(s) => s.contains(page),
@@ -364,7 +411,7 @@ impl BufferPool {
         match &self.repr {
             Repr::Exclusive(x) => match &x.mode {
                 Mode::Unbuffered { .. } => 0,
-                Mode::Cached(c) => c.frames.len(),
+                Mode::Cached(c) => c.slots.len(),
             },
             #[cfg(feature = "shared")]
             Repr::Shared(s) => s.frame_count(),
@@ -414,14 +461,18 @@ mod tests {
     use super::*;
     use fame_os::InMemoryDevice;
 
-    fn pool(frames: usize) -> BufferPool {
+    fn device(pages: u32) -> InMemoryDevice {
         let mut dev = InMemoryDevice::new(128);
-        dev.ensure_pages(16).unwrap();
-        BufferPool::new(
-            Box::new(dev),
-            ReplacementKind::Lru,
-            AllocPolicy::Static { frames },
-        )
+        dev.ensure_pages(pages).unwrap();
+        dev
+    }
+
+    fn pool_of(kind: ReplacementKind, alloc: AllocPolicy) -> BufferPool {
+        BufferPool::new(Box::new(device(16)), kind, alloc)
+    }
+
+    fn pool(frames: usize) -> BufferPool {
+        pool_of(ReplacementKind::Lru, AllocPolicy::Static { frames })
     }
 
     #[test]
@@ -483,20 +534,29 @@ mod tests {
 
     #[test]
     fn dynamic_pool_grows_to_cap() {
-        let mut dev = InMemoryDevice::new(128);
-        dev.ensure_pages(16).unwrap();
-        let mut p = BufferPool::new(
-            Box::new(dev),
-            ReplacementKind::Lru,
-            AllocPolicy::Dynamic {
-                max_frames: Some(5),
-            },
-        );
+        let max_frames = Some(5);
+        let mut p = pool_of(ReplacementKind::Lru, AllocPolicy::Dynamic { max_frames });
         assert_eq!(p.frame_count(), 0);
         for page in 0..10 {
             p.with_page(page, |_| ()).unwrap();
         }
         assert_eq!(p.frame_count(), 5);
+    }
+
+    /// A failed device read hands its frame back: N failures on an
+    /// N-frame pool, empty or full, leave every frame usable.
+    #[test]
+    fn failed_read_returns_its_frame() {
+        let mut p = pool(2);
+        for round in 0..2 {
+            for _ in 0..2 {
+                assert!(p.with_page(99, |_| ()).is_err());
+            }
+            p.with_page_mut(round, |b| b[0] = 7).unwrap();
+            p.with_page(round + 2, |_| ()).unwrap();
+        }
+        assert_eq!(p.with_page(0, |b| b[0]).unwrap(), 7);
+        assert_eq!(p.frame_count(), 2);
     }
 
     #[test]
@@ -542,11 +602,9 @@ mod tests {
         }
 
         let order = Arc::new(Mutex::new(Vec::new()));
-        let mut dev = InMemoryDevice::new(128);
-        dev.ensure_pages(16).unwrap();
         let mut p = BufferPool::new(
             Box::new(OrderRecorder {
-                inner: dev,
+                inner: device(16),
                 order: Arc::clone(&order),
             }),
             ReplacementKind::Lru,
@@ -585,9 +643,7 @@ mod tests {
 
     #[test]
     fn unbuffered_mode_passes_through() {
-        let mut dev = InMemoryDevice::new(128);
-        dev.ensure_pages(4).unwrap();
-        let mut p = BufferPool::unbuffered(Box::new(dev));
+        let mut p = BufferPool::unbuffered(Box::new(device(4)));
         p.with_page_mut(1, |b| b[0] = 5).unwrap();
         assert_eq!(p.with_page(1, |b| b[0]).unwrap(), 5);
         assert_eq!(p.frame_count(), 0);
@@ -600,9 +656,7 @@ mod tests {
 
     #[test]
     fn unbuffered_mutation_counts_one_access() {
-        let mut dev = InMemoryDevice::new(128);
-        dev.ensure_pages(4).unwrap();
-        let mut p = BufferPool::unbuffered(Box::new(dev));
+        let mut p = BufferPool::unbuffered(Box::new(device(4)));
         p.with_page_mut(0, |b| b[0] = 1).unwrap();
         p.with_page(0, |_| ()).unwrap();
         // One miss per logical access, even though the mutation issued a
@@ -613,19 +667,13 @@ mod tests {
 
     #[test]
     fn drop_flushes_dirty_frames() {
-        let mut dev = InMemoryDevice::new(128);
-        dev.ensure_pages(2).unwrap();
         // We can't reclaim the device after drop, so observe via a reopen
         // pattern: write through pool A, drop it, read through pool B
         // backed by the same file-like device. InMemoryDevice can't be
         // shared, so instead assert that flush happens by counting writes
         // before drop through stats() — covered by flush_clears_dirt_once —
         // and here simply ensure drop does not panic with dirty frames.
-        let mut p = BufferPool::new(
-            Box::new(dev),
-            ReplacementKind::Lru,
-            AllocPolicy::Static { frames: 2 },
-        );
+        let mut p = pool(2);
         p.with_page_mut(0, |b| b[0] = 1).unwrap();
         drop(p);
     }
@@ -633,13 +681,7 @@ mod tests {
     #[cfg(feature = "lfu")]
     #[test]
     fn lfu_pool_keeps_hot_page() {
-        let mut dev = InMemoryDevice::new(128);
-        dev.ensure_pages(16).unwrap();
-        let mut p = BufferPool::new(
-            Box::new(dev),
-            ReplacementKind::Lfu,
-            AllocPolicy::Static { frames: 2 },
-        );
+        let mut p = pool_of(ReplacementKind::Lfu, AllocPolicy::Static { frames: 2 });
         for _ in 0..5 {
             p.with_page(0, |_| ()).unwrap(); // hot
         }

@@ -3,6 +3,11 @@
 //! Each policy observes frame accesses and nominates an eviction victim.
 //! The paper's feature diagram offers LRU and LFU.
 
+#[cfg(any(feature = "lru", feature = "lfu"))]
+use std::cmp::Reverse;
+#[cfg(any(feature = "lru", feature = "lfu"))]
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
+
 /// Index of a frame inside the pool.
 pub type FrameIdx = usize;
 
@@ -41,14 +46,6 @@ impl ReplacementKind {
     }
 }
 
-/// The LRU and LFU lazy heaps gain an entry per page *access*, and only
-/// `victim()` pops: an all-hit workload would grow them without bound.
-/// Past this multiple of the frame count a heap sheds its stale entries —
-/// `O(frames)` once per `O(frames)` accesses — which are exactly the ones
-/// `victim()` would have skipped.
-#[cfg(any(feature = "lru", feature = "lfu"))]
-const HEAP_SLACK: usize = 4;
-
 /// Interface every replacement policy implements.
 pub trait ReplacementPolicy: Send {
     /// A resident frame was read or written.
@@ -66,179 +63,121 @@ pub trait ReplacementPolicy: Send {
     fn name(&self) -> &'static str;
 }
 
-#[cfg(feature = "lru")]
-pub mod lru {
-    //! Least-recently-used via a logical access clock.
-    //!
-    //! Victim selection uses a *lazy min-heap*: every access pushes a
-    //! `(stamp, frame)` entry; `victim()` pops entries until one matches
-    //! the frame's current stamp, and the heap sheds its stale entries
-    //! when it outgrows [`HEAP_SLACK`](super::HEAP_SLACK) entries per
-    //! frame. Amortized `O(log n)` per operation —
-    //! the straightforward "scan all frames" alternative makes every
-    //! buffer miss `O(frames)`, which dominates at realistic pool sizes.
+/// Both policies: a rank per frame that an access only ever raises, and
+/// a min-heap of lower bounds that is touched only to pick a victim.
+///
+/// The policies differ in what the rank is — LRU stamps the frame with a
+/// logical clock, LFU counts its accesses and breaks ties by load order —
+/// and in nothing else. `on_access` is one store; all heap work is in
+/// [`ReplacementPolicy::victim`]. Each load pushes one `(rank, epoch,
+/// frame)` entry, `epoch` being unique to that load. While the page stays,
+/// its rank only grows, so the entry's rank is a *lower bound* of the
+/// frame's: `victim()` looks at the top entry and returns its frame if
+/// the ranks agree — every other occupied frame has `rank >= its entry >=
+/// the top`, and `(rank, epoch)` is unique — otherwise re-keys the entry
+/// to the current rank and looks again. An entry whose epoch is not the
+/// frame's was left by an earlier load (a reloaded frame restarts at a
+/// lower count, so it is *not* a lower bound) and is dropped when it
+/// surfaces: right away for an evicted page, whose entry was the top.
+/// Only `discard` can pile such entries up, and the prune that bounds
+/// them runs from removals, never from accesses. The victim order is
+/// exactly that of a full scan, in amortized `O(log n)` per *eviction*.
+#[cfg(any(feature = "lru", feature = "lfu"))]
+#[derive(Debug)]
+pub struct Ranked<const BY_COUNT: bool> {
+    clock: u64,
+    /// `0` = frame empty; otherwise the access stamp (LRU) or count (LFU).
+    ranks: Vec<u64>,
+    /// The clock at each frame's last load.
+    epochs: Vec<u64>,
+    heap: BinaryHeap<Reverse<(u64, u64, FrameIdx)>>,
+}
 
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-
-    use super::{FrameIdx, ReplacementPolicy, HEAP_SLACK};
-
-    /// LRU: evicts the occupied frame with the oldest access stamp.
-    #[derive(Debug)]
-    pub struct Lru {
-        clock: u64,
-        /// `None` = frame empty; `Some(stamp)` = last access time.
-        stamps: Vec<Option<u64>>,
-        /// Lazy heap of (stamp, frame); stale entries are skipped on pop.
-        heap: BinaryHeap<Reverse<(u64, FrameIdx)>>,
-    }
-
-    impl Lru {
-        /// Policy for a pool of `frames` frames.
-        pub fn new(frames: usize) -> Self {
-            Lru {
-                clock: 0,
-                stamps: vec![None; frames],
-                heap: BinaryHeap::new(),
-            }
+#[cfg(any(feature = "lru", feature = "lfu"))]
+impl<const BY_COUNT: bool> Ranked<BY_COUNT> {
+    /// Policy for a pool of `frames` frames.
+    pub fn new(frames: usize) -> Self {
+        Ranked {
+            clock: 0,
+            ranks: vec![0; frames],
+            epochs: vec![0; frames],
+            heap: BinaryHeap::new(),
         }
+    }
+}
 
-        fn touch(&mut self, frame: FrameIdx) {
+#[cfg(any(feature = "lru", feature = "lfu"))]
+impl<const BY_COUNT: bool> ReplacementPolicy for Ranked<BY_COUNT> {
+    fn on_access(&mut self, frame: FrameIdx) {
+        if !BY_COUNT {
             self.clock += 1;
-            self.stamps[frame] = Some(self.clock);
-            self.heap.push(Reverse((self.clock, frame)));
-            if self.heap.len() > HEAP_SLACK * self.stamps.len() {
-                self.heap
-                    .retain(|&Reverse((stamp, frame))| self.stamps[frame] == Some(stamp));
-            }
-        }
-
-        #[cfg(test)]
-        pub(super) fn heap_len(&self) -> usize {
-            self.heap.len()
+            self.ranks[frame] = self.clock;
+        } else if self.ranks[frame] != 0 {
+            self.ranks[frame] += 1;
         }
     }
 
-    impl ReplacementPolicy for Lru {
-        fn on_access(&mut self, frame: FrameIdx) {
-            self.touch(frame);
-        }
+    fn on_insert(&mut self, frame: FrameIdx) {
+        self.clock += 1;
+        let rank = if BY_COUNT { 1 } else { self.clock };
+        self.ranks[frame] = rank;
+        self.epochs[frame] = self.clock;
+        self.heap.push(Reverse((rank, self.clock, frame)));
+    }
 
-        fn on_insert(&mut self, frame: FrameIdx) {
-            self.touch(frame);
+    fn on_remove(&mut self, frame: FrameIdx) {
+        self.ranks[frame] = 0;
+        if self.heap.len() > 2 * self.ranks.len() {
+            self.heap
+                .retain(|&Reverse((_, epoch, f))| self.ranks[f] != 0 && self.epochs[f] == epoch);
         }
+    }
 
-        fn on_remove(&mut self, frame: FrameIdx) {
-            self.stamps[frame] = None;
-        }
-
-        fn victim(&mut self) -> Option<FrameIdx> {
-            while let Some(&Reverse((stamp, frame))) = self.heap.peek() {
-                if self.stamps.get(frame).copied().flatten() == Some(stamp) {
-                    return Some(frame);
-                }
-                self.heap.pop(); // stale: frame re-touched or emptied
+    fn victim(&mut self) -> Option<FrameIdx> {
+        loop {
+            let mut top = self.heap.peek_mut()?;
+            let Reverse((bound, epoch, frame)) = *top;
+            let rank = self.ranks[frame];
+            if rank == 0 || self.epochs[frame] != epoch {
+                PeekMut::pop(top);
+            } else if rank == bound {
+                return Some(frame);
+            } else {
+                *top = Reverse((rank, epoch, frame));
             }
-            None
         }
+    }
 
-        fn resize(&mut self, frames: usize) {
-            self.stamps.resize(frames, None);
-        }
+    fn resize(&mut self, frames: usize) {
+        self.ranks.resize(frames, 0);
+        self.epochs.resize(frames, 0);
+    }
 
-        fn name(&self) -> &'static str {
+    fn name(&self) -> &'static str {
+        if BY_COUNT {
+            "LFU"
+        } else {
             "LRU"
         }
     }
 }
 
+#[cfg(feature = "lru")]
+pub mod lru {
+    //! Least-recently-used: the rank is a logical access clock.
+
+    /// LRU: evicts the occupied frame with the oldest access stamp.
+    pub type Lru = super::Ranked<false>;
+}
+
 #[cfg(feature = "lfu")]
 pub mod lfu {
     //! Least-frequently-used with FIFO tie-breaking.
-    //!
-    //! Uses the same lazy-heap scheme as LRU: `victim()` pops
-    //! `(count, inserted_at, frame)` entries until one matches the frame's
-    //! current state, with the same bound on the heap. Amortized
-    //! `O(log n)` instead of an `O(frames)` scan per buffer miss.
-
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-
-    use super::{FrameIdx, ReplacementPolicy, HEAP_SLACK};
 
     /// LFU: evicts the occupied frame with the fewest accesses; ties are
     /// broken by insertion order (older first) so scans don't thrash a
     /// single frame.
-    #[derive(Debug)]
-    pub struct Lfu {
-        /// `None` = empty; `Some((count, inserted_at))`.
-        counts: Vec<Option<(u64, u64)>>,
-        insert_clock: u64,
-        /// Lazy heap of (count, inserted_at, frame).
-        heap: BinaryHeap<Reverse<(u64, u64, FrameIdx)>>,
-    }
-
-    impl Lfu {
-        /// Policy for a pool of `frames` frames.
-        pub fn new(frames: usize) -> Self {
-            Lfu {
-                counts: vec![None; frames],
-                insert_clock: 0,
-                heap: BinaryHeap::new(),
-            }
-        }
-
-        fn push(&mut self, count: u64, at: u64, frame: FrameIdx) {
-            self.heap.push(Reverse((count, at, frame)));
-            if self.heap.len() > HEAP_SLACK * self.counts.len() {
-                self.heap
-                    .retain(|&Reverse((count, at, frame))| self.counts[frame] == Some((count, at)));
-            }
-        }
-
-        #[cfg(test)]
-        pub(super) fn heap_len(&self) -> usize {
-            self.heap.len()
-        }
-    }
-
-    impl ReplacementPolicy for Lfu {
-        fn on_access(&mut self, frame: FrameIdx) {
-            if let Some((c, at)) = &mut self.counts[frame] {
-                *c += 1;
-                let (c, at) = (*c, *at);
-                self.push(c, at, frame);
-            }
-        }
-
-        fn on_insert(&mut self, frame: FrameIdx) {
-            self.insert_clock += 1;
-            self.counts[frame] = Some((1, self.insert_clock));
-            self.push(1, self.insert_clock, frame);
-        }
-
-        fn on_remove(&mut self, frame: FrameIdx) {
-            self.counts[frame] = None;
-        }
-
-        fn victim(&mut self) -> Option<FrameIdx> {
-            while let Some(&Reverse((count, at, frame))) = self.heap.peek() {
-                if self.counts.get(frame).copied().flatten() == Some((count, at)) {
-                    return Some(frame);
-                }
-                self.heap.pop(); // stale
-            }
-            None
-        }
-
-        fn resize(&mut self, frames: usize) {
-            self.counts.resize(frames, None);
-        }
-
-        fn name(&self) -> &'static str {
-            "LFU"
-        }
-    }
+    pub type Lfu = super::Ranked<true>;
 }
 
 #[cfg(test)]
@@ -284,28 +223,14 @@ mod tests {
             assert_eq!(p.victim(), Some(0));
         }
 
-        /// An all-hit workload never calls `victim()`; the heap must stay
-        /// `O(frames)` anyway and still nominate in true LRU order.
+        /// An all-hit workload never calls `victim()` and never touches the
+        /// heap; it still nominates in true LRU order afterwards.
         #[test]
         fn heap_stays_bounded_without_evictions() {
             let mut p = Lru::new(4);
-            (0..4).for_each(|f| p.on_insert(f));
-            let mut last = [0u64; 4];
-            let mut x = 1u64;
-            for tick in 1..=1_000_000u64 {
-                x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-                let frame = (x >> 33) as usize % 4;
-                p.on_access(frame);
-                last[frame] = tick;
-                assert!(p.heap_len() <= 4 * super::super::HEAP_SLACK);
-            }
-            let mut expected = [0, 1, 2, 3];
-            expected.sort_by_key(|&f| last[f]);
-            for frame in expected {
-                assert_eq!(p.victim(), Some(frame));
-                p.on_remove(frame);
-            }
-            assert_eq!(p.victim(), None);
+            let (last, _) = super::million_accesses(&mut p, |x| x % 4);
+            assert!(p.heap.len() <= 4);
+            super::drains_in_order_of(&mut p, last);
         }
     }
 
@@ -347,30 +272,61 @@ mod tests {
             assert_eq!(p.victim(), Some(1)); // 1 older at same count
         }
 
-        /// An all-hit workload never calls `victim()`; the heap must stay
-        /// `O(frames)` anyway and still nominate in true LFU order.
+        /// An all-hit workload never calls `victim()` and never touches the
+        /// heap; it still nominates in true LFU order afterwards.
         #[test]
         fn heap_stays_bounded_without_evictions() {
             let mut p = Lfu::new(4);
-            (0..4).for_each(|f| p.on_insert(f));
-            let mut count = [1u64; 4];
-            let mut x = 1u64;
-            for _ in 0..1_000_000 {
-                x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-                // Skewed, so the four counts differ.
-                let frame = ((x >> 33) as usize % 10).min(3);
-                p.on_access(frame);
-                count[frame] += 1;
-                assert!(p.heap_len() <= 4 * super::super::HEAP_SLACK);
-            }
-            let mut expected = [0, 1, 2, 3];
-            expected.sort_by_key(|&f| count[f]);
-            for frame in expected {
-                assert_eq!(p.victim(), Some(frame));
-                p.on_remove(frame);
-            }
-            assert_eq!(p.victim(), None);
+            // Skewed, so the four counts differ.
+            let (_, count) = super::million_accesses(&mut p, |x| (x % 10).min(3));
+            assert!(p.heap.len() <= 4);
+            super::drains_in_order_of(&mut p, count);
         }
+    }
+
+    /// `discard` empties frames whose entry is not the heap top; what those
+    /// removals leave behind is pruned from `on_remove`.
+    #[test]
+    #[cfg(any(feature = "lru", feature = "lfu"))]
+    fn discards_leave_a_bounded_heap() {
+        let mut p = Ranked::<true>::new(4);
+        p.on_insert(0);
+        for _ in 0..1_000 {
+            p.on_insert(1);
+            p.on_remove(1);
+            assert!(p.heap.len() <= 2 * 4 + 1);
+        }
+        assert_eq!(p.victim(), Some(0));
+    }
+
+    /// Fill four frames, then 1 M seeded accesses to `pick(x)`. Returns
+    /// each frame's last access tick and access count.
+    fn million_accesses(
+        p: &mut dyn ReplacementPolicy,
+        pick: impl Fn(usize) -> usize,
+    ) -> ([u64; 4], [u64; 4]) {
+        (0..4).for_each(|f| p.on_insert(f));
+        let (mut last, mut count) = ([0u64; 4], [1u64; 4]);
+        let mut x = 1u64;
+        for tick in 1..=1_000_000u64 {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+            let frame = pick((x >> 33) as usize);
+            p.on_access(frame);
+            last[frame] = tick;
+            count[frame] += 1;
+        }
+        (last, count)
+    }
+
+    /// Evicting everything nominates the frames in ascending `key` order.
+    fn drains_in_order_of(p: &mut dyn ReplacementPolicy, key: [u64; 4]) {
+        let mut expected = [0, 1, 2, 3];
+        expected.sort_by_key(|&f| key[f]);
+        for frame in expected {
+            assert_eq!(p.victim(), Some(frame));
+            p.on_remove(frame);
+        }
+        assert_eq!(p.victim(), None);
     }
 
     // One test per policy: LRU and LFU are distinct members of the

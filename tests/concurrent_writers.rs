@@ -137,21 +137,19 @@ fn contended_rmw_increments_serialize() {
     let mut db = Database::open(mw_config(CommitPolicy::Group { group_size: 4 })).unwrap();
     db.put(b"counter", &0u64.to_be_bytes()).unwrap();
     let writer = db.writer().unwrap();
-    let retries = AtomicU32::new(0);
 
     std::thread::scope(|s| {
         for _ in 0..WRITERS {
-            let (w, retries) = (writer.clone(), &retries);
+            let w = writer.clone();
             s.spawn(move || {
                 for _ in 0..INCREMENTS {
-                    let again = with_retry(&w, |w, txn| {
+                    with_retry(&w, |w, txn| {
                         let Ok(Some(cur)) = w.get(txn, b"counter") else {
                             return false; // deadlock victim on the S lock
                         };
                         let n = u64::from_be_bytes(cur.try_into().unwrap()) + 1;
                         w.put(txn, b"counter", &n.to_be_bytes()).is_ok()
                     });
-                    retries.fetch_add(again, Relaxed);
                 }
             });
         }
@@ -165,14 +163,11 @@ fn contended_rmw_increments_serialize() {
     );
     let (committed, _) = writer.txn_stats();
     assert!(committed >= WRITERS as u64 * INCREMENTS);
-    // Deadlock detection aborts one victim per cycle, it does not livelock:
-    // an increment that commits costs at most the other writers one attempt
-    // each.
-    let retries = u64::from(retries.into_inner());
-    assert!(
-        retries <= (WRITERS as u64 - 1) * committed,
-        "{retries} retries for {committed} commits: the lock table is thrashing"
-    );
+    // No aggregate bound on retries: victims retry with no back-off, so
+    // while a run of 1 s lock timeouts lasts (this test's slow mode on a
+    // 2-core box) the other writers burn attempts at a rate no multiple of
+    // `committed` covers — ROADMAP item 6 has the numbers. Livelock is
+    // caught per transaction: `with_retry` panics after 1 000 attempts.
 }
 
 /// Sync accounting of a lone writer, by count: under `Force` every commit
