@@ -42,6 +42,9 @@ echo "== replacement alternatives alone (each member of the group builds and pas
 cargo test -q -p fame-buffer --no-default-features --features lru
 cargo test -q -p fame-buffer --no-default-features --features lfu
 
+echo "== SQL engine without the Optimizer (every statement a full scan through the streaming executor)"
+cargo test -q -p fame-query --no-default-features --features sql
+
 echo "== fame-lint self-run + E11 seeded-defect corpus (gate: violations fail, warnings pass)"
 # A faster variant for local iteration skips only the corpus, never the
 # self-run:  cargo run --release -p fame-lint --bin lint_report -- --quick

@@ -1,12 +1,19 @@
 //! Statement execution against catalog tables.
+//!
+//! Row-sourcing statements stream: the access path visits each candidate
+//! row in its B+-tree leaf by reference, the row is decoded there —
+//! materialising only the columns the statement reads, checking the rest
+//! — and tested against the residual predicate, whose column names were
+//! resolved to indexes once per statement. Only rows that pass are
+//! copied out.
+
+use std::borrow::Cow;
 
 use fame_storage::{BTree, DataType, Pager, Schema, Value};
 
 use crate::catalog::{Catalog, TableInfo};
 use crate::error::{QueryError, QueryResult};
-use crate::plan::AccessPath;
-#[cfg(not(feature = "optimizer"))]
-use crate::plan::Plan;
+use crate::plan::{AccessPath, Plan};
 use crate::sql::ast::{BinOp, Expr, OrderBy, SelectCols, Stmt};
 use crate::sql::parser::parse;
 
@@ -168,30 +175,27 @@ impl SqlEngine {
                 predicate,
                 order_by,
                 limit,
-            } => {
-                let info = self.catalog.table(pager, &table)?;
-                validate_columns(&info, &cols, &predicate, &order_by)?;
-                let matching = self.matching_rows(pager, &info, predicate)?;
-                self.project(info, matching, cols, order_by, limit)
-            }
+            } => self.select(pager, cols, &table, predicate, order_by, limit),
             Stmt::Update {
                 table,
                 sets,
                 predicate,
             } => {
                 let info = self.catalog.table(pager, &table)?;
-                for (col, _) in &sets {
-                    if info.schema.column_index(col).is_none() {
-                        return Err(QueryError::NoSuchColumn(col.clone()));
-                    }
-                }
+                let sets = sets
+                    .into_iter()
+                    .map(|(col, value)| Ok((column(&info.schema, &col)?, value)))
+                    .collect::<QueryResult<Vec<_>>>()?;
                 validate_predicate(&info, &predicate)?;
-                let matching = self.matching_rows(pager, &info, predicate)?;
+                let mut matching = Vec::new();
+                let all = vec![true; info.schema.arity()];
+                self.matching_rows(pager, &info, predicate, all, &mut |key, row| {
+                    matching.push((key.to_vec(), std::mem::take(row)));
+                })?;
                 let mut tree = BTree::open(pager, info.slot)?;
                 let mut n = 0;
                 for (old_key, mut row) in matching {
-                    for (col, value) in &sets {
-                        let idx = info.schema.column_index(col).expect("validated");
+                    for &(idx, ref value) in &sets {
                         row[idx] = coerce(value.clone(), info.schema.columns()[idx].ty)?;
                     }
                     info.schema.check_row(&row).map_err(QueryError::from)?;
@@ -211,14 +215,16 @@ impl SqlEngine {
             Stmt::Delete { table, predicate } => {
                 let info = self.catalog.table(pager, &table)?;
                 validate_predicate(&info, &predicate)?;
-                let matching = self.matching_rows(pager, &info, predicate)?;
+                let mut keys = Vec::new();
+                let none = vec![false; info.schema.arity()];
+                self.matching_rows(pager, &info, predicate, none, &mut |key, _| {
+                    keys.push(key.to_vec());
+                })?;
                 let mut tree = BTree::open(pager, info.slot)?;
-                let mut n = 0;
-                for (key, _) in matching {
-                    tree.remove(pager, &key)?;
-                    n += 1;
+                for key in &keys {
+                    tree.remove(pager, key)?;
                 }
-                Ok(QueryOutput::Deleted(n))
+                Ok(QueryOutput::Deleted(keys.len()))
             }
             Stmt::Explain(inner) => self.explain(pager, *inner),
         }
@@ -242,11 +248,7 @@ impl SqlEngine {
         };
         let info = self.catalog.table(pager, &table)?;
         validate_predicate(&info, &predicate)?;
-
-        #[cfg(feature = "optimizer")]
-        let plan = crate::optimizer::optimize(&info.schema, predicate);
-        #[cfg(not(feature = "optimizer"))]
-        let plan = crate::plan::Plan::full_scan(predicate);
+        let plan = plan(&info.schema, predicate);
 
         let mut steps = vec![format!("table: {}", info.name)];
         steps.push(match &plan.path {
@@ -284,74 +286,88 @@ impl SqlEngine {
         })
     }
 
-    /// Fetch `(key, row)` pairs matching the predicate, via the planned
-    /// access path.
-    fn matching_rows(
+    /// `SELECT`: stream the matching rows, keeping of each only the
+    /// projected columns (plus a hidden `ORDER BY` column), moved out of
+    /// the decoded row rather than cloned.
+    fn select(
         &mut self,
         pager: &mut Pager,
-        info: &TableInfo,
-        predicate: Option<Expr>,
-    ) -> QueryResult<Vec<(Vec<u8>, Vec<Value>)>> {
-        #[cfg(feature = "optimizer")]
-        let plan = crate::optimizer::optimize(&info.schema, predicate);
-        #[cfg(not(feature = "optimizer"))]
-        let plan = Plan::full_scan(predicate);
-
-        self.last_path = Some(plan.path.label());
-        #[cfg(feature = "obs")]
-        match &plan.path {
-            AccessPath::FullScan => self.obs.full_scans.inc(),
-            AccessPath::Point(_) => self.obs.point_lookups.inc(),
-            AccessPath::Range { .. } => self.obs.range_scans.inc(),
-        }
-        let tree = BTree::open(pager, info.slot)?;
-        let candidates: Vec<(Vec<u8>, Vec<u8>)> = match &plan.path {
-            AccessPath::FullScan => tree.scan(pager, None, None)?,
-            AccessPath::Point(key) => match tree.get(pager, key)? {
-                Some(v) => vec![(key.clone(), v)],
-                None => vec![],
-            },
-            AccessPath::Range { start, end } => {
-                tree.scan(pager, start.as_deref(), end.as_deref())?
-            }
-        };
-        #[cfg(feature = "obs")]
-        self.obs.rows_scanned.add(candidates.len() as u64);
-
-        let mut out = Vec::new();
-        for (key, bytes) in candidates {
-            let row = info.schema.decode_row(&bytes)?;
-            let keep = match &plan.residual {
-                None => true,
-                Some(pred) => {
-                    matches!(eval(pred, &info.schema, &row)?, Value::Bool(true))
-                }
-            };
-            if keep {
-                out.push((key, row));
-            }
-        }
-        Ok(out)
-    }
-
-    fn project(
-        &mut self,
-        info: TableInfo,
-        matching: Vec<(Vec<u8>, Vec<Value>)>,
         cols: SelectCols,
+        table: &str,
+        predicate: Option<Expr>,
         order_by: Option<OrderBy>,
         limit: Option<usize>,
     ) -> QueryResult<QueryOutput> {
-        let mut rows: Vec<Vec<Value>> = matching.into_iter().map(|(_, r)| r).collect();
+        let info = self.catalog.table(pager, table)?;
+        let schema = &info.schema;
+        let count = cols == SelectCols::CountStar;
+        let (columns, mut sources) = match cols {
+            SelectCols::All => (
+                schema.columns().iter().map(|c| c.name.clone()).collect(),
+                (0..schema.arity()).collect(),
+            ),
+            SelectCols::Some(names) => {
+                let idxs = names
+                    .iter()
+                    .map(|n| column(schema, n))
+                    .collect::<QueryResult<Vec<_>>>()?;
+                (names, idxs)
+            }
+            SelectCols::CountStar => (Vec::new(), Vec::new()),
+        };
+        let width = sources.len();
+        // Position of the sort column in an output row; one that is not
+        // projected rides behind the projection until the sort is done.
+        let sort = match order_by {
+            None => None,
+            Some(ob) => {
+                let idx = column(schema, &ob.column)?;
+                let at = sources.iter().position(|&c| c == idx).unwrap_or_else(|| {
+                    sources.push(idx);
+                    width
+                });
+                Some((at, ob.desc))
+            }
+        };
+        validate_predicate(&info, &predicate)?;
 
-        if let Some(ob) = &order_by {
-            let idx = info
-                .schema
-                .column_index(&ob.column)
-                .ok_or_else(|| QueryError::NoSuchColumn(ob.column.clone()))?;
+        let mut keep = vec![false; schema.arity()];
+        if count {
+            let mut n = 0u64;
+            self.matching_rows(pager, &info, predicate, keep, &mut |_, _| n += 1)?;
+            let n = limit.map_or(n, |l| n.min(l as u64));
+            return Ok(QueryOutput::Count(n));
+        }
+        for &c in &sources {
+            keep[c] = true;
+        }
+        // Move each source column out at its last use (`SELECT v, v`
+        // clones the first).
+        let moves: Vec<(usize, bool)> = sources
+            .iter()
+            .enumerate()
+            .map(|(j, &c)| (c, !sources[j + 1..].contains(&c)))
+            .collect();
+        let mut rows: Vec<Vec<Value>> = Vec::new();
+        self.matching_rows(pager, &info, predicate, keep, &mut |_, row| {
+            rows.push(
+                moves
+                    .iter()
+                    .map(|&(c, last)| {
+                        if last {
+                            std::mem::replace(&mut row[c], Value::Null)
+                        } else {
+                            row[c].clone()
+                        }
+                    })
+                    .collect(),
+            );
+        })?;
+
+        if let Some((at, desc)) = sort {
             rows.sort_by(|a, b| {
-                let ord = a[idx].compare(&b[idx]).unwrap_or(std::cmp::Ordering::Equal);
-                if ob.desc {
+                let ord = a[at].compare(&b[at]).unwrap_or(std::cmp::Ordering::Equal);
+                if desc {
                     ord.reverse()
                 } else {
                     ord
@@ -361,71 +377,102 @@ impl SqlEngine {
         if let Some(n) = limit {
             rows.truncate(n);
         }
-
-        match cols {
-            SelectCols::CountStar => Ok(QueryOutput::Count(rows.len() as u64)),
-            SelectCols::All => Ok(QueryOutput::Rows {
-                columns: info
-                    .schema
-                    .columns()
-                    .iter()
-                    .map(|c| c.name.clone())
-                    .collect(),
-                rows,
-            }),
-            SelectCols::Some(names) => {
-                let mut idxs = Vec::with_capacity(names.len());
-                for n in &names {
-                    idxs.push(
-                        info.schema
-                            .column_index(n)
-                            .ok_or_else(|| QueryError::NoSuchColumn(n.clone()))?,
-                    );
-                }
-                let rows = rows
-                    .into_iter()
-                    .map(|r| idxs.iter().map(|&i| r[i].clone()).collect())
-                    .collect();
-                Ok(QueryOutput::Rows {
-                    columns: names,
-                    rows,
-                })
+        if sources.len() > width {
+            for r in &mut rows {
+                r.truncate(width);
             }
         }
+        Ok(QueryOutput::Rows { columns, rows })
+    }
+
+    /// Stream the rows matching `predicate` through the planned access
+    /// path. Each candidate is decoded in its leaf — the columns `keep`
+    /// marks plus those the residual reads are materialised, every other
+    /// column is only checked — and tested against the residual; `visit`
+    /// sees each row that passes, with its key, and may take its values.
+    fn matching_rows(
+        &mut self,
+        pager: &mut Pager,
+        info: &TableInfo,
+        predicate: Option<Expr>,
+        mut keep: Vec<bool>,
+        visit: &mut dyn FnMut(&[u8], &mut Vec<Value>),
+    ) -> QueryResult<()> {
+        let plan = plan(&info.schema, predicate);
+        self.last_path = Some(plan.path.label());
+        #[cfg(feature = "obs")]
+        match &plan.path {
+            AccessPath::FullScan => self.obs.full_scans.inc(),
+            AccessPath::Point(_) => self.obs.point_lookups.inc(),
+            AccessPath::Range { .. } => self.obs.range_scans.inc(),
+        }
+        let residual = plan
+            .residual
+            .map(|p| Bound::new(p, &info.schema))
+            .transpose()?;
+        if let Some(r) = &residual {
+            r.mark_columns(&mut keep);
+        }
+
+        let tree = BTree::open(pager, info.slot)?;
+        let mut row = Vec::with_capacity(info.schema.arity());
+        #[cfg(feature = "obs")]
+        let mut scanned = 0u64;
+        let mut on_row = |key: &[u8], bytes: &[u8]| -> QueryResult<()> {
+            #[cfg(feature = "obs")]
+            {
+                scanned += 1;
+            }
+            info.schema.decode_row_into(bytes, &keep, &mut row)?;
+            let hit = match &residual {
+                None => true,
+                Some(r) => matches!(*r.eval(&row)?, Value::Bool(true)),
+            };
+            if hit {
+                visit(key, &mut row);
+            }
+            Ok(())
+        };
+        match &plan.path {
+            AccessPath::Point(key) => {
+                if let Some(r) = tree.get_with(pager, key, |v| on_row(key, v))? {
+                    r?;
+                }
+            }
+            AccessPath::FullScan => tree.scan_with(pager, None, None, &mut on_row)?,
+            AccessPath::Range { start, end } => {
+                tree.scan_with(pager, start.as_deref(), end.as_deref(), &mut on_row)?
+            }
+        }
+        #[cfg(feature = "obs")]
+        self.obs.rows_scanned.add(scanned);
+        Ok(())
     }
 }
 
-/// Validate column references before execution.
-fn validate_columns(
-    info: &TableInfo,
-    cols: &SelectCols,
-    predicate: &Option<Expr>,
-    order_by: &Option<OrderBy>,
-) -> QueryResult<()> {
-    if let SelectCols::Some(names) = cols {
-        for n in names {
-            if info.schema.column_index(n).is_none() {
-                return Err(QueryError::NoSuchColumn(n.clone()));
-            }
-        }
-    }
-    if let Some(ob) = order_by {
-        if info.schema.column_index(&ob.column).is_none() {
-            return Err(QueryError::NoSuchColumn(ob.column.clone()));
-        }
-    }
-    validate_predicate(info, predicate)
+/// The statement's access plan (Optimizer composed).
+#[cfg(feature = "optimizer")]
+fn plan(schema: &Schema, predicate: Option<Expr>) -> Plan {
+    crate::optimizer::optimize(schema, predicate)
+}
+
+/// The statement's access plan (Optimizer composed out): a full scan.
+#[cfg(not(feature = "optimizer"))]
+fn plan(_: &Schema, predicate: Option<Expr>) -> Plan {
+    Plan::full_scan(predicate)
+}
+
+/// Index of a named column.
+fn column(schema: &Schema, name: &str) -> QueryResult<usize> {
+    schema
+        .column_index(name)
+        .ok_or_else(|| QueryError::NoSuchColumn(name.to_string()))
 }
 
 fn validate_predicate(info: &TableInfo, predicate: &Option<Expr>) -> QueryResult<()> {
     fn walk(e: &Expr, schema: &Schema) -> QueryResult<()> {
         match e {
-            Expr::Column(c) => {
-                if schema.column_index(c).is_none() {
-                    return Err(QueryError::NoSuchColumn(c.clone()));
-                }
-                Ok(())
-            }
+            Expr::Column(c) => column(schema, c).map(|_| ()),
             Expr::Literal(_) => Ok(()),
             Expr::Binary { lhs, rhs, .. } => {
                 walk(lhs, schema)?;
@@ -440,47 +487,85 @@ fn validate_predicate(info: &TableInfo, predicate: &Option<Expr>) -> QueryResult
     }
 }
 
-/// Evaluate an expression over a row (SQL three-valued logic; `Null`
-/// stands for UNKNOWN).
-pub fn eval(e: &Expr, schema: &Schema, row: &[Value]) -> QueryResult<Value> {
-    Ok(match e {
-        Expr::Column(c) => {
-            let idx = schema
-                .column_index(c)
-                .ok_or_else(|| QueryError::NoSuchColumn(c.clone()))?;
-            row[idx].clone()
-        }
-        Expr::Literal(v) => v.clone(),
-        Expr::Not(inner) => match eval(inner, schema, row)? {
-            Value::Bool(b) => Value::Bool(!b),
-            Value::Null => Value::Null,
-            other => {
-                return Err(QueryError::Type(format!("NOT applied to {other}")));
+/// A predicate bound to a table: column names resolved to row indexes
+/// once per statement, so no row is evaluated by name.
+#[derive(Debug)]
+enum Bound {
+    Column(usize),
+    Literal(Value),
+    Not(Box<Bound>),
+    Binary {
+        op: BinOp,
+        lhs: Box<Bound>,
+        rhs: Box<Bound>,
+    },
+}
+
+impl Bound {
+    fn new(e: Expr, schema: &Schema) -> QueryResult<Bound> {
+        let bind = |e: Box<Expr>| Bound::new(*e, schema).map(Box::new);
+        Ok(match e {
+            Expr::Column(c) => Bound::Column(column(schema, &c)?),
+            Expr::Literal(v) => Bound::Literal(v),
+            Expr::Not(inner) => Bound::Not(bind(inner)?),
+            Expr::Binary { op, lhs, rhs } => Bound::Binary {
+                op,
+                lhs: bind(lhs)?,
+                rhs: bind(rhs)?,
+            },
+        })
+    }
+
+    /// Mark every column the expression reads.
+    fn mark_columns(&self, used: &mut [bool]) {
+        match self {
+            Bound::Column(i) => used[*i] = true,
+            Bound::Literal(_) => {}
+            Bound::Not(inner) => inner.mark_columns(used),
+            Bound::Binary { lhs, rhs, .. } => {
+                lhs.mark_columns(used);
+                rhs.mark_columns(used);
             }
-        },
-        Expr::Binary { op, lhs, rhs } => {
-            let l = eval(lhs, schema, row)?;
-            let r = eval(rhs, schema, row)?;
-            match op {
-                BinOp::And => kleene_and(to_truth(&l)?, to_truth(&r)?),
-                BinOp::Or => kleene_or(to_truth(&l)?, to_truth(&r)?),
-                BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
-                    match l.compare(&r) {
-                        None => Value::Null,
-                        Some(ord) => Value::Bool(match op {
-                            BinOp::Eq => ord.is_eq(),
-                            BinOp::Ne => ord.is_ne(),
-                            BinOp::Lt => ord.is_lt(),
-                            BinOp::Le => ord.is_le(),
-                            BinOp::Gt => ord.is_gt(),
-                            BinOp::Ge => ord.is_ge(),
-                            _ => unreachable!(),
-                        }),
-                    }
+        }
+    }
+
+    /// Evaluate over a row (SQL three-valued logic; `Null` stands for
+    /// UNKNOWN). Column and literal operands are borrowed, never cloned.
+    fn eval<'a>(&'a self, row: &'a [Value]) -> QueryResult<Cow<'a, Value>> {
+        Ok(match self {
+            Bound::Column(i) => Cow::Borrowed(&row[*i]),
+            Bound::Literal(v) => Cow::Borrowed(v),
+            Bound::Not(inner) => Cow::Owned(match &*inner.eval(row)? {
+                Value::Bool(b) => Value::Bool(!b),
+                Value::Null => Value::Null,
+                other => {
+                    return Err(QueryError::Type(format!("NOT applied to {other}")));
                 }
+            }),
+            Bound::Binary { op, lhs, rhs } => {
+                let l = lhs.eval(row)?;
+                let r = rhs.eval(row)?;
+                Cow::Owned(match op {
+                    BinOp::And => kleene_and(to_truth(&l)?, to_truth(&r)?),
+                    BinOp::Or => kleene_or(to_truth(&l)?, to_truth(&r)?),
+                    BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
+                        match l.compare(&r) {
+                            None => Value::Null,
+                            Some(ord) => Value::Bool(match op {
+                                BinOp::Eq => ord.is_eq(),
+                                BinOp::Ne => ord.is_ne(),
+                                BinOp::Lt => ord.is_lt(),
+                                BinOp::Le => ord.is_le(),
+                                BinOp::Gt => ord.is_gt(),
+                                BinOp::Ge => ord.is_ge(),
+                                _ => unreachable!(),
+                            }),
+                        }
+                    }
+                })
             }
-        }
-    })
+        })
+    }
 }
 
 fn to_truth(v: &Value) -> QueryResult<Option<bool>> {
@@ -605,6 +690,50 @@ mod tests {
         assert_eq!(s.point_lookups, 1);
         assert!(s.full_scans >= 2, "full scans: {}", s.full_scans);
         assert_eq!(s.rows_scanned, 3 + 1 + 3);
+    }
+
+    /// A column no statement reads is still checked: a corrupt `pad`
+    /// fails every statement that touches its row, through every path.
+    #[test]
+    fn unread_corrupt_columns_still_fail() {
+        use fame_storage::StorageError;
+        let (mut pg, mut e) = setup();
+        e.execute(&mut pg, "CREATE TABLE t (id U32, v U32, pad TEXT)")
+            .unwrap();
+        e.execute(&mut pg, "INSERT INTO t VALUES (1, 10, 'fine')")
+            .unwrap();
+        let slot = e.catalog().table(&mut pg, "t").unwrap().slot;
+        let key = Value::U32(2).to_key_bytes().unwrap();
+        let mut head = Vec::new();
+        Value::U32(2).encode(&mut head);
+        Value::U32(20).encode(&mut head);
+        let bad_utf8 = [&head[..], &[5, 2, 0, 0xFF, 0xFE]].concat();
+        let truncated = [&head[..], &[5, 10, 0, b'a', b'b', b'c']].concat();
+        for (bytes, reason) in [
+            (bad_utf8, "value decode: invalid UTF-8 in string"),
+            (truncated, "value decode: truncated payload"),
+        ] {
+            let mut tree = BTree::open(&mut pg, slot).unwrap();
+            tree.insert(&mut pg, &key, &bytes).unwrap();
+            for sql in [
+                "SELECT id FROM t",
+                "SELECT COUNT(*) FROM t",
+                "SELECT v FROM t WHERE id = 2",
+                "SELECT id FROM t WHERE id >= 2 AND v > 0",
+            ] {
+                match e.execute(&mut pg, sql) {
+                    Err(QueryError::Storage(StorageError::Corrupt { reason: r, .. })) => {
+                        assert_eq!(r, reason, "{sql}")
+                    }
+                    other => panic!("{sql}: {other:?}"),
+                }
+            }
+            tree.remove(&mut pg, &key).unwrap();
+        }
+        assert_eq!(
+            e.execute(&mut pg, "SELECT COUNT(*) FROM t").unwrap(),
+            QueryOutput::Count(1)
+        );
     }
 
     #[test]

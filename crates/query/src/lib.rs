@@ -12,7 +12,14 @@
 //!   predicates on the primary key use the B+-tree ([`plan::AccessPath`]).
 //!
 //! Pipeline: SQL text → [`sql::lexer`] → [`sql::parser`] → [`sql::ast`] →
-//! [`plan`] (+ [`optimizer`]) → [`exec`] against [`catalog`] tables.
+//! [`plan`] (+ [`optimizer`]) → [`exec`] against [`catalog`] tables. Per
+//! statement, [`exec`] resolves the residual predicate's column names to
+//! row indexes once; per row, it streams: the access path
+//! ([`fame_storage::BTree::scan_with`] or [`fame_storage::BTree::get_with`])
+//! hands over each candidate in its leaf by reference, the row is decoded
+//! there — only the columns the projection, the residual and `ORDER BY`
+//! read are materialised, the rest are checked and skipped — and only
+//! rows that pass the residual are copied out.
 //!
 //! The dialect covers what the paper's scenarios need: `CREATE TABLE`,
 //! `DROP TABLE`, `INSERT`, `SELECT` (projection, `WHERE`, `ORDER BY`,

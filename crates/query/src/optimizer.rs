@@ -6,8 +6,10 @@
 //!    `AND`/`OR` with constant operands simplify (Kleene logic).
 //! 2. **Primary-key access-path selection** — top-level `AND` conjuncts of
 //!    the form `pk op literal` narrow the access path: `=` becomes a point
-//!    lookup, inequalities tighten a range. The full predicate stays as the
-//!    residual check, so the rule can only prune I/O.
+//!    lookup, inequalities tighten a range. The literal is first coerced to
+//!    the key column's type (rows are keyed by that type's encoding); a
+//!    literal that does not coerce narrows nothing. The full predicate
+//!    stays as the residual check, so the rule can only prune I/O.
 
 use fame_storage::{Schema, Value};
 
@@ -17,7 +19,7 @@ use crate::sql::ast::{BinOp, Expr};
 /// Optimize a predicate into a plan for a table with the given schema.
 pub fn optimize(schema: &Schema, predicate: Option<Expr>) -> Plan {
     let predicate = predicate.map(fold);
-    let pk = &schema.columns()[0].name;
+    let pk = &schema.columns()[0];
 
     let mut point: Option<Vec<u8>> = None;
     let mut start: Option<Vec<u8>> = None;
@@ -27,8 +29,15 @@ pub fn optimize(schema: &Schema, predicate: Option<Expr>) -> Plan {
         let mut conjuncts = Vec::new();
         collect_conjuncts(pred, &mut conjuncts);
         for c in conjuncts {
-            if let Some((op, value)) = pk_comparison(c, pk) {
-                let Some(key) = value.to_key_bytes() else {
+            if let Some((op, value)) = pk_comparison(c, &pk.name) {
+                // Rows are keyed by the column's encoding, so the literal
+                // is encoded as the column would store it; one that does
+                // not coerce losslessly (`-1` against a U32 key) does not
+                // narrow the path and the residual alone decides.
+                let key = crate::exec::coerce(value.clone(), pk.ty)
+                    .ok()
+                    .and_then(|v| v.to_key_bytes());
+                let Some(key) = key else {
                     continue;
                 };
                 match op {
@@ -251,6 +260,26 @@ mod tests {
                 end: None,
             }
         );
+    }
+
+    #[test]
+    fn key_literals_are_encoded_as_the_key_column() {
+        let i64_key = Schema::new([("id", DataType::I64), ("v", DataType::U32)]);
+        let p = optimize(
+            &i64_key,
+            Some(Expr::binary(BinOp::Eq, col("id"), lit_u32(5))),
+        );
+        assert_eq!(
+            p.path,
+            AccessPath::Point(Value::I64(5).to_key_bytes().unwrap())
+        );
+        // -1 has no U32 encoding: the conjunct narrows nothing.
+        let minus_one = Expr::Literal(Value::I64(-1));
+        let p = optimize(
+            &schema(),
+            Some(Expr::binary(BinOp::Gt, col("id"), minus_one)),
+        );
+        assert_eq!(p.path, AccessPath::FullScan);
     }
 
     #[test]

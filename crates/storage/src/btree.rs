@@ -906,17 +906,44 @@ impl BTree {
         start: Option<&[u8]>,
         end: Option<&[u8]>,
     ) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
-        let mut cur = self.cursor(pager, start)?;
         let mut out = Vec::new();
-        while let Some((k, v)) = cur.next(pager)? {
-            if let Some(e) = end {
-                if k.as_slice() >= e {
-                    break;
-                }
-            }
-            out.push((k, v));
-        }
+        self.scan_with(pager, start, end, |k, v| {
+            out.push((k.to_vec(), v.to_vec()));
+            Ok::<_, StorageError>(())
+        })?;
         Ok(out)
+    }
+
+    /// Visit every `(key, value)` with `start <= key < end` (open bounds
+    /// when `None`) in key order, by reference: one page access per leaf,
+    /// nothing copied. The first error `f` returns ends the walk and is
+    /// returned.
+    pub fn scan_with<P: PageRead, E: From<StorageError>>(
+        &self,
+        pager: &mut P,
+        start: Option<&[u8]>,
+        end: Option<&[u8]>,
+        mut f: impl FnMut(&[u8], &[u8]) -> std::result::Result<(), E>,
+    ) -> std::result::Result<(), E> {
+        let Cursor { mut page, mut idx } = self.cursor(pager, start)?;
+        loop {
+            let next = pager.with_page(page, |buf| -> std::result::Result<_, E> {
+                let v = PageView::new(buf);
+                for i in idx..v.slot_count() {
+                    let cell = v.cell_at(i);
+                    let key = cell_key(cell);
+                    if end.is_some_and(|e| key >= e) {
+                        return Ok(None);
+                    }
+                    f(key, leaf_value(cell))?;
+                }
+                Ok(v.next_page())
+            })??;
+            match next {
+                Some(p) => (page, idx) = (p, 0),
+                None => return Ok(()),
+            }
+        }
     }
 }
 
@@ -1250,6 +1277,36 @@ mod tests {
         assert_eq!(from.len(), 5);
         let upto = t.scan(&mut pg, None, Some(&kv(5).0)).unwrap();
         assert_eq!(upto.len(), 5);
+    }
+
+    #[test]
+    fn scan_with_matches_the_cursor_and_stops_on_error() {
+        let mut pg = pager(256);
+        let mut t = BTree::create(&mut pg, 0).unwrap();
+        for i in 0..300 {
+            let (k, v) = kv(i);
+            t.insert(&mut pg, &k, &v).unwrap();
+        }
+        let mut cur = t.cursor(&mut pg, Some(&kv(7).0)).unwrap();
+        let mut want = Vec::new();
+        while let Some(item) = cur.next(&mut pg).unwrap() {
+            want.push(item);
+        }
+        assert_eq!(t.scan(&mut pg, Some(&kv(7).0), None).unwrap(), want);
+
+        // The walk crosses leaves; an error from the visitor ends it there.
+        let mut seen = 0;
+        let err = t
+            .scan_with(&mut pg, None, None, |_, _| {
+                seen += 1;
+                if seen == 150 {
+                    return Err(StorageError::NotFound);
+                }
+                Ok(())
+            })
+            .unwrap_err();
+        assert!(matches!(err, StorageError::NotFound));
+        assert_eq!(seen, 150);
     }
 
     #[test]

@@ -127,12 +127,19 @@ impl Value {
 
     /// Decode one value from the front of `data`; returns it and the rest.
     pub fn decode(data: &[u8]) -> Result<(Value, &[u8])> {
+        Value::decode_or_check(data, true)
+    }
+
+    /// [`Value::decode`], except that with `keep == false` the value is
+    /// checked just as fully (tag, length, truncation, UTF-8) but returned
+    /// as `Null`, so a skipped string or byte string is never allocated.
+    fn decode_or_check(data: &[u8], keep: bool) -> Result<(Value, &[u8])> {
         let corrupt = |reason: &str| StorageError::Corrupt {
             page: 0,
             reason: format!("value decode: {reason}"),
         };
         let (&tag, rest) = data.split_first().ok_or_else(|| corrupt("empty input"))?;
-        Ok(match tag {
+        let (value, rest) = match tag {
             0 => (Value::Null, rest),
             1 => {
                 let (&b, rest) = rest
@@ -179,16 +186,24 @@ impl Value {
                     return Err(corrupt("truncated payload"));
                 }
                 let (payload, rest) = rest.split_at(len);
-                if tag == 5 {
-                    let s = std::str::from_utf8(payload)
-                        .map_err(|_| corrupt("invalid UTF-8 in string"))?;
-                    (Value::Str(s.to_string()), rest)
-                } else {
-                    (Value::Bytes(payload.to_vec()), rest)
+                let text = match tag {
+                    5 => Some(
+                        std::str::from_utf8(payload)
+                            .map_err(|_| corrupt("invalid UTF-8 in string"))?,
+                    ),
+                    _ => None,
+                };
+                if !keep {
+                    return Ok((Value::Null, rest));
+                }
+                match text {
+                    Some(s) => (Value::Str(s.to_string()), rest),
+                    None => (Value::Bytes(payload.to_vec()), rest),
                 }
             }
             t => return Err(corrupt(&format!("unknown tag {t}"))),
-        })
+        };
+        Ok((if keep { value } else { Value::Null }, rest))
     }
 
     /// Order-preserving key encoding: comparing encoded keys bytewise
@@ -333,14 +348,30 @@ impl Schema {
     }
 
     /// Decode a full row.
-    pub fn decode_row(&self, mut data: &[u8]) -> Result<Vec<Value>> {
+    pub fn decode_row(&self, data: &[u8]) -> Result<Vec<Value>> {
         let mut row = Vec::with_capacity(self.arity());
-        for _ in 0..self.arity() {
-            let (v, rest) = Value::decode(data)?;
+        self.decode_row_into(data, &vec![true; self.arity()], &mut row)?;
+        Ok(row)
+    }
+
+    /// Decode a row into `row` (cleared first), materialising only the
+    /// columns `keep` marks. Every other column is checked just as fully
+    /// as [`Schema::decode_row`] checks it and left `Null`, so a corrupt
+    /// column fails the decode whether or not it is read.
+    pub fn decode_row_into(
+        &self,
+        mut data: &[u8],
+        keep: &[bool],
+        row: &mut Vec<Value>,
+    ) -> Result<()> {
+        assert_eq!(keep.len(), self.arity(), "one keep flag per column");
+        row.clear();
+        for &k in keep {
+            let (v, rest) = Value::decode_or_check(data, k)?;
             row.push(v);
             data = rest;
         }
-        Ok(row)
+        Ok(())
     }
 
     /// Serialize the schema itself (for the catalog).
@@ -570,6 +601,38 @@ mod tests {
         let row = vec![Value::U32(7), Value::Str("alice".into()), Value::I64(-250)];
         let bytes = s.encode_row(&row).unwrap();
         assert_eq!(s.decode_row(&bytes).unwrap(), row);
+    }
+
+    #[test]
+    fn pruned_decode_skips_but_checks_columns() {
+        let s = Schema::new([
+            ("id", DataType::U32),
+            ("name", DataType::Str),
+            ("raw", DataType::Bytes),
+        ]);
+        let row = vec![
+            Value::U32(7),
+            Value::Str("alice".into()),
+            Value::Bytes(vec![1, 2]),
+        ];
+        let bytes = s.encode_row(&row).unwrap();
+        let mut out = vec![Value::Bool(true)];
+        s.decode_row_into(&bytes, &[false, true, false], &mut out)
+            .unwrap();
+        assert_eq!(out, [Value::Null, row[1].clone(), Value::Null]);
+
+        // A bad string or a short payload in a skipped column still fails.
+        let mut bad_utf8 = Vec::new();
+        Value::U32(7).encode(&mut bad_utf8);
+        bad_utf8.extend_from_slice(&[5, 2, 0, 0xFF, 0xFE]);
+        Value::Bytes(vec![]).encode(&mut bad_utf8);
+        let truncated = &bytes[..bytes.len() - 1];
+        for data in [&bad_utf8[..], truncated] {
+            assert!(s.decode_row(data).is_err());
+            assert!(s
+                .decode_row_into(data, &[true, false, false], &mut out)
+                .is_err());
+        }
     }
 
     #[test]

@@ -81,6 +81,48 @@ fn optimizer_selects_access_paths() {
     assert_eq!(d.last_access_path(), Some("full-scan"));
 }
 
+fn v_column(out: &QueryOutput) -> Vec<Value> {
+    out.rows().unwrap().iter().map(|r| r[0].clone()).collect()
+}
+
+#[test]
+fn i64_key_point_lookup_with_a_u32_literal() {
+    let mut d = db();
+    d.sql("CREATE TABLE a (id I64, v U32)").unwrap();
+    d.sql("INSERT INTO a VALUES (5, 1), (-3, 2), (7, 3)")
+        .unwrap();
+    let out = d.sql("SELECT v FROM a WHERE id = 5").unwrap();
+    assert_eq!(v_column(&out), [Value::U32(1)]);
+    assert_eq!(d.last_access_path(), Some("point-lookup"));
+}
+
+#[test]
+fn i64_key_range_with_a_u32_literal() {
+    let mut d = db();
+    d.sql("CREATE TABLE a (id I64, v U32)").unwrap();
+    d.sql("INSERT INTO a VALUES (5, 1), (-3, 2), (7, 3)")
+        .unwrap();
+    let out = d.sql("SELECT v FROM a WHERE id < 6").unwrap();
+    assert_eq!(v_column(&out), [Value::U32(2), Value::U32(1)]);
+    assert_eq!(d.last_access_path(), Some("range-scan"));
+}
+
+#[test]
+fn u32_key_with_a_literal_below_its_domain() {
+    let mut d = db();
+    d.sql("CREATE TABLE b (id U32, v U32)").unwrap();
+    d.sql("INSERT INTO b VALUES (5, 1), (3, 2), (7, 3)")
+        .unwrap();
+    // -1 has no U32 encoding, so it cannot bound the key range; the
+    // predicate is still true of every row.
+    let out = d.sql("SELECT v FROM b WHERE id > -1").unwrap();
+    assert_eq!(
+        v_column(&out),
+        [Value::U32(2), Value::U32(1), Value::U32(3)]
+    );
+    assert_eq!(d.last_access_path(), Some("full-scan"));
+}
+
 #[test]
 fn multi_table_workload() {
     let mut d = db();
