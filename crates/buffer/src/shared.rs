@@ -1147,13 +1147,6 @@ impl SharedBufferPool {
         s
     }
 
-    /// Statistics feature: latch-contention counts per shard, index =
-    /// `page & (shards - 1)`.
-    #[cfg(feature = "obs")]
-    pub fn latch_waits_per_shard(&self) -> Vec<u64> {
-        self.inner.latch_waits.iter().map(|c| c.get()).collect()
-    }
-
     /// Device counters.
     pub fn device_stats(&self) -> DeviceStats {
         self.inner.device.read().stats()
@@ -1606,6 +1599,26 @@ mod tests {
         use super::*;
         use crate::versions::TxnWriteScope;
 
+        /// `install_commits`, with a snapshot read at `ts` of each page it
+        /// touches started between its two publication steps. The read
+        /// runs on its own thread: it may wait for the chain lock held
+        /// there. Returns each read's first byte.
+        fn install_with_reads_inside(p: &SharedBufferPool, txn: u64, at: u64, ts: u64) -> Vec<u8> {
+            let reads = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+            let (reader, sink) = (p.clone(), std::sync::Arc::clone(&reads));
+            crate::versions::INSTALL_GAP.set(Box::new(move |page| {
+                let r = reader.clone();
+                let read = thread::spawn(move || r.with_page_at(page, ts, |b| b[0]).unwrap());
+                // Long enough for a latch-free read to finish inside the gap.
+                thread::sleep(std::time::Duration::from_millis(50));
+                sink.lock().unwrap().push(read);
+            }));
+            p.install_commits(&[txn], at);
+            crate::versions::INSTALL_GAP.set(Box::new(drop));
+            let reads = std::mem::take(&mut *reads.lock().unwrap());
+            reads.into_iter().map(|r| r.join().unwrap()).collect()
+        }
+
         #[test]
         fn snapshot_sees_pre_image_through_commit() {
             let p = pool(8, 2);
@@ -1619,7 +1632,9 @@ mod tests {
             }
             // Pending streak: the snapshot resolves from the chain.
             assert_eq!(p.with_page_at(3, ts0, |b| b[0]).unwrap(), 1);
-            p.install_commits(&[7], 1);
+            // Also while the install is between publishing the new
+            // timestamp and dropping `pending`.
+            assert_eq!(install_with_reads_inside(&p, 7, 1, ts0), [1]);
             // Still the old image after install; a new snapshot sees the
             // committed head.
             assert_eq!(p.with_page_at(3, ts0, |b| b[0]).unwrap(), 1);

@@ -37,6 +37,27 @@
 //! may lag the commit clock; that is the documented MVCC-lite trade
 //! (snapshots are slightly old, never torn).
 //!
+//! # Publication order
+//!
+//! The latch-free head read trusts a head that shows `pending == 0`
+//! (Acquire) and `committed_ts <= ts` around a copy with a valid token:
+//!
+//! * `install` stores `committed_ts` *before* it drops `pending` to 0
+//!   (Release); `pending` cannot move under the chain lock, so it is read
+//!   first. The reverse order let a pinned snapshot pair the new head with
+//!   the old timestamp, then read the older chain image: a backward read.
+//!   `release_aborted` goes through `install`.
+//! * `note_write` pushes the capture under the chain lock *before* it
+//!   raises `pending`, and the frame's write window opens after that: a
+//!   reader seeing `pending > 0` finds the capture under the lock; one
+//!   seeing 0 fails its token if the write overlapped its copy.
+//! * `stable` and `pending_pages` are `Relaxed`: no read validates bytes
+//!   against them. `stable` only picks a snapshot's timestamp, under the
+//!   `snaps` lock the prune's keep set uses; a stale value is an older
+//!   stable one. A stale 0 from `pending_pages` misses only a streak begun
+//!   after the counted install, whose capture is tagged at or below the
+//!   clock and which installs above it, so its chain serves `stable`.
+//!
 //! # Memory bounds
 //!
 //! Chains are pruned eagerly at a low-water mark computed from the active
@@ -75,6 +96,14 @@ pub const DEFAULT_CHAIN_CAP: usize = 8;
 const VCHUNK: usize = 16;
 /// Directory slots; caps distinct versioned pages at `VCHUNK * VCHUNKS`.
 const VCHUNKS: usize = 4096;
+
+#[cfg(test)]
+thread_local! {
+    /// Test hook: `install` runs it on each page between storing
+    /// `committed_ts` and dropping `pending`, under the chain lock.
+    pub(crate) static INSTALL_GAP: std::cell::RefCell<Box<dyn Fn(PageId)>> =
+        std::cell::RefCell::new(Box::new(drop));
+}
 
 thread_local! {
     /// Transaction currently applying writes on this thread (0 = none).
@@ -384,12 +413,16 @@ impl VersionStore {
         for &page in &touched {
             let vm = self.ensure(page);
             let _chain = vm.chain.lock();
-            let prev = vm.pending.fetch_sub(1, Release);
-            debug_assert!(prev > 0, "pending underflow on page {page}");
-            if prev == 1 {
+            // Timestamp first, then `pending` ("Publication order").
+            let pending = vm.pending.load(Relaxed);
+            debug_assert!(pending > 0, "pending underflow on page {page}");
+            if pending == 1 {
                 vm.committed_ts.store(ts, Release);
                 self.pending_pages.fetch_sub(1, Relaxed);
             }
+            #[cfg(test)]
+            INSTALL_GAP.with_borrow(|hook| hook(page));
+            vm.pending.fetch_sub(1, Release);
         }
         if self.pending_pages.load(Relaxed) == 0 {
             self.stable.fetch_max(self.last_ts.load(Relaxed), Relaxed);

@@ -33,20 +33,6 @@ pub enum OsTarget {
     Flash(FlashConfig),
 }
 
-impl OsTarget {
-    /// Model feature name this target corresponds to (Fig. 2).
-    pub fn feature_name(&self) -> &'static str {
-        match self {
-            #[cfg(feature = "os-inmem")]
-            OsTarget::InMemory { .. } => "Linux", // RAM target stands in for the dev host
-            #[cfg(feature = "os-std")]
-            OsTarget::File { .. } => "Linux",
-            #[cfg(feature = "os-flash")]
-            OsTarget::Flash(_) => "NutOS",
-        }
-    }
-}
-
 /// Which primary index (Fig. 2: *Storage → Index*, or-group, plus the
 /// Berkeley DB HASH method).
 #[derive(Debug, Clone)]
@@ -63,20 +49,6 @@ pub enum IndexKind {
         /// Number of bucket chains.
         buckets: u32,
     },
-}
-
-impl IndexKind {
-    /// Model feature name (Fig. 2 / §2.2).
-    pub fn feature_name(&self) -> &'static str {
-        match self {
-            #[cfg(feature = "index-btree")]
-            IndexKind::BTree => "B+-Tree",
-            #[cfg(feature = "index-list")]
-            IndexKind::List => "List",
-            #[cfg(feature = "index-hash")]
-            IndexKind::Hash { .. } => "B+-Tree", // hash is a BDB feature, outside Fig. 2
-        }
-    }
 }
 
 /// Buffer-manager settings (Fig. 2: *Buffer Manager*).

@@ -305,8 +305,6 @@ pub struct Database {
     engine: Engine,
     config: DbmsConfig,
     #[cfg(feature = "transactions")]
-    txn_pending_ship: std::collections::BTreeMap<fame_txn::TxnId, Vec<ShipOpBuf>>,
-    #[cfg(feature = "transactions")]
     last_recovery: Option<fame_txn::RecoveryStats>,
     #[cfg(feature = "replication")]
     replication: Option<fame_repl::Primary>,
@@ -347,9 +345,6 @@ struct BatchObs {
     /// Whole-batch apply latency.
     latency: fame_obs::Histogram,
 }
-
-#[cfg(feature = "transactions")]
-type ShipOpBuf = (Vec<u8>, Option<Vec<u8>>); // (key, Some(value)=put / None=remove)
 
 impl Database {
     /// Open (or create) a database per the configuration.
@@ -525,8 +520,6 @@ impl Database {
         let mut db = Database {
             engine,
             config,
-            #[cfg(feature = "transactions")]
-            txn_pending_ship: std::collections::BTreeMap::new(),
             #[cfg(feature = "transactions")]
             last_recovery: None,
             #[cfg(feature = "replication")]
@@ -718,7 +711,7 @@ impl Database {
     pub fn put(&mut self, key: &[u8], value: &[u8]) -> Result<()> {
         self.engine.core().kv_put(key, value)?;
         #[cfg(feature = "replication")]
-        self.ship_put(key, value)?;
+        self.ship(key, Some(value))?;
         #[cfg(feature = "statistics")]
         self.record(SpanKind::Put, 0, key.len() as u64, value.len() as u64);
         Ok(())
@@ -751,7 +744,7 @@ impl Database {
         let removed = self.engine.core().kv_remove(key)?;
         #[cfg(feature = "replication")]
         if removed {
-            self.ship_remove(key)?;
+            self.ship(key, None)?;
         }
         #[cfg(feature = "statistics")]
         self.record(SpanKind::Remove, 0, key.len() as u64, removed as u64);
@@ -769,7 +762,7 @@ impl Database {
             core.kv_put(key, value)?;
         }
         #[cfg(feature = "replication")]
-        self.ship_put(key, value)?;
+        self.ship(key, Some(value))?;
         #[cfg(feature = "statistics")]
         self.record(SpanKind::Update, 0, key.len() as u64, value.len() as u64);
         Ok(true)
@@ -862,7 +855,7 @@ impl Database {
             } => {
                 let resolved = core.resolve_batch(batch)?;
                 #[cfg(feature = "replication")]
-                let ship = resolved.clone();
+                let ship = self.replication.is_some().then(|| resolved.clone());
                 #[cfg(feature = "transactions")]
                 match txn {
                     Some(mgr) => Self::apply_batch_txn(core, mgr, &resolved)?,
@@ -873,11 +866,8 @@ impl Database {
                 #[cfg(not(feature = "transactions"))]
                 core.kv_apply_bulk(resolved)?;
                 #[cfg(feature = "replication")]
-                for (key, op) in ship {
-                    match op {
-                        Some(value) => self.ship_put(&key, &value)?,
-                        None => self.ship_remove(&key)?,
-                    }
+                for (key, value) in ship.into_iter().flatten() {
+                    self.ship(&key, value.as_deref())?;
                 }
             }
         }
@@ -895,28 +885,34 @@ impl Database {
 
     /// Single-writer transactional arm of [`apply_batch`](Self::apply_batch):
     /// one txn, one coalesced WAL append, one commit (= one sync under
-    /// Force). The no-wait key locks are taken inside `log_batch`.
+    /// Force). Every key is locked before any before-image is read or
+    /// anything is logged, as in [`DbWriter`].
     #[cfg(feature = "transactions")]
     fn apply_batch_txn(
         core: &mut StorageCore,
         mgr: &mut fame_txn::TxnManager,
         resolved: &[ResolvedOp],
     ) -> Result<()> {
-        let (writes, apply) = core.batch_writes(resolved)?;
-        if writes.is_empty() {
+        if resolved.is_empty() {
             return Ok(());
         }
         let txn_id = mgr.begin()?;
-        // A failed `log_batch` logged nothing, so the abort only drops the
-        // locks the conflicting acquisition left; a failed bulk apply is
-        // rolled back so a partial apply is not visible.
-        let applied = match mgr.log_batch(txn_id, &writes) {
-            Ok(_) => core.kv_apply_bulk(apply).map(|_| ()),
-            Err(e) => Err(e.into()),
+        let mut applied = || -> Result<()> {
+            for (key, _) in resolved {
+                mgr.lock_write(txn_id, key)?;
+            }
+            let (writes, apply) = core.batch_writes(resolved)?;
+            if !writes.is_empty() {
+                mgr.log_batch(txn_id, &writes)?;
+                core.kv_apply_bulk(apply)?;
+            }
+            Ok(())
         };
-        if let Err(e) = applied {
+        // A conflict or a failed bulk apply rolls back; locks go after.
+        if let Err(e) = applied() {
             if let Ok(undo) = mgr.abort(txn_id) {
                 let _ = core.apply_undo(undo);
+                mgr.release_locks(txn_id);
             }
             return Err(e);
         }
@@ -1095,9 +1091,9 @@ impl Database {
 // ---- transactions (Fig. 2: Transaction) -----------------------------
 //
 // Each method holds the single-writer protocol inline (the `Own` arm:
-// WAL + no-wait key lock inside `log_*`, then apply) and hands
-// MultiWriter products to the one block-lock protocol in [`DbWriter`].
-// What wraps both — replica shipping, op trace — stays here.
+// no-wait key lock → before-image → WAL → apply) and hands MultiWriter
+// products to the one block-lock protocol in [`DbWriter`]. What wraps
+// both — replica shipping, op trace — stays here.
 #[cfg(feature = "transactions")]
 impl Database {
     /// The error every transactional call gets on an instance opened
@@ -1116,29 +1112,26 @@ impl Database {
             #[cfg(feature = "concurrency-multi-writer")]
             Engine::Shared(w) => w.begin()?,
         };
-        self.txn_pending_ship.insert(txn.id, Vec::new());
         #[cfg(feature = "statistics")]
         self.record(SpanKind::TxnBegin, txn.id, 0, 0);
         Ok(txn)
     }
 
-    /// Transactional put: WAL + lock first, then apply.
+    /// Transactional put: lock, WAL, then apply.
     #[cfg(feature = "api-put")]
     pub fn txn_put(&mut self, txn: TxnHandle, key: &[u8], value: &[u8]) -> Result<()> {
         match &mut self.engine {
             Engine::Own { core, txn: mgr } => {
                 let mgr = mgr.as_mut().ok_or_else(Self::txn_not_enabled)?;
+                mgr.lock_write(txn.id, key)?;
                 let old = core.kv_get(key)?;
                 mgr.log_put(txn.id, 0, key, old, value)?;
                 core.kv_put(key, value)?;
+                Ok(())
             }
             #[cfg(feature = "concurrency-multi-writer")]
-            Engine::Shared(w) => w.put(txn, key, value)?,
+            Engine::Shared(w) => w.put(txn, key, value),
         }
-        if let Some(pending) = self.txn_pending_ship.get_mut(&txn.id) {
-            pending.push((key.to_vec(), Some(value.to_vec())));
-        }
-        Ok(())
     }
 
     /// Transactional get (takes a read lock).
@@ -1159,26 +1152,19 @@ impl Database {
     /// Transactional remove.
     #[cfg(feature = "api-remove")]
     pub fn txn_remove(&mut self, txn: TxnHandle, key: &[u8]) -> Result<bool> {
-        let removed = match &mut self.engine {
+        match &mut self.engine {
             Engine::Own { core, txn: mgr } => {
                 let mgr = mgr.as_mut().ok_or_else(Self::txn_not_enabled)?;
-                match core.kv_get(key)? {
-                    Some(old) => {
-                        mgr.log_remove(txn.id, 0, key, old)?;
-                        core.kv_remove(key)?
-                    }
-                    None => false,
-                }
+                mgr.lock_write(txn.id, key)?;
+                let Some(old) = core.kv_get(key)? else {
+                    return Ok(false);
+                };
+                mgr.log_remove(txn.id, 0, key, old)?;
+                core.kv_remove(key)
             }
             #[cfg(feature = "concurrency-multi-writer")]
-            Engine::Shared(w) => w.remove(txn, key)?,
-        };
-        if removed {
-            if let Some(pending) = self.txn_pending_ship.get_mut(&txn.id) {
-                pending.push((key.to_vec(), None));
-            }
+            Engine::Shared(w) => w.remove(txn, key),
         }
-        Ok(removed)
     }
 
     /// Commit (durability per the composed commit protocol); ships the
@@ -1187,11 +1173,18 @@ impl Database {
     pub fn commit(&mut self, txn: TxnHandle) -> Result<()> {
         #[cfg(feature = "statistics")]
         let t0 = fame_obs::monotonic_ns();
+        // Replication: the logged keys, read before commit drops them.
+        #[cfg(feature = "replication")]
+        let mut shipped = Vec::new();
         match &mut self.engine {
-            Engine::Own { txn: mgr, .. } => mgr
-                .as_mut()
-                .ok_or_else(Self::txn_not_enabled)?
-                .commit(txn.id)?,
+            Engine::Own { txn: mgr, .. } => {
+                let mgr = mgr.as_mut().ok_or_else(Self::txn_not_enabled)?;
+                #[cfg(feature = "replication")]
+                if self.replication.is_some() {
+                    shipped = mgr.write_set(txn.id)?;
+                }
+                mgr.commit(txn.id)?;
+            }
             #[cfg(feature = "concurrency-multi-writer")]
             Engine::Shared(w) => w.commit(txn)?,
         }
@@ -1202,31 +1195,29 @@ impl Database {
             fame_obs::monotonic_ns() - t0,
             0,
         );
-        let pending = self.txn_pending_ship.remove(&txn.id).unwrap_or_default();
+        // Each key as the index holds it after the commit: the facade
+        // holds `&mut self`, so nothing interleaves.
         #[cfg(feature = "replication")]
-        for (key, op) in pending {
-            match op {
-                Some(value) => self.ship_put(&key, &value)?,
-                None => self.ship_remove(&key)?,
-            }
+        for key in shipped {
+            let value = self.engine.core().kv_get(&key)?;
+            self.ship(&key, value.as_deref())?;
         }
-        #[cfg(not(feature = "replication"))]
-        drop(pending);
         Ok(())
     }
 
-    /// Abort: applies compensating actions to the index. In MultiWriter
-    /// products the block locks are released only *after* the undo is
-    /// applied, so no concurrent writer observes the un-undone value.
+    /// Abort: applies compensating actions to the index, and only then
+    /// releases the transaction's locks, so no other transaction observes
+    /// the un-undone value.
     pub fn abort(&mut self, txn: TxnHandle) -> Result<()> {
-        self.txn_pending_ship.remove(&txn.id);
         match &mut self.engine {
             Engine::Own { core, txn: mgr } => {
-                let undo = mgr
-                    .as_mut()
-                    .ok_or_else(Self::txn_not_enabled)?
-                    .abort(txn.id)?;
-                core.apply_undo(undo)?;
+                let mgr = mgr.as_mut().ok_or_else(Self::txn_not_enabled)?;
+                let undo = mgr.abort(txn.id)?;
+                // Released even when the undo fails: the transaction has
+                // left the active table, so nothing else ever would.
+                let undone = core.apply_undo(undo);
+                mgr.release_locks(txn.id);
+                undone?;
             }
             #[cfg(feature = "concurrency-multi-writer")]
             Engine::Shared(w) => w.abort(txn)?,
@@ -1361,22 +1352,17 @@ impl Database {
         }
     }
 
-    fn ship_put(&mut self, key: &[u8], value: &[u8]) -> Result<()> {
+    /// Ship one write to the replicas: a put of `value`, or a remove.
+    fn ship(&mut self, key: &[u8], value: Option<&[u8]>) -> Result<()> {
         if let Some(p) = &mut self.replication {
-            p.ship(fame_repl::ShipOp::Put {
-                index: 0,
-                key: key.to_vec(),
-                value: value.to_vec(),
-            })?;
-        }
-        Ok(())
-    }
-
-    fn ship_remove(&mut self, key: &[u8]) -> Result<()> {
-        if let Some(p) = &mut self.replication {
-            p.ship(fame_repl::ShipOp::Remove {
-                index: 0,
-                key: key.to_vec(),
+            let key = key.to_vec();
+            p.ship(match value {
+                Some(v) => fame_repl::ShipOp::Put {
+                    index: 0,
+                    key,
+                    value: v.to_vec(),
+                },
+                None => fame_repl::ShipOp::Remove { index: 0, key },
             })?;
         }
         Ok(())
@@ -1627,7 +1613,8 @@ impl DbWriter {
         self.txn.lock_write(txn.id, key)?;
         let mut core = self.storage();
         let old = core.kv_get(key)?;
-        self.txn.log_put(txn.id, 0, key, old, value)?;
+        self.txn
+            .with_inner(|m| m.log_put(txn.id, 0, key, old, value))?;
         Self::tagged(txn, || core.kv_put(key, value))?;
         Ok(())
     }
@@ -1647,7 +1634,7 @@ impl DbWriter {
         let Some(old) = core.kv_get(key)? else {
             return Ok(false);
         };
-        self.txn.log_remove(txn.id, 0, key, old)?;
+        self.txn.with_inner(|m| m.log_remove(txn.id, 0, key, old))?;
         Self::tagged(txn, || core.kv_remove(key))
     }
 
@@ -1667,8 +1654,7 @@ impl DbWriter {
             let resolved = core.resolve_batch(batch)?;
             let (writes, apply) = core.batch_writes(&resolved)?;
             if !writes.is_empty() {
-                // The keys are X-locked already: log under the manager mutex
-                // alone, as `log_put` does.
+                // The keys are X-locked already: log under the manager mutex.
                 self.txn.with_inner(|m| m.log_batch(txn.id, &writes))?;
                 Self::tagged(txn, || core.kv_apply_bulk(apply))?;
             }
@@ -1758,12 +1744,12 @@ impl DbWriter {
 
     /// `(committed, aborted)` counters of the shared manager.
     pub fn txn_stats(&self) -> (u64, u64) {
-        self.txn.stats()
+        self.txn.with_inner(|m| m.stats())
     }
 
     /// Log-device sync count (group-commit comparison metric).
     pub fn log_syncs(&self) -> u64 {
-        self.txn.log_syncs()
+        self.txn.with_inner(|m| m.log_syncs())
     }
 
     /// Block-lock counters (feature `statistics`).

@@ -154,11 +154,6 @@ pub struct WindowedHistogramSnapshot {
 }
 
 impl WindowedHistogramSnapshot {
-    /// The newest retained window, if any.
-    pub fn latest(&self) -> Option<&WindowSnapshot> {
-        self.windows.first()
-    }
-
     /// Bucket-wise merge of every retained window ("last K·N seconds").
     pub fn merged(&self) -> HistogramSnapshot {
         let mut out = HistogramSnapshot::default();

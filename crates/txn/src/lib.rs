@@ -14,20 +14,15 @@
 //! * [`log`] — an append-only log over any [`fame_os::BlockDevice`], with
 //!   torn-tail detection on read-back;
 //! * [`manager`] — [`manager::TxnManager`]: transaction table, undo
-//!   tracking, and the commit protocol as three phases (append the commit
-//!   records, the one sync step, release) that a single commit and a
-//!   group-commit drain both run;
-//! * [`lock_table`] — the one S/X block-lock table, with two faces over
-//!   one grant rule. *No-wait* (`try_acquire`): a conflicting request
-//!   fails immediately — the classic deadlock-*avoidance* choice for
-//!   embedded engines, where blocking an interrupt-driven task is worse
-//!   than retrying; the manager locks every key it logs this way.
-//!   *Blocking* (`acquire`), behind the `Concurrency → MultiWriter`
-//!   alternative: FIFO condvar parking, lock timeout, waits-for deadlock
-//!   detection aborting the youngest txn;
+//!   tracking, and the one commit step (append the commit records, the
+//!   one sync step, finish) that a single commit and a group-commit drain
+//!   both run;
+//! * [`lock_table`] — the product's one S/X block-lock table: *no-wait*
+//!   for the single-writer engine (deadlock *avoidance*, the embedded
+//!   choice), *blocking* with timeout and deadlock detection for
+//!   `Concurrency → MultiWriter`;
 //! * [`shared`] (feature `multi-writer`) — [`shared::SharedTxnManager`]:
-//!   `&self` transaction API over interior mutability, a blocking table
-//!   in front of the manager's no-wait one, plus leader-based
+//!   `&self` API blocking on the manager's table, plus leader-based
 //!   cross-transaction group commit;
 //! * [`recovery`] — redo winners / undo losers against a
 //!   [`recovery::RecoveryTarget`] (implemented by the database facade in

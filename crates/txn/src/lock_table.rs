@@ -5,13 +5,16 @@
 //!   immediately with [`LockConflict`]. No waits-for graph can form, so the
 //!   single-writer engine needs neither a detector nor timeouts; callers
 //!   retry or abort, the standard discipline for control-loop code.
-//!   [`crate::TxnManager`] locks every key it logs this way.
 //! * [`LockTable::acquire`] *parks* the requester on a condvar in a FIFO
 //!   wait queue until the lock is grantable, a configurable timeout
 //!   expires, or deadlock detection picks the requester as victim. It is
 //!   the concurrency backbone of the `Concurrency → MultiWriter` product:
 //!   independent transactions on disjoint blocks proceed in parallel;
 //!   conflicting ones serialize by waiting instead of aborting.
+//!
+//! A product has one table, owned by its [`crate::TxnManager`] and shared
+//! by a MultiWriter product's [`crate::SharedTxnManager`]. Callers lock
+//! before they log; locks go after a commit or after an abort's undo.
 //!
 //! Keys are hashed (FNV-1a) to a 64-bit [`BlockId`] so the table size is
 //! bounded by live locks, not key length. A hash collision merges two keys
@@ -424,6 +427,15 @@ impl LockTable {
             .get(&block_of(key))
             .map(|e| e.holders.clone())
             .unwrap_or_default()
+    }
+
+    /// Does `txn` hold `key`'s block exclusively? (A debug check.)
+    pub(crate) fn holds_exclusive(&self, txn: TxnId, key: &[u8]) -> bool {
+        let state = self.state.lock().expect("lock table poisoned");
+        state
+            .table
+            .get(&block_of(key))
+            .is_some_and(|e| e.exclusive && e.holders.contains(&txn))
     }
 
     /// Number of blocks with live locks or waiters.

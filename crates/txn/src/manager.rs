@@ -3,6 +3,7 @@
 
 use std::collections::btree_map::{BTreeMap, Entry};
 use std::fmt;
+use std::sync::Arc;
 
 use fame_os::OsError;
 
@@ -11,6 +12,9 @@ use crate::log::{LogWriter, Lsn};
 use crate::wal::{self, LogRecord};
 
 pub use crate::wal::TxnId;
+
+/// Debug builds panic with this on a write logged before it was locked.
+const UNLOCKED: &str = "write logged without its exclusive lock";
 
 /// How commits reach the platter — the paper's "alternative commit
 /// protocols" subfeature (§2.3). Each variant exists only when its cargo
@@ -152,9 +156,9 @@ pub struct TxnObs {
 /// Transaction table + WAL + locks + commit protocol.
 pub struct TxnManager {
     log: LogWriter,
-    /// Key locks, taken no-wait ([`LockTable::try_acquire`]) — nothing
-    /// ever parks here, so the table's wait timeout is never consulted.
-    locks: LockTable,
+    /// The product's one lock table: no-wait here, blocking in a
+    /// [`crate::SharedTxnManager`], which replaces and shares it.
+    pub(crate) locks: Arc<LockTable>,
     active: BTreeMap<TxnId, TxnState>,
     next_id: TxnId,
     policy: CommitPolicy,
@@ -170,7 +174,7 @@ impl TxnManager {
     pub fn new(log: LogWriter, policy: CommitPolicy) -> Self {
         TxnManager {
             log,
-            locks: LockTable::new(std::time::Duration::ZERO),
+            locks: Arc::new(LockTable::new(std::time::Duration::ZERO)),
             active: BTreeMap::new(),
             next_id: 1,
             policy,
@@ -195,6 +199,11 @@ impl TxnManager {
         self.active.keys().copied().collect()
     }
 
+    /// Has `txn` begun and not yet finished?
+    pub(crate) fn is_active(&self, txn: TxnId) -> bool {
+        self.active.contains_key(&txn)
+    }
+
     /// `(committed, aborted)` counters.
     pub fn stats(&self) -> (u64, u64) {
         (self.committed, self.aborted)
@@ -213,15 +222,29 @@ impl TxnManager {
         self.active.get_mut(&txn).ok_or(TxnError::UnknownTxn(txn))
     }
 
-    /// Take a read lock on a key.
+    /// Take a read lock on a key, no-wait ([`TxnError::Conflict`]).
     pub fn lock_read(&mut self, txn: TxnId, key: &[u8]) -> Result<(), TxnError> {
         self.state(txn)?;
         self.locks.try_acquire(txn, key, LockMode::Shared)?;
         Ok(())
     }
 
+    /// Take the exclusive lock on a key, no-wait, before reading the
+    /// before-image the write will log.
+    pub fn lock_write(&mut self, txn: TxnId, key: &[u8]) -> Result<(), TxnError> {
+        self.state(txn)?;
+        self.locks.try_acquire(txn, key, LockMode::Exclusive)?;
+        Ok(())
+    }
+
+    /// Release `txn`'s locks once its abort's undo is applied (commit
+    /// releases by itself).
+    pub fn release_locks(&self, txn: TxnId) {
+        self.locks.release_all(txn);
+    }
+
     /// Log a put *before* the caller applies it to storage (WAL rule).
-    /// Takes the exclusive lock.
+    /// The caller must hold the key's exclusive lock.
     pub fn log_put(
         &mut self,
         txn: TxnId,
@@ -231,7 +254,7 @@ impl TxnManager {
         new: &[u8],
     ) -> Result<Lsn, TxnError> {
         self.state(txn)?;
-        self.locks.try_acquire(txn, key, LockMode::Exclusive)?;
+        debug_assert!(self.locks.holds_exclusive(txn, key), "{UNLOCKED}");
         let lsn = self
             .log
             .append_with(|out| wal::encode_put(out, txn, index, key, old.as_deref(), new))?;
@@ -243,8 +266,8 @@ impl TxnManager {
         Ok(lsn)
     }
 
-    /// Log a remove *before* the caller applies it. Takes the exclusive
-    /// lock.
+    /// Log a remove *before* the caller applies it. The caller must hold
+    /// the key's exclusive lock.
     pub fn log_remove(
         &mut self,
         txn: TxnId,
@@ -253,7 +276,7 @@ impl TxnManager {
         old: Vec<u8>,
     ) -> Result<Lsn, TxnError> {
         self.state(txn)?;
-        self.locks.try_acquire(txn, key, LockMode::Exclusive)?;
+        debug_assert!(self.locks.holds_exclusive(txn, key), "{UNLOCKED}");
         let lsn = self
             .log
             .append_with(|out| wal::encode_remove(out, txn, index, key, &old))?;
@@ -268,16 +291,15 @@ impl TxnManager {
     /// Log a whole batch of writes *before* the caller applies them to
     /// storage (WAL rule), as one append.
     ///
-    /// Every key is locked up front, so a conflict anywhere fails the
-    /// batch before a single record reaches the log — all-or-nothing at
-    /// the lock layer too. Undo actions are recorded per operation, so an
-    /// abort after a partial storage apply compensates exactly as for
+    /// The caller must hold every key's exclusive lock: locking all of
+    /// them first is what makes a conflict fail the batch before a single
+    /// record reaches the log. Undo actions are recorded per operation, so
+    /// an abort after a partial storage apply compensates exactly as for
     /// single writes.
     pub fn log_batch(&mut self, txn: TxnId, ops: &[BatchWrite]) -> Result<Lsn, TxnError> {
         self.state(txn)?;
-        for op in ops {
-            self.locks.try_acquire(txn, op.key(), LockMode::Exclusive)?;
-        }
+        let locked = |op: &BatchWrite| self.locks.holds_exclusive(txn, op.key());
+        debug_assert!(ops.iter().all(locked), "{UNLOCKED}");
         let lsn = self.log.append_encoded(ops, |op, out| match op {
             BatchWrite::Put {
                 index,
@@ -309,12 +331,12 @@ impl TxnManager {
         Ok(lsn)
     }
 
-    /// Commit: append the commit record, then the protocol's durability
-    /// step, then release — the three phases below, for a batch of one.
-    /// A transaction logged with [`TxnManager::log_batch`] commits the same
-    /// way: one commit record and one protocol step (one sync under
-    /// `commit-force`, one tick of the `commit-group` quota) regardless of
-    /// its size, so batch size never multiplies syncs.
+    /// Commit: [`TxnManager::commit_batch`] for a batch of one, then
+    /// release the locks. A transaction logged with
+    /// [`TxnManager::log_batch`] commits the same way: one commit record
+    /// and one protocol step (one sync under `commit-force`, one tick of
+    /// the `commit-group` quota) regardless of its size, so batch size
+    /// never multiplies syncs.
     ///
     /// The transaction leaves the active table — and drops its locks and
     /// undo information — only after the durability step succeeds. If the
@@ -323,9 +345,8 @@ impl TxnManager {
     pub fn commit(&mut self, txn: TxnId) -> Result<(), TxnError> {
         #[cfg(feature = "obs")]
         let t0 = fame_obs::monotonic_ns();
-        self.append_commits(&[txn])?;
-        self.sync_batch()?;
-        self.finish_commit(txn)?;
+        self.commit_batch(&[txn])?;
+        self.locks.release_all(txn);
         #[cfg(feature = "obs")]
         self.obs
             .commit_latency
@@ -333,27 +354,23 @@ impl TxnManager {
         Ok(())
     }
 
-    /// Commit phase 1: append the commit records of a whole batch — the
-    /// one transaction of [`TxnManager::commit`], or a group-commit
-    /// leader's drained queue — without syncing or releasing anything.
-    /// Fails atomically per the log's contract: on error no transaction in
-    /// the batch is committed and all stay active/retriable.
-    pub(crate) fn append_commits(&mut self, txns: &[TxnId]) -> Result<Lsn, TxnError> {
-        for &t in txns {
-            if !self.active.contains_key(&t) {
-                return Err(TxnError::UnknownTxn(t));
-            }
+    /// The one commit step, for the transaction of [`TxnManager::commit`]
+    /// or a group-commit leader's drained queue: append every commit
+    /// record, take the protocol's durability step, then let each
+    /// transaction leave the active table. The log fails atomically, so on
+    /// error no transaction in the batch is committed and all stay active
+    /// and retriable. The caller releases the locks.
+    ///
+    /// The durability step is the one place that decides whether a commit
+    /// syncs. A batch counts as a *single* commit toward a `Group` quota,
+    /// so cross-transaction grouping amortizes syncs as writers rise
+    /// instead of being defeated by them.
+    pub(crate) fn commit_batch(&mut self, txns: &[TxnId]) -> Result<(), TxnError> {
+        if let Some(&t) = txns.iter().find(|&&t| !self.is_active(t)) {
+            return Err(TxnError::UnknownTxn(t));
         }
         let encode = |&txn: &TxnId, out: &mut Vec<u8>| LogRecord::Commit { txn }.encode_into(out);
-        Ok(self.log.append_encoded(txns, encode)?)
-    }
-
-    /// Commit phase 2: the commit protocol's durability step — the one
-    /// place that decides whether a commit syncs. A batch appended by
-    /// phase 1 counts as a *single* commit toward a `Group` quota, so
-    /// cross-transaction grouping amortizes syncs as writers rise instead
-    /// of being defeated by them.
-    pub(crate) fn sync_batch(&mut self) -> Result<(), TxnError> {
+        self.log.append_encoded(txns, encode)?;
         match self.policy {
             #[cfg(feature = "commit-force")]
             CommitPolicy::Force => self.log.sync()?,
@@ -367,23 +384,16 @@ impl TxnManager {
                 }
             }
         }
-        Ok(())
-    }
-
-    /// Commit phase 3: the point of no return for one transaction of a
-    /// batch that is as durable as the protocol promises — leave the
-    /// active table, release the key locks, count the commit.
-    pub(crate) fn finish_commit(&mut self, txn: TxnId) -> Result<(), TxnError> {
-        if self.active.remove(&txn).is_none() {
-            return Err(TxnError::UnknownTxn(txn));
+        for t in txns {
+            self.active.remove(t);
         }
-        self.locks.release_all(txn);
-        self.committed += 1;
+        self.committed += txns.len() as u64;
         Ok(())
     }
 
     /// Abort: append the abort record and hand back the compensating
-    /// actions (newest first) for the caller to apply to storage.
+    /// actions (newest first) for the caller to apply to storage, then
+    /// [`TxnManager::release_locks`] — even if the undo failed.
     ///
     /// As in [`TxnManager::commit`], the transaction leaves the active
     /// table only after its record is appended: a failed append keeps the
@@ -394,11 +404,22 @@ impl TxnManager {
         };
         self.log.append(&LogRecord::Abort { txn })?;
         let state = entry.remove();
-        self.locks.release_all(txn);
         self.aborted += 1;
         let mut undo = state.undo;
         undo.reverse();
         Ok(undo)
+    }
+
+    /// The distinct keys `txn` has logged, in first-write order.
+    pub fn write_set(&self, txn: TxnId) -> Result<Vec<Vec<u8>>, TxnError> {
+        let state = self.active.get(&txn).ok_or(TxnError::UnknownTxn(txn))?;
+        let mut seen = std::collections::HashSet::new();
+        Ok(state
+            .undo
+            .iter()
+            .filter(|a| seen.insert(a.key.as_slice()))
+            .map(|a| a.key.clone())
+            .collect())
     }
 
     /// Force any buffered group commit to the device.
@@ -464,13 +485,24 @@ mod tests {
         TxnManager::new(log, policy)
     }
 
+    /// Lock, then log — the order every caller follows.
+    #[cfg(feature = "commit-force")]
+    fn put(m: &mut TxnManager, t: TxnId, key: &[u8], old: Option<&[u8]>, new: &[u8]) {
+        m.lock_write(t, key).unwrap();
+        m.log_put(t, 0, key, old.map(<[u8]>::to_vec), new).unwrap();
+    }
+
+    fn lock_all(m: &mut TxnManager, t: TxnId, ops: &[BatchWrite]) -> Result<(), TxnError> {
+        ops.iter().try_for_each(|op| m.lock_write(t, op.key()))
+    }
+
     #[cfg(feature = "commit-force")]
     #[test]
     fn begin_commit_lifecycle() {
         let mut m = manager(CommitPolicy::Force);
         let t = m.begin().unwrap();
         assert_eq!(m.active(), vec![t]);
-        m.log_put(t, 0, b"k", None, b"v").unwrap();
+        put(&mut m, t, b"k", None, b"v");
         m.commit(t).unwrap();
         assert!(m.active().is_empty());
         assert_eq!(m.stats(), (1, 0));
@@ -481,8 +513,9 @@ mod tests {
     fn abort_returns_undo_in_reverse() {
         let mut m = manager(CommitPolicy::Force);
         let t = m.begin().unwrap();
-        m.log_put(t, 0, b"a", None, b"1").unwrap();
-        m.log_put(t, 0, b"a", Some(b"1".to_vec()), b"2").unwrap();
+        put(&mut m, t, b"a", None, b"1");
+        put(&mut m, t, b"a", Some(b"1"), b"2");
+        m.lock_write(t, b"b").unwrap();
         m.log_remove(t, 1, b"b", b"old-b".to_vec()).unwrap();
         let undo = m.abort(t).unwrap();
         assert_eq!(undo.len(), 3);
@@ -499,6 +532,10 @@ mod tests {
         let mut m = manager(CommitPolicy::Force);
         assert!(matches!(m.commit(99), Err(TxnError::UnknownTxn(99))));
         assert!(matches!(
+            m.lock_write(99, b"k"),
+            Err(TxnError::UnknownTxn(99))
+        ));
+        assert!(matches!(
             m.log_put(99, 0, b"k", None, b"v"),
             Err(TxnError::UnknownTxn(99))
         ));
@@ -510,14 +547,11 @@ mod tests {
         let mut m = manager(CommitPolicy::Force);
         let t1 = m.begin().unwrap();
         let t2 = m.begin().unwrap();
-        m.log_put(t1, 0, b"k", None, b"v1").unwrap();
-        assert!(matches!(
-            m.log_put(t2, 0, b"k", None, b"v2"),
-            Err(TxnError::Conflict(_))
-        ));
+        put(&mut m, t1, b"k", None, b"v1");
+        assert!(matches!(m.lock_write(t2, b"k"), Err(TxnError::Conflict(_))));
         // After t1 commits, t2 can proceed.
         m.commit(t1).unwrap();
-        m.log_put(t2, 0, b"k", Some(b"v1".to_vec()), b"v2").unwrap();
+        put(&mut m, t2, b"k", Some(b"v1"), b"v2");
         m.commit(t2).unwrap();
     }
 
@@ -530,10 +564,7 @@ mod tests {
         m.lock_read(t1, b"k").unwrap();
         m.lock_read(t2, b"k").unwrap();
         let t3 = m.begin().unwrap();
-        assert!(matches!(
-            m.log_put(t3, 0, b"k", None, b"v"),
-            Err(TxnError::Conflict(_))
-        ));
+        assert!(matches!(m.lock_write(t3, b"k"), Err(TxnError::Conflict(_))));
     }
 
     #[cfg(feature = "commit-force")]
@@ -550,7 +581,7 @@ mod tests {
         let mut m = TxnManager::new(log, CommitPolicy::Force);
 
         let t = m.begin().unwrap();
-        m.log_put(t, 0, b"k", None, b"v").unwrap();
+        put(&mut m, t, b"k", None, b"v");
         assert!(m.commit(t).is_err(), "sync fails");
 
         // The transaction must still be fully active: in the table, not
@@ -563,10 +594,7 @@ mod tests {
         handle.with(|d| d.heal());
         let t2 = m.begin().unwrap();
         assert!(
-            matches!(
-                m.log_put(t2, 0, b"k", None, b"x"),
-                Err(TxnError::Conflict(_))
-            ),
+            matches!(m.lock_write(t2, b"k"), Err(TxnError::Conflict(_))),
             "t still holds its exclusive lock after the failed commit"
         );
         m.commit(t).unwrap();
@@ -588,7 +616,7 @@ mod tests {
         let mut m = TxnManager::new(log, CommitPolicy::Force);
 
         let t = m.begin().unwrap();
-        m.log_put(t, 0, b"k", None, b"v").unwrap();
+        put(&mut m, t, b"k", None, b"v");
         assert!(m.commit(t).is_err());
 
         handle.with(|d| d.heal());
@@ -603,7 +631,7 @@ mod tests {
         let mut m = manager(CommitPolicy::Force);
         for _ in 0..3 {
             let t = m.begin().unwrap();
-            m.log_put(t, 0, b"k", None, b"v").unwrap();
+            put(&mut m, t, b"k", None, b"v");
             m.commit(t).unwrap();
         }
         assert!(matches!(m.commit(99), Err(TxnError::UnknownTxn(99))));
@@ -629,7 +657,9 @@ mod tests {
         for n in [1usize, 8, 64] {
             let mut m = manager(CommitPolicy::Force);
             let t = m.begin().unwrap();
-            m.log_batch(t, &batch(n)).unwrap();
+            let ops = batch(n);
+            lock_all(&mut m, t, &ops).unwrap();
+            m.log_batch(t, &ops).unwrap();
             m.commit(t).unwrap();
             assert_eq!(m.log_device_stats().syncs, 1, "batch of {n}: one sync");
             assert_eq!(m.stats(), (1, 0));
@@ -643,7 +673,9 @@ mod tests {
         let mut m = manager(CommitPolicy::Group { group_size: 4 });
         for _ in 0..8 {
             let t = m.begin().unwrap();
-            m.log_batch(t, &batch(16)).unwrap();
+            let ops = batch(16);
+            lock_all(&mut m, t, &ops).unwrap();
+            m.log_batch(t, &ops).unwrap();
             m.commit(t).unwrap();
         }
         assert_eq!(
@@ -658,11 +690,13 @@ mod tests {
     fn batch_conflict_fails_before_logging_anything() {
         let mut m = manager(CommitPolicy::Force);
         let t1 = m.begin().unwrap();
-        m.log_put(t1, 0, b"bk2", None, b"v").unwrap();
+        put(&mut m, t1, b"bk2", None, b"v");
         let t2 = m.begin().unwrap();
         let bytes_before = m.log_bytes();
+        // Every key is locked before `log_batch` runs: the conflict on
+        // `bk2` stops the batch before it reaches the log.
         assert!(matches!(
-            m.log_batch(t2, &batch(4)),
+            lock_all(&mut m, t2, &batch(4)),
             Err(TxnError::Conflict(_))
         ));
         assert_eq!(
@@ -690,6 +724,7 @@ mod tests {
                 old: b"old-b".to_vec(),
             },
         ];
+        lock_all(&mut m, t, &ops).unwrap();
         m.log_batch(t, &ops).unwrap();
         let undo = m.abort(t).unwrap();
         assert_eq!(undo.len(), 2);
@@ -715,6 +750,7 @@ mod tests {
                 new,
             } = op
             {
+                a.lock_write(t, key).unwrap();
                 a.log_put(t, *index, key, old.clone(), new).unwrap();
             }
         }
@@ -722,6 +758,7 @@ mod tests {
 
         let mut b = manager(CommitPolicy::Force);
         let t = b.begin().unwrap();
+        lock_all(&mut b, t, &ops).unwrap();
         b.log_batch(t, &ops).unwrap();
         b.commit(t).unwrap();
 
@@ -740,7 +777,7 @@ mod tests {
         use crate::log::LogReader;
         let mut m = manager(CommitPolicy::Force);
         let t = m.begin().unwrap();
-        m.log_put(t, 0, b"k", None, b"v").unwrap();
+        put(&mut m, t, b"k", None, b"v");
         m.commit(t).unwrap();
         let t2 = m.begin().unwrap();
         m.abort(t2).unwrap();

@@ -7,13 +7,13 @@
 //! [`SharedTxnManager`] wraps the single-writer [`TxnManager`] in a mutex
 //! and composes two concurrency mechanisms around it:
 //!
-//! * a blocking [`LockTable`] (S/X block locks, FIFO queues, timeout,
-//!   deadlock-abort-youngest) acquired **before** any storage or manager
-//!   mutex, so conflicting transactions serialize by waiting while
-//!   disjoint ones interleave freely;
+//! * blocking acquisition on the manager's own [`LockTable`], shared with
+//!   the wrapper's lock timeout, **before** any storage or manager mutex,
+//!   so conflicting transactions serialize by waiting while disjoint ones
+//!   interleave freely;
 //! * a leader-based **group commit**: committers enqueue their `TxnId` and
 //!   the first one in becomes leader, draining the queue through the
-//!   manager's three commit phases — one commit-record append plus one
+//!   manager's one commit step — one commit-record append plus one
 //!   protocol sync (one write of the log tail) per drain — N concurrent
 //!   writers cost ~one fsync per drain instead of one each. Followers
 //!   park on a condvar until the leader posts their result.
@@ -27,25 +27,20 @@
 //!    holds it under the manager mutex, the write-ahead barrier in front
 //!    of the data device holds it under the pool's device latch, and
 //!    nothing is ever acquired while it is held.
-//! 2. **Grant superset**: the wrapped manager's own [`LockTable`] — the
-//!    same type, taken no-wait (`try_acquire`) inside `log_*` — stays
-//!    active as a safety net under the blocking one held here. Every
-//!    key's outer block lock is taken first and released last, so the
-//!    inner acquire can never see a conflict from a live transaction: the
-//!    outer table's grant set is a superset of the inner one's. A caller
-//!    that logs without the outer lock gets [`TxnError::Conflict`] from
-//!    the net instead of a lost update.
+//! 2. **Release points**: locks go after the drain and version install,
+//!    or once the caller applied an abort's undo. A lock granted to an id
+//!    the manager does not know is released before [`TxnError::UnknownTxn`]
+//!    returns: ids are never reused, so nothing else ever would.
 //! 3. **Failed drains leave every transaction active**: if the leader's
 //!    append or sync fails, no transaction in the batch is finished,
 //!    all locks stay held, and each committer gets an error
 //!    ([`TxnError::GroupCommit`] for followers) so it can retry or abort.
 
 use std::collections::HashMap;
-use std::sync::{Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use crate::lock_table::{LockMode, LockTable};
-use crate::log::Lsn;
 use crate::manager::{TxnError, TxnManager, UndoAction};
 use crate::wal::TxnId;
 
@@ -68,7 +63,8 @@ struct GroupState {
 /// `&self` transaction manager: blocking locks + cross-writer group commit.
 pub struct SharedTxnManager {
     inner: Mutex<TxnManager>,
-    locks: LockTable,
+    /// The wrapped manager's table: waits park outside its mutex.
+    locks: Arc<LockTable>,
     group: Mutex<GroupState>,
     group_cv: Condvar,
     /// Tracing feature: causal span sink (group-commit edges). Installed
@@ -90,10 +86,13 @@ pub struct SharedTxnManager {
 
 impl SharedTxnManager {
     /// Wrap a manager; block-lock waits give up after `lock_timeout`.
-    pub fn new(manager: TxnManager, lock_timeout: Duration) -> Self {
+    pub fn new(mut manager: TxnManager, lock_timeout: Duration) -> Self {
+        debug_assert!(manager.active().is_empty(), "wrapped under live txns");
+        manager.locks = Arc::new(LockTable::new(lock_timeout));
+        let locks = Arc::clone(&manager.locks);
         SharedTxnManager {
             inner: Mutex::new(manager),
-            locks: LockTable::new(lock_timeout),
+            locks,
             group: Mutex::new(GroupState::default()),
             group_cv: Condvar::new(),
             #[cfg(feature = "trace")]
@@ -139,7 +138,7 @@ impl SharedTxnManager {
         self.inner.lock().expect("txn manager poisoned")
     }
 
-    /// The blocking block-lock table (diagnostics, lock-wait obs).
+    /// The product's block-lock table (diagnostics, lock-wait obs).
     pub fn lock_table(&self) -> &LockTable {
         &self.locks
     }
@@ -169,42 +168,24 @@ impl SharedTxnManager {
 
     /// Block until `txn` holds the shared block lock for `key`.
     pub fn lock_read(&self, txn: TxnId, key: &[u8]) -> Result<(), TxnError> {
-        self.locks.acquire(txn, key, LockMode::Shared)?;
-        self.inner().lock_read(txn, key)
+        self.acquire(txn, key, LockMode::Shared)
     }
 
     /// Block until `txn` holds the exclusive block lock for `key`. Call
     /// *before* reading the old value under the storage mutex — the block
     /// lock is what makes the read-log-apply sequence atomic.
     pub fn lock_write(&self, txn: TxnId, key: &[u8]) -> Result<(), TxnError> {
-        self.locks.acquire(txn, key, LockMode::Exclusive)?;
-        Ok(())
+        self.acquire(txn, key, LockMode::Exclusive)
     }
 
-    /// Log a put (WAL rule: before the storage apply). The caller must
-    /// hold the exclusive block lock via [`SharedTxnManager::lock_write`];
-    /// the inner no-wait acquire then cannot conflict (invariant 2).
-    pub fn log_put(
-        &self,
-        txn: TxnId,
-        index: u8,
-        key: &[u8],
-        old: Option<Vec<u8>>,
-        new: &[u8],
-    ) -> Result<Lsn, TxnError> {
-        self.inner().log_put(txn, index, key, old, new)
-    }
-
-    /// Log a remove (WAL rule). Same locking contract as
-    /// [`SharedTxnManager::log_put`].
-    pub fn log_remove(
-        &self,
-        txn: TxnId,
-        index: u8,
-        key: &[u8],
-        old: Vec<u8>,
-    ) -> Result<Lsn, TxnError> {
-        self.inner().log_remove(txn, index, key, old)
+    /// One blocking grant, kept only for an active transaction.
+    fn acquire(&self, txn: TxnId, key: &[u8], mode: LockMode) -> Result<(), TxnError> {
+        self.locks.acquire(txn, key, mode)?;
+        if self.inner().is_active(txn) {
+            return Ok(());
+        }
+        self.locks.release_all(txn);
+        Err(TxnError::UnknownTxn(txn))
     }
 
     /// Commit through the group channel. The first committer to arrive
@@ -251,7 +232,7 @@ impl SharedTxnManager {
                     batch.len() as u64,
                     0,
                 );
-                let outcome = self.drain(&batch);
+                let outcome = self.inner().commit_batch(&batch);
                 #[cfg(feature = "trace")]
                 if outcome.is_ok() {
                     self.emit(fame_obs::SpanKind::GroupSync, txn, 0, batch.len() as u64, 0);
@@ -306,18 +287,6 @@ impl SharedTxnManager {
         }
     }
 
-    /// One drain: a single commit-record append, one protocol sync step,
-    /// then the per-transaction point of no return.
-    fn drain(&self, batch: &[TxnId]) -> Result<(), TxnError> {
-        let mut inner = self.inner();
-        inner.append_commits(batch)?;
-        inner.sync_batch()?;
-        for &t in batch {
-            inner.finish_commit(t)?;
-        }
-        Ok(())
-    }
-
     /// Abort: returns the compensating actions. The caller applies them to
     /// storage (under the storage mutex) and only then calls
     /// [`SharedTxnManager::release_locks`] — releasing the block locks
@@ -335,28 +304,8 @@ impl SharedTxnManager {
         self.locks.release_all(txn);
     }
 
-    /// `(committed, aborted)` counters.
-    pub fn stats(&self) -> (u64, u64) {
-        self.inner().stats()
-    }
-
-    /// Ids of active transactions.
-    pub fn active(&self) -> Vec<TxnId> {
-        self.inner().active()
-    }
-
-    /// Syncs issued on the log device so far.
-    pub fn log_syncs(&self) -> u64 {
-        self.inner().log_syncs()
-    }
-
-    /// Raw device counters of the log device.
-    pub fn log_device_stats(&self) -> fame_os::DeviceStats {
-        self.inner().log_device_stats()
-    }
-
-    /// Run `f` against the wrapped manager (checkpoint, recovery seal,
-    /// obs snapshots — facade plumbing that needs the raw manager).
+    /// Run `f` against the wrapped manager: logging a write the caller has
+    /// locked, checkpoint, recovery seal, obs snapshots.
     pub fn with_inner<R>(&self, f: impl FnOnce(&mut TxnManager) -> R) -> R {
         f(&mut self.inner())
     }
@@ -390,10 +339,10 @@ mod tests {
         let m = shared(CommitPolicy::Force);
         let t = m.begin().unwrap();
         m.lock_write(t, b"k").unwrap();
-        m.log_put(t, 0, b"k", None, b"v").unwrap();
+        m.with_inner(|i| i.log_put(t, 0, b"k", None, b"v")).unwrap();
         m.commit(t).unwrap();
-        assert_eq!(m.stats(), (1, 0));
-        assert!(m.active().is_empty());
+        assert_eq!(m.with_inner(|i| i.stats()), (1, 0));
+        assert!(m.with_inner(|i| i.active()).is_empty());
         assert_eq!(m.lock_table().locked_blocks(), 0, "commit released");
     }
 
@@ -411,13 +360,13 @@ mod tests {
                         let t = m.begin().unwrap();
                         let key = format!("w{w}-{i}").into_bytes();
                         m.lock_write(t, &key).unwrap();
-                        m.log_put(t, 0, &key, None, b"v").unwrap();
+                        m.with_inner(|i| i.log_put(t, 0, &key, None, b"v")).unwrap();
                         m.commit(t).unwrap();
                     }
                 });
             }
         });
-        assert_eq!(m.stats(), (threads * per, 0));
+        assert_eq!(m.with_inner(|i| i.stats()), (threads * per, 0));
         assert_eq!(m.lock_table().locked_blocks(), 0);
     }
 
@@ -432,10 +381,14 @@ mod tests {
             let t = m.begin().unwrap();
             let key = i.to_be_bytes();
             m.lock_write(t, &key).unwrap();
-            m.log_put(t, 0, &key, None, b"v").unwrap();
+            m.with_inner(|i| i.log_put(t, 0, &key, None, b"v")).unwrap();
             m.commit(t).unwrap();
         }
-        assert_eq!(m.log_device_stats().syncs, 2, "8 drains / group of 4");
+        assert_eq!(
+            m.with_inner(|i| i.log_device_stats()).syncs,
+            2,
+            "8 drains / group of 4"
+        );
     }
 
     #[cfg(feature = "commit-force")]
@@ -454,7 +407,8 @@ mod tests {
                         let t = m.begin().unwrap();
                         match m.lock_write(t, b"hot") {
                             Ok(()) => {
-                                m.log_put(t, 0, b"hot", None, b"v").unwrap();
+                                m.with_inner(|i| i.log_put(t, 0, b"hot", None, b"v"))
+                                    .unwrap();
                                 m.commit(t).unwrap();
                             }
                             Err(_) => {
@@ -468,7 +422,7 @@ mod tests {
                 });
             }
         });
-        let (committed, ab) = m.stats();
+        let (committed, ab) = m.with_inner(|i| i.stats());
         assert_eq!(
             committed + ab,
             threads * per,
@@ -496,10 +450,10 @@ mod tests {
 
         let t = m.begin().unwrap();
         m.lock_write(t, b"k").unwrap();
-        m.log_put(t, 0, b"k", None, b"v").unwrap();
+        m.with_inner(|i| i.log_put(t, 0, b"k", None, b"v")).unwrap();
         assert!(m.commit(t).is_err(), "sync fails");
-        assert_eq!(m.active(), vec![t]);
-        assert_eq!(m.stats(), (0, 0));
+        assert_eq!(m.with_inner(|i| i.active()), vec![t]);
+        assert_eq!(m.with_inner(|i| i.stats()), (0, 0));
         assert!(
             !m.lock_table().holders(b"k").is_empty(),
             "block lock still held after failed drain"
@@ -507,7 +461,7 @@ mod tests {
 
         handle.with(|d| d.heal());
         m.commit(t).unwrap();
-        assert_eq!(m.stats(), (1, 0));
+        assert_eq!(m.with_inner(|i| i.stats()), (1, 0));
         assert_eq!(m.lock_table().locked_blocks(), 0);
     }
 
@@ -526,7 +480,7 @@ mod tests {
             let t = m.begin().unwrap();
             let key = i.to_be_bytes();
             m.lock_write(t, &key).unwrap();
-            m.log_put(t, 0, &key, None, b"v").unwrap();
+            m.with_inner(|i| i.log_put(t, 0, &key, None, b"v")).unwrap();
             m.commit(t).unwrap();
         }
         let seen = seen.lock().unwrap();
@@ -556,8 +510,9 @@ mod tests {
         assert!(undo.is_empty());
         m.release_locks(t2);
         h1.join().unwrap().unwrap();
-        m.log_put(t1, 0, b"b", None, b"v").unwrap();
+        m.with_inner(|i| i.log_put(t1, 0, b"b", None, b"v"))
+            .unwrap();
         m.commit(t1).unwrap();
-        assert_eq!(m.stats(), (1, 1));
+        assert_eq!(m.with_inner(|i| i.stats()), (1, 1));
     }
 }

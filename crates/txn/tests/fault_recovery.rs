@@ -261,6 +261,7 @@ fn failed_abort_append_keeps_the_transaction_abortable() {
     // short of the 128-byte page: the 17-byte `Abort` frame straddles it.
     let prefix = |m: &mut TxnManager| {
         let t = m.begin().unwrap();
+        m.lock_write(t, b"k").unwrap();
         m.log_put(t, 0, b"k", None, &[7u8; 75]).unwrap();
         assert_eq!(m.log_bytes(), 120);
         t
@@ -285,10 +286,7 @@ fn failed_abort_append_keeps_the_transaction_abortable() {
     handle.with(|d| d.heal());
     let t2 = m.begin().unwrap();
     assert!(
-        matches!(
-            m.log_put(t2, 0, b"k", None, b"x"),
-            Err(TxnError::Conflict(_))
-        ),
+        matches!(m.lock_write(t2, b"k"), Err(TxnError::Conflict(_))),
         "t still holds its exclusive lock after the failed abort"
     );
     let undo = m.abort(t).unwrap();
@@ -296,6 +294,9 @@ fn failed_abort_append_keeps_the_transaction_abortable() {
     assert_eq!(undo[0].key, b"k");
     assert_eq!(undo[0].restore, None);
     assert_eq!(m.stats(), (0, 1));
+    // Nothing to undo in storage here; the caller releases after the undo.
+    m.release_locks(t);
+    m.lock_write(t2, b"k").unwrap();
     m.log_put(t2, 0, b"k", None, b"x").unwrap();
     m.commit(t2).unwrap();
 

@@ -19,6 +19,7 @@ fn commit_one(m: &mut TxnManager, n: u32, puts: u32, value: usize) {
     let t = m.begin().unwrap();
     for j in 0..puts {
         let key = (n * puts + j).to_be_bytes();
+        m.lock_write(t, &key).unwrap();
         m.log_put(t, 0, &key, None, &vec![j as u8; value]).unwrap();
     }
     m.commit(t).unwrap();

@@ -12,8 +12,8 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU32, Ordering::Relaxed};
 
-use fame_dbms::fame_txn::CommitPolicy;
-use fame_dbms::{Concurrency, Database, DbWriter, DbmsConfig, TxnConfig};
+use fame_dbms::fame_txn::{CommitPolicy, TxnError};
+use fame_dbms::{Concurrency, Database, DbWriter, DbmsConfig, DbmsError, TxnConfig};
 use proptest::prelude::*;
 
 fn mw_config(policy: CommitPolicy) -> DbmsConfig {
@@ -342,6 +342,60 @@ fn apply_batch_locks_before_it_reads() {
     db.apply_batch(batch).unwrap();
     assert_eq!(db.get(b"k").unwrap(), Some(b"2".to_vec()));
     assert!(db.verify_integrity().unwrap().is_ok());
+}
+
+/// A product whose block-lock waits give up after 300 ms.
+fn short_timeout_config() -> DbmsConfig {
+    let mut cfg = mw_config(CommitPolicy::Force);
+    cfg.lock_timeout_ms = 300;
+    cfg
+}
+
+fn is_unknown_txn<T>(r: Result<T, DbmsError>) -> bool {
+    matches!(r, Err(DbmsError::Txn(TxnError::UnknownTxn(_))))
+}
+
+/// A finished transaction's handle used again for a write must leave no
+/// lock behind. Ids are never reused, so a block lock granted to one would
+/// keep its key locked for good: the next writer would time out on it.
+#[test]
+fn a_dead_handle_put_leaves_no_lock_behind() {
+    let mut db = Database::open(short_timeout_config()).unwrap();
+    let w = db.writer().unwrap();
+    let t = w.begin().unwrap();
+    w.put(t, b"k", b"1").unwrap();
+    w.commit(t).unwrap();
+    assert!(is_unknown_txn(w.put(t, b"k", b"2")));
+    assert!(is_unknown_txn(w.abort(t)));
+    let t2 = w.begin().unwrap();
+    w.put(t2, b"k", b"3")
+        .expect("the dead handle's put left k locked");
+    w.commit(t2).unwrap();
+
+    // The facade's own transactional API delegates to the same protocol.
+    let t3 = db.begin().unwrap();
+    db.commit(t3).unwrap();
+    assert!(is_unknown_txn(db.txn_put(t3, b"k", b"4")));
+    let t4 = w.begin().unwrap();
+    w.put(t4, b"k", b"5")
+        .expect("the facade's dead put left k locked");
+    w.commit(t4).unwrap();
+    assert_eq!(db.get(b"k").unwrap(), Some(b"5".to_vec()));
+}
+
+/// The same for a read: a dead handle's `get` must not keep an S lock.
+#[test]
+fn a_dead_handle_get_leaves_no_lock_behind() {
+    let db = Database::open(short_timeout_config()).unwrap();
+    let w = db.writer().unwrap();
+    let t = w.begin().unwrap();
+    w.put(t, b"k", b"1").unwrap();
+    w.commit(t).unwrap();
+    assert!(is_unknown_txn(w.get(t, b"k")));
+    let t2 = w.begin().unwrap();
+    w.put(t2, b"k", b"2")
+        .expect("the dead handle's get left k locked");
+    w.commit(t2).unwrap();
 }
 
 /// Config validation: `MultiWriter` without transactions (or with

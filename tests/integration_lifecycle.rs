@@ -151,6 +151,50 @@ fn lock_conflicts_surface_as_errors() {
     assert_eq!(db.get(b"hot").unwrap(), Some(b"1".to_vec()));
 }
 
+/// The no-wait rule lives in the facade: a single-writer product's
+/// `txn_put`/`txn_remove` lock the key before they read the before-image
+/// or log anything.
+#[test]
+fn conflicting_facade_writes_log_nothing_and_wait_for_the_undo() {
+    use fame_dbms::{fame_txn::TxnError, DbmsError};
+    let conflict =
+        |r: Result<(), DbmsError>| matches!(r, Err(DbmsError::Txn(TxnError::Conflict(_))));
+    let mut cfg = DbmsConfig::in_memory();
+    cfg.transactions = Some(TxnConfig {
+        commit: fame_dbms::fame_txn::CommitPolicy::Force,
+    });
+    let mut db = Database::open(cfg).unwrap();
+    db.put(b"k", b"v0").unwrap();
+
+    let t1 = db.begin().unwrap();
+    db.txn_put(t1, b"k", b"v1").unwrap();
+    let t2 = db.begin().unwrap();
+    #[cfg(feature = "statistics")]
+    let logged = db.stats().unwrap().log_bytes;
+    assert!(conflict(db.txn_put(t2, b"k", b"v2")));
+    assert!(conflict(db.txn_remove(t2, b"k").map(drop)));
+    #[cfg(feature = "statistics")]
+    assert_eq!(
+        db.stats().unwrap().log_bytes,
+        logged,
+        "a conflict logs nothing"
+    );
+
+    // The loser proceeds once the holder commits.
+    db.commit(t1).unwrap();
+    db.txn_put(t2, b"k", b"v2").unwrap();
+
+    // An aborted writer's lock goes only after its undo: the next writer
+    // logs the restored value as its before-image, so its own abort
+    // restores the committed value again.
+    let t3 = db.begin().unwrap();
+    assert!(conflict(db.txn_put(t3, b"k", b"v3")));
+    db.abort(t2).unwrap();
+    db.txn_put(t3, b"k", b"v3").unwrap();
+    db.abort(t3).unwrap();
+    assert_eq!(db.get(b"k").unwrap(), Some(b"v1".to_vec()));
+}
+
 #[test]
 fn large_dataset_with_tiny_static_buffer() {
     // Embedded conditions: 8-frame static arena, thousands of records.

@@ -113,6 +113,46 @@ fn only_committed_transactions_replicate() {
     );
 }
 
+/// A committed transaction ships its net effect once per distinct key, in
+/// first-write order, read back from the index after the commit; an
+/// aborted one ships nothing.
+#[test]
+fn multi_write_transaction_ships_once_per_key() {
+    let mut cfg = DbmsConfig::in_memory();
+    cfg.replication = Some(AckPolicy::Asynchronous);
+    cfg.transactions = Some(TxnConfig {
+        commit: fame_dbms::fame_txn::CommitPolicy::Force,
+    });
+    let mut db = Database::open(cfg).unwrap();
+    let mut replica = db.attach_replica().unwrap();
+    db.put(b"gone", b"0").unwrap();
+    replica.poll();
+    let seq = replica.state().applied_seq;
+
+    let t = db.begin().unwrap();
+    db.txn_put(t, b"twice", b"1").unwrap();
+    db.txn_put(t, b"twice", b"2").unwrap();
+    assert!(db.txn_remove(t, b"gone").unwrap());
+    db.txn_put(t, b"brief", b"x").unwrap();
+    assert!(db.txn_remove(t, b"brief").unwrap());
+    db.commit(t).unwrap();
+    assert_eq!(db.replication_lag(), Some(3), "one op per distinct key");
+    replica.poll();
+    assert_eq!(replica.state().applied_seq, seq + 3);
+    assert_eq!(replica.state().digest(), db.state_digest().unwrap());
+    assert_eq!(replica.state().get(0, b"twice"), Some(&b"2".to_vec()));
+    assert_eq!(replica.state().get(0, b"gone"), None);
+
+    let t = db.begin().unwrap();
+    db.txn_put(t, b"twice", b"3").unwrap();
+    db.txn_put(t, b"new", b"y").unwrap();
+    db.abort(t).unwrap();
+    assert_eq!(db.replication_lag(), Some(0), "an abort ships nothing");
+    replica.poll();
+    assert_eq!(replica.state().applied_seq, seq + 3);
+    assert_eq!(replica.state().digest(), db.state_digest().unwrap());
+}
+
 #[test]
 fn replication_of_interleaved_ops_preserves_order() {
     let mut db = replicated_db(AckPolicy::Asynchronous);
