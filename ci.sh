@@ -140,14 +140,16 @@ echo "== code budgets (facade cfg gates and lines, engine lines; lower the ceili
 # made of — one lock table, one commit step, one op ring, two pools (the
 # pools share an outline and no code; ROADMAP records why they stay). A
 # PR that deletes code lowers a ceiling; none is ever raised.
-FACADE_CFG_CEILING=389
-FACADE_LINES_CEILING=3822
-ENGINE_LINES_CEILING=13071
-facade_cfg=$(cat crates/core/src/*.rs | grep -c 'cfg(')
-facade_lines=$(cat crates/core/src/*.rs | wc -l)
-engine_lines=$(cat crates/{buffer,txn,core,obs}/src/*.rs | wc -l)
-echo "   crates/core/src/*.rs: $facade_cfg cfg gates (<= $FACADE_CFG_CEILING), $facade_lines lines (<= $FACADE_LINES_CEILING)"
-echo "   crates/{buffer,txn,core,obs}/src/*.rs: $engine_lines lines (<= $ENGINE_LINES_CEILING)"
+FACADE_CFG_CEILING=373
+FACADE_LINES_CEILING=3805
+ENGINE_LINES_CEILING=13070
+# Counted recursively, so splitting a file into a module directory moves
+# no line out of the count.
+facade_cfg=$(find crates/core/src -name '*.rs' -exec cat {} + | grep -c 'cfg(')
+facade_lines=$(find crates/core/src -name '*.rs' -exec cat {} + | wc -l)
+engine_lines=$(find crates/{buffer,txn,core,obs}/src -name '*.rs' -exec cat {} + | wc -l)
+echo "   crates/core/src/**/*.rs: $facade_cfg cfg gates (<= $FACADE_CFG_CEILING), $facade_lines lines (<= $FACADE_LINES_CEILING)"
+echo "   crates/{buffer,txn,core,obs}/src/**/*.rs: $engine_lines lines (<= $ENGINE_LINES_CEILING)"
 if [ "$facade_cfg" -gt "$FACADE_CFG_CEILING" ] || [ "$facade_lines" -gt "$FACADE_LINES_CEILING" ] \
         || [ "$engine_lines" -gt "$ENGINE_LINES_CEILING" ]; then
     echo "FAIL: the engine outgrew its code budget" >&2

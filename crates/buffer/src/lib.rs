@@ -74,3 +74,19 @@ pub enum Concurrency {
         shards: usize,
     },
 }
+
+impl Concurrency {
+    /// Page-table shards of the shared pool the alternative runs on, 0
+    /// resolved to [`DEFAULT_SHARDS`]; `None` for `Single`'s exclusive pool.
+    pub fn shards(self) -> Option<usize> {
+        #[cfg(feature = "shared")]
+        let resolve = |shards| Some(if shards == 0 { DEFAULT_SHARDS } else { shards });
+        match self {
+            Concurrency::Single => None,
+            #[cfg(feature = "shared")]
+            Concurrency::MultiReader { shards } => resolve(shards),
+            #[cfg(feature = "multi-writer")]
+            Concurrency::MultiWriter { shards } => resolve(shards),
+        }
+    }
+}

@@ -4,6 +4,8 @@
 
 use crate::db::StorageCore;
 use crate::error::{DbmsError, Result};
+#[cfg(feature = "transactions")]
+use fame_txn::BatchWrite;
 
 /// A batch's net effect on one key: `Some(value)` writes, `None` removes.
 pub(crate) type ResolvedOp = (Vec<u8>, Option<Vec<u8>>);
@@ -75,24 +77,33 @@ impl WriteBatch {
     }
 }
 
-/// The storage reads a batch needs before anything is logged or applied.
-/// MultiWriter products call these only with every key of the batch
-/// X-locked, so what they read is committed.
+/// The batch path of every product. Transactional products call it only
+/// with every submitted key X-locked, so what it reads is committed.
 impl StorageCore {
+    /// Apply a submitted batch: resolve its net effect, let `log` (the
+    /// identity, or `StorageCore::logged_batch` in a transaction) turn it
+    /// into the run to apply, then apply the run in bulk.
+    pub(crate) fn write_batch(
+        &mut self,
+        batch: WriteBatch,
+        log: impl FnOnce(&mut Self, Vec<ResolvedOp>) -> Result<Vec<ResolvedOp>>,
+    ) -> Result<()> {
+        let resolved = self.resolve_batch(batch)?;
+        let run = log(self, resolved)?;
+        self.kv_apply_bulk(run)
+    }
+
     /// Turn the submitted op sequence into the batch's *net* effect: one
-    /// `(key, Some(value) | None)` per distinct key. Update/remove
-    /// existence checks run against the pre-batch state overlaid with the
-    /// batch's own earlier ops — the same outcome as issuing the calls one
-    /// at a time.
-    pub(crate) fn resolve_batch(&mut self, batch: WriteBatch) -> Result<Vec<ResolvedOp>> {
-        let mut resolved: Vec<ResolvedOp> = Vec::with_capacity(batch.ops.len());
-        // key -> does it exist after the ops seen so far?
-        let mut overlay: std::collections::BTreeMap<Vec<u8>, bool> =
-            std::collections::BTreeMap::new();
+    /// `(key, Some(value) | None)` per distinct key, in key order, the
+    /// last write per key winning. Update/remove existence checks run
+    /// against the pre-batch state overlaid with the batch's own earlier
+    /// ops — the same outcome as issuing the calls one at a time.
+    fn resolve_batch(&mut self, batch: WriteBatch) -> Result<Vec<ResolvedOp>> {
+        let mut net: std::collections::BTreeMap<_, Option<_>> = Default::default();
         for (key, op) in batch.ops {
             #[cfg(any(feature = "api-update", feature = "api-remove"))]
-            let mut exists = || match overlay.get(&key) {
-                Some(e) => Ok::<_, DbmsError>(*e),
+            let mut exists = || match net.get(&key) {
+                Some(value) => Ok::<_, DbmsError>(value.is_some()),
                 None => Ok(self.kv_get(&key)?.is_some()),
             };
             let value = match op {
@@ -114,55 +125,34 @@ impl StorageCore {
                     None
                 }
             };
-            overlay.insert(key.clone(), value.is_some());
-            resolved.push((key, value));
+            net.insert(key, value);
         }
-        // Last write per key wins. The bulk appliers re-normalize, but the
-        // WAL must carry the same net op set as storage receives.
-        resolved.sort_by(|a, b| a.0.cmp(&b.0));
-        resolved.dedup_by(|next, prev| {
-            if next.0 == prev.0 {
-                prev.1 = next.1.take();
-                true
-            } else {
-                false
-            }
-        });
-        Ok(resolved)
+        Ok(net.into_iter().collect())
     }
 
-    /// Pair a resolved batch with its before-images: the WAL records (undo
-    /// needs the old values) and the op run to apply. Removes whose key
-    /// never existed have no net effect and are dropped from both.
+    /// Pair a resolved run with its before-images: the WAL records (undo
+    /// needs the old values) and the run to apply. Removes whose key never
+    /// existed have no net effect and are dropped from both.
     #[cfg(feature = "transactions")]
     pub(crate) fn batch_writes(
         &mut self,
-        resolved: &[ResolvedOp],
-    ) -> Result<(Vec<fame_txn::BatchWrite>, Vec<ResolvedOp>)> {
-        let mut writes = Vec::with_capacity(resolved.len());
-        let mut apply = Vec::with_capacity(resolved.len());
-        for (key, op) in resolved {
-            let old = self.kv_get(key)?;
-            match op {
-                Some(value) => {
-                    writes.push(fame_txn::BatchWrite::Put {
-                        index: 0,
-                        key: key.clone(),
-                        old,
-                        new: value.clone(),
-                    });
-                    apply.push((key.clone(), Some(value.clone())));
-                }
-                None => {
-                    let Some(old) = old else { continue };
-                    writes.push(fame_txn::BatchWrite::Remove {
-                        index: 0,
-                        key: key.clone(),
-                        old,
-                    });
-                    apply.push((key.clone(), None));
-                }
-            }
+        run: Vec<ResolvedOp>,
+    ) -> Result<(Vec<BatchWrite>, Vec<ResolvedOp>)> {
+        let mut writes = Vec::with_capacity(run.len());
+        let mut apply = Vec::with_capacity(run.len());
+        for (key, op) in run {
+            let (index, k) = (0, key.clone());
+            writes.push(match (&op, self.kv_get(&key)?) {
+                (Some(new), old) => BatchWrite::Put {
+                    index,
+                    key: k,
+                    old,
+                    new: new.clone(),
+                },
+                (None, Some(old)) => BatchWrite::Remove { index, key: k, old },
+                (None, None) => continue,
+            });
+            apply.push((key, op));
         }
         Ok((writes, apply))
     }

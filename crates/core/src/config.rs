@@ -66,7 +66,8 @@ pub struct BufferConfig {
 
 #[cfg(feature = "buffer")]
 impl BufferConfig {
-    fn alloc_policy(&self) -> fame_os::AllocPolicy {
+    /// The allocation policy this config describes.
+    pub fn policy(&self) -> fame_os::AllocPolicy {
         if self.static_alloc {
             fame_os::AllocPolicy::Static {
                 frames: self.frames,
@@ -76,11 +77,6 @@ impl BufferConfig {
                 max_frames: Some(self.frames),
             }
         }
-    }
-
-    /// The allocation policy this config describes.
-    pub fn policy(&self) -> fame_os::AllocPolicy {
-        self.alloc_policy()
     }
 }
 
@@ -280,23 +276,13 @@ impl DbmsConfig {
                 return Err("buffer needs at least one frame".into());
             }
         }
-        #[cfg(feature = "concurrency-multi")]
-        {
-            let shards = match self.concurrency {
-                fame_buffer::Concurrency::MultiReader { shards } => Some(shards),
-                #[cfg(feature = "concurrency-multi-writer")]
-                fame_buffer::Concurrency::MultiWriter { shards } => Some(shards),
-                #[allow(unreachable_patterns)]
-                _ => None,
-            };
-            // 0 means "use the default"; anything else must be a power of
-            // two so the page-to-shard map stays a mask.
-            if let Some(shards) = shards {
-                if shards != 0 && !shards.is_power_of_two() {
-                    return Err(format!(
-                        "shard count {shards} must be 0 (default) or a power of two"
-                    ));
-                }
+        // The page-to-shard map is a mask.
+        #[cfg(feature = "buffer")]
+        if let Some(shards) = self.concurrency.shards() {
+            if !shards.is_power_of_two() {
+                return Err(format!(
+                    "shard count {shards} must be 0 (default) or a power of two"
+                ));
             }
         }
         #[cfg(feature = "concurrency-multi-writer")]

@@ -29,13 +29,24 @@ pub use crate::stats::LockStats;
 pub use crate::stats::{IntegritySummary, StatsSnapshot};
 #[cfg(feature = "statistics")]
 use fame_obs::SpanKind;
+#[cfg(feature = "transactions")]
+use fame_txn::{TxnId, TxnManager, UndoAction};
+
+/// Record an op at the facade's one recording point, [`Database::record`]
+/// (feature `statistics`); expands to nothing without the feature.
+macro_rules! record {
+    ($db:expr, $kind:ident, $($arg:expr),+) => {
+        #[cfg(feature = "statistics")]
+        $db.record(SpanKind::$kind, $($arg),+)
+    };
+}
 
 /// Root slot of the primary key/value index.
 const KV_ROOT_SLOT: usize = 0;
 
 /// The primary index, dispatching over the composed access methods.
 /// `Copy`: read handles carry their own. Only the B+-tree's root page can
-/// move (splits), which [`Kv::lookup_olc`] re-resolves per lookup.
+/// move (splits), which [`Kv::lookup`] re-resolves per concurrent lookup.
 #[derive(Clone, Copy)]
 enum Kv {
     #[cfg(feature = "index-btree")]
@@ -47,15 +58,24 @@ enum Kv {
 }
 
 impl Kv {
-    /// Point lookup under exclusive access: run `f` over the value bytes
-    /// in place.
+    /// Point lookup: run `f` over the value bytes in place. Beside a
+    /// writer (`olc`: [`DbReader`], [`DbSnapshot`]) the B+-tree descends by
+    /// optimistic lock coupling — it resolves the root itself and chases
+    /// child pointers on page-version checks, restarting if a concurrent
+    /// split moves a node underneath it. No latch is taken on the hit
+    /// path. Over a snapshot pager every token is the always-valid
+    /// sentinel, because the observed tree is frozen.
     fn lookup<P: PageRead, R>(
         &self,
         pager: &mut P,
         key: &[u8],
+        olc: bool,
         f: impl FnOnce(&[u8]) -> R,
     ) -> Result<Option<R>> {
+        let _ = olc;
         Ok(match self {
+            #[cfg(all(feature = "index-btree", feature = "concurrency-multi"))]
+            Kv::BTree(_) if olc => BTree::get_olc(pager, KV_ROOT_SLOT, key, f)?,
             #[cfg(feature = "index-btree")]
             Kv::BTree(t) => t.get_with(pager, key, f)?,
             #[cfg(feature = "index-list")]
@@ -64,29 +84,15 @@ impl Kv {
             Kv::Hash(h) => h.get_with(pager, key, f)?,
         })
     }
+}
 
-    /// Point lookup beside a writer ([`DbReader`], [`DbSnapshot`]): the
-    /// B+-tree descends by optimistic lock coupling — it resolves the root
-    /// itself and chases child pointers on page-version checks, restarting
-    /// if a concurrent split moves a node underneath it. No latch is taken
-    /// on the hit path. Over a snapshot pager every token is the
-    /// always-valid sentinel, because the observed tree is frozen.
-    #[cfg(feature = "concurrency-multi")]
-    fn lookup_olc<P: PageRead, R>(
-        &self,
-        pager: &mut P,
-        key: &[u8],
-        f: impl FnOnce(&[u8]) -> R,
-    ) -> Result<Option<R>> {
-        Ok(match self {
-            #[cfg(feature = "index-btree")]
-            Kv::BTree(_) => BTree::get_olc(pager, KV_ROOT_SLOT, key, f)?,
-            #[cfg(feature = "index-list")]
-            Kv::List(l) => l.get_with(pager, key, f)?,
-            #[cfg(feature = "index-hash")]
-            Kv::Hash(h) => h.get_with(pager, key, f)?,
-        })
-    }
+/// `Err(FeatureNotCompiled(feature))` unless `compiled`: the index
+/// operation needs a sub-feature this product composed out.
+#[cfg(feature = "index-btree")]
+fn composed(compiled: bool, feature: &'static str) -> Result<()> {
+    compiled
+        .then_some(())
+        .ok_or(DbmsError::FeatureNotCompiled(feature))
 }
 
 /// The storage half of a product: the pager plus the composed primary
@@ -99,90 +105,83 @@ pub(crate) struct StorageCore {
 impl StorageCore {
     #[cfg(any(feature = "api-put", feature = "api-update", feature = "transactions"))]
     fn kv_put(&mut self, key: &[u8], value: &[u8]) -> Result<bool> {
-        match &mut self.kv {
+        Ok(match &mut self.kv {
             #[cfg(feature = "index-btree")]
             Kv::BTree(t) => {
-                #[cfg(feature = "btree-update")]
-                {
-                    Ok(t.insert(&mut self.pager, key, value)?)
-                }
-                #[cfg(not(feature = "btree-update"))]
-                {
-                    let _ = (t, key, value);
-                    Err(DbmsError::FeatureNotCompiled("btree-update"))
-                }
+                composed(cfg!(feature = "btree-update"), "btree-update")?;
+                t.insert(&mut self.pager, key, value)?
             }
             #[cfg(feature = "index-list")]
-            Kv::List(l) => Ok(l.insert(&mut self.pager, key, value)?),
+            Kv::List(l) => l.insert(&mut self.pager, key, value)?,
             #[cfg(feature = "index-hash")]
-            Kv::Hash(h) => Ok(h.insert(&mut self.pager, key, value)?),
-        }
+            Kv::Hash(h) => h.insert(&mut self.pager, key, value)?,
+        })
     }
 
     pub(crate) fn kv_get(&mut self, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        self.kv.lookup(&mut self.pager, key, |v| v.to_vec())
+        self.kv.lookup(&mut self.pager, key, false, |v| v.to_vec())
     }
 
-    #[cfg(any(feature = "api-remove", feature = "transactions"))]
+    #[cfg(any(
+        feature = "api-remove",
+        feature = "transactions",
+        feature = "api-batch"
+    ))]
     fn kv_remove(&mut self, key: &[u8]) -> Result<bool> {
-        match &mut self.kv {
+        Ok(match &mut self.kv {
             #[cfg(feature = "index-btree")]
             Kv::BTree(t) => {
-                #[cfg(feature = "btree-remove")]
-                {
-                    Ok(t.remove(&mut self.pager, key)?)
-                }
-                #[cfg(not(feature = "btree-remove"))]
-                {
-                    let _ = (t, key);
-                    Err(DbmsError::FeatureNotCompiled("btree-remove"))
-                }
+                composed(cfg!(feature = "btree-remove"), "btree-remove")?;
+                t.remove(&mut self.pager, key)?
             }
             #[cfg(feature = "index-list")]
-            Kv::List(l) => Ok(l.remove(&mut self.pager, key)?),
+            Kv::List(l) => l.remove(&mut self.pager, key)?,
             #[cfg(feature = "index-hash")]
-            Kv::Hash(h) => Ok(h.remove(&mut self.pager, key)?),
+            Kv::Hash(h) => h.remove(&mut self.pager, key)?,
+        })
+    }
+
+    /// Put `key` = `value`, or remove `key` when `value` is `None`.
+    #[cfg(any(feature = "transactions", feature = "api-batch"))]
+    fn kv_set(&mut self, key: &[u8], value: Option<&[u8]>) -> Result<bool> {
+        match value {
+            Some(value) => self.kv_put(key, value),
+            None => self.kv_remove(key),
         }
     }
 
-    /// Bulk dispatch of a normalized `(key, Some(value) | None)` run to
-    /// the composed index (feature `api-batch`). Returns how many keys
-    /// were newly created.
+    /// Bulk apply of a resolved run (sorted, one op per key; feature
+    /// `api-batch`). Every record is checked against the composed index's
+    /// `max_cell` before any page is touched; the B+-tree then takes the
+    /// run in one cached-descent pass, the list and hash one op at a time.
     #[cfg(feature = "api-batch")]
-    fn kv_apply_bulk(&mut self, ops: Vec<ResolvedOp>) -> Result<usize> {
+    pub(crate) fn kv_apply_bulk(&mut self, ops: Vec<ResolvedOp>) -> Result<()> {
+        let max = match &self.kv {
+            #[cfg(feature = "index-btree")]
+            Kv::BTree(_) => BTree::max_cell(&self.pager),
+            #[cfg(feature = "index-list")]
+            Kv::List(_) => ListIndex::max_cell(&self.pager),
+            #[cfg(feature = "index-hash")]
+            Kv::Hash(_) => HashIndex::max_cell(&self.pager),
+        };
+        let size = |(k, v): &ResolvedOp| v.as_ref().map_or(0, |v| 2 + k.len() + v.len());
+        if let Some(size) = ops.iter().map(size).find(|&size| size > max) {
+            return Err(fame_storage::StorageError::RecordTooLarge { size, max }.into());
+        }
         match &mut self.kv {
             #[cfg(feature = "index-btree")]
             Kv::BTree(t) => {
-                #[cfg(feature = "btree-update")]
-                {
-                    #[cfg(not(feature = "btree-remove"))]
-                    if ops.iter().any(|(_, v)| v.is_none()) {
-                        return Err(DbmsError::FeatureNotCompiled("btree-remove"));
-                    }
-                    Ok(t.apply_sorted(&mut self.pager, ops)?)
-                }
-                #[cfg(not(feature = "btree-update"))]
-                {
-                    let _ = (t, ops);
-                    Err(DbmsError::FeatureNotCompiled("btree-update"))
+                composed(cfg!(feature = "btree-update"), "btree-update")?;
+                let removes = ops.iter().any(|(_, v)| v.is_none());
+                composed(cfg!(feature = "btree-remove") || !removes, "btree-remove")?;
+                t.apply_sorted(&mut self.pager, ops)?;
+            }
+            #[allow(unreachable_patterns)]
+            _ => {
+                for (key, value) in ops {
+                    self.kv_set(&key, value.as_deref())?;
                 }
             }
-            #[cfg(feature = "index-list")]
-            Kv::List(l) => Ok(l.insert_many(&mut self.pager, ops)?),
-            #[cfg(feature = "index-hash")]
-            Kv::Hash(h) => Ok(h.insert_many(&mut self.pager, ops)?),
-        }
-    }
-
-    /// Apply an aborted transaction's compensating actions (newest
-    /// first), stopping at the first storage error.
-    #[cfg(feature = "transactions")]
-    fn apply_undo(&mut self, undo: Vec<fame_txn::UndoAction>) -> Result<()> {
-        for action in undo {
-            match action.restore {
-                Some(old) => self.kv_put(&action.key, &old)?,
-                None => self.kv_remove(&action.key)?,
-            };
         }
         Ok(())
     }
@@ -199,10 +198,71 @@ impl StorageCore {
     }
 }
 
+/// The transactional write protocol of both engines (DESIGN.md §13), over
+/// the engine's transaction manager `m`: owned by the single-writer
+/// engine, borrowed under the shared manager's mutex in MultiWriter
+/// products. The caller holds the exclusive lock of every key a routine
+/// writes, so no routine reads another transaction's uncommitted data.
+#[cfg(feature = "transactions")]
+impl StorageCore {
+    /// A put: before-image → log → apply.
+    #[cfg(feature = "api-put")]
+    fn logged_put(&mut self, m: &mut TxnManager, txn: TxnId, key: &[u8], new: &[u8]) -> Result<()> {
+        let old = self.kv_get(key)?;
+        m.log_put(txn, 0, key, old, new)?;
+        self.kv_put(key, new).map(drop)
+    }
+
+    /// A remove: before-image → log → apply; `false`, logging nothing,
+    /// when the key is absent.
+    #[cfg(feature = "api-remove")]
+    fn logged_remove(&mut self, m: &mut TxnManager, txn: TxnId, key: &[u8]) -> Result<bool> {
+        let Some(old) = self.kv_get(key)? else {
+            return Ok(false);
+        };
+        m.log_remove(txn, 0, key, old)?;
+        self.kv_remove(key)
+    }
+
+    /// A batch's log step ([`StorageCore::write_batch`]): before-images →
+    /// one `log_batch` append. Returns the run to apply.
+    #[cfg(feature = "api-batch")]
+    fn logged_batch(
+        &mut self,
+        m: &mut TxnManager,
+        txn: TxnId,
+        run: Vec<ResolvedOp>,
+    ) -> Result<Vec<ResolvedOp>> {
+        let (writes, apply) = self.batch_writes(run)?;
+        if !writes.is_empty() {
+            m.log_batch(txn, &writes)?;
+        }
+        Ok(apply)
+    }
+
+    /// An abort: undo (newest first, up to the first error), then
+    /// `release` the locks — never before the undo, lest a waiter read the
+    /// un-undone value, and even when it fails: the transaction has left
+    /// the active table, so nothing else ever would release them.
+    fn rollback(&mut self, undo: Vec<UndoAction>, release: impl FnOnce()) -> Result<()> {
+        let undone = self.apply_undo(undo);
+        release();
+        undone
+    }
+
+    fn apply_undo(&mut self, undo: Vec<UndoAction>) -> Result<()> {
+        for action in undo {
+            self.kv_set(&action.key, action.restore.as_deref())?;
+        }
+        Ok(())
+    }
+}
+
 /// The one engine behind the facade (*Concurrency* alternative, Fig. 2
-/// extension). Each write protocol is written once: the single-writer one
-/// in [`Database`] over `Own`, the MultiWriter one in [`DbWriter`], which
-/// the facade's transactional API delegates to over `Shared`.
+/// extension): one write protocol, two lock faces. The protocol is the
+/// `StorageCore` routines; [`Database`] runs them over `Own` with no-wait
+/// locks, the owned manager and direct commit, [`DbWriter`] over `Shared`
+/// with blocking locks, the manager's mutex and group commit.
 ///
 /// One instance per `Database`; boxing `Own` to shrink the enum would put
 /// a pointer chase on every sequential-product operation for no memory win.
@@ -358,7 +418,7 @@ impl Database {
         };
         #[cfg(not(feature = "transactions"))]
         let log_device = None;
-        Self::open_inner(config, device, log_device)
+        Self::open_with_devices(config, device, log_device)
     }
 
     /// Open over caller-supplied devices, bypassing [`make_device`].
@@ -373,14 +433,6 @@ impl Database {
         log_device: Option<Box<dyn BlockDevice>>,
     ) -> Result<Database> {
         config.check().map_err(DbmsError::Config)?;
-        Self::open_inner(config, device, log_device)
-    }
-
-    fn open_inner(
-        config: DbmsConfig,
-        device: Box<dyn BlockDevice>,
-        log_device: Option<Box<dyn BlockDevice>>,
-    ) -> Result<Database> {
         // Statistics: interpose the timing wrapper between pool and device
         // so page-I/O latencies land in histograms. Outermost wrapper, so
         // crypto cost (when composed inside) is part of the measured read.
@@ -474,17 +526,14 @@ impl Database {
         // are uncontended) and `writer()` can clone out handles afterwards.
         // `DbmsConfig::check` guarantees MultiWriter comes with transactions.
         #[cfg(feature = "concurrency-multi-writer")]
-        let multi_writer = matches!(
-            config.concurrency,
-            fame_buffer::Concurrency::MultiWriter { .. }
-        );
+        use fame_buffer::Concurrency;
         let core = StorageCore { pager, kv };
         #[cfg(not(feature = "transactions"))]
         let engine = Engine::Own { core };
         #[cfg(feature = "transactions")]
         let engine = match txn {
             #[cfg(feature = "concurrency-multi-writer")]
-            Some(mgr) if multi_writer => {
+            Some(mgr) if matches!(config.concurrency, Concurrency::MultiWriter { .. }) => {
                 let txn = Arc::new(fame_txn::SharedTxnManager::new(
                     mgr,
                     std::time::Duration::from_millis(config.lock_timeout_ms),
@@ -581,8 +630,7 @@ impl Database {
         #[cfg(feature = "transactions")]
         self.engine.txn_mut(|m| m.flush()).transpose()?;
         self.engine.core().pager.sync()?;
-        #[cfg(feature = "statistics")]
-        self.record(SpanKind::Sync, 0, 0, 0);
+        record!(self, Sync, 0, 0, 0);
         Ok(())
     }
 
@@ -592,12 +640,10 @@ impl Database {
     pub fn verify_integrity(&mut self) -> Result<fame_storage::IntegrityReport> {
         let report = fame_storage::check_pager(&mut self.engine.core().pager)?;
         #[cfg(feature = "statistics")]
-        {
-            self.last_integrity = Some(IntegritySummary {
-                violations: report.violations.len(),
-                leaked_pages: report.leaked_pages,
-            });
-        }
+        let _ = self.last_integrity.replace(IntegritySummary {
+            violations: report.violations.len(),
+            leaked_pages: report.leaked_pages,
+        });
         Ok(report)
     }
 
@@ -712,8 +758,7 @@ impl Database {
         self.engine.core().kv_put(key, value)?;
         #[cfg(feature = "replication")]
         self.ship(key, Some(value))?;
-        #[cfg(feature = "statistics")]
-        self.record(SpanKind::Put, 0, key.len() as u64, value.len() as u64);
+        record!(self, Put, 0, key.len() as u64, value.len() as u64);
         Ok(())
     }
 
@@ -731,10 +776,9 @@ impl Database {
         let found = {
             let mut core = self.engine.core();
             let core = &mut *core;
-            core.kv.lookup(&mut core.pager, key, f)?
+            core.kv.lookup(&mut core.pager, key, false, f)?
         };
-        #[cfg(feature = "statistics")]
-        self.record(SpanKind::Get, 0, key.len() as u64, found.is_some() as u64);
+        record!(self, Get, 0, key.len() as u64, found.is_some() as u64);
         Ok(found)
     }
 
@@ -746,8 +790,7 @@ impl Database {
         if removed {
             self.ship(key, None)?;
         }
-        #[cfg(feature = "statistics")]
-        self.record(SpanKind::Remove, 0, key.len() as u64, removed as u64);
+        record!(self, Remove, 0, key.len() as u64, removed as u64);
         Ok(removed)
     }
 
@@ -763,8 +806,7 @@ impl Database {
         }
         #[cfg(feature = "replication")]
         self.ship(key, Some(value))?;
-        #[cfg(feature = "statistics")]
-        self.record(SpanKind::Update, 0, key.len() as u64, value.len() as u64);
+        record!(self, Update, 0, key.len() as u64, value.len() as u64);
         Ok(true)
     }
 
@@ -827,14 +869,16 @@ impl Database {
     ///
     /// The batch is normalized (last write per key wins) and pushed
     /// through the bulk storage path ([`fame_storage::BTree::apply_sorted`]
-    /// / `insert_many`). With transactions configured the batch is one
-    /// transaction: every record is encoded into a single WAL frame run
-    /// (`TxnManager::log_batch`) and committed with exactly one log sync,
-    /// so recovery observes the batch entirely or not at all. Without
-    /// transactions, record sizes are validated before any page is touched
-    /// but crash atomicity is — as for single-record writes — not provided.
+    /// for the B+-tree). With transactions configured a non-empty batch is
+    /// one transaction — committed even when it nets to no write — that
+    /// X-locks every submitted key before it reads, encodes every record
+    /// into a single WAL frame run (`TxnManager::log_batch`) and commits
+    /// with exactly one log sync, so recovery observes the batch entirely
+    /// or not at all. Without transactions, record sizes are validated
+    /// before any page is touched but crash atomicity is — as for
+    /// single-record writes — not provided.
     ///
-    /// `update` entries fail the whole batch (nothing applied, nothing
+    /// `update` entries fail the whole batch (nothing applied, no write
     /// logged) when their key does not exist at that point in the batch;
     /// `remove` entries of absent keys are dropped, mirroring
     /// [`remove`](Self::remove) returning `false`.
@@ -845,32 +889,40 @@ impl Database {
         if submitted == 0 {
             return Ok(());
         }
+        #[cfg(feature = "replication")]
+        let shipped: std::collections::BTreeSet<_> = match self.replication {
+            Some(_) => batch.ops.iter().map(|(key, _)| key.clone()).collect(),
+            None => Default::default(),
+        };
         match &mut self.engine {
             #[cfg(feature = "concurrency-multi-writer")]
             Engine::Shared(w) => w.apply_batch(batch)?,
+            #[cfg(feature = "transactions")]
             Engine::Own {
                 core,
-                #[cfg(feature = "transactions")]
-                txn,
+                txn: Some(mgr),
             } => {
-                let resolved = core.resolve_batch(batch)?;
-                #[cfg(feature = "replication")]
-                let ship = self.replication.is_some().then(|| resolved.clone());
-                #[cfg(feature = "transactions")]
-                match txn {
-                    Some(mgr) => Self::apply_batch_txn(core, mgr, &resolved)?,
-                    None => {
-                        core.kv_apply_bulk(resolved)?;
+                let txn = mgr.begin()?;
+                let write = || -> Result<()> {
+                    for (key, _) in &batch.ops {
+                        mgr.lock_write(txn, key)?;
+                    }
+                    core.write_batch(batch, |core, run| core.logged_batch(mgr, txn, run))
+                };
+                match write() {
+                    Ok(()) => mgr.commit(txn)?,
+                    Err(e) => {
+                        if let Ok(undo) = mgr.abort(txn) {
+                            let _ = core.rollback(undo, || mgr.release_locks(txn));
+                        }
+                        return Err(e);
                     }
                 }
-                #[cfg(not(feature = "transactions"))]
-                core.kv_apply_bulk(resolved)?;
-                #[cfg(feature = "replication")]
-                for (key, value) in ship.into_iter().flatten() {
-                    self.ship(&key, value.as_deref())?;
-                }
             }
+            Engine::Own { core, .. } => core.write_batch(batch, |_, run| Ok(run))?,
         }
+        #[cfg(feature = "replication")]
+        self.ship_keys(shipped)?;
         #[cfg(feature = "statistics")]
         {
             self.batch_obs.batches.inc();
@@ -881,42 +933,6 @@ impl Database {
             self.record(SpanKind::Batch, 0, submitted, 0);
         }
         Ok(())
-    }
-
-    /// Single-writer transactional arm of [`apply_batch`](Self::apply_batch):
-    /// one txn, one coalesced WAL append, one commit (= one sync under
-    /// Force). Every key is locked before any before-image is read or
-    /// anything is logged, as in [`DbWriter`].
-    #[cfg(feature = "transactions")]
-    fn apply_batch_txn(
-        core: &mut StorageCore,
-        mgr: &mut fame_txn::TxnManager,
-        resolved: &[ResolvedOp],
-    ) -> Result<()> {
-        if resolved.is_empty() {
-            return Ok(());
-        }
-        let txn_id = mgr.begin()?;
-        let mut applied = || -> Result<()> {
-            for (key, _) in resolved {
-                mgr.lock_write(txn_id, key)?;
-            }
-            let (writes, apply) = core.batch_writes(resolved)?;
-            if !writes.is_empty() {
-                mgr.log_batch(txn_id, &writes)?;
-                core.kv_apply_bulk(apply)?;
-            }
-            Ok(())
-        };
-        // A conflict or a failed bulk apply rolls back; locks go after.
-        if let Err(e) = applied() {
-            if let Ok(undo) = mgr.abort(txn_id) {
-                let _ = core.apply_undo(undo);
-                mgr.release_locks(txn_id);
-            }
-            return Err(e);
-        }
-        Ok(mgr.commit(txn_id)?)
     }
 }
 
@@ -930,6 +946,8 @@ impl Database {
     /// is read once from its atomic, so repeated calls observe each field
     /// monotonically non-decreasing and never torn.
     pub fn stats(&mut self) -> Result<StatsSnapshot> {
+        #[cfg(feature = "concurrency-multi")]
+        use std::sync::atomic::Ordering::Relaxed;
         let mut core = self.engine.core();
         let keys = core.len()?;
         let pool = core.pager.pool().stats();
@@ -964,15 +982,9 @@ impl Database {
             #[cfg(feature = "obs-trace")]
             windows: self.recorder.sink().windows(),
             #[cfg(feature = "concurrency-multi")]
-            reader_gets: self
-                .reader_acc
-                .gets
-                .load(std::sync::atomic::Ordering::Relaxed),
+            reader_gets: self.reader_acc.gets.load(Relaxed),
             #[cfg(feature = "concurrency-multi")]
-            reader_hits: self
-                .reader_acc
-                .hits
-                .load(std::sync::atomic::Ordering::Relaxed),
+            reader_hits: self.reader_acc.hits.load(Relaxed),
             integrity: self.last_integrity,
             #[cfg(feature = "api-batch")]
             batches: self.batch_obs.batches.get(),
@@ -1076,8 +1088,7 @@ impl Database {
         let engine = self.sql.as_mut().expect("just initialized");
         let out = engine.execute(&mut core.pager, statement)?;
         drop(core);
-        #[cfg(feature = "statistics")]
-        self.record(SpanKind::Query, 0, statement.len() as u64, 0);
+        record!(self, Query, 0, statement.len() as u64, 0);
         Ok(out)
     }
 
@@ -1090,10 +1101,8 @@ impl Database {
 
 // ---- transactions (Fig. 2: Transaction) -----------------------------
 //
-// Each method holds the single-writer protocol inline (the `Own` arm:
-// no-wait key lock → before-image → WAL → apply) and hands MultiWriter
-// products to the one block-lock protocol in [`DbWriter`]. What wraps
-// both — replica shipping, op trace — stays here.
+// `Own` arms run the write protocol over the owned manager, `Shared` ones
+// delegate to [`DbWriter`]; replica shipping and the op trace wrap both.
 #[cfg(feature = "transactions")]
 impl Database {
     /// The error every transactional call gets on an instance opened
@@ -1112,8 +1121,7 @@ impl Database {
             #[cfg(feature = "concurrency-multi-writer")]
             Engine::Shared(w) => w.begin()?,
         };
-        #[cfg(feature = "statistics")]
-        self.record(SpanKind::TxnBegin, txn.id, 0, 0);
+        record!(self, TxnBegin, txn.id, 0, 0);
         Ok(txn)
     }
 
@@ -1124,10 +1132,7 @@ impl Database {
             Engine::Own { core, txn: mgr } => {
                 let mgr = mgr.as_mut().ok_or_else(Self::txn_not_enabled)?;
                 mgr.lock_write(txn.id, key)?;
-                let old = core.kv_get(key)?;
-                mgr.log_put(txn.id, 0, key, old, value)?;
-                core.kv_put(key, value)?;
-                Ok(())
+                core.logged_put(mgr, txn.id, key, value)
             }
             #[cfg(feature = "concurrency-multi-writer")]
             Engine::Shared(w) => w.put(txn, key, value),
@@ -1156,11 +1161,7 @@ impl Database {
             Engine::Own { core, txn: mgr } => {
                 let mgr = mgr.as_mut().ok_or_else(Self::txn_not_enabled)?;
                 mgr.lock_write(txn.id, key)?;
-                let Some(old) = core.kv_get(key)? else {
-                    return Ok(false);
-                };
-                mgr.log_remove(txn.id, 0, key, old)?;
-                core.kv_remove(key)
+                core.logged_remove(mgr, txn.id, key)
             }
             #[cfg(feature = "concurrency-multi-writer")]
             Engine::Shared(w) => w.remove(txn, key),
@@ -1188,20 +1189,9 @@ impl Database {
             #[cfg(feature = "concurrency-multi-writer")]
             Engine::Shared(w) => w.commit(txn)?,
         }
-        #[cfg(feature = "statistics")]
-        self.record(
-            SpanKind::TxnCommit,
-            txn.id,
-            fame_obs::monotonic_ns() - t0,
-            0,
-        );
-        // Each key as the index holds it after the commit: the facade
-        // holds `&mut self`, so nothing interleaves.
+        record!(self, TxnCommit, txn.id, fame_obs::monotonic_ns() - t0, 0);
         #[cfg(feature = "replication")]
-        for key in shipped {
-            let value = self.engine.core().kv_get(&key)?;
-            self.ship(&key, value.as_deref())?;
-        }
+        self.ship_keys(shipped)?;
         Ok(())
     }
 
@@ -1213,17 +1203,12 @@ impl Database {
             Engine::Own { core, txn: mgr } => {
                 let mgr = mgr.as_mut().ok_or_else(Self::txn_not_enabled)?;
                 let undo = mgr.abort(txn.id)?;
-                // Released even when the undo fails: the transaction has
-                // left the active table, so nothing else ever would.
-                let undone = core.apply_undo(undo);
-                mgr.release_locks(txn.id);
-                undone?;
+                core.rollback(undo, || mgr.release_locks(txn.id))?;
             }
             #[cfg(feature = "concurrency-multi-writer")]
             Engine::Shared(w) => w.abort(txn)?,
         }
-        #[cfg(feature = "statistics")]
-        self.record(SpanKind::TxnAbort, txn.id, 0, 0);
+        record!(self, TxnAbort, txn.id, 0, 0);
         Ok(())
     }
 
@@ -1252,21 +1237,21 @@ impl Database {
             error: Option<DbmsError>,
         }
 
+        impl RecoverInto<'_> {
+            fn set(&mut self, key: &[u8], value: Option<&[u8]>) {
+                if self.error.is_none() {
+                    self.error = self.core.kv_set(key, value).err();
+                }
+            }
+        }
+
         impl fame_txn::RecoveryTarget for RecoverInto<'_> {
             fn apply_put(&mut self, _index: u8, key: &[u8], value: &[u8]) {
-                if self.error.is_none() {
-                    if let Err(e) = self.core.kv_put(key, value) {
-                        self.error = Some(e);
-                    }
-                }
+                self.set(key, Some(value));
             }
 
             fn apply_remove(&mut self, _index: u8, key: &[u8]) {
-                if self.error.is_none() {
-                    if let Err(e) = self.core.kv_remove(key) {
-                        self.error = Some(e);
-                    }
-                }
+                self.set(key, None);
             }
         }
         let stats = {
@@ -1294,12 +1279,12 @@ impl Database {
                 .txn_mut(|m| m.seal_recovery(&stats.losers))
                 .transpose()?;
         }
-        #[cfg(feature = "statistics")]
-        self.record(
-            SpanKind::Recovery,
+        record!(
+            self,
+            Recovery,
             0,
             stats.redo_applied as u64,
-            stats.undo_applied as u64,
+            stats.undo_applied as u64
         );
         self.last_recovery = Some(stats);
         Ok(())
@@ -1350,6 +1335,16 @@ impl Database {
             #[allow(unreachable_patterns)]
             _ => Err(DbmsError::Config("state digest needs the B+-tree".into())),
         }
+    }
+
+    /// Ship each key as the index holds it now, after a commit or a
+    /// batch: the facade holds `&mut self`, so nothing interleaves.
+    fn ship_keys(&mut self, keys: impl IntoIterator<Item = Vec<u8>>) -> Result<()> {
+        for key in keys {
+            let value = self.engine.core().kv_get(&key)?;
+            self.ship(&key, value.as_deref())?;
+        }
+        Ok(())
     }
 
     /// Ship one write to the replicas: a put of `value`, or a remove.
@@ -1458,7 +1453,7 @@ impl DbReader {
 
     /// Allocation-free lookup: run `f` over the value bytes in place.
     pub fn get_with<R>(&mut self, key: &[u8], f: impl FnOnce(&[u8]) -> R) -> Result<Option<R>> {
-        let found = self.kv.lookup_olc(&mut self.pager, key, f)?;
+        let found = self.kv.lookup(&mut self.pager, key, true, f)?;
         #[cfg(feature = "statistics")]
         {
             self.obs.gets += 1;
@@ -1523,7 +1518,7 @@ impl DbSnapshot {
     /// The same descent as [`DbReader::get_with`], over the
     /// timestamp-pinned pager.
     pub fn get_with<R>(&mut self, key: &[u8], f: impl FnOnce(&[u8]) -> R) -> Result<Option<R>> {
-        self.kv.lookup_olc(&mut self.pager, key, f)
+        self.kv.lookup(&mut self.pager, key, true, f)
     }
 
     /// `true` when the key exists in this snapshot.
@@ -1553,12 +1548,7 @@ impl Drop for DbSnapshot {
 /// through the cross-transaction group channel: one WAL append and one
 /// protocol sync cover every transaction in a drain.
 ///
-/// This `impl` is the only place the MultiWriter write protocol exists
-/// (the facade's own transactional API delegates here): block lock →
-/// before-image under the storage mutex → WAL → tagged apply; abort =
-/// undo → version release → unlock.
-///
-/// Lock order (deadlock-free by construction): block-lock table, then the
+/// The facade's own transactional API delegates here. Lock order (deadlock-free by construction): block-lock table, then the
 /// storage mutex, then the manager mutex — never the reverse.
 #[cfg(feature = "concurrency-multi-writer")]
 #[derive(Clone)]
@@ -1577,15 +1567,14 @@ impl DbWriter {
         self.storage.lock().expect("storage mutex poisoned")
     }
 
-    /// Run a storage apply of `txn`. Snapshot feature: the apply is tagged
+    /// Run a storage step of `txn`. Snapshot feature: the step is tagged
     /// with the owning transaction, so the pool captures pre-images for
     /// the version chains.
-    fn tagged<R>(txn: TxnHandle, apply: impl FnOnce() -> R) -> R {
+    fn tagged<R>(txn: TxnHandle, step: impl FnOnce() -> R) -> R {
         #[cfg(feature = "concurrency-snapshot")]
         let _scope = fame_buffer::TxnWriteScope::new(txn.id);
-        #[cfg(not(feature = "concurrency-snapshot"))]
         let _ = txn;
-        apply()
+        step()
     }
 
     /// Start a transaction.
@@ -1612,11 +1601,10 @@ impl DbWriter {
     pub fn put(&self, txn: TxnHandle, key: &[u8], value: &[u8]) -> Result<()> {
         self.txn.lock_write(txn.id, key)?;
         let mut core = self.storage();
-        let old = core.kv_get(key)?;
-        self.txn
-            .with_inner(|m| m.log_put(txn.id, 0, key, old, value))?;
-        Self::tagged(txn, || core.kv_put(key, value))?;
-        Ok(())
+        Self::tagged(txn, || {
+            self.txn
+                .with_inner(|m| core.logged_put(m, txn.id, key, value))
+        })
     }
 
     /// Transactional get (takes the shared block lock).
@@ -1631,36 +1619,26 @@ impl DbWriter {
     pub fn remove(&self, txn: TxnHandle, key: &[u8]) -> Result<bool> {
         self.txn.lock_write(txn.id, key)?;
         let mut core = self.storage();
-        let Some(old) = core.kv_get(key)? else {
-            return Ok(false);
-        };
-        self.txn.with_inner(|m| m.log_remove(txn.id, 0, key, old))?;
-        Self::tagged(txn, || core.kv_remove(key))
+        Self::tagged(txn, || {
+            self.txn.with_inner(|m| core.logged_remove(m, txn.id, key))
+        })
     }
 
-    /// [`Database::apply_batch`] of a MultiWriter product: the batch as
-    /// one transaction of this protocol. Every key is X-locked *before*
-    /// existence and before-images are read, so the batch never acts on
-    /// another writer's uncommitted data; any failure rolls back through
-    /// [`DbWriter::abort`].
+    /// [`Database::apply_batch`] of a MultiWriter product: every
+    /// submitted key is X-locked before the storage mutex is taken.
     #[cfg(feature = "api-batch")]
     fn apply_batch(&self, batch: WriteBatch) -> Result<()> {
         let txn = self.begin()?;
-        let logged_and_applied = (|| -> Result<()> {
+        let write = || -> Result<()> {
             for (key, _) in &batch.ops {
                 self.txn.lock_write(txn.id, key)?;
             }
-            let mut core = self.storage();
-            let resolved = core.resolve_batch(batch)?;
-            let (writes, apply) = core.batch_writes(&resolved)?;
-            if !writes.is_empty() {
-                // The keys are X-locked already: log under the manager mutex.
-                self.txn.with_inner(|m| m.log_batch(txn.id, &writes))?;
-                Self::tagged(txn, || core.kv_apply_bulk(apply))?;
-            }
-            Ok(())
-        })();
-        match logged_and_applied {
+            let log = |core: &mut StorageCore, run| {
+                self.txn.with_inner(|m| core.logged_batch(m, txn.id, run))
+            };
+            Self::tagged(txn, || self.storage().write_batch(batch, log))
+        };
+        match write() {
             // A group-commit drain already counts as one commit toward the
             // Group quota, which is exactly the batch accounting.
             Ok(()) => self.commit(txn),
@@ -1733,13 +1711,15 @@ impl DbWriter {
         // transaction — pages the undo touches for the first time (e.g. a
         // split during the rollback) capture their pre-image under the
         // same pending streak, released below in one step.
-        let undone = Self::tagged(txn, || self.storage().apply_undo(undo));
-        // The heads now hold the restored pre-state; mark the pages
-        // committed again so snapshot reads stop detouring to the chains.
-        #[cfg(feature = "concurrency-snapshot")]
-        self.pool.release_aborted_txn(txn.id);
-        self.txn.release_locks(txn.id);
-        undone
+        Self::tagged(txn, || {
+            self.storage().rollback(undo, || {
+                // The heads now hold the restored pre-state; mark the pages
+                // committed again so snapshot reads stop detouring.
+                #[cfg(feature = "concurrency-snapshot")]
+                self.pool.release_aborted_txn(txn.id);
+                self.txn.release_locks(txn.id);
+            })
+        })
     }
 
     /// `(committed, aborted)` counters of the shared manager.
@@ -2067,6 +2047,73 @@ mod tests {
         assert!(tsv.contains("batch.ops\t64"), "{tsv}");
         // The batch is one committed transaction.
         assert_eq!(d.txn_stats(), Some((1, 0)));
+    }
+
+    /// A batch X-locks every submitted key before it reads: against an
+    /// open transaction's removals it fails with the conflict, logging no
+    /// write and applying nothing. A batch that nets to no write is still
+    /// one committed transaction, in both engines.
+    #[cfg(all(
+        feature = "api-batch",
+        feature = "transactions",
+        feature = "commit-force",
+        feature = "api-get",
+        feature = "api-remove",
+        feature = "api-update",
+        feature = "statistics"
+    ))]
+    #[test]
+    fn batch_never_reads_an_open_transactions_writes() {
+        use fame_txn::TxnError;
+        let mut cfg = DbmsConfig::default_for_build();
+        cfg.transactions = Some(crate::config::TxnConfig {
+            commit: fame_txn::CommitPolicy::Force,
+        });
+        let mut d = Database::open(cfg.clone()).unwrap();
+        let (mut setup, mut remove_k, mut update_u) =
+            (WriteBatch::new(), WriteBatch::new(), WriteBatch::new());
+        setup.put(b"k", b"0").put(b"u", b"0");
+        remove_k.remove(b"k");
+        update_u.update(b"u", b"1");
+        d.apply_batch(setup).unwrap();
+        let t1 = d.begin().unwrap();
+        assert!(d.txn_remove(t1, b"k").unwrap() && d.txn_remove(t1, b"u").unwrap());
+
+        // A conflicting batch logs what an empty transaction logs: its
+        // Begin and Abort markers, no write and no sync.
+        let log = |d: &mut Database| (d.stats().unwrap().log_bytes.unwrap(), d.log_syncs());
+        let (bytes, syncs) = log(&mut d);
+        let t = d.begin().unwrap();
+        d.abort(t).unwrap();
+        let markers = log(&mut d).0 - bytes;
+        for batch in [remove_k.clone(), update_u.clone()] {
+            let before = log(&mut d).0;
+            let r = d.apply_batch(batch);
+            assert!(matches!(r, Err(DbmsError::Txn(TxnError::Conflict(_)))));
+            assert_eq!(log(&mut d), (before + markers, syncs), "nothing logged");
+        }
+        assert_eq!(d.get(b"u").unwrap(), None, "nothing applied");
+
+        d.abort(t1).unwrap();
+        d.apply_batch(remove_k.clone()).unwrap();
+        d.apply_batch(update_u).unwrap();
+        assert_eq!(d.get(b"k").unwrap(), None);
+        assert_eq!(d.get(b"u").unwrap(), Some(b"1".to_vec()));
+
+        // Removing the absent `k` nets to no write: one committed
+        // transaction and one sync all the same, in both engines.
+        let mut engines = vec![d];
+        #[cfg(feature = "concurrency-multi-writer")]
+        engines.push({
+            cfg.concurrency = fame_buffer::Concurrency::MultiWriter { shards: 0 };
+            Database::open(cfg).unwrap()
+        });
+        for mut d in engines {
+            let (committed, syncs) = (d.txn_stats().unwrap().0, d.log_syncs().unwrap());
+            d.apply_batch(remove_k.clone()).unwrap();
+            assert_eq!(d.txn_stats().unwrap().0, committed + 1);
+            assert_eq!(d.log_syncs().unwrap(), syncs + 1);
+        }
     }
 
     #[cfg(all(

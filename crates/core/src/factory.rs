@@ -85,28 +85,14 @@ fn new_inmem_log(page_size: usize) -> impl BlockDevice {
 pub(crate) fn make_pool(config: &DbmsConfig, device: Box<dyn BlockDevice>) -> BufferPool {
     #[cfg(feature = "buffer")]
     {
+        // MultiReader and MultiWriter run on the sharded pool; the writer
+        // coordination lives above it (block locks, group commit).
         #[cfg(feature = "concurrency-multi")]
-        {
-            let shared_shards = match config.concurrency {
-                fame_buffer::Concurrency::MultiReader { shards } => Some(shards),
-                // MultiWriter runs on the same sharded pool; the writer
-                // coordination lives above it (block locks, group commit).
-                #[cfg(feature = "concurrency-multi-writer")]
-                fame_buffer::Concurrency::MultiWriter { shards } => Some(shards),
-                #[allow(unreachable_patterns)]
-                _ => None,
+        if let Some(shards) = config.concurrency.shards() {
+            return match &config.buffer {
+                Some(b) => BufferPool::new_shared(device, b.replacement, b.policy(), shards),
+                None => BufferPool::unbuffered_shared(device),
             };
-            if let Some(shards) = shared_shards {
-                let shards = if shards == 0 {
-                    fame_buffer::DEFAULT_SHARDS
-                } else {
-                    shards
-                };
-                return match &config.buffer {
-                    Some(b) => BufferPool::new_shared(device, b.replacement, b.policy(), shards),
-                    None => BufferPool::unbuffered_shared(device),
-                };
-            }
         }
         match &config.buffer {
             Some(b) => BufferPool::new(device, b.replacement, b.policy()),

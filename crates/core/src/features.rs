@@ -73,32 +73,27 @@ pub fn model_configuration(
     let mut select = |name: &str| {
         cfg.select(model.id(name));
     };
+    // Features a product has exactly when their cargo feature is composed.
+    for (composed, name) in [
+        (cfg!(feature = "api-put"), "Put"),
+        (cfg!(feature = "api-get"), "Get"),
+        (cfg!(feature = "api-remove"), "Remove"),
+        (cfg!(feature = "api-update"), "Update"),
+        (cfg!(feature = "api-batch"), "Batch"),
+        (cfg!(feature = "sql"), "SQLEngine"),
+        (cfg!(feature = "optimizer"), "Optimizer"),
+        (cfg!(feature = "data-types"), "DataTypes"),
+        (cfg!(feature = "statistics"), "Statistics"),
+        (cfg!(feature = "obs-trace"), "Tracing"),
+    ] {
+        if composed {
+            select(name);
+        }
+    }
 
     select("FAME-DBMS");
     select("Access");
     select("API");
-    if cfg!(feature = "api-put") {
-        select("Put");
-    }
-    if cfg!(feature = "api-get") {
-        select("Get");
-    }
-    if cfg!(feature = "api-remove") {
-        select("Remove");
-    }
-    if cfg!(feature = "api-update") {
-        select("Update");
-    }
-    if cfg!(feature = "api-batch") {
-        select("Batch");
-    }
-    if cfg!(feature = "sql") {
-        select("SQLEngine");
-    }
-    if cfg!(feature = "optimizer") {
-        select("Optimizer");
-    }
-
     select("Storage");
     select("Index");
     match &config.index {
@@ -123,9 +118,6 @@ pub fn model_configuration(
             select("BTreeSearch");
         }
     }
-    if cfg!(feature = "data-types") {
-        select("DataTypes");
-    }
 
     select("OS-Abstraction");
     select("Platform");
@@ -136,12 +128,6 @@ pub fn model_configuration(
         OsTarget::File { .. } => select("Linux"),
         #[cfg(feature = "os-flash")]
         OsTarget::Flash(_) => select("NutOS"),
-    }
-    if cfg!(feature = "statistics") {
-        select("Statistics");
-    }
-    if cfg!(feature = "obs-trace") {
-        select("Tracing");
     }
 
     #[cfg(feature = "buffer")]
@@ -163,29 +149,17 @@ pub fn model_configuration(
             select("Dynamic");
         }
         select("Concurrency");
-        #[cfg(feature = "concurrency-multi-writer")]
-        let multi_writer = matches!(
-            config.concurrency,
-            fame_buffer::Concurrency::MultiWriter { .. }
-        );
-        #[cfg(not(feature = "concurrency-multi-writer"))]
-        let multi_writer = false;
-        #[cfg(feature = "concurrency-multi")]
-        let multi = matches!(
-            config.concurrency,
-            fame_buffer::Concurrency::MultiReader { .. }
-        );
-        #[cfg(not(feature = "concurrency-multi"))]
-        let multi = false;
-        if multi_writer {
-            select("MultiWriter");
-            if cfg!(feature = "concurrency-snapshot") {
-                select("Snapshot");
+        match config.concurrency {
+            #[cfg(feature = "concurrency-multi-writer")]
+            fame_buffer::Concurrency::MultiWriter { .. } => {
+                select("MultiWriter");
+                if cfg!(feature = "concurrency-snapshot") {
+                    select("Snapshot");
+                }
             }
-        } else if multi {
-            select("MultiReader");
-        } else {
-            select("Single");
+            #[cfg(feature = "concurrency-multi")]
+            fame_buffer::Concurrency::MultiReader { .. } => select("MultiReader"),
+            _ => select("Single"),
         }
     }
 

@@ -261,20 +261,6 @@ impl AppModel {
         model
     }
 
-    /// Old entry point.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `AppModel::from_source` (auto-detects the language and applies \
-                flow-sensitive analysis) or `AppModel::syntactic` for fragments"
-    )]
-    pub fn analyze(source: &str, reachability: bool) -> AppModel {
-        if reachability {
-            AppModel::from_source(source)
-        } else {
-            AppModel::syntactic(source)
-        }
-    }
-
     /// Build a model from bare facts (testing / foreign front ends).
     pub fn from_facts<I: IntoIterator<Item = (Fact, Confidence, u32)>>(facts: I) -> AppModel {
         let mut model = AppModel::default();
@@ -550,22 +536,6 @@ int main(void) {
             m.tier_of(&Fact::Constant("DB_HASH".into())),
             Some(Confidence::FlowConfirmed)
         );
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_wrapper_maps_to_new_api() {
-        let frag = AppModel::analyze("db.put(k, v);", false);
-        assert!(frag.has_call("put"));
-        assert!(!frag.is_pruned());
-
-        let whole = AppModel::analyze(
-            "fn main() { db.put(k, v); }\nfn dead() { db.sql(q); }",
-            true,
-        );
-        assert!(whole.is_pruned());
-        assert!(whole.has_call("put"));
-        assert!(!whole.has_call("sql"));
     }
 
     #[test]

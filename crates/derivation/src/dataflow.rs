@@ -200,8 +200,7 @@ pub fn analyze_function(cfg: &Cfg, summaries: &BTreeMap<String, FlagSet>) -> FnA
 
 /// Purely lexical emission over a raw token stream (no CFG, no
 /// environments): every fact at the `Syntactic` tier. This is the
-/// old extractor's contract, kept for fragments and the deprecated
-/// `AppModel::analyze(_, false)` path.
+/// old extractor's contract, kept for fragments (`AppModel::syntactic`).
 pub fn emit_lexical(tokens: &[Token]) -> Vec<FactRecord> {
     let stmt = Stmt {
         tokens: tokens.to_vec(),

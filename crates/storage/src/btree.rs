@@ -23,7 +23,7 @@
 use fame_os::PageId;
 
 use crate::error::{Result, StorageError};
-use crate::page::{expect_type, PageType, PageView, SlottedPage, PAGE_HEADER_SIZE};
+use crate::page::{PageType, PageView, SlottedPage, PAGE_HEADER_SIZE};
 use crate::pager::{PageRead, Pager};
 
 /// Fraction of the page below which a node is considered under-full.
@@ -1012,101 +1012,6 @@ fn write_cells(p: &mut SlottedPage<'_>, cells: &[Vec<u8>]) {
     }
 }
 
-/// Structural invariant checker used by tests: verifies page types, key
-/// order within nodes, separator correctness, and the leaf chain.
-pub fn check_invariants(tree: &BTree, pager: &mut Pager) -> Result<()> {
-    fn walk(
-        pager: &mut Pager,
-        page: PageId,
-        lower: Option<Vec<u8>>,
-        upper: Option<Vec<u8>>,
-        leaves: &mut Vec<PageId>,
-    ) -> Result<()> {
-        enum Node {
-            Leaf(Vec<Vec<u8>>),
-            Internal(Vec<(Vec<u8>, PageId)>, PageId),
-        }
-        let node = pager.with_page(page, |buf| {
-            let v = PageView::new(buf);
-            match v.page_type() {
-                Some(PageType::BTreeLeaf) => Node::Leaf(
-                    (0..v.slot_count())
-                        .map(|i| cell_key(v.cell_at(i)).to_vec())
-                        .collect(),
-                ),
-                Some(PageType::BTreeInternal) => Node::Internal(
-                    (0..v.slot_count())
-                        .map(|i| {
-                            let c = v.cell_at(i);
-                            (cell_key(c).to_vec(), int_child(c))
-                        })
-                        .collect(),
-                    v.aux().expect("leftmost"),
-                ),
-                other => panic!("unexpected page type {other:?}"),
-            }
-        })?;
-
-        let in_bounds = |k: &[u8]| {
-            lower.as_deref().map(|l| k >= l).unwrap_or(true)
-                && upper.as_deref().map(|u| k < u).unwrap_or(true)
-        };
-
-        match node {
-            Node::Leaf(keys) => {
-                for w in keys.windows(2) {
-                    assert!(w[0] < w[1], "leaf keys out of order on page {page}");
-                }
-                for k in &keys {
-                    assert!(in_bounds(k), "leaf key out of separator bounds on {page}");
-                }
-                leaves.push(page);
-            }
-            Node::Internal(cells, leftmost) => {
-                for w in cells.windows(2) {
-                    assert!(w[0].0 < w[1].0, "separators out of order on page {page}");
-                }
-                for (k, _) in &cells {
-                    assert!(in_bounds(k), "separator out of bounds on {page}");
-                }
-                let mut lo = lower.clone();
-                for (i, (k, child)) in cells.iter().enumerate() {
-                    let hi = Some(k.clone());
-                    let target = if i == 0 { leftmost } else { cells[i - 1].1 };
-                    walk(pager, target, lo.clone(), hi, leaves)?;
-                    lo = Some(k.clone());
-                    let _ = child;
-                }
-                // Rightmost child.
-                let last = cells.last().map(|(_, c)| *c).unwrap_or(leftmost);
-                walk(pager, last, lo, upper.clone(), leaves)?;
-            }
-        }
-        Ok(())
-    }
-
-    let mut leaves = Vec::new();
-    walk(pager, tree.root_page(), None, None, &mut leaves)?;
-
-    // The leaf chain visits exactly the leaves, in order.
-    let mut chained = Vec::new();
-    let mut page = tree.leftmost_leaf(pager)?;
-    loop {
-        chained.push(page);
-        expect_type(
-            &pager.with_page(page, |b| b.to_vec())?,
-            page,
-            PageType::BTreeLeaf,
-        )?;
-        match pager.with_page(page, |b| PageView::new(b).next_page())? {
-            Some(p) => page = p,
-            None => break,
-        }
-    }
-    assert_eq!(leaves, chained, "leaf chain disagrees with tree structure");
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1180,7 +1085,7 @@ mod tests {
             let (k, v) = kv(i);
             assert_eq!(t.get(&mut pg, &k).unwrap(), Some(v), "key {i}");
         }
-        check_invariants(&t, &mut pg).unwrap();
+        assert_eq!(crate::check_pager(&mut pg).unwrap().violations, []);
         // The tree grew beyond the root.
         assert_ne!(t.root_page(), 1);
     }
@@ -1193,7 +1098,7 @@ mod tests {
             let (k, v) = kv(i);
             t.insert(&mut pg, &k, &v).unwrap();
         }
-        check_invariants(&t, &mut pg).unwrap();
+        assert_eq!(crate::check_pager(&mut pg).unwrap().violations, []);
         let all = t.scan(&mut pg, None, None).unwrap();
         assert_eq!(all.len(), 300);
         assert!(all.windows(2).all(|w| w[0].0 < w[1].0), "sorted scan");
@@ -1224,11 +1129,11 @@ mod tests {
             let (k, _) = kv(i);
             assert!(t.remove(&mut pg, &k).unwrap(), "remove {i}");
             if i % 37 == 0 {
-                check_invariants(&t, &mut pg).unwrap();
+                assert_eq!(crate::check_pager(&mut pg).unwrap().violations, []);
             }
         }
         assert!(t.is_empty(&mut pg).unwrap());
-        check_invariants(&t, &mut pg).unwrap();
+        assert_eq!(crate::check_pager(&mut pg).unwrap().violations, []);
     }
 
     #[test]
@@ -1257,7 +1162,7 @@ mod tests {
         for (k, v) in &model {
             assert_eq!(t.get(&mut pg, k).unwrap().as_ref(), Some(v));
         }
-        check_invariants(&t, &mut pg).unwrap();
+        assert_eq!(crate::check_pager(&mut pg).unwrap().violations, []);
     }
 
     #[test]
@@ -1348,7 +1253,7 @@ mod tests {
             let v = vec![i as u8; (i as usize * 7) % 90];
             assert_eq!(t.get(&mut pg, &k).unwrap(), Some(v));
         }
-        check_invariants(&t, &mut pg).unwrap();
+        assert_eq!(crate::check_pager(&mut pg).unwrap().violations, []);
     }
 
     #[test]
@@ -1471,7 +1376,7 @@ pub(crate) mod proptests {
             let expected: Vec<(Vec<u8>, Vec<u8>)> =
                 model.into_iter().collect();
             prop_assert_eq!(scanned, expected);
-            check_invariants(&tree, &mut pg).unwrap();
+            assert_eq!(crate::check_pager(&mut pg).unwrap().violations, []);
         }
 
         /// `apply_sorted` over a random op sequence produces a tree that
@@ -1503,7 +1408,7 @@ pub(crate) mod proptests {
                 let b = pg_loop.with_page(p, |b| b.to_vec()).unwrap();
                 prop_assert!(a == b, "page {} differs", p);
             }
-            check_invariants(&t_batch, &mut pg_batch).unwrap();
+            assert_eq!(crate::check_pager(&mut pg_batch).unwrap().violations, []);
 
             // Last-wins semantics over the original order.
             let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
@@ -1526,7 +1431,7 @@ pub(crate) mod proptests {
         (key, val)
     }
 
-    /// The exact normalization `apply_sorted`/`insert_many` perform:
+    /// The exact normalization `apply_sorted` performs:
     /// stable sort by key, deduplicate last-wins.
     pub(crate) fn sort_dedup(
         mut ops: Vec<(Vec<u8>, Option<Vec<u8>>)>,

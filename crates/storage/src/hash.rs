@@ -181,53 +181,6 @@ impl HashIndex {
         Ok(true)
     }
 
-    /// Apply a batch of writes (`Some(value)` = put, `None` = remove) in
-    /// one call: stably sorted by key, deduplicated last-wins, then
-    /// applied through the one-at-a-time path — hashing already makes
-    /// every probe O(chain), so batching pays off at the log/commit
-    /// layer, not here. The resulting pages are byte-identical to
-    /// applying the sorted run with [`HashIndex::insert`] /
-    /// [`HashIndex::remove`]. Sizes are validated up front so the batch
-    /// fails before any mutation. Returns the number of new keys.
-    pub fn insert_many(
-        &mut self,
-        pager: &mut Pager,
-        mut ops: Vec<(Vec<u8>, Option<Vec<u8>>)>,
-    ) -> Result<usize> {
-        let max = Self::max_cell(pager);
-        for (key, value) in &ops {
-            if let Some(value) = value {
-                let size = 2 + key.len() + value.len();
-                if size > max {
-                    return Err(StorageError::RecordTooLarge { size, max });
-                }
-            }
-        }
-        ops.sort_by(|a, b| a.0.cmp(&b.0));
-        ops.dedup_by(|next, prev| {
-            if next.0 == prev.0 {
-                prev.1 = next.1.take();
-                true
-            } else {
-                false
-            }
-        });
-        let mut new_keys = 0;
-        for (key, op) in ops {
-            match op {
-                Some(value) => {
-                    if self.insert(pager, &key, &value)? {
-                        new_keys += 1;
-                    }
-                }
-                None => {
-                    self.remove(pager, &key)?;
-                }
-            }
-        }
-        Ok(new_keys)
-    }
-
     fn append_to_chain(&self, pager: &mut Pager, mut page: PageId, c: &[u8]) -> Result<()> {
         loop {
             let (inserted, next) = pager.with_page_mut(page, |buf| {
@@ -479,73 +432,6 @@ mod proptests {
             prop_assert_eq!(h.len(&mut pg).unwrap(), model.len());
             for (k, v) in &model {
                 let got = h.get(&mut pg, k).unwrap();
-                prop_assert_eq!(got.as_ref(), Some(v));
-            }
-        }
-
-        /// `insert_many` leaves pages byte-identical to applying the same
-        /// sorted, deduplicated run one at a time, and its contents match
-        /// last-wins semantics over the original sequence.
-        #[test]
-        fn insert_many_is_byte_identical_to_loop(
-            ops in prop::collection::vec(
-                (prop::collection::vec(any::<u8>(), 1..8),
-                 prop::option::of(prop::collection::vec(any::<u8>(), 0..16))),
-                1..150,
-            ),
-            buckets in 1u32..16,
-        ) {
-            let pager = || {
-                let pool = BufferPool::new(
-                    Box::new(InMemoryDevice::new(256)),
-                    ReplacementKind::Lru,
-                    AllocPolicy::Dynamic { max_frames: Some(64) },
-                );
-                Pager::open(pool).unwrap()
-            };
-
-            let mut pg_batch = pager();
-            let mut h_batch = HashIndex::create(&mut pg_batch, 0, buckets).unwrap();
-            h_batch.insert_many(&mut pg_batch, ops.clone()).unwrap();
-
-            let mut pg_loop = pager();
-            let mut h_loop = HashIndex::create(&mut pg_loop, 0, buckets).unwrap();
-            let mut sorted = ops.clone();
-            sorted.sort_by(|a, b| a.0.cmp(&b.0));
-            sorted.dedup_by(|next, prev| {
-                if next.0 == prev.0 {
-                    prev.1 = next.1.take();
-                    true
-                } else {
-                    false
-                }
-            });
-            for (k, op) in sorted {
-                match op {
-                    Some(v) => { h_loop.insert(&mut pg_loop, &k, &v).unwrap(); }
-                    None => { h_loop.remove(&mut pg_loop, &k).unwrap(); }
-                }
-            }
-
-            let pages = pg_batch.allocated_pages().unwrap();
-            prop_assert_eq!(pages, pg_loop.allocated_pages().unwrap());
-            for p in 0..pages {
-                let a = pg_batch.with_page(p, |b| b.to_vec()).unwrap();
-                let b = pg_loop.with_page(p, |b| b.to_vec()).unwrap();
-                prop_assert!(a == b, "page {} differs", p);
-            }
-
-            // Last-wins semantics over the original order.
-            let mut model: HashMap<Vec<u8>, Vec<u8>> = HashMap::new();
-            for (k, op) in ops {
-                match op {
-                    Some(v) => { model.insert(k, v); }
-                    None => { model.remove(&k); }
-                }
-            }
-            prop_assert_eq!(h_batch.len(&mut pg_batch).unwrap(), model.len());
-            for (k, v) in &model {
-                let got = h_batch.get(&mut pg_batch, k).unwrap();
                 prop_assert_eq!(got.as_ref(), Some(v));
             }
         }

@@ -119,53 +119,6 @@ impl ListIndex {
         Ok(true)
     }
 
-    /// Apply a batch of writes (`Some(value)` = put, `None` = remove) in
-    /// one call: the batch is stably sorted by key and deduplicated
-    /// last-wins, then applied through the one-at-a-time path — the list
-    /// is unordered, so there is no descent to amortize; batching pays
-    /// off at the log/commit layer. The resulting chain is byte-identical
-    /// to applying the sorted run with [`ListIndex::insert`] /
-    /// [`ListIndex::remove`]. Sizes are validated up front so the batch
-    /// fails before any mutation. Returns the number of new keys.
-    pub fn insert_many(
-        &mut self,
-        pager: &mut Pager,
-        mut ops: Vec<(Vec<u8>, Option<Vec<u8>>)>,
-    ) -> Result<usize> {
-        let max = Self::max_cell(pager);
-        for (key, value) in &ops {
-            if let Some(value) = value {
-                let size = 2 + key.len() + value.len();
-                if size > max {
-                    return Err(StorageError::RecordTooLarge { size, max });
-                }
-            }
-        }
-        ops.sort_by(|a, b| a.0.cmp(&b.0));
-        ops.dedup_by(|next, prev| {
-            if next.0 == prev.0 {
-                prev.1 = next.1.take();
-                true
-            } else {
-                false
-            }
-        });
-        let mut new_keys = 0;
-        for (key, op) in ops {
-            match op {
-                Some(value) => {
-                    if self.insert(pager, &key, &value)? {
-                        new_keys += 1;
-                    }
-                }
-                None => {
-                    self.remove(pager, &key)?;
-                }
-            }
-        }
-        Ok(new_keys)
-    }
-
     /// Append a cell into the first page with room, growing the chain.
     fn append(&mut self, pager: &mut Pager, c: &[u8]) -> Result<()> {
         let mut page = self.head;
@@ -346,84 +299,5 @@ mod tests {
             l.insert(&mut pg, b"k", &vec![0u8; 400]),
             Err(StorageError::RecordTooLarge { .. })
         ));
-    }
-}
-
-#[cfg(test)]
-mod proptests {
-    use super::*;
-    use fame_buffer::{BufferPool, ReplacementKind};
-    use fame_os::{AllocPolicy, InMemoryDevice};
-    use proptest::prelude::*;
-    use std::collections::BTreeMap;
-
-    fn pager() -> Pager {
-        let pool = BufferPool::new(
-            Box::new(InMemoryDevice::new(256)),
-            ReplacementKind::Lru,
-            AllocPolicy::Dynamic {
-                max_frames: Some(64),
-            },
-        );
-        Pager::open(pool).unwrap()
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(32))]
-
-        /// `insert_many` leaves the chain byte-identical to applying the
-        /// same sorted, deduplicated run one at a time, and its contents
-        /// match last-wins semantics over the original sequence.
-        #[test]
-        fn insert_many_is_byte_identical_to_loop(
-            ops in prop::collection::vec(
-                (prop::collection::vec(any::<u8>(), 1..8),
-                 prop::option::of(prop::collection::vec(any::<u8>(), 0..16))),
-                1..120,
-            )
-        ) {
-            let mut pg_batch = pager();
-            let mut l_batch = ListIndex::create(&mut pg_batch, 0).unwrap();
-            l_batch.insert_many(&mut pg_batch, ops.clone()).unwrap();
-
-            let mut pg_loop = pager();
-            let mut l_loop = ListIndex::create(&mut pg_loop, 0).unwrap();
-            let mut sorted = ops.clone();
-            sorted.sort_by(|a, b| a.0.cmp(&b.0));
-            sorted.dedup_by(|next, prev| {
-                if next.0 == prev.0 {
-                    prev.1 = next.1.take();
-                    true
-                } else {
-                    false
-                }
-            });
-            for (k, op) in sorted {
-                match op {
-                    Some(v) => { l_loop.insert(&mut pg_loop, &k, &v).unwrap(); }
-                    None => { l_loop.remove(&mut pg_loop, &k).unwrap(); }
-                }
-            }
-
-            let pages = pg_batch.allocated_pages().unwrap();
-            prop_assert_eq!(pages, pg_loop.allocated_pages().unwrap());
-            for p in 0..pages {
-                let a = pg_batch.with_page(p, |b| b.to_vec()).unwrap();
-                let b = pg_loop.with_page(p, |b| b.to_vec()).unwrap();
-                prop_assert!(a == b, "page {} differs", p);
-            }
-
-            // Last-wins semantics over the original order.
-            let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
-            for (k, op) in ops {
-                match op {
-                    Some(v) => { model.insert(k, v); }
-                    None => { model.remove(&k); }
-                }
-            }
-            let mut scanned = l_batch.scan_all(&mut pg_batch).unwrap();
-            scanned.sort();
-            prop_assert_eq!(scanned, model.into_iter().collect::<Vec<_>>());
-        }
     }
 }

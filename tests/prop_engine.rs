@@ -17,6 +17,15 @@ enum Op {
     Get(Vec<u8>),
     Remove(Vec<u8>),
     Update(Vec<u8>, Vec<u8>),
+    Batch(Vec<BatchEntry>),
+}
+
+/// One queued batch operation: a put, an update or a remove of a key.
+#[derive(Debug, Clone)]
+enum BatchEntry {
+    Put(Vec<u8>, Vec<u8>),
+    Update(Vec<u8>, Vec<u8>),
+    Remove(Vec<u8>),
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -26,8 +35,19 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         (key.clone(), val.clone()).prop_map(|(k, v)| Op::Put(k, v)),
         key.clone().prop_map(Op::Get),
         key.clone().prop_map(Op::Remove),
-        (key, val).prop_map(|(k, v)| Op::Update(k, v)),
+        (key, val.clone()).prop_map(|(k, v)| Op::Update(k, v)),
+        prop::collection::vec(batch_entry_strategy(val), 1..8).prop_map(Op::Batch),
     ]
+}
+
+/// Batch entries over one small key space, so later entries and later
+/// batches update and remove keys that earlier ones wrote.
+fn batch_entry_strategy(val: impl Strategy<Value = Vec<u8>>) -> impl Strategy<Value = BatchEntry> {
+    (0u8..3, 0u8..6, val).prop_map(|(kind, k, v)| match kind {
+        0 => BatchEntry::Put(vec![k], v),
+        1 => BatchEntry::Update(vec![k], v),
+        _ => BatchEntry::Remove(vec![k]),
+    })
 }
 
 fn run_ops(mut db: Database, ops: Vec<Op>) -> Result<(), TestCaseError> {
@@ -51,6 +71,33 @@ fn run_ops(mut db: Database, ops: Vec<Op>) -> Result<(), TestCaseError> {
                     model.insert(k, v);
                 } else {
                     prop_assert!(!model.contains_key(&k));
+                }
+            }
+            Op::Batch(entries) => {
+                // Last write wins; an update of a key missing at that
+                // point fails the whole batch, which then changes nothing.
+                let mut draft = model.clone();
+                let mut batch = fame_dbms::WriteBatch::new();
+                let mut valid = true;
+                for entry in entries {
+                    match entry {
+                        BatchEntry::Put(k, v) => {
+                            batch.put(&k, &v);
+                            draft.insert(k, v);
+                        }
+                        BatchEntry::Update(k, v) => {
+                            batch.update(&k, &v);
+                            valid &= draft.insert(k, v).is_some();
+                        }
+                        BatchEntry::Remove(k) => {
+                            batch.remove(&k);
+                            draft.remove(&k);
+                        }
+                    }
+                }
+                prop_assert_eq!(db.apply_batch(batch).is_ok(), valid);
+                if valid {
+                    model = draft;
                 }
             }
         }
