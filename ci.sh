@@ -65,7 +65,7 @@ cargo test -q -p fame-dbms --features concurrency-multi,replace-lfu,statistics -
 echo "== concurrent writers stress (E12 serializability + lock-stats surfacing + batch lock-before-read)"
 cargo test -q -p fame-dbms --features concurrency-multi-writer,commit-force,commit-group,statistics,api-batch --test concurrent_writers
 
-echo "== obs trace suite (E13 golden schema + windowed proptests + causal chain)"
+echo "== obs trace suite (E13 golden schema + causal chain)"
 cargo test -q -p fame-dbms --features concurrency-multi-writer,commit-force,commit-group,obs-trace --test obs_trace
 
 echo "== obs-trace-off composition (E13 zero-cost gate)"
@@ -140,9 +140,9 @@ echo "== code budgets (facade cfg gates and lines, engine lines; lower the ceili
 # made of — one lock table, one commit step, one op ring, two pools (the
 # pools share an outline and no code; ROADMAP records why they stay). A
 # PR that deletes code lowers a ceiling; none is ever raised.
-FACADE_CFG_CEILING=373
-FACADE_LINES_CEILING=3805
-ENGINE_LINES_CEILING=13070
+FACADE_CFG_CEILING=362
+FACADE_LINES_CEILING=3722
+ENGINE_LINES_CEILING=12293
 # Counted recursively, so splitting a file into a module directory moves
 # no line out of the count.
 facade_cfg=$(find crates/core/src -name '*.rs' -exec cat {} + | grep -c 'cfg(')

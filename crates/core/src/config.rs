@@ -97,32 +97,14 @@ pub struct TxnConfig {
 ///
 /// The counters and histograms are always on when the feature is composed
 /// (they are cheaper than a branch to skip them); this only sizes the
-/// op-trace ring, which is the one part that owns memory.
+/// op-trace ring. The Tracing child's span rings (feature `obs-trace`)
+/// have a fixed size, which is not set here.
 #[cfg(feature = "statistics")]
 #[derive(Debug, Clone, Copy)]
 pub struct StatsConfig {
     /// Capacity of the op-trace ring (events; allocated once at open,
     /// oldest entries overwritten). 0 is clamped to 1.
     pub trace_capacity: usize,
-    /// Number of span rings of the flight recorder (feature `obs-trace`);
-    /// more rings = less cross-thread contention on emit. 0 clamps to 1.
-    #[cfg(feature = "obs-trace")]
-    pub span_rings: usize,
-    /// Capacity of each span ring (events; oldest overwritten). Total
-    /// flight-recorder memory is `span_rings * span_capacity * 64` bytes,
-    /// allocated once at open.
-    #[cfg(feature = "obs-trace")]
-    pub span_capacity: usize,
-    /// Width of one windowed-metrics rotation window, in milliseconds.
-    /// 0 clamps to 1 ms.
-    #[cfg(feature = "obs-trace")]
-    pub window_ms: u64,
-    /// Anomaly trigger: deadlock-victim aborts per second; `None` off.
-    #[cfg(feature = "obs-trace")]
-    pub anomaly_deadlocks_per_sec: Option<f64>,
-    /// Anomaly trigger: windowed lock-wait p99 in ns; `None` off.
-    #[cfg(feature = "obs-trace")]
-    pub anomaly_lock_wait_p99_ns: Option<u64>,
 }
 
 #[cfg(feature = "statistics")]
@@ -130,16 +112,6 @@ impl Default for StatsConfig {
     fn default() -> Self {
         StatsConfig {
             trace_capacity: 256,
-            #[cfg(feature = "obs-trace")]
-            span_rings: 8,
-            #[cfg(feature = "obs-trace")]
-            span_capacity: 512,
-            #[cfg(feature = "obs-trace")]
-            window_ms: 1_000,
-            #[cfg(feature = "obs-trace")]
-            anomaly_deadlocks_per_sec: None,
-            #[cfg(feature = "obs-trace")]
-            anomaly_lock_wait_p99_ns: None,
         }
     }
 }

@@ -378,10 +378,10 @@ pub struct Database {
     /// [`Database::record`].
     #[cfg(feature = "statistics")]
     trace: fame_obs::SpanRing,
-    /// Causal span flight recorder (feature `obs-trace`). Owns the span
-    /// sink every probed layer holds an `Arc` of.
+    /// Causal span sink (feature `obs-trace`); every probed layer holds
+    /// an `Arc` of it.
     #[cfg(feature = "obs-trace")]
-    recorder: fame_obs::FlightRecorder,
+    spans: std::sync::Arc<fame_obs::TraceSink>,
     /// Aggregate of dropped [`DbReader`] handles' local counters.
     #[cfg(all(feature = "concurrency-multi", feature = "statistics"))]
     reader_acc: std::sync::Arc<ReaderAccum>,
@@ -509,17 +509,6 @@ impl Database {
         #[cfg(feature = "statistics")]
         let trace = fame_obs::SpanRing::new(config.stats.trace_capacity);
 
-        #[cfg(feature = "obs-trace")]
-        let recorder = fame_obs::FlightRecorder::new(
-            config.stats.span_rings,
-            config.stats.span_capacity,
-            config.stats.window_ms.max(1).saturating_mul(1_000_000),
-            fame_obs::AnomalyThresholds {
-                deadlocks_per_sec: config.stats.anomaly_deadlocks_per_sec,
-                lock_wait_p99_ns: config.stats.anomaly_lock_wait_p99_ns,
-            },
-        );
-
         // MultiWriter products move storage and the transaction manager
         // into their shareable forms *before* recovery: recovery then runs
         // through the same engine (single-threaded at open, so the mutexes
@@ -579,8 +568,10 @@ impl Database {
             io,
             #[cfg(feature = "statistics")]
             trace,
+            // 8 rings × 512 events × 64 B: the 256 KiB the feature
+            // model's Tracing `ram_bytes` assumes.
             #[cfg(feature = "obs-trace")]
-            recorder,
+            spans: std::sync::Arc::new(fame_obs::TraceSink::new(8, 512)),
             #[cfg(all(feature = "concurrency-multi", feature = "statistics"))]
             reader_acc: std::sync::Arc::new(ReaderAccum::default()),
             #[cfg(feature = "statistics")]
@@ -592,7 +583,7 @@ impl Database {
         // runs, so even the open-time recovery replay is traced.
         #[cfg(feature = "obs-trace")]
         {
-            let sink = db.recorder.sink();
+            let sink = &db.spans;
             #[cfg(feature = "concurrency-multi")]
             if let Some(pool) = db.engine.peek(|core| core.pager.pool().shared_handle()) {
                 pool.set_trace_sink(std::sync::Arc::clone(sink));
@@ -980,7 +971,7 @@ impl Database {
             frame_bytes: frames * page_size,
             ops_traced: self.trace.recorded(),
             #[cfg(feature = "obs-trace")]
-            windows: self.recorder.sink().windows(),
+            spans: (self.spans.recorded(), self.spans.dropped()),
             #[cfg(feature = "concurrency-multi")]
             reader_gets: self.reader_acc.gets.load(Relaxed),
             #[cfg(feature = "concurrency-multi")]
@@ -1028,7 +1019,7 @@ impl Database {
     /// trace. The transaction lifecycle and recovery are also edges of the
     /// causal trace (feature `obs-trace`) — unless the MultiWriter engine
     /// runs the transaction, whose own probes already emitted them. Plain
-    /// operations (`put`, `get`, …) stay out of the flight recorder: they
+    /// operations (`put`, `get`, …) stay out of the span rings: they
     /// would evict the causal events.
     fn record(&self, kind: SpanKind, txn: u64, a: u64, b: u64) {
         self.trace.record(kind, txn, 0, a, b);
@@ -1040,7 +1031,7 @@ impl Database {
                     SpanKind::TxnBegin | SpanKind::TxnCommit | SpanKind::TxnAbort
                 ))
         {
-            self.recorder.sink().emit(kind, txn, 0, a, b);
+            self.spans.emit(kind, txn, 0, a, b);
         }
     }
 }
@@ -1048,31 +1039,11 @@ impl Database {
 // ---- causal tracing (feature `obs-trace`) -----------------------------
 #[cfg(feature = "obs-trace")]
 impl Database {
-    /// Dump the flight recorder: every retained span event plus the
-    /// current windowed metrics, ready for
-    /// [`fame_obs::TraceDump::to_chrome_json`] / `to_tsv` export.
-    pub fn dump_trace(&self) -> fame_obs::TraceDump {
-        self.recorder.dump(None)
-    }
-
-    /// Check the anomaly thresholds (see
-    /// [`crate::config::StatsConfig`]); returns `Some` exactly once per
-    /// not-crossed → crossed transition. Callers typically follow up with
-    /// [`Database::dump_trace`] stamped with the anomaly's reason.
-    pub fn trace_anomaly(&self) -> Option<fame_obs::Anomaly> {
-        self.recorder.observe()
-    }
-
-    /// Current windowed metrics (merge-on-read snapshot of the rotating
-    /// histogram windows).
-    pub fn trace_windows(&self) -> fame_obs::WindowsSnapshot {
-        self.recorder.sink().windows()
-    }
-
-    /// The flight recorder itself (sink installation for embedders that
-    /// probe their own layers, anomaly-stamped dumps).
-    pub fn flight_recorder(&self) -> &fame_obs::FlightRecorder {
-        &self.recorder
+    /// Every retained span event, oldest first, ready for
+    /// [`fame_obs::chrome_trace_json`] / [`fame_obs::spans_tsv`] export.
+    /// Non-destructive: a second dump sees the same events plus newer ones.
+    pub fn dump_trace(&self) -> Vec<fame_obs::SpanEvent> {
+        self.spans.events()
     }
 }
 

@@ -42,11 +42,11 @@ pub struct StatsSnapshot {
     pub frame_bytes: usize,
     /// Events recorded into the op-trace ring since open.
     pub ops_traced: u64,
-    /// Windowed span metrics of the flight recorder (feature `obs-trace`):
-    /// per-window lock-wait / commit percentiles plus deadlock and
-    /// restart rates over the last rotation windows, not since boot.
+    /// Causal span events since open (feature `obs-trace`), as
+    /// `(recorded, dropped)`; an event is dropped when every span ring is
+    /// mid-record.
     #[cfg(feature = "obs-trace")]
-    pub windows: fame_obs::WindowsSnapshot,
+    pub spans: (u64, u64),
     /// Lookups served by dropped [`crate::DbReader`] handles (handle-local
     /// counters, merged when a handle drops — live handles' in-flight
     /// counts are not included).
@@ -149,23 +149,8 @@ impl StatsSnapshot {
         }
         #[cfg(feature = "obs-trace")]
         {
-            let w = &self.windows;
-            put("trace.spans.recorded", w.recorded);
-            put("trace.spans.dropped", w.dropped);
-            put("trace.lock_wait.p99_ns", w.lock_wait_p99_ns());
-            put("trace.commit.p99_ns", w.commit_p99_ns());
-            put("trace.deadlocks.total", w.deadlocks.total());
-            put("trace.restarts.total", w.restarts.total());
-            // Rates as fixed-point thousandths: `put` (and the scrapers
-            // downstream) speak integers only.
-            put(
-                "trace.deadlocks_per_sec_x1000",
-                (w.deadlocks_per_sec() * 1000.0) as u64,
-            );
-            put(
-                "trace.restarts_per_sec_x1000",
-                (w.restarts_per_sec() * 1000.0) as u64,
-            );
+            put("trace.spans.recorded", self.spans.0);
+            put("trace.spans.dropped", self.spans.1);
         }
         if let Some(i) = &self.integrity {
             put("integrity.violations", i.violations as u64);
@@ -273,22 +258,11 @@ impl std::fmt::Display for StatsSnapshot {
             )?;
         }
         #[cfg(feature = "obs-trace")]
-        {
-            let w = &self.windows;
-            write!(
-                f,
-                "\nspans:            {} recorded, {} dropped",
-                w.recorded, w.dropped
-            )?;
-            write!(
-                f,
-                "\nwindows:          lock-wait p99 {}ns, commit p99 {}ns, {:.1} deadlocks/s, {:.1} restarts/s",
-                w.lock_wait_p99_ns(),
-                w.commit_p99_ns(),
-                w.deadlocks_per_sec(),
-                w.restarts_per_sec()
-            )?;
-        }
+        write!(
+            f,
+            "\nspans:            {} recorded, {} dropped",
+            self.spans.0, self.spans.1
+        )?;
         if let Some(i) = &self.integrity {
             write!(
                 f,

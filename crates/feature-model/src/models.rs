@@ -91,17 +91,17 @@ pub fn fame_dbms() -> FeatureModel {
         stats,
         "Atomic counters, latency histograms, op-trace ring (NFP feedback)",
     );
-    // Statistics -> Tracing (optional child): causal span rings, rotating
-    // windowed metrics, flight recorder + exporters. RAM cost is the span
-    // rings (span_rings * span_capacity * 64 B at defaults) — far too much
-    // for the deeply embedded products, which is exactly why it is its own
-    // composable feature instead of part of Statistics.
+    // Statistics -> Tracing (optional child): causal span rings +
+    // exporters. RAM cost is the span rings (a fixed 8 rings * 512 events
+    // * 64 B) — far too much for the deeply embedded products, which is
+    // exactly why it is its own composable feature instead of part of
+    // Statistics.
     let tracing = b.optional(stats, "Tracing");
     b.attr(tracing, "rom_bytes", 4_000.0);
     b.attr(tracing, "ram_bytes", 262_144.0);
     b.doc(
         tracing,
-        "Causal span tracing, windowed p99s, flight recorder (diagnostics)",
+        "Causal span events in per-thread rings, chrome/TSV export (diagnostics)",
     );
 
     // --- Buffer manager --------------------------------------------------

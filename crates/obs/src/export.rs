@@ -9,72 +9,12 @@
 
 use std::fmt::Write as _;
 
-use crate::ring::WindowsSnapshot;
 use crate::span::SpanEvent;
 
-/// A complete on-demand dump: the retained span events plus the windowed
-/// metrics at dump time, and the anomaly (if one) that triggered it.
-#[derive(Debug, Clone, Default)]
-pub struct TraceDump {
-    /// Retained span events, oldest first.
-    pub events: Vec<SpanEvent>,
-    /// Windowed metrics at dump time.
-    pub windows: WindowsSnapshot,
-    /// Why the flight recorder dumped, when anomaly-triggered.
-    pub anomaly: Option<String>,
-}
-
-impl TraceDump {
-    /// chrome://tracing JSON of the events (load via `about:tracing` or
-    /// [Perfetto](https://ui.perfetto.dev)).
-    pub fn to_chrome_json(&self) -> String {
-        chrome_trace_json(&self.events)
-    }
-
-    /// TSV of the events, one row per span.
-    pub fn to_tsv(&self) -> String {
-        spans_tsv(&self.events)
-    }
-
-    /// TSV of the windowed metrics, one row per (metric, window).
-    pub fn windows_tsv(&self) -> String {
-        let mut out = String::from("metric\twindow\tstart_ns\tcount\tp50_ns\tp99_ns\tmax_ns\n");
-        for (name, h) in [
-            ("lock_wait", &self.windows.lock_wait),
-            ("commit", &self.windows.commit),
-        ] {
-            for w in &h.windows {
-                let _ = writeln!(
-                    out,
-                    "{name}\t{}\t{}\t{}\t{}\t{}\t{}",
-                    w.index,
-                    w.start_ns,
-                    w.hist.count,
-                    w.hist.percentile_ns(50),
-                    w.hist.percentile_ns(99),
-                    w.hist.max_ns,
-                );
-            }
-        }
-        for (name, c) in [
-            ("deadlocks", &self.windows.deadlocks),
-            ("restarts", &self.windows.restarts),
-        ] {
-            for &(index, count) in &c.windows {
-                let _ = writeln!(
-                    out,
-                    "{name}\t{index}\t{}\t{count}\t0\t0\t0",
-                    index * c.window_ns,
-                );
-            }
-        }
-        out
-    }
-}
-
-/// chrome://tracing JSON array of instant events. `ts` is microseconds
-/// with nanosecond decimals (the viewer's native unit); `tid` is the
-/// recording ring.
+/// chrome://tracing JSON array of instant events (load via
+/// `about:tracing` or [Perfetto](https://ui.perfetto.dev)). `ts` is
+/// microseconds with nanosecond decimals (the viewer's native unit);
+/// `tid` is the recording ring.
 pub fn chrome_trace_json(events: &[SpanEvent]) -> String {
     let mut out = String::from("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[");
     for (i, e) in events.iter().enumerate() {

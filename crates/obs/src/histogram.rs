@@ -64,22 +64,9 @@ impl Histogram {
         self.count.load(Ordering::Relaxed)
     }
 
-    /// Zero every bucket and aggregate. Not atomic as a whole: a sample
-    /// recorded concurrently with a reset may survive in some fields and
-    /// vanish from others. The windowed-metrics rotation (feature `trace`)
-    /// accepts that — it resets a slot exactly once per window epoch, and
-    /// a handful of boundary samples only perturb one window's counts.
-    pub fn reset(&self) {
-        for b in &self.buckets {
-            b.store(0, Ordering::Relaxed);
-        }
-        self.count.store(0, Ordering::Relaxed);
-        self.sum_ns.store(0, Ordering::Relaxed);
-        self.max_ns.store(0, Ordering::Relaxed);
-    }
-
     /// Copy the current state. Concurrent recording may leave the copy an
-    /// instant stale; each field is itself untorn.
+    /// instant stale; each field is itself untorn, but the fields may
+    /// disagree by a sample in flight (`count` against the bucket sum).
     pub fn snapshot(&self) -> HistogramSnapshot {
         let mut buckets = [0u64; HISTOGRAM_BUCKETS];
         for (dst, src) in buckets.iter_mut().zip(self.buckets.iter()) {
@@ -129,11 +116,16 @@ impl HistogramSnapshot {
     /// quantized to a power of two — that is the deal this histogram
     /// offers in exchange for fixed memory.
     pub fn percentile_ns(&self, p: u8) -> u64 {
-        if self.count == 0 {
+        // Rank against the bucket sum, not `count`: a sample recorded while
+        // [`Histogram::snapshot`] runs can land in `count` but not in the
+        // buckets, and a rank past the last populated bucket would answer
+        // with the top bucket's bound (2^39 ns).
+        let total: u64 = self.buckets.iter().sum();
+        if total == 0 {
             return 0;
         }
         // Rank of the target sample, 1-based, rounded up.
-        let rank = (u128::from(self.count) * u128::from(p.min(100))).div_ceil(100);
+        let rank = (u128::from(total) * u128::from(p.min(100))).div_ceil(100);
         let rank = (rank.max(1)) as u64;
         let mut seen = 0u64;
         for (i, &n) in self.buckets.iter().enumerate() {
@@ -218,6 +210,18 @@ mod tests {
         assert_eq!(s.percentile_ns(50), 128);
         assert_eq!(s.percentile_ns(99), 128);
         assert!(s.percentile_ns(100) >= 1_000_000);
+    }
+
+    #[test]
+    fn torn_snapshot_ranks_within_its_buckets() {
+        // `count` one ahead of the bucket sum: a record landed between the
+        // snapshot's bucket loads and its `count` load.
+        let mut s = HistogramSnapshot::default();
+        s.buckets[10] = 1;
+        s.count = 2;
+        assert_eq!(s.percentile_ns(50), 1024);
+        assert_eq!(s.percentile_ns(99), 1024);
+        assert_eq!(s.percentile_ns(100), 1024);
     }
 
     #[test]

@@ -24,46 +24,31 @@
 //! "no overhead" claim (Fig. 1b).
 //!
 //! The optional `trace` cargo feature (the model's `Statistics → Tracing`
-//! child) grows this into a full tracing/metrics subsystem — still
-//! dependency-free and bounded:
+//! child) adds what only tracing does — causal events — and nothing that
+//! re-aggregates what the base already counts:
 //!
 //! * [`TraceSink`] — *causal* span events keyed on transaction ids (the
 //!   same [`SpanEvent`]/[`SpanKind`]), recorded into one [`SpanRing`] per
 //!   thread;
-//! * [`WindowedHistogram`]/[`WindowedCounter`] — rotating N-second metric
-//!   windows with merge-on-read snapshots (p50/p99/max *now*, not
-//!   since-boot);
-//! * [`FlightRecorder`] — the bounded always-on recorder with
-//!   edge-triggered anomaly dumps;
-//! * [`TraceDump`] — chrome://tracing JSON and TSV exporters.
+//! * [`chrome_trace_json`]/[`spans_tsv`] — exporters for a drained event
+//!   list.
 
 mod counter;
 #[cfg(feature = "trace")]
 mod export;
 mod histogram;
 #[cfg(feature = "trace")]
-mod recorder;
-#[cfg(feature = "trace")]
 mod ring;
 mod span;
-#[cfg(feature = "trace")]
-mod window;
 
 pub use counter::Counter;
 pub use histogram::{Histogram, HistogramSnapshot, HISTOGRAM_BUCKETS};
 pub use span::{SpanEvent, SpanKind, SpanRing};
 
 #[cfg(feature = "trace")]
-pub use export::{chrome_trace_json, spans_tsv, TraceDump};
+pub use export::{chrome_trace_json, spans_tsv};
 #[cfg(feature = "trace")]
-pub use recorder::{Anomaly, AnomalyThresholds, FlightRecorder};
-#[cfg(feature = "trace")]
-pub use ring::{TraceSink, WindowsSnapshot};
-#[cfg(feature = "trace")]
-pub use window::{
-    WindowSnapshot, WindowedCounter, WindowedCounterSnapshot, WindowedHistogram,
-    WindowedHistogramSnapshot, DEFAULT_WINDOWS,
-};
+pub use ring::TraceSink;
 
 use std::sync::OnceLock;
 use std::time::Instant;

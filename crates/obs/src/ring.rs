@@ -9,21 +9,16 @@
 //! recording never spins and never blocks the probe site.
 //!
 //! Draining ([`TraceSink::events`]) is non-destructive: it copies every
-//! currently-valid slot and merges all rings by timestamp, so the flight
-//! recorder can dump repeatedly.
+//! currently-valid slot and merges all rings by timestamp, so a dump can
+//! be taken repeatedly.
 //!
-//! The sink also routes a few event kinds into the rotating windows of
-//! [`crate::window`] (lock-wait latency, commit latency, deadlock and
-//! restart rates), so one `emit` feeds both the causal trace and the
-//! windowed metrics.
+//! The sink records events only. The quantities some of them carry (lock
+//! wait, commit latency, deadlock victims) are aggregated once, by the
+//! Statistics base's histograms and counters at the same probe sites.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::span::{SpanEvent, SpanKind, SpanRing};
-use crate::window::{
-    WindowedCounter, WindowedCounterSnapshot, WindowedHistogram, WindowedHistogramSnapshot,
-    DEFAULT_WINDOWS,
-};
 use crate::Counter;
 
 /// Round-robin home-ring hint for the calling thread. Purely a load
@@ -46,21 +41,13 @@ fn ring_hint() -> usize {
     })
 }
 
-/// The per-database trace sink: span rings plus the windowed metrics the
-/// routed kinds feed. One instance per `Database`, shared by `Arc` with
-/// every probed layer.
+/// The per-database trace sink: a fixed set of span rings the probing
+/// threads share. One instance per `Database`, shared by `Arc` with every
+/// probed layer.
 pub struct TraceSink {
     rings: Box<[SpanRing]>,
     /// Events abandoned because every ring was mid-record.
     dropped: Counter,
-    /// Wait time of granted-after-queueing lock requests.
-    lock_wait: WindowedHistogram,
-    /// Commit latency of multi-writer transactions.
-    commit: WindowedHistogram,
-    /// Deadlock-victim aborts (the E12 retry-storm signal).
-    deadlocks: WindowedCounter,
-    /// Optimistic token-validation restarts.
-    restarts: WindowedCounter,
 }
 
 impl std::fmt::Debug for TraceSink {
@@ -74,17 +61,13 @@ impl std::fmt::Debug for TraceSink {
 }
 
 impl TraceSink {
-    /// `rings` / `capacity` are clamped to ≥ 1 / ≥ 8; `window_ns` ≥ 1.
-    pub fn new(rings: usize, capacity: usize, window_ns: u64) -> Self {
+    /// `rings` / `capacity` are clamped to ≥ 1 / ≥ 8.
+    pub fn new(rings: usize, capacity: usize) -> Self {
         let rings = rings.max(1);
         let capacity = capacity.max(8);
         TraceSink {
             rings: (0..rings).map(|_| SpanRing::new(capacity)).collect(),
             dropped: Counter::new(),
-            lock_wait: WindowedHistogram::new(window_ns, DEFAULT_WINDOWS),
-            commit: WindowedHistogram::new(window_ns, DEFAULT_WINDOWS),
-            deadlocks: WindowedCounter::new(window_ns, DEFAULT_WINDOWS),
-            restarts: WindowedCounter::new(window_ns, DEFAULT_WINDOWS),
         }
     }
 
@@ -94,16 +77,8 @@ impl TraceSink {
     }
 
     /// Emit at an explicit timestamp — the deterministic seam golden
-    /// tests drive. Also routes the windowed metrics (see the struct
-    /// field docs for which kinds feed which window).
+    /// tests drive.
     pub fn emit_at(&self, at_ns: u64, kind: SpanKind, txn: u64, parent: u64, a: u64, b: u64) {
-        match kind {
-            SpanKind::LockGrant => self.lock_wait.record_at(at_ns, a),
-            SpanKind::TxnCommit => self.commit.record_at(at_ns, a),
-            SpanKind::DeadlockVictim => self.deadlocks.inc_at(at_ns),
-            SpanKind::TokenRestart => self.restarts.inc_at(at_ns),
-            _ => {}
-        }
         let n = self.rings.len();
         let start = ring_hint() % n;
         for i in 0..n {
@@ -124,11 +99,6 @@ impl TraceSink {
         self.dropped.get()
     }
 
-    /// Total retained-slot capacity across rings.
-    pub fn capacity(&self) -> usize {
-        self.rings.iter().map(SpanRing::capacity).sum()
-    }
-
     /// Non-destructive drain: every currently-valid slot of every ring,
     /// merged and sorted by `(at_ns, ring, seq)`.
     pub fn events(&self) -> Vec<SpanEvent> {
@@ -139,62 +109,6 @@ impl TraceSink {
         out.sort_by_key(|e| (e.at_ns, e.ring, e.seq));
         out
     }
-
-    /// Copy the windowed metrics at `now_ns`.
-    pub fn windows_at(&self, now_ns: u64) -> WindowsSnapshot {
-        WindowsSnapshot {
-            lock_wait: self.lock_wait.snapshot_at(now_ns),
-            commit: self.commit.snapshot_at(now_ns),
-            deadlocks: self.deadlocks.snapshot_at(now_ns),
-            restarts: self.restarts.snapshot_at(now_ns),
-            recorded: self.recorded(),
-            dropped: self.dropped(),
-        }
-    }
-
-    /// Copy the windowed metrics against the current clock.
-    pub fn windows(&self) -> WindowsSnapshot {
-        self.windows_at(crate::monotonic_ns())
-    }
-}
-
-/// Merge-on-read copy of the sink's windowed metrics plus ring totals.
-#[derive(Debug, Clone, Default)]
-pub struct WindowsSnapshot {
-    /// Lock-wait latency per window (fed by `lock-grant` events).
-    pub lock_wait: WindowedHistogramSnapshot,
-    /// Commit latency per window (fed by `txn-commit` events).
-    pub commit: WindowedHistogramSnapshot,
-    /// Deadlock-victim aborts per window.
-    pub deadlocks: WindowedCounterSnapshot,
-    /// Token-validation restarts per window.
-    pub restarts: WindowedCounterSnapshot,
-    /// Total span events recorded since open.
-    pub recorded: u64,
-    /// Span events dropped (all rings busy).
-    pub dropped: u64,
-}
-
-impl WindowsSnapshot {
-    /// Deadlock-victim aborts per second, newest non-empty window.
-    pub fn deadlocks_per_sec(&self) -> f64 {
-        self.deadlocks.latest_rate_per_sec()
-    }
-
-    /// Token restarts per second, newest non-empty window.
-    pub fn restarts_per_sec(&self) -> f64 {
-        self.restarts.latest_rate_per_sec()
-    }
-
-    /// Lock-wait p99 (ns), newest non-empty window.
-    pub fn lock_wait_p99_ns(&self) -> u64 {
-        self.lock_wait.latest_percentile_ns(99)
-    }
-
-    /// Commit-latency p99 (ns), newest non-empty window.
-    pub fn commit_p99_ns(&self) -> u64 {
-        self.commit.latest_percentile_ns(99)
-    }
 }
 
 #[cfg(test)]
@@ -202,7 +116,7 @@ mod tests {
     use super::*;
 
     fn sink() -> TraceSink {
-        TraceSink::new(2, 8, 1_000_000_000)
+        TraceSink::new(2, 8)
     }
 
     #[test]
@@ -224,7 +138,7 @@ mod tests {
 
     #[test]
     fn ring_overwrites_oldest() {
-        let s = TraceSink::new(1, 8, 1_000_000_000);
+        let s = TraceSink::new(1, 8);
         for i in 0..20u64 {
             s.emit_at(i, SpanKind::PoolMiss, 0, 0, i, 0);
         }
@@ -236,24 +150,9 @@ mod tests {
     }
 
     #[test]
-    fn routed_kinds_feed_windows() {
-        let s = sink();
-        s.emit_at(100, SpanKind::LockGrant, 1, 0, 500, 7);
-        s.emit_at(100, SpanKind::DeadlockVictim, 2, 0, 7, 0);
-        s.emit_at(100, SpanKind::TokenRestart, 0, 0, 0, 0);
-        s.emit_at(100, SpanKind::TxnCommit, 1, 0, 2_000, 0);
-        let w = s.windows_at(100);
-        assert!(w.lock_wait_p99_ns() >= 500);
-        assert!(w.commit_p99_ns() >= 2_000);
-        assert_eq!(w.deadlocks.total(), 1);
-        assert_eq!(w.restarts.total(), 1);
-        assert_eq!(w.recorded, 4);
-    }
-
-    #[test]
     fn many_threads_never_block_and_rarely_drop() {
         use std::sync::Arc;
-        let s = Arc::new(TraceSink::new(4, 64, 1_000_000_000));
+        let s = Arc::new(TraceSink::new(4, 64));
         let mut handles = Vec::new();
         for t in 0..8u64 {
             let s = Arc::clone(&s);

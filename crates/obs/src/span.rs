@@ -340,11 +340,6 @@ impl SpanRing {
         self.head.load(Ordering::Relaxed)
     }
 
-    /// Slot capacity.
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
     /// The retained events, oldest first. Allocates the return vector —
     /// dumps are a post-mortem path, not a hot one.
     pub fn events(&self) -> Vec<SpanEvent> {
@@ -469,7 +464,6 @@ mod tests {
     #[test]
     fn zero_capacity_is_clamped() {
         let ring = SpanRing::new(0);
-        assert_eq!(ring.capacity(), 1);
         ring.record(SpanKind::Sync, 0, 0, 0, 0);
         ring.record(SpanKind::Sync, 0, 0, 1, 0);
         let events = ring.events();

@@ -85,9 +85,9 @@ fn main() {
     println!("\nbye");
 }
 
-/// `.stats`: the statistics snapshot (with `obs-trace` it carries the
-/// windowed span metrics — lock-wait/commit p99s and deadlock/restart
-/// rates over the rotation windows, not since boot).
+/// `.stats`: the statistics snapshot, since open (with `obs-trace` it
+/// also counts the recorded and dropped span events). For a percentile
+/// over an interval, subtract two snapshots' histogram buckets.
 #[cfg(feature = "statistics")]
 fn print_stats(db: &mut Database) {
     match db.stats() {
@@ -101,13 +101,13 @@ fn print_stats(_db: &mut Database) {
     println!("(statistics feature not compiled into this product)");
 }
 
-/// `.trace <n>`: the last `n` span events — the flight recorder's causal
-/// events with `obs-trace`, else the op trace of plain `statistics`. One
+/// `.trace <n>`: the last `n` span events — the causal span rings with
+/// `obs-trace`, else the op trace of plain `statistics`. One
 /// event type, one line format (`SpanEvent`'s `Display`).
 #[cfg(feature = "statistics")]
 fn print_trace(db: &Database, n: usize) {
     #[cfg(feature = "obs-trace")]
-    let (events, source) = (db.dump_trace().events, "flight recorder");
+    let (events, source) = (db.dump_trace(), "causal span rings");
     #[cfg(not(feature = "obs-trace"))]
     let (events, source) = (
         db.op_trace(),
