@@ -41,6 +41,9 @@ cargo test -q --workspace
 echo "== fame-txn alone (single-writer manager, no multi-writer: workspace feature unification never builds it this way)"
 cargo test -q -p fame-txn
 
+echo "== fame-txn alone in its MultiWriter build (the blocking lock table's deadlock scripts and the shared manager)"
+cargo test -q -p fame-txn --features multi-writer,obs
+
 echo "== replacement alternatives alone (each member of the group builds and passes without the other)"
 cargo test -q -p fame-buffer --no-default-features --features lru
 cargo test -q -p fame-buffer --no-default-features --features lfu
@@ -140,9 +143,9 @@ echo "== code budgets (facade cfg gates and lines, engine lines; lower the ceili
 # made of — one lock table, one commit step, one op ring, two pools (the
 # pools share an outline and no code; ROADMAP records why they stay). A
 # PR that deletes code lowers a ceiling; none is ever raised.
-FACADE_CFG_CEILING=362
-FACADE_LINES_CEILING=3722
-ENGINE_LINES_CEILING=12293
+FACADE_CFG_CEILING=361
+FACADE_LINES_CEILING=3717
+ENGINE_LINES_CEILING=12277
 # Counted recursively, so splitting a file into a module directory moves
 # no line out of the count.
 facade_cfg=$(find crates/core/src -name '*.rs' -exec cat {} + | grep -c 'cfg(')

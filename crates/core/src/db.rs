@@ -199,43 +199,43 @@ impl StorageCore {
 }
 
 /// The transactional write protocol of both engines (DESIGN.md §13), over
-/// the engine's transaction manager `m`: owned by the single-writer
-/// engine, borrowed under the shared manager's mutex in MultiWriter
-/// products. The caller holds the exclusive lock of every key a routine
-/// writes, so no routine reads another transaction's uncommitted data.
+/// the engine's transaction manager, which `m` hands out for the log
+/// append alone: `|| mgr` for the owned one, `|| shared.manager()` — the
+/// guard of its mutex — in MultiWriter products. The caller holds the
+/// exclusive lock of every key a routine writes, so no routine reads
+/// another transaction's uncommitted data.
 #[cfg(feature = "transactions")]
 impl StorageCore {
-    /// A put: before-image → log → apply.
-    #[cfg(feature = "api-put")]
-    fn logged_put(&mut self, m: &mut TxnManager, txn: TxnId, key: &[u8], new: &[u8]) -> Result<()> {
-        let old = self.kv_get(key)?;
-        m.log_put(txn, 0, key, old, new)?;
-        self.kv_put(key, new).map(drop)
-    }
-
-    /// A remove: before-image → log → apply; `false`, logging nothing,
-    /// when the key is absent.
-    #[cfg(feature = "api-remove")]
-    fn logged_remove(&mut self, m: &mut TxnManager, txn: TxnId, key: &[u8]) -> Result<bool> {
-        let Some(old) = self.kv_get(key)? else {
-            return Ok(false);
+    /// A put (`new` is `Some`) or a remove: before-image → log → apply. A
+    /// remove of an absent key logs nothing and returns `false`.
+    #[cfg(any(feature = "api-put", feature = "api-remove"))]
+    fn logged_write<M: DerefMut<Target = TxnManager>>(
+        &mut self,
+        m: impl FnOnce() -> M,
+        txn: TxnId,
+        key: &[u8],
+        new: Option<&[u8]>,
+    ) -> Result<bool> {
+        match (self.kv_get(key)?, new) {
+            (old, Some(new)) => m().log_put(txn, 0, key, old, new)?,
+            (Some(old), None) => m().log_remove(txn, 0, key, old)?,
+            (None, None) => return Ok(false),
         };
-        m.log_remove(txn, 0, key, old)?;
-        self.kv_remove(key)
+        self.kv_set(key, new)
     }
 
     /// A batch's log step ([`StorageCore::write_batch`]): before-images →
     /// one `log_batch` append. Returns the run to apply.
     #[cfg(feature = "api-batch")]
-    fn logged_batch(
+    fn logged_batch<M: DerefMut<Target = TxnManager>>(
         &mut self,
-        m: &mut TxnManager,
+        m: impl FnOnce() -> M,
         txn: TxnId,
         run: Vec<ResolvedOp>,
     ) -> Result<Vec<ResolvedOp>> {
         let (writes, apply) = self.batch_writes(run)?;
         if !writes.is_empty() {
-            m.log_batch(txn, &writes)?;
+            m().log_batch(txn, &writes)?;
         }
         Ok(apply)
     }
@@ -313,7 +313,7 @@ impl Engine {
         match self {
             Engine::Own { txn, .. } => txn.as_ref().map(f),
             #[cfg(feature = "concurrency-multi-writer")]
-            Engine::Shared(w) => Some(w.txn.with_inner(|m| f(m))),
+            Engine::Shared(w) => Some(f(&w.txn.manager())),
         }
     }
 
@@ -323,7 +323,7 @@ impl Engine {
         match self {
             Engine::Own { txn, .. } => txn.as_mut().map(f),
             #[cfg(feature = "concurrency-multi-writer")]
-            Engine::Shared(w) => Some(w.txn.with_inner(f)),
+            Engine::Shared(w) => Some(f(&mut w.txn.manager())),
         }
     }
 }
@@ -898,7 +898,7 @@ impl Database {
                     for (key, _) in &batch.ops {
                         mgr.lock_write(txn, key)?;
                     }
-                    core.write_batch(batch, |core, run| core.logged_batch(mgr, txn, run))
+                    core.write_batch(batch, |core, run| core.logged_batch(|| &mut *mgr, txn, run))
                 };
                 match write() {
                     Ok(()) => mgr.commit(txn)?,
@@ -1103,7 +1103,8 @@ impl Database {
             Engine::Own { core, txn: mgr } => {
                 let mgr = mgr.as_mut().ok_or_else(Self::txn_not_enabled)?;
                 mgr.lock_write(txn.id, key)?;
-                core.logged_put(mgr, txn.id, key, value)
+                core.logged_write(|| mgr, txn.id, key, Some(value))
+                    .map(drop)
             }
             #[cfg(feature = "concurrency-multi-writer")]
             Engine::Shared(w) => w.put(txn, key, value),
@@ -1132,7 +1133,7 @@ impl Database {
             Engine::Own { core, txn: mgr } => {
                 let mgr = mgr.as_mut().ok_or_else(Self::txn_not_enabled)?;
                 mgr.lock_write(txn.id, key)?;
-                core.logged_remove(mgr, txn.id, key)
+                core.logged_write(|| mgr, txn.id, key, None)
             }
             #[cfg(feature = "concurrency-multi-writer")]
             Engine::Shared(w) => w.remove(txn, key),
@@ -1550,9 +1551,8 @@ impl DbWriter {
 
     /// Start a transaction.
     pub fn begin(&self) -> Result<TxnHandle> {
-        Ok(TxnHandle {
-            id: self.txn.begin()?,
-        })
+        let id = self.txn.begin()?;
+        Ok(TxnHandle { id })
     }
 
     /// Start a transaction that retries aborted transaction `parent`
@@ -1562,9 +1562,8 @@ impl DbWriter {
     /// via a `retry` event — the link E13 asserts on when reconstructing
     /// `lock-wait → deadlock-victim → retry → txn-commit`.
     pub fn begin_retry(&self, parent: TxnHandle) -> Result<TxnHandle> {
-        Ok(TxnHandle {
-            id: self.txn.begin_retry(parent.id)?,
-        })
+        let id = self.txn.begin_retry(parent.id)?;
+        Ok(TxnHandle { id })
     }
 
     /// Transactional put: block lock, WAL, then apply.
@@ -1572,10 +1571,8 @@ impl DbWriter {
     pub fn put(&self, txn: TxnHandle, key: &[u8], value: &[u8]) -> Result<()> {
         self.txn.lock_write(txn.id, key)?;
         let mut core = self.storage();
-        Self::tagged(txn, || {
-            self.txn
-                .with_inner(|m| core.logged_put(m, txn.id, key, value))
-        })
+        let m = || self.txn.manager();
+        Self::tagged(txn, || core.logged_write(m, txn.id, key, Some(value))).map(drop)
     }
 
     /// Transactional get (takes the shared block lock).
@@ -1590,9 +1587,8 @@ impl DbWriter {
     pub fn remove(&self, txn: TxnHandle, key: &[u8]) -> Result<bool> {
         self.txn.lock_write(txn.id, key)?;
         let mut core = self.storage();
-        Self::tagged(txn, || {
-            self.txn.with_inner(|m| core.logged_remove(m, txn.id, key))
-        })
+        let m = || self.txn.manager();
+        Self::tagged(txn, || core.logged_write(m, txn.id, key, None))
     }
 
     /// [`Database::apply_batch`] of a MultiWriter product: every
@@ -1604,9 +1600,8 @@ impl DbWriter {
             for (key, _) in &batch.ops {
                 self.txn.lock_write(txn.id, key)?;
             }
-            let log = |core: &mut StorageCore, run| {
-                self.txn.with_inner(|m| core.logged_batch(m, txn.id, run))
-            };
+            let log =
+                |core: &mut StorageCore, run| core.logged_batch(|| self.txn.manager(), txn.id, run);
             Self::tagged(txn, || self.storage().write_batch(batch, log))
         };
         match write() {
@@ -1629,8 +1624,9 @@ impl DbWriter {
 
     /// Run `body` inside `txn`, commit, and retry the whole transaction
     /// on lock conflicts: a deadlock-victim or timeout abort rolls the
-    /// transaction back, sleeps a bounded exponential backoff (50 µs
-    /// doubling up to ~3.2 ms), and replays `body` under a fresh
+    /// transaction back; a victim parks, holding no lock, until the winners
+    /// its [`fame_txn::LockError::Deadlock`] names release the block it
+    /// lost (a timeout retries at once). `body` then replays under a fresh
     /// transaction spliced onto the aborted one's span chain via
     /// [`DbWriter::begin_retry`] — so E13's
     /// `lock-wait → deadlock-victim → retry → txn-commit` causal
@@ -1645,23 +1641,22 @@ impl DbWriter {
     /// re-run from scratch against the rolled-back state on each retry.
     pub fn commit_with_retry(
         &self,
-        txn: TxnHandle,
+        mut txn: TxnHandle,
         max_retries: u32,
         mut body: impl FnMut(&DbWriter, TxnHandle) -> Result<()>,
     ) -> Result<TxnHandle> {
-        let mut txn = txn;
         let mut attempt = 0u32;
         loop {
             match body(self, txn).and_then(|()| self.commit(txn)) {
                 Ok(()) => return Ok(txn),
-                Err(e @ DbmsError::Txn(fame_txn::TxnError::Lock(_))) => {
+                Err(DbmsError::Txn(fame_txn::TxnError::Lock(e))) => {
                     let _ = self.abort(txn);
                     if attempt >= max_retries {
-                        return Err(e);
+                        return Err(DbmsError::Txn(e.into()));
                     }
-                    // Cap the shift so the backoff stays bounded (and the
-                    // shift defined) for any retry budget.
-                    std::thread::sleep(std::time::Duration::from_micros(50u64 << attempt.min(6)));
+                    if let fame_txn::LockError::Deadlock { block, holders, .. } = &e {
+                        self.txn.lock_table().wait_released(*block, holders);
+                    }
                     txn = self.begin_retry(txn)?;
                     attempt += 1;
                 }
@@ -1695,12 +1690,12 @@ impl DbWriter {
 
     /// `(committed, aborted)` counters of the shared manager.
     pub fn txn_stats(&self) -> (u64, u64) {
-        self.txn.with_inner(|m| m.stats())
+        self.txn.manager().stats()
     }
 
     /// Log-device sync count (group-commit comparison metric).
     pub fn log_syncs(&self) -> u64 {
-        self.txn.with_inner(|m| m.log_syncs())
+        self.txn.manager().log_syncs()
     }
 
     /// Block-lock counters (feature `statistics`).

@@ -23,12 +23,16 @@
 //! weakened (more blocking, never less).
 //!
 //! Deadlock policy: detection runs at block time (DFS over the waits-for
-//! graph: waiter → current holders and earlier queued waiters of its
-//! block). On a cycle the *youngest* transaction (largest `TxnId` — least
-//! work lost) is aborted: if that is the requester it gets
+//! graph: waiter → current holders of its block and, unless it upgrades a
+//! lock it holds, the earlier queued waiters). On a cycle the *youngest*
+//! transaction on the cycle path itself (largest `TxnId` — least work
+//! lost) is aborted: if that is the requester it gets
 //! [`LockError::Deadlock`] immediately; otherwise the victim is flagged and
-//! woken, and its own `acquire` returns the error. Victims must abort the
-//! transaction (releasing all locks) to break the cycle.
+//! woken, its own `acquire` returns the error, and detection runs again
+//! without the flagged victims until no cycle passes through the
+//! requester. Victims must abort the transaction (releasing all locks) to
+//! break the cycle, and may then park in [`LockTable::wait_released`]
+//! until the winners let go of the block the victim lost.
 //!
 //! Lock-order discipline: the table's internal mutex is *leaf-level* — it
 //! is never held while acquiring any other lock (condvar waits release it),
@@ -168,6 +172,8 @@ struct TableState {
     /// Deadlock victims flagged by another waiter's detection pass; each
     /// victim discovers its flag on wakeup and returns `Deadlock`.
     victims: Vec<TxnId>,
+    /// Victims parked in [`LockTable::wait_released`]; a release wakes them.
+    watchers: usize,
 }
 
 /// Did [`LockTable::try_grant`] grant, and how? The distinction feeds the
@@ -244,8 +250,11 @@ impl LockTable {
     }
 
     /// Block until `txn` holds `key`'s block in `mode`, the timeout
-    /// expires, or deadlock detection aborts the requester.
-    pub fn acquire(&self, txn: TxnId, key: &[u8], mode: LockMode) -> Result<(), LockError> {
+    /// expires, or deadlock detection aborts the requester. `Ok(true)`
+    /// reports a first grant: `txn` held no other block at that moment,
+    /// read under the table mutex. Otherwise `txn` is live, or its coming
+    /// [`LockTable::release_all`] clears this block with the others.
+    pub fn acquire(&self, txn: TxnId, key: &[u8], mode: LockMode) -> Result<bool, LockError> {
         let block = block_of(key);
         let mut state = self.state.lock().expect("lock table poisoned");
         let mut queued = false;
@@ -253,18 +262,19 @@ impl LockTable {
         #[cfg(feature = "obs")]
         let mut wait_start: Option<u64> = None;
 
-        // `Ok(how)` = granted; `Err(deadlock)` = gave up, as deadlock
-        // victim (`true`) or on timeout (`false`).
-        let outcome: Result<Grant, bool> = loop {
+        // `Ok((how, first))` = granted; `Err(deadlock)` = gave up, as
+        // deadlock victim (`true`) or on timeout (`false`).
+        let outcome: Result<(Grant, bool), bool> = 'park: loop {
             // A prior waiter's detection pass may have flagged us.
             if let Some(pos) = state.victims.iter().position(|&v| v == txn) {
                 state.victims.swap_remove(pos);
                 break Err(true);
             }
 
+            let first = !state.owned.contains_key(&txn);
             match Self::try_grant(&mut state, block, txn, mode, queued) {
                 Grant::Denied => {}
-                granted => break Ok(granted),
+                granted => break Ok((granted, first)),
             }
 
             if !queued {
@@ -298,10 +308,10 @@ impl LockTable {
                     );
                 }
                 // Detect at block time: adding this edge is the only way a
-                // cycle can form.
-                if let Some(victim) = Self::find_deadlock_victim(&state, txn, block) {
+                // cycle can form. Flag victims until none passes through us.
+                while let Some(victim) = Self::find_deadlock_victim(&state, txn, block) {
                     if victim == txn {
-                        break Err(true);
+                        break 'park Err(true);
                     }
                     state.victims.push(victim);
                     self.cv.notify_all();
@@ -337,7 +347,7 @@ impl LockTable {
             }
         }
         match outcome {
-            Ok(granted) => {
+            Ok((granted, first)) => {
                 if queued {
                     // The next queued waiter may now be grantable too
                     // (e.g. shared readers draining behind us).
@@ -349,7 +359,7 @@ impl LockTable {
                 }
                 #[cfg(not(feature = "trace"))]
                 let _ = granted;
-                Ok(())
+                Ok(first)
             }
             Err(deadlock) => {
                 let holders = Self::unqueue(&mut state, block, txn);
@@ -400,9 +410,9 @@ impl LockTable {
         for block in blocks {
             if let Some(e) = state.table.get_mut(&block) {
                 e.holders.retain(|&h| h != txn);
-                // A waiter parks only while queued on its block, under the
-                // state mutex held here — so no queue means nobody to wake,
-                // and the no-wait face never pays the condvar's syscall.
+                // A waiter parks only while queued on its block or counted
+                // in `watchers`, both under the state mutex held here, so
+                // the no-wait face never pays the condvar's syscall.
                 woke |= !e.queue.is_empty();
                 if e.holders.is_empty() && e.queue.is_empty() {
                     state.table.remove(&block);
@@ -413,10 +423,38 @@ impl LockTable {
                 }
             }
         }
+        woke |= state.watchers > 0;
         drop(state);
         if woke {
             self.cv.notify_all();
         }
+    }
+
+    /// Park until none of `holders` holds `block`, or the timeout expires:
+    /// a deadlock victim, aborted and holding no lock, waits here for the
+    /// winners named in its [`LockError::Deadlock`] before it retries. It
+    /// is queued nowhere, so the park adds no wait-for edge, and only the
+    /// table mutex is held across the condvar wait.
+    pub fn wait_released(&self, block: BlockId, holders: &[TxnId]) {
+        let held = |s: &mut TableState| {
+            s.table
+                .get(&block)
+                .is_some_and(|e| e.holders.iter().any(|h| holders.contains(h)))
+        };
+        let mut state = self.state.lock().expect("lock table poisoned");
+        state.watchers += 1;
+        let (mut state, _) = self
+            .cv
+            .wait_timeout_while(state, self.timeout, held)
+            .expect("lock table poisoned");
+        state.watchers -= 1;
+    }
+
+    /// Requests parked in the table: queued waiters plus victims in
+    /// [`LockTable::wait_released`] (tests order their threads by it).
+    pub fn parked(&self) -> usize {
+        let state = self.state.lock().expect("lock table poisoned");
+        state.watchers + state.table.values().map(|e| e.queue.len()).sum::<usize>()
     }
 
     /// Who currently holds a key's block (tests/diagnostics).
@@ -527,12 +565,15 @@ impl LockTable {
     }
 
     /// DFS over the waits-for graph from `start` (just queued on
-    /// `start_block`). Edges: waiter → holders of its block and earlier
-    /// queued waiters (FIFO: they will be granted first). Returns the
-    /// youngest (max `TxnId`) transaction on a cycle through `start`, or
-    /// `None` if acyclic. Conservative: a collision-merged block or an
-    /// earlier compatible waiter can produce a false cycle — the cost is an
-    /// unnecessary abort, never a missed deadlock.
+    /// `start_block`), leaving out flagged victims: they abort and release.
+    /// Edges: waiter → holders of its block and, unless it upgrades (an
+    /// upgrade never queues behind anyone), earlier queued waiters (FIFO:
+    /// they will be granted first). Returns the youngest (max `TxnId`)
+    /// transaction on the first cycle found through `start` — read off the
+    /// DFS parents, so it lies on that cycle — or `None`. Conservative: a
+    /// collision-merged block or an earlier compatible waiter can produce
+    /// a false cycle — the cost is an unnecessary abort, never a missed
+    /// deadlock.
     fn find_deadlock_victim(
         state: &TableState,
         start: TxnId,
@@ -548,53 +589,40 @@ impl LockTable {
         }
         waits_on.insert(start, start_block);
 
-        let blocked_by = |t: TxnId| -> Vec<TxnId> {
-            let Some(&b) = waits_on.get(&t) else {
+        let blocked_by = |t: TxnId| -> Vec<(TxnId, TxnId)> {
+            let Some(e) = waits_on.get(&t).and_then(|b| state.table.get(b)) else {
                 return Vec::new();
             };
-            let Some(e) = state.table.get(&b) else {
-                return Vec::new();
-            };
-            let mut out: Vec<TxnId> = e.holders.iter().copied().filter(|&h| h != t).collect();
-            for &(q, _) in &e.queue {
-                if q == t {
-                    break;
-                }
-                out.push(q);
-            }
-            out
+            let upgrade = e.holders.contains(&t);
+            let queued = e.queue.iter().map(|&(q, _)| q);
+            let ahead = queued.take_while(|&q| q != t && !upgrade);
+            (e.holders.iter().copied().filter(|&h| h != t))
+                .chain(ahead)
+                .filter(|n| !state.victims.contains(n))
+                .map(|n| (n, t))
+                .collect()
         };
 
-        // Iterative DFS looking for a cycle back to `start`.
-        let mut stack: Vec<TxnId> = blocked_by(start);
-        let mut seen: Vec<TxnId> = Vec::new();
-        let mut on_cycle: Vec<TxnId> = Vec::new();
-        while let Some(t) = stack.pop() {
+        // Iterative DFS; `parent` maps each visited txn to the one whose
+        // edge reached it first, so a path back to `start` is a cycle.
+        let mut parent: HashMap<TxnId, TxnId> = HashMap::new();
+        let mut stack = blocked_by(start);
+        while let Some((t, from)) = stack.pop() {
             if t == start {
-                // Found a path start → … → start. Collect everyone
-                // reachable from start that also reaches start; the
-                // conservative victim set is everything seen on the walk.
-                on_cycle = seen.clone();
-                on_cycle.push(start);
-                break;
+                let (mut victim, mut at) = (start, from);
+                while at != start {
+                    victim = victim.max(at);
+                    at = parent[&at];
+                }
+                return Some(victim);
             }
-            if seen.contains(&t) {
+            if parent.contains_key(&t) {
                 continue;
             }
-            seen.push(t);
+            parent.insert(t, from);
             stack.extend(blocked_by(t));
         }
-        if on_cycle.is_empty() {
-            return None;
-        }
-        // Victim = youngest waiter on the walk (largest TxnId that is
-        // actually waiting — aborting a non-waiting holder cannot unblock
-        // anyone through this mechanism).
-        on_cycle
-            .iter()
-            .copied()
-            .filter(|t| waits_on.contains_key(t))
-            .max()
+        None
     }
 }
 
@@ -818,51 +846,6 @@ mod tests {
         reader.join().unwrap().unwrap();
         lt.release_all(3);
         assert_eq!(lt.locked_blocks(), 0);
-    }
-
-    #[test]
-    fn deadlock_aborts_youngest() {
-        // T1 holds a, T2 holds b; T2 blocks on a, then T1 blocks on b →
-        // cycle {1, 2}; youngest (2) is the victim.
-        let lt = Arc::new(LockTable::new(Duration::from_secs(5)));
-        lt.acquire(1, b"a", LockMode::Exclusive).unwrap();
-        lt.acquire(2, b"b", LockMode::Exclusive).unwrap();
-        let lt2 = Arc::clone(&lt);
-        let h = std::thread::spawn(move || lt2.acquire(2, b"a", LockMode::Exclusive));
-        std::thread::sleep(Duration::from_millis(30));
-        // T1 closing the cycle detects it; T2 (youngest) is flagged, T1
-        // keeps waiting until T2's abort releases b.
-        let lt1 = Arc::clone(&lt);
-        let h1 = std::thread::spawn(move || lt1.acquire(1, b"b", LockMode::Exclusive));
-        let err = h.join().unwrap().unwrap_err();
-        assert!(
-            matches!(err, LockError::Deadlock { requester: 2, .. }),
-            "got {err:?}"
-        );
-        // Victim aborts: release everything, unblocking T1.
-        lt.release_all(2);
-        h1.join().unwrap().unwrap();
-        lt.release_all(1);
-        assert_eq!(lt.locked_blocks(), 0);
-    }
-
-    #[test]
-    fn deadlock_when_requester_is_youngest() {
-        // T2 (youngest) closes the cycle itself → immediate error, no wait.
-        let lt = Arc::new(LockTable::new(Duration::from_secs(5)));
-        lt.acquire(1, b"a", LockMode::Exclusive).unwrap();
-        lt.acquire(2, b"b", LockMode::Exclusive).unwrap();
-        let lt1 = Arc::clone(&lt);
-        let h = std::thread::spawn(move || lt1.acquire(1, b"b", LockMode::Exclusive));
-        std::thread::sleep(Duration::from_millis(30));
-        let err = lt.acquire(2, b"a", LockMode::Exclusive).unwrap_err();
-        assert!(
-            matches!(err, LockError::Deadlock { requester: 2, .. }),
-            "got {err:?}"
-        );
-        lt.release_all(2);
-        h.join().unwrap().unwrap();
-        lt.release_all(1);
     }
 
     #[cfg(feature = "obs")]

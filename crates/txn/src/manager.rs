@@ -148,8 +148,8 @@ impl BatchWrite {
 #[cfg(feature = "obs")]
 #[derive(Debug, Default)]
 pub struct TxnObs {
-    /// Wall time of [`TxnManager::commit`] — append plus whatever the
-    /// commit protocol syncs.
+    /// Wall time of a commit — append plus whatever the commit protocol
+    /// syncs; a group-channel commit waits for its drain as well.
     pub commit_latency: fame_obs::Histogram,
 }
 
@@ -166,7 +166,7 @@ pub struct TxnManager {
     committed: u64,
     aborted: u64,
     #[cfg(feature = "obs")]
-    obs: TxnObs,
+    pub(crate) obs: Arc<TxnObs>,
 }
 
 impl TxnManager {
@@ -182,7 +182,7 @@ impl TxnManager {
             committed: 0,
             aborted: 0,
             #[cfg(feature = "obs")]
-            obs: TxnObs::default(),
+            obs: Arc::default(),
         }
     }
 

@@ -21,7 +21,10 @@
 //! # Invariants
 //!
 //! 1. **Lock order**: `LockTable` → storage mutex → manager mutex → log
-//!    tail. The group-state mutex is held only while queueing/collecting,
+//!    tail. The manager mutex covers one step that needs the manager — a
+//!    write's log append alone, a begin, an abort, a drain's commit step,
+//!    a first grant's `is_active` check — and not the commit-latency
+//!    record. The group-state mutex is held only while queueing/collecting,
 //!    never across the drain (the leader drops it before touching the
 //!    manager). The log tail ([`crate::log`]) is a leaf: an append or sync
 //!    holds it under the manager mutex, the write-ahead barrier in front
@@ -30,7 +33,8 @@
 //! 2. **Release points**: locks go after the drain and version install,
 //!    or once the caller applied an abort's undo. A lock granted to an id
 //!    the manager does not know is released before [`TxnError::UnknownTxn`]
-//!    returns: ids are never reused, so nothing else ever would.
+//!    returns: ids are never reused, so nothing else ever would. Only a
+//!    first grant needs the check (see [`LockTable::acquire`]).
 //! 3. **Failed drains leave every transaction active**: if the leader's
 //!    append or sync fails, no transaction in the batch is finished,
 //!    all locks stay held, and each committer gets an error
@@ -67,6 +71,10 @@ pub struct SharedTxnManager {
     locks: Arc<LockTable>,
     group: Mutex<GroupState>,
     group_cv: Condvar,
+    /// Statistics feature: the wrapped manager's histograms, recorded
+    /// without its mutex.
+    #[cfg(feature = "obs")]
+    obs: Arc<crate::TxnObs>,
     /// Tracing feature: causal span sink (group-commit edges). Installed
     /// once by the facade; also forwarded into the lock table.
     #[cfg(feature = "trace")]
@@ -90,11 +98,15 @@ impl SharedTxnManager {
         debug_assert!(manager.active().is_empty(), "wrapped under live txns");
         manager.locks = Arc::new(LockTable::new(lock_timeout));
         let locks = Arc::clone(&manager.locks);
+        #[cfg(feature = "obs")]
+        let obs = Arc::clone(&manager.obs);
         SharedTxnManager {
             inner: Mutex::new(manager),
             locks,
             group: Mutex::new(GroupState::default()),
             group_cv: Condvar::new(),
+            #[cfg(feature = "obs")]
+            obs,
             #[cfg(feature = "trace")]
             sink: std::sync::OnceLock::new(),
             #[cfg(feature = "snapshot")]
@@ -134,7 +146,9 @@ impl SharedTxnManager {
         }
     }
 
-    fn inner(&self) -> std::sync::MutexGuard<'_, TxnManager> {
+    /// The manager mutex, for one step (invariant 1): take it after the
+    /// block locks and the storage mutex, never before.
+    pub fn manager(&self) -> std::sync::MutexGuard<'_, TxnManager> {
         self.inner.lock().expect("txn manager poisoned")
     }
 
@@ -145,7 +159,7 @@ impl SharedTxnManager {
 
     /// Start a transaction.
     pub fn begin(&self) -> Result<TxnId, TxnError> {
-        let txn = self.inner().begin()?;
+        let txn = self.manager().begin()?;
         #[cfg(feature = "trace")]
         self.emit(fame_obs::SpanKind::TxnBegin, txn, 0, 0, 0);
         Ok(txn)
@@ -158,7 +172,7 @@ impl SharedTxnManager {
     /// `retry` event, which is what lets a trace reconstruct
     /// `lock-wait → deadlock-victim → retry → txn-commit` across ids.
     pub fn begin_retry(&self, parent: TxnId) -> Result<TxnId, TxnError> {
-        let txn = self.inner().begin()?;
+        let txn = self.manager().begin()?;
         #[cfg(feature = "trace")]
         self.emit(fame_obs::SpanKind::Retry, txn, parent, 0, 0);
         #[cfg(not(feature = "trace"))]
@@ -178,10 +192,10 @@ impl SharedTxnManager {
         self.acquire(txn, key, LockMode::Exclusive)
     }
 
-    /// One blocking grant, kept only for an active transaction.
+    /// One blocking grant, kept only for an active transaction; only a
+    /// first grant asks the manager (invariant 2).
     fn acquire(&self, txn: TxnId, key: &[u8], mode: LockMode) -> Result<(), TxnError> {
-        self.locks.acquire(txn, key, mode)?;
-        if self.inner().is_active(txn) {
+        if !self.locks.acquire(txn, key, mode)? || self.manager().is_active(txn) {
             return Ok(());
         }
         self.locks.release_all(txn);
@@ -232,7 +246,7 @@ impl SharedTxnManager {
                     batch.len() as u64,
                     0,
                 );
-                let outcome = self.inner().commit_batch(&batch);
+                let outcome = self.manager().commit_batch(&batch);
                 #[cfg(feature = "trace")]
                 if outcome.is_ok() {
                     self.emit(fame_obs::SpanKind::GroupSync, txn, 0, batch.len() as u64, 0);
@@ -277,7 +291,7 @@ impl SharedTxnManager {
                 #[cfg(feature = "obs")]
                 {
                     let latency = fame_obs::monotonic_ns() - t0;
-                    self.inner().obs().commit_latency.record_ns(latency);
+                    self.obs.commit_latency.record_ns(latency);
                     #[cfg(feature = "trace")]
                     self.emit(fame_obs::SpanKind::TxnCommit, txn, 0, latency, 0);
                 }
@@ -293,7 +307,7 @@ impl SharedTxnManager {
     /// before the undo is applied would let a waiter read the un-undone
     /// value.
     pub fn abort(&self, txn: TxnId) -> Result<Vec<UndoAction>, TxnError> {
-        let undo = self.inner().abort(txn)?;
+        let undo = self.manager().abort(txn)?;
         #[cfg(feature = "trace")]
         self.emit(fame_obs::SpanKind::TxnAbort, txn, 0, undo.len() as u64, 0);
         Ok(undo)
@@ -302,12 +316,6 @@ impl SharedTxnManager {
     /// Drop `txn`'s block locks (after an abort's undo has been applied).
     pub fn release_locks(&self, txn: TxnId) {
         self.locks.release_all(txn);
-    }
-
-    /// Run `f` against the wrapped manager: logging a write the caller has
-    /// locked, checkpoint, recovery seal, obs snapshots.
-    pub fn with_inner<R>(&self, f: impl FnOnce(&mut TxnManager) -> R) -> R {
-        f(&mut self.inner())
     }
 }
 
@@ -339,10 +347,10 @@ mod tests {
         let m = shared(CommitPolicy::Force);
         let t = m.begin().unwrap();
         m.lock_write(t, b"k").unwrap();
-        m.with_inner(|i| i.log_put(t, 0, b"k", None, b"v")).unwrap();
+        m.manager().log_put(t, 0, b"k", None, b"v").unwrap();
         m.commit(t).unwrap();
-        assert_eq!(m.with_inner(|i| i.stats()), (1, 0));
-        assert!(m.with_inner(|i| i.active()).is_empty());
+        assert_eq!(m.manager().stats(), (1, 0));
+        assert!(m.manager().active().is_empty());
         assert_eq!(m.lock_table().locked_blocks(), 0, "commit released");
     }
 
@@ -360,13 +368,13 @@ mod tests {
                         let t = m.begin().unwrap();
                         let key = format!("w{w}-{i}").into_bytes();
                         m.lock_write(t, &key).unwrap();
-                        m.with_inner(|i| i.log_put(t, 0, &key, None, b"v")).unwrap();
+                        m.manager().log_put(t, 0, &key, None, b"v").unwrap();
                         m.commit(t).unwrap();
                     }
                 });
             }
         });
-        assert_eq!(m.with_inner(|i| i.stats()), (threads * per, 0));
+        assert_eq!(m.manager().stats(), (threads * per, 0));
         assert_eq!(m.lock_table().locked_blocks(), 0);
     }
 
@@ -381,11 +389,11 @@ mod tests {
             let t = m.begin().unwrap();
             let key = i.to_be_bytes();
             m.lock_write(t, &key).unwrap();
-            m.with_inner(|i| i.log_put(t, 0, &key, None, b"v")).unwrap();
+            m.manager().log_put(t, 0, &key, None, b"v").unwrap();
             m.commit(t).unwrap();
         }
         assert_eq!(
-            m.with_inner(|i| i.log_device_stats()).syncs,
+            m.manager().log_device_stats().syncs,
             2,
             "8 drains / group of 4"
         );
@@ -407,8 +415,7 @@ mod tests {
                         let t = m.begin().unwrap();
                         match m.lock_write(t, b"hot") {
                             Ok(()) => {
-                                m.with_inner(|i| i.log_put(t, 0, b"hot", None, b"v"))
-                                    .unwrap();
+                                m.manager().log_put(t, 0, b"hot", None, b"v").unwrap();
                                 m.commit(t).unwrap();
                             }
                             Err(_) => {
@@ -422,7 +429,7 @@ mod tests {
                 });
             }
         });
-        let (committed, ab) = m.with_inner(|i| i.stats());
+        let (committed, ab) = m.manager().stats();
         assert_eq!(
             committed + ab,
             threads * per,
@@ -450,10 +457,10 @@ mod tests {
 
         let t = m.begin().unwrap();
         m.lock_write(t, b"k").unwrap();
-        m.with_inner(|i| i.log_put(t, 0, b"k", None, b"v")).unwrap();
+        m.manager().log_put(t, 0, b"k", None, b"v").unwrap();
         assert!(m.commit(t).is_err(), "sync fails");
-        assert_eq!(m.with_inner(|i| i.active()), vec![t]);
-        assert_eq!(m.with_inner(|i| i.stats()), (0, 0));
+        assert_eq!(m.manager().active(), vec![t]);
+        assert_eq!(m.manager().stats(), (0, 0));
         assert!(
             !m.lock_table().holders(b"k").is_empty(),
             "block lock still held after failed drain"
@@ -461,7 +468,7 @@ mod tests {
 
         handle.with(|d| d.heal());
         m.commit(t).unwrap();
-        assert_eq!(m.with_inner(|i| i.stats()), (1, 0));
+        assert_eq!(m.manager().stats(), (1, 0));
         assert_eq!(m.lock_table().locked_blocks(), 0);
     }
 
@@ -480,7 +487,7 @@ mod tests {
             let t = m.begin().unwrap();
             let key = i.to_be_bytes();
             m.lock_write(t, &key).unwrap();
-            m.with_inner(|i| i.log_put(t, 0, &key, None, b"v")).unwrap();
+            m.manager().log_put(t, 0, &key, None, b"v").unwrap();
             m.commit(t).unwrap();
         }
         let seen = seen.lock().unwrap();
@@ -510,9 +517,8 @@ mod tests {
         assert!(undo.is_empty());
         m.release_locks(t2);
         h1.join().unwrap().unwrap();
-        m.with_inner(|i| i.log_put(t1, 0, b"b", None, b"v"))
-            .unwrap();
+        m.manager().log_put(t1, 0, b"b", None, b"v").unwrap();
         m.commit(t1).unwrap();
-        assert_eq!(m.with_inner(|i| i.stats()), (1, 1));
+        assert_eq!(m.manager().stats(), (1, 1));
     }
 }

@@ -129,12 +129,16 @@ proptest! {
 /// Four writers increment one shared counter 64 times each through a
 /// transactional read-modify-write (S lock, then S→X upgrade). Upgrade
 /// deadlocks are expected — both S holders request X — and the victim
-/// retries. Any lost update makes the final count wrong.
+/// retries. Any lost update makes the final count wrong. The lock timeout
+/// is far longer than the run, so a timeout abort can only be a cycle the
+/// detector missed.
 #[test]
 fn contended_rmw_increments_serialize() {
     const WRITERS: usize = 4;
     const INCREMENTS: u64 = 64;
-    let mut db = Database::open(mw_config(CommitPolicy::Group { group_size: 4 })).unwrap();
+    let mut cfg = mw_config(CommitPolicy::Group { group_size: 4 });
+    cfg.lock_timeout_ms = 30_000;
+    let mut db = Database::open(cfg).unwrap();
     db.put(b"counter", &0u64.to_be_bytes()).unwrap();
     let writer = db.writer().unwrap();
 
@@ -163,11 +167,14 @@ fn contended_rmw_increments_serialize() {
     );
     let (committed, _) = writer.txn_stats();
     assert!(committed >= WRITERS as u64 * INCREMENTS);
-    // No aggregate bound on retries: victims retry with no back-off, so
-    // while a run of 1 s lock timeouts lasts (this test's slow mode on a
-    // 2-core box) the other writers burn attempts at a rate no multiple of
-    // `committed` covers — ROADMAP item 6 has the numbers. Livelock is
-    // caught per transaction: `with_retry` panics after 1 000 attempts.
+    #[cfg(feature = "statistics")]
+    assert_eq!(db.stats().unwrap().locks.unwrap().timeout_aborts, 0);
+    // The slow mode this test once had (~2 min on a 2-core box) was a
+    // run of lock timeouts: the detector flagged a waiter that was not on
+    // the cycle, and the two upgraders on it waited each other out. No
+    // aggregate bound on retries: victims here retry with no back-off, at
+    // a rate the scheduler sets. Livelock is caught per transaction:
+    // `with_retry` panics after 1 000 attempts.
 }
 
 /// Sync accounting of a lone writer, by count: under `Force` every commit
@@ -365,6 +372,8 @@ fn a_dead_handle_put_leaves_no_lock_behind() {
     let t = w.begin().unwrap();
     w.put(t, b"k", b"1").unwrap();
     w.commit(t).unwrap();
+    // A read is the dead handle's first grant too: it must be refused.
+    assert!(is_unknown_txn(w.get(t, b"k")));
     assert!(is_unknown_txn(w.put(t, b"k", b"2")));
     assert!(is_unknown_txn(w.abort(t)));
     let t2 = w.begin().unwrap();
