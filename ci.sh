@@ -145,7 +145,7 @@ echo "== code budgets (facade cfg gates and lines, engine lines; lower the ceili
 # PR that deletes code lowers a ceiling; none is ever raised.
 FACADE_CFG_CEILING=361
 FACADE_LINES_CEILING=3717
-ENGINE_LINES_CEILING=12277
+ENGINE_LINES_CEILING=12135
 # Counted recursively, so splitting a file into a module directory moves
 # no line out of the count.
 facade_cfg=$(find crates/core/src -name '*.rs' -exec cat {} + | grep -c 'cfg(')

@@ -19,6 +19,8 @@
 //! engines deserialize a node, work on it, and write it back, so frames are
 //! never held across operations and no pin accounting is needed.
 
+#[cfg(feature = "shared")]
+mod dir;
 pub mod pool;
 pub mod replacement;
 #[cfg(feature = "shared")]

@@ -3,16 +3,20 @@
 //! Figure 2 diagram.
 //!
 //! [`SharedBufferPool`] is a cheap-clone `Send + Sync` handle onto one pool
-//! image shared by many threads. The page table and frame arena are split
-//! into `N` power-of-two shards; each shard keeps
+//! image shared by many threads. Page `p` belongs to shard `p & (N - 1)`
+//! of `N` power-of-two shards; each shard keeps
 //!
-//! * a lock-free open-addressed **page table** (`page -> frame index`, one
-//!   `AtomicU64` per slot) probed by readers without any latch;
-//! * an append-only **frame arena** whose chunks are published through
-//!   `OnceLock`, so a frame's address is stable for the pool's lifetime
-//!   and readers may hold references without holding the shard latch;
-//! * the latched **core** (authoritative `HashMap`, free list, allocator)
-//!   behind a `parking_lot::RwLock`, used by misses and mutations only.
+//! * a **page map** with one `AtomicU32` entry (`frame index + 1`, 0 =
+//!   absent) per page id the shard owns, read by the hit path without any
+//!   latch and written only under the shard write latch — so it is the
+//!   one, authoritative map, and a page id past its bound (2^24) is an
+//!   `OutOfRange` error rather than an entry;
+//! * an append-only **frame arena**, so a frame's address is stable for
+//!   the pool's lifetime and readers may hold references without holding
+//!   the shard latch (both are a `ChunkDir`: chunks published through
+//!   `OnceLock`);
+//! * the latched **core** (free list, allocator, arena length) behind a
+//!   `parking_lot::RwLock`, used by misses and mutations only.
 //!
 //! # The seqlock hit protocol
 //!
@@ -20,15 +24,16 @@
 //! write is in progress**, even means the bytes are stable. A hit takes
 //! no latch at all:
 //!
-//! 1. probe the page table, load the frame's version (`Acquire`) — odd
-//!    aborts — and check the frame's page *tag*;
+//! 1. load the page's map entry, load the frame's version (`Acquire`) —
+//!    odd aborts — and check the frame's page *tag* (the entry may have
+//!    been re-pointed since it was loaded);
 //! 2. copy the page words (plain `Relaxed` atomic loads — racing copies
 //!    are well-defined and simply discarded) into a thread-local scratch
 //!    page;
 //! 3. re-check the version (`Acquire` fence, then `Relaxed` load): if it
 //!    still matches, the copy is a point-in-time-consistent snapshot and
 //!    the caller's closure runs on it; any mismatch falls back to the
-//!    latched path, which re-probes under the shard latch.
+//!    latched path, which reads the map again under the shard latch.
 //!
 //! Writers — page loads, evictions, [`SharedBufferPool::with_page_mut`],
 //! [`SharedBufferPool::discard`] — hold the shard *write* latch (so there
@@ -61,14 +66,14 @@
 //! summed into [`SharedBufferPool::stats`] on demand.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::sync::atomic::Ordering::{Acquire, Relaxed, Release};
-use std::sync::atomic::{fence, AtomicBool, AtomicU64};
-use std::sync::{Arc, OnceLock};
+use std::sync::atomic::{fence, AtomicBool, AtomicU32, AtomicU64};
+use std::sync::Arc;
 
 use fame_os::{AllocPolicy, BlockDevice, DeviceStats, FrameAllocator, OsError, PageId};
 use parking_lot::RwLock;
 
+use crate::dir::{past_bound, ChunkDir, MAX_PAGES};
 use crate::replacement::ReplacementKind;
 #[cfg(feature = "obs")]
 use crate::stats::Counter;
@@ -88,6 +93,9 @@ const CHUNK: usize = 16;
 /// frames. A dynamic allocation policy that outgrows the cap simply
 /// starts evicting, it never fails.
 const MAX_CHUNKS: usize = 512;
+
+/// Page-map entries per chunk: 16 KiB maps 4 096 of a shard's pages.
+const MAP_CHUNK: usize = 4096;
 
 /// One page frame. Everything is interior-mutable so frames can live
 /// outside the shard latch; the *data-write* invariant is that page words,
@@ -229,178 +237,6 @@ impl SharedFrame {
     }
 }
 
-/// Lock-free `page -> frame index` table, open addressing with linear
-/// probing. All *mutation* happens under the shard write latch (so writers
-/// never race each other); readers probe latch-free and treat everything
-/// they find as a hint to be confirmed against the frame's tag and
-/// version. The latched `HashMap` stays authoritative — a full table
-/// silently skips inserts and those pages are simply served by the
-/// latched path. (The Snapshot feature's version directory reuses this
-/// type with its own authoritative map, hence the crate visibility.)
-pub(crate) struct PageTable {
-    slots: Box<[AtomicU64]>,
-    mask: usize,
-    /// Tombstones currently in `slots`. Mutated only under the shard
-    /// write latch (like the slots themselves); atomic so the struct
-    /// stays `Sync` for the latch-free readers.
-    tombs: AtomicU64,
-}
-
-/// Vacant slot.
-const EMPTY: u64 = 0;
-/// Deleted slot; probing continues past it, inserts may reuse it.
-const TOMB: u64 = u64::MAX;
-
-/// `page` in the high half, `frame index + 1` in the low half (so the
-/// encoding never collides with [`EMPTY`]; it cannot reach [`TOMB`]
-/// because frame indices are far below `u32::MAX`).
-fn encode(page: PageId, idx: usize) -> u64 {
-    ((page as u64) << 32) | (idx as u64 + 1)
-}
-
-impl PageTable {
-    pub(crate) fn new(frames_hint: usize) -> Self {
-        let cap = (frames_hint.max(4) * 2)
-            .next_power_of_two()
-            .clamp(16, 16384);
-        PageTable {
-            slots: (0..cap).map(|_| AtomicU64::new(EMPTY)).collect(),
-            mask: cap - 1,
-            tombs: AtomicU64::new(0),
-        }
-    }
-
-    fn bucket(&self, page: PageId) -> usize {
-        // Fibonacci hashing spreads the low page bits (the shard mask
-        // already consumed them).
-        ((page as u64).wrapping_mul(0x9E3779B97F4A7C15) >> 32) as usize & self.mask
-    }
-
-    /// Latch-free probe. The result is a hint: the frame must still be
-    /// tag-checked.
-    pub(crate) fn lookup(&self, page: PageId) -> Option<usize> {
-        let mut i = self.bucket(page);
-        for _ in 0..=self.mask {
-            let e = self.slots[i].load(Relaxed);
-            if e == EMPTY {
-                return None;
-            }
-            if e != TOMB && (e >> 32) as u32 == page {
-                return Some((e & 0xFFFF_FFFF) as usize - 1);
-            }
-            i = (i + 1) & self.mask;
-        }
-        None
-    }
-
-    /// Insert or update (shard write latch held). A full table skips the
-    /// insert — readers fall back to the latched map.
-    pub(crate) fn insert(&self, page: PageId, idx: usize) {
-        let e = encode(page, idx);
-        let mut i = self.bucket(page);
-        let mut tomb: Option<usize> = None;
-        for _ in 0..=self.mask {
-            let cur = self.slots[i].load(Relaxed);
-            if cur == EMPTY {
-                if let Some(t) = tomb {
-                    self.slots[t].store(e, Release);
-                    self.tombs.fetch_sub(1, Relaxed);
-                } else {
-                    self.slots[i].store(e, Release);
-                }
-                return;
-            }
-            if cur == TOMB {
-                tomb.get_or_insert(i);
-            } else if (cur >> 32) as u32 == page {
-                self.slots[i].store(e, Release);
-                return;
-            }
-            i = (i + 1) & self.mask;
-        }
-        if let Some(t) = tomb {
-            self.slots[t].store(e, Release);
-            self.tombs.fetch_sub(1, Relaxed);
-        }
-    }
-
-    /// Remove (shard write latch held). In-place tombstoning is safe for
-    /// concurrent readers: a stale hit fails the frame tag/version check
-    /// downstream.
-    fn remove(&self, page: PageId) {
-        let mut i = self.bucket(page);
-        for _ in 0..=self.mask {
-            let cur = self.slots[i].load(Relaxed);
-            if cur == EMPTY {
-                return;
-            }
-            if cur != TOMB && (cur >> 32) as u32 == page {
-                self.slots[i].store(TOMB, Release);
-                self.tombs.fetch_add(1, Relaxed);
-                return;
-            }
-            i = (i + 1) & self.mask;
-        }
-    }
-
-    /// Have tombstones piled up past a quarter of capacity? Linear
-    /// probing never reclaims them in place, every one lengthens every
-    /// miss probe (a lookup only stops at `EMPTY`), and eviction churn
-    /// produces them monotonically — without a periodic sweep the table
-    /// degrades to whole-array scans.
-    fn needs_sweep(&self) -> bool {
-        self.tombs.load(Relaxed) * 4 > (self.mask as u64 + 1)
-    }
-
-    /// Rebuild from the authoritative map (shard write latch held):
-    /// reset every slot, reinsert the live entries. Latch-free readers
-    /// racing the sweep may transiently see `EMPTY` or a stale hint for
-    /// a live page; both just divert that access to the latched path.
-    fn sweep(&self, live: impl Iterator<Item = (PageId, usize)>) {
-        for s in self.slots.iter() {
-            s.store(EMPTY, Relaxed);
-        }
-        self.tombs.store(0, Relaxed);
-        for (page, idx) in live {
-            self.insert(page, idx);
-        }
-    }
-}
-
-/// Append-only frame storage: fixed chunk directory, chunks published via
-/// `OnceLock` (whose `get` is lock-free), so frame addresses are stable
-/// and optimistic readers can reach frames without the shard latch.
-struct FrameArena {
-    chunks: Box<[OnceLock<Box<[SharedFrame]>>]>,
-    words: usize,
-}
-
-impl FrameArena {
-    fn new(words: usize) -> Self {
-        FrameArena {
-            chunks: (0..MAX_CHUNKS).map(|_| OnceLock::new()).collect(),
-            words,
-        }
-    }
-
-    /// Latch-free: frame `idx`, if its chunk has been published.
-    fn get(&self, idx: usize) -> Option<&SharedFrame> {
-        self.chunks.get(idx / CHUNK)?.get().map(|c| &c[idx % CHUNK])
-    }
-
-    /// Materialize frame `idx`'s chunk (shard write latch held).
-    fn ensure(&self, idx: usize) -> &SharedFrame {
-        let words = self.words;
-        let chunk = self.chunks[idx / CHUNK]
-            .get_or_init(|| (0..CHUNK).map(|_| SharedFrame::new(words)).collect());
-        &chunk[idx % CHUNK]
-    }
-
-    fn capacity(&self) -> usize {
-        self.chunks.len() * CHUNK
-    }
-}
-
 /// Per-shard hot line: the recency clock and hit counter every access
 /// touches, cache-line aligned so two shards never false-share.
 #[repr(align(64))]
@@ -422,10 +258,9 @@ impl ShardHot {
     }
 }
 
-/// The latched remainder of a shard: authoritative page map, free list,
-/// allocator, and the in-use prefix length of the arena.
+/// The latched remainder of a shard: free list, allocator, and the in-use
+/// prefix length of the arena.
 struct ShardCore {
-    map: HashMap<PageId, usize>,
     free: Vec<usize>,
     allocator: FrameAllocator,
     /// Frames materialized in the arena (`0..len` are valid indices).
@@ -435,9 +270,37 @@ struct ShardCore {
 /// One shard: latch-free structures beside the latched core.
 struct CachedShard {
     core: RwLock<ShardCore>,
-    table: PageTable,
-    arena: FrameArena,
+    /// `frame index + 1` of each page this shard owns, 0 when absent,
+    /// indexed by `page >> shift`; written under the core's write latch.
+    map: ChunkDir<AtomicU32, MAP_CHUNK>,
+    /// `log2` of the shard count.
+    shift: u32,
+    arena: ChunkDir<SharedFrame, CHUNK>,
     hot: ShardHot,
+}
+
+impl CachedShard {
+    /// The frame `page` is mapped to. Without the shard latch this is a
+    /// hint to confirm against the frame's tag and version.
+    fn mapped(&self, page: PageId) -> Option<usize> {
+        let entry = self.map.get((page >> self.shift) as usize)?.load(Acquire);
+        entry.checked_sub(1).map(|idx| idx as usize)
+    }
+
+    /// `page`'s map entry, materializing its chunk (shard write latch
+    /// held); past [`MAX_PAGES`] an `OutOfRange` error.
+    fn entry(&self, page: PageId) -> Result<&AtomicU32, OsError> {
+        self.map
+            .ensure((page >> self.shift) as usize, AtomicU32::default)
+            .ok_or_else(|| past_bound(page))
+    }
+
+    /// Clear a resident page's entry (shard write latch held).
+    fn unmap(&self, page: PageId) {
+        if let Some(entry) = self.map.get((page >> self.shift) as usize) {
+            entry.store(0, Release);
+        }
+    }
 }
 
 enum SharedMode {
@@ -556,29 +419,26 @@ impl SharedBufferPool {
         let page_size = device.page_size();
         let shared_read = device.supports_shared_read();
         let words = page_size.div_ceil(8);
+        let shift = shards.trailing_zeros();
         let mut vec = Vec::with_capacity(shards);
         for i in 0..shards {
             let alloc = shard_alloc(alloc, i, shards);
-            let frames_hint = match alloc {
-                AllocPolicy::Static { frames } => frames,
-                AllocPolicy::Dynamic { max_frames } => max_frames.unwrap_or(256),
-            };
-            let prealloc = alloc.preallocate();
+            let arena = ChunkDir::new(CHUNK * MAX_CHUNKS);
+            let prealloc = alloc.preallocate().min(arena.capacity());
             let mut allocator = FrameAllocator::new(alloc);
-            let arena = FrameArena::new(words);
             for idx in 0..prealloc {
                 let ok = allocator.try_acquire();
                 debug_assert!(ok, "preallocation within static arena");
-                arena.ensure(idx);
+                arena.ensure(idx, || SharedFrame::new(words));
             }
             vec.push(CachedShard {
                 core: RwLock::new(ShardCore {
-                    map: HashMap::new(),
                     free: (0..prealloc).rev().collect(),
                     allocator,
                     len: prealloc,
                 }),
-                table: PageTable::new(frames_hint),
+                map: ChunkDir::new((MAX_PAGES as usize).div_ceil(shards)),
+                shift,
                 arena,
                 hot: ShardHot::new(),
             });
@@ -706,11 +566,11 @@ impl SharedBufferPool {
         }
     }
 
-    /// The latch-free hit path: probe, copy, validate (see the module
+    /// The latch-free hit path: map entry, copy, validate (see the module
     /// docs). `Some` hands back the validated snapshot (caller runs the
     /// closure and returns the scratch buffer); `None` means "take the
-    /// latched path" — cold page, stale table hint, or a write window
-    /// overlapping the copy.
+    /// latched path" — cold page, an entry re-pointed under us, or a write
+    /// window overlapping the copy.
     fn try_optimistic(
         &self,
         kind: ReplacementKind,
@@ -718,7 +578,7 @@ impl SharedBufferPool {
         shard_idx: usize,
         page: PageId,
     ) -> Option<(Vec<u8>, PageToken)> {
-        let idx = shard.table.lookup(page)?;
+        let idx = shard.mapped(page)?;
         let fr = shard.arena.get(idx)?;
         let v1 = fr.read_begin();
         if !v1.is_multiple_of(2) || fr.tag.load(Relaxed) != page as u64 + 1 {
@@ -766,34 +626,32 @@ impl SharedBufferPool {
                     put_scratch(buf);
                     return Ok((r, token));
                 }
-                // Latched fallback: probe under the read latch, copy, and
-                // release before running the closure. The frame cannot
-                // change under the read latch (all frame writers hold the
-                // write latch), so a plain copy plus the current version
-                // make a valid token.
-                let mut staged: Option<(Vec<u8>, PageToken)> = None;
-                {
-                    let s = self.shard_read(&shard.core, shard_idx);
-                    if let Some(&idx) = s.map.get(&page) {
-                        let fr = shard.arena.get(idx).expect("mapped frame exists");
-                        fr.touch(&shard.hot, track_count(*kind));
-                        shard.hot.hits.fetch_add(1, Relaxed);
-                        let token = PageToken::new(shard_idx, idx, fr.version.load(Relaxed));
-                        let mut buf = take_scratch(ps);
-                        fr.copy_out(&mut buf);
-                        staged = Some((buf, token));
-                    }
-                }
+                // Latched fallback: read the map under the read latch,
+                // copy, and release before running the closure. The frame
+                // cannot change under the read latch (all frame writers
+                // hold the write latch), so a plain copy plus the current
+                // version make a valid token.
+                let s = self.shard_read(&shard.core, shard_idx);
+                let staged = shard.mapped(page).map(|idx| {
+                    let fr = shard.arena.get(idx).expect("mapped frame exists");
+                    fr.touch(&shard.hot, track_count(*kind));
+                    shard.hot.hits.fetch_add(1, Relaxed);
+                    let token = PageToken::new(shard_idx, idx, fr.version.load(Relaxed));
+                    let mut buf = take_scratch(ps);
+                    fr.copy_out(&mut buf);
+                    (buf, token)
+                });
+                drop(s);
                 if let Some((buf, token)) = staged {
                     let r = f(&buf[..ps]);
                     put_scratch(buf);
                     return Ok((r, token));
                 }
-                // Miss path: the read latch was RELEASED (block end above)
+                // Miss path: the read latch was RELEASED (dropped above)
                 // before the write latch is taken — a release-then-
                 // reacquire upgrade, never a nested same-shard hold.
-                // `frame_for` re-probes the map because another thread may
-                // have loaded the page between the two latches.
+                // `frame_for` reads the map again because another thread
+                // may have loaded the page between the two latches.
                 let mut s = self.shard_write(&shard.core, shard_idx);
                 let idx = self.frame_for(shard, &mut s, page)?;
                 let fr = shard
@@ -864,10 +722,8 @@ impl SharedBufferPool {
         if let SharedMode::Cached { shards, .. } = &self.inner.mode {
             for (i, shard) in shards.iter().enumerate() {
                 let s = self.shard_write(&shard.core, i);
-                for idx in 0..s.len {
-                    if let Some(fr) = shard.arena.get(idx) {
-                        fr.version.store(to & !1, Release);
-                    }
+                for (_, fr) in shard.arena.iter().take(s.len) {
+                    fr.version.store(to & !1, Release);
                 }
             }
         }
@@ -893,18 +749,17 @@ impl SharedBufferPool {
                 #[cfg(feature = "snapshot")]
                 if crate::versions::VersionStore::current_txn() != 0 {
                     let mut pre = take_scratch(ps);
-                    let res = self.device_read(page, &mut pre[..ps]);
-                    if res.is_ok() {
-                        let capped = self.inner.versions.note_write(page, &pre[..ps]);
-                        #[cfg(feature = "trace")]
-                        if capped > 0 {
-                            self.emit(fame_obs::SpanKind::SnapshotPrune, page as u64, capped);
-                        }
-                        #[cfg(not(feature = "trace"))]
-                        let _ = capped;
-                    }
+                    let res = self
+                        .device_read(page, &mut pre[..ps])
+                        .and_then(|()| self.inner.versions.note_write(page, &pre[..ps]));
                     put_scratch(pre);
-                    res?;
+                    let capped = res?;
+                    #[cfg(feature = "trace")]
+                    if capped > 0 {
+                        self.emit(fame_obs::SpanKind::SnapshotPrune, page as u64, capped);
+                    }
+                    #[cfg(not(feature = "trace"))]
+                    let _ = capped;
                 }
                 let mut buf = take_scratch(ps);
                 // Hold the device write latch across read-modify-write
@@ -937,7 +792,7 @@ impl SharedBufferPool {
                 // bytes.
                 #[cfg(feature = "snapshot")]
                 {
-                    let capped = self.inner.versions.note_write(page, &buf[..ps]);
+                    let capped = self.inner.versions.note_write(page, &buf[..ps])?;
                     #[cfg(feature = "trace")]
                     if capped > 0 {
                         self.emit(fame_obs::SpanKind::SnapshotPrune, page as u64, capped);
@@ -969,12 +824,13 @@ impl SharedBufferPool {
         };
         // Re-check under the write latch: another thread may have loaded
         // the page between our read probe and here.
-        if let Some(&idx) = s.map.get(&page) {
+        if let Some(idx) = shard.mapped(page) {
             let fr = shard.arena.get(idx).expect("mapped frame exists");
             fr.touch(&shard.hot, track_count(*kind));
             shard.hot.hits.fetch_add(1, Relaxed);
             return Ok(idx);
         }
+        let entry = shard.entry(page)?;
         self.inner.stats.misses.inc();
         #[cfg(feature = "trace")]
         self.emit(fame_obs::SpanKind::PoolMiss, page as u64, 0);
@@ -984,7 +840,7 @@ impl SharedBufferPool {
             idx
         } else if s.len < shard.arena.capacity() && s.allocator.try_acquire() {
             let idx = s.len;
-            shard.arena.ensure(idx);
+            shard.arena.ensure(idx, || SharedFrame::new(ps.div_ceil(8)));
             s.len += 1;
             idx
         } else {
@@ -1002,8 +858,7 @@ impl SharedBufferPool {
                 res?;
                 self.inner.stats.writebacks.inc();
             }
-            s.map.remove(&old);
-            shard.table.remove(old);
+            shard.unmap(old);
             fr.begin_write();
             fr.tag.store(0, Relaxed);
             fr.dirty.store(false, Relaxed);
@@ -1031,11 +886,7 @@ impl SharedBufferPool {
         }
         fr.count.store(u64::from(track_count(*kind)), Relaxed);
         fr.stamp_now(&shard.hot);
-        s.map.insert(page, idx);
-        shard.table.insert(page, idx);
-        if shard.table.needs_sweep() {
-            shard.table.sweep(s.map.iter().map(|(&p, &i)| (p, i)));
-        }
+        entry.store(idx as u32 + 1, Release);
         Ok(idx)
     }
 
@@ -1059,11 +910,9 @@ impl SharedBufferPool {
             let guards: Vec<_> = shards.iter().map(|sh| sh.core.write()).collect();
             let mut dirty: Vec<(PageId, usize, usize)> = Vec::new();
             for (si, (shard, s)) in shards.iter().zip(&guards).enumerate() {
-                for idx in 0..s.len {
-                    if let Some(fr) = shard.arena.get(idx) {
-                        if fr.dirty.load(Relaxed) {
-                            dirty.push((fr.page().expect("dirty frame holds a page"), si, idx));
-                        }
+                for (idx, fr) in shard.arena.iter().take(s.len) {
+                    if fr.dirty.load(Relaxed) {
+                        dirty.push((fr.page().expect("dirty frame holds a page"), si, idx));
                     }
                 }
             }
@@ -1091,8 +940,8 @@ impl SharedBufferPool {
         if let SharedMode::Cached { shards, mask, .. } = &self.inner.mode {
             let shard = &shards[page as usize & mask];
             let mut s = shard.core.write();
-            if let Some(idx) = s.map.remove(&page) {
-                shard.table.remove(page);
+            if let Some(idx) = shard.mapped(page) {
+                shard.unmap(page);
                 let fr = shard.arena.get(idx).expect("mapped frame exists");
                 fr.begin_write();
                 fr.tag.store(0, Relaxed);
@@ -1107,11 +956,11 @@ impl SharedBufferPool {
     pub fn contains(&self, page: PageId) -> bool {
         match &self.inner.mode {
             SharedMode::Unbuffered => false,
-            SharedMode::Cached { shards, mask, .. } => shards[page as usize & mask]
-                .core
-                .read()
-                .map
-                .contains_key(&page),
+            SharedMode::Cached { shards, mask, .. } => {
+                let shard = &shards[page as usize & mask];
+                let _s = shard.core.read();
+                shard.mapped(page).is_some()
+            }
         }
     }
 
@@ -1120,14 +969,6 @@ impl SharedBufferPool {
         match &self.inner.mode {
             SharedMode::Unbuffered => 0,
             SharedMode::Cached { shards, .. } => shards.iter().map(|sh| sh.core.read().len).sum(),
-        }
-    }
-
-    /// Number of shards (1 in pass-through mode).
-    pub fn shard_count(&self) -> usize {
-        match &self.inner.mode {
-            SharedMode::Unbuffered => 1,
-            SharedMode::Cached { shards, .. } => shards.len(),
         }
     }
 
@@ -1271,29 +1112,15 @@ impl SharedBufferPool {
         let unbuffered = matches!(&self.inner.mode, SharedMode::Unbuffered);
         let mut f = Some(f);
         for _ in 0..RESOLVE_ATTEMPTS {
-            let Some(vm) = vs.get(page) else {
-                // Never transactionally written: the head is the only
-                // version. A first-dirty capture publishes chain state
-                // *before* the frame's write window opens, so a validated
-                // copy that still sees none read committed bytes.
-                let mut out = take_snap_scratch(ps);
-                let res = self.with_page(page, |b| out[..ps].copy_from_slice(b));
-                if let Err(e) = res {
-                    put_snap_scratch(out);
-                    return Err(e);
-                }
-                if vs.get(page).is_none() {
-                    let r = (f.take().expect("resolved once"))(&out[..ps]);
-                    put_snap_scratch(out);
-                    return Ok(r);
-                }
-                put_snap_scratch(out);
-                continue;
-            };
             // Latch-free head attempt (cached pools): pre-check, validated
             // copy with its token receipt, post-check. A still-valid token
             // proves no write window overlapped [copy, post-check], so the
-            // committed_ts read there belongs to the bytes copied.
+            // committed_ts read there belongs to the bytes copied. The
+            // post-check resolves the meta again: a first-dirty capture
+            // publishes the page's meta and chain state *before* the
+            // frame's write window opens, so a copy of bytes written since
+            // the pre-check read the `fresh` meta sees that capture.
+            let vm = vs.meta(page);
             if !unbuffered && vm.pending.load(Acquire) == 0 {
                 let c = vm.committed_ts.load(Acquire);
                 if c <= ts {
@@ -1304,6 +1131,7 @@ impl SharedBufferPool {
                             return Err(e);
                         }
                         Ok(((), token)) => {
+                            let vm = vs.meta(page);
                             if vm.pending.load(Acquire) == 0
                                 && vm.committed_ts.load(Acquire) == c
                                 && self.validate_token(token)
@@ -1323,7 +1151,7 @@ impl SharedBufferPool {
             // device write latch, so no streak can start or be in flight);
             // cached pools bounce back to the token protocol above.
             let mut out = take_snap_scratch(ps);
-            let res = vs.resolve_chain(vm, ts, &mut out[..ps], |dst| {
+            let res = vs.resolve_chain(page, ts, &mut out[..ps], |dst| {
                 unbuffered.then(|| self.device_read(page, dst))
             });
             match res {
@@ -1372,10 +1200,7 @@ impl Drop for PoolInner {
             let mut buf = vec![0u8; ps];
             for shard in shards.iter_mut() {
                 let len = shard.core.get_mut().len;
-                for idx in 0..len {
-                    let Some(fr) = shard.arena.get(idx) else {
-                        continue;
-                    };
+                for (_, fr) in shard.arena.iter().take(len) {
                     if fr.dirty.load(Relaxed) {
                         if let Some(page) = fr.page() {
                             fr.copy_out(&mut buf);
@@ -1395,10 +1220,7 @@ impl Drop for PoolInner {
 /// version re-check rejects the copy if this frame is evicted under them.
 fn pick_victim(shard: &CachedShard, s: &ShardCore, kind: ReplacementKind) -> Option<usize> {
     let mut best: Option<(u128, usize)> = None;
-    for i in 0..s.len {
-        let Some(fr) = shard.arena.get(i) else {
-            continue;
-        };
+    for (i, fr) in shard.arena.iter().take(s.len) {
         if fr.tag.load(Relaxed) == 0 {
             continue;
         }
@@ -1505,7 +1327,6 @@ mod tests {
         for page in 0..16 {
             p.with_page(page, |_| ()).unwrap();
         }
-        assert_eq!(p.shard_count(), 4);
         // Static budget of 8 split over 4 shards = 2 frames per shard.
         assert_eq!(p.frame_count(), 8);
     }

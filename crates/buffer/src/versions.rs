@@ -64,16 +64,28 @@
 //! snapshot set: a closed entry survives only while some registered
 //! snapshot (or `stable` itself) falls inside the interval it covers; the
 //! open entry of a still-pending streak is always retained (`stable` can
-//! yet advance into the interval it will cover). The sweep holds the
+//! yet advance into the interval it will cover). A prune pass holds the
 //! snapshot registry lock throughout so its keep set cannot go stale
 //! against a concurrent registration. A hard cap (`chain_cap`) truncates
 //! oldest-first beyond that — a straggler snapshot whose version was
 //! capped away gets a "snapshot too old" error instead of unbounded
 //! memory.
 //!
+//! # The directory
+//!
+//! Metas sit in a `ChunkDir` indexed by page id, covering pages
+//! `0..MAX_PAGES`; a chunk is materialized by the first transactional
+//! write to one of its pages. A page whose chunk does not exist yet reads
+//! as the store's `fresh` meta — pending 0, `committed_ts` 0, empty chain
+//! — exactly as a materialized but never written one does, so a reader
+//! needs no "no versions" case: it only re-resolves the meta after its
+//! head copy, in case a first write materialized the chunk meanwhile. A
+//! write to a page past the bound fails with a typed error before it
+//! touches any count or chain.
+//!
 //! Lock nesting (none classified in the global order): the per-txn
-//! `writes` map and the pruning sweep's `snaps → {alloc, chain}` are the
-//! only compound holds; everything else takes one of `alloc`, `chain`,
+//! `writes` map and a prune pass's `snaps → chain` are the only
+//! compound holds; everything else takes one of `writes`, `chain`,
 //! `snaps` at a time. Writers reach them under the shard write latch
 //! (shard → chain); the snapshot slow path takes chain → device (reads
 //! only) — both consistent with the global `shard → device` order.
@@ -81,21 +93,18 @@
 use std::cell::Cell;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::Ordering::{Acquire, Relaxed, Release};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize};
-use std::sync::OnceLock;
+use std::sync::atomic::{AtomicU64, AtomicUsize};
 
 use fame_os::{OsError, PageId};
 use parking_lot::Mutex;
 
-use crate::shared::PageTable;
+use crate::dir::{past_bound, ChunkDir, MAX_PAGES};
 
 /// Default bound on a page's version-chain length.
 pub const DEFAULT_CHAIN_CAP: usize = 8;
 
-/// Metas per directory chunk (chunks are published once, addresses stable).
-const VCHUNK: usize = 16;
-/// Directory slots; caps distinct versioned pages at `VCHUNK * VCHUNKS`.
-const VCHUNKS: usize = 4096;
+/// Metas per directory chunk: 4 096 pages' worth, about 192 KiB.
+const VCHUNK: usize = 4096;
 
 #[cfg(test)]
 thread_local! {
@@ -143,9 +152,8 @@ struct ChainEntry {
 /// Per-page version state. Reached latch-free through the lock-free
 /// directory; `pending`/`committed_ts` mutate only under `chain`, so the
 /// slow path reads them race-free while holding it.
+#[derive(Default)]
 pub(crate) struct VersionMeta {
-    /// `page + 1` once assigned (0 = vacant slot), for directory sweeps.
-    owner: AtomicU64,
     /// Transactions with uncommitted writes to this page.
     pub(crate) pending: AtomicU64,
     /// Timestamp of the head image, meaningful while `pending == 0`.
@@ -155,52 +163,13 @@ pub(crate) struct VersionMeta {
 }
 
 impl VersionMeta {
-    fn new() -> Self {
-        VersionMeta {
-            owner: AtomicU64::new(0),
-            pending: AtomicU64::new(0),
-            committed_ts: AtomicU64::new(0),
-            chain: Mutex::new(Vec::new()),
-        }
+    /// Pending 0 and `committed_ts` 0: never written, or written only by
+    /// transactions that aborted before any commit was installed. Such a
+    /// meta's chain is empty — the capture such a streak pushed covers
+    /// `[0, 0)`, and the install that ended the streak pruned it.
+    fn is_fresh(&self) -> bool {
+        self.pending.load(Acquire) == 0 && self.committed_ts.load(Acquire) == 0
     }
-}
-
-/// Append-only meta storage, same publication scheme as the frame arena:
-/// chunk directory behind `OnceLock`s, stable addresses, lock-free `get`.
-struct MetaDir {
-    chunks: Box<[OnceLock<Box<[VersionMeta]>>]>,
-}
-
-impl MetaDir {
-    fn new() -> Self {
-        MetaDir {
-            chunks: (0..VCHUNKS).map(|_| OnceLock::new()).collect(),
-        }
-    }
-
-    fn get(&self, idx: usize) -> Option<&VersionMeta> {
-        self.chunks
-            .get(idx / VCHUNK)?
-            .get()
-            .map(|c| &c[idx % VCHUNK])
-    }
-
-    fn ensure(&self, idx: usize) -> &VersionMeta {
-        let chunk = self.chunks[idx / VCHUNK]
-            .get_or_init(|| (0..VCHUNK).map(|_| VersionMeta::new()).collect());
-        &chunk[idx % VCHUNK]
-    }
-
-    fn capacity(&self) -> usize {
-        self.chunks.len() * VCHUNK
-    }
-}
-
-/// Authoritative page → meta directory (behind `alloc`); the lock-free
-/// [`PageTable`] in front of it is a hint for the latch-free lookup.
-struct VersionAlloc {
-    map: HashMap<PageId, usize>,
-    len: usize,
 }
 
 /// Point-in-time snapshot counters for `StatsSnapshot` / the E14 gates.
@@ -221,13 +190,10 @@ pub struct VersionStats {
 /// Pool-wide version state: the commit watermarks, the per-page metas,
 /// the per-transaction first-dirty sets, and the snapshot registry.
 pub(crate) struct VersionStore {
-    /// Lock-free `page -> meta index` hint (mutations under `alloc`).
-    lookup: PageTable,
-    /// Set when the hint table filled up; lookups then fall back to the
-    /// authoritative map so versioned pages are never silently missed.
-    saturated: AtomicBool,
-    dir: MetaDir,
-    alloc: Mutex<VersionAlloc>,
+    /// One meta per page id below [`MAX_PAGES`].
+    metas: ChunkDir<VersionMeta, VCHUNK>,
+    /// What a page whose chunk is not materialized reads as.
+    fresh: VersionMeta,
     /// Per-transaction pages already counted into `pending` (first-dirty
     /// dedup). Drained by install/abort release.
     writes: Mutex<HashMap<u64, Vec<PageId>>>,
@@ -248,13 +214,8 @@ pub(crate) struct VersionStore {
 impl VersionStore {
     pub(crate) fn new() -> Self {
         VersionStore {
-            lookup: PageTable::new(4096),
-            saturated: AtomicBool::new(false),
-            dir: MetaDir::new(),
-            alloc: Mutex::new(VersionAlloc {
-                map: HashMap::new(),
-                len: 0,
-            }),
+            metas: ChunkDir::new(MAX_PAGES as usize),
+            fresh: VersionMeta::default(),
             writes: Mutex::new(HashMap::new()),
             pending_pages: AtomicU64::new(0),
             stable: AtomicU64::new(0),
@@ -270,48 +231,18 @@ impl VersionStore {
         self.cap.store(cap.max(1), Relaxed);
     }
 
-    /// Latch-free meta lookup. `None` is authoritative (no transaction
-    /// ever dirtied the page) unless the hint table saturated, in which
-    /// case the directory mutex answers.
-    pub(crate) fn get(&self, page: PageId) -> Option<&VersionMeta> {
-        if let Some(idx) = self.lookup.lookup(page) {
-            if let Some(vm) = self.dir.get(idx) {
-                if vm.owner.load(Acquire) == u64::from(page) + 1 {
-                    return Some(vm);
-                }
-            }
-        }
-        if self.saturated.load(Acquire) {
-            let a = self.alloc.lock();
-            return a.map.get(&page).and_then(|&idx| self.dir.get(idx));
-        }
-        None
+    /// Latch-free: `page`'s meta, or the `fresh` one that reads the same
+    /// as a never-written page's.
+    pub(crate) fn meta(&self, page: PageId) -> &VersionMeta {
+        self.metas.get(page as usize).unwrap_or(&self.fresh)
     }
 
-    fn ensure(&self, page: PageId) -> &VersionMeta {
-        if let Some(vm) = self.get(page) {
-            return vm;
-        }
-        let mut a = self.alloc.lock();
-        if let Some(&idx) = a.map.get(&page) {
-            return self.dir.get(idx).expect("mapped meta exists");
-        }
-        let idx = a.len;
-        assert!(
-            idx < self.dir.capacity(),
-            "version meta directory exhausted ({} pages)",
-            self.dir.capacity()
-        );
-        a.len += 1;
-        a.map.insert(page, idx);
-        let vm = self.dir.ensure(idx);
-        vm.owner.store(u64::from(page) + 1, Release);
-        self.lookup.insert(page, idx);
-        if self.lookup.lookup(page) != Some(idx) {
-            // Hint table full: flip to authoritative lookups for good.
-            self.saturated.store(true, Release);
-        }
-        vm
+    /// Every materialized meta that is not fresh, with its page.
+    fn written(&self) -> impl Iterator<Item = (PageId, &VersionMeta)> {
+        self.metas
+            .iter()
+            .filter(|(_, vm)| !vm.is_fresh())
+            .map(|(page, vm)| (page as PageId, vm))
     }
 
     /// Current transaction attribution of this thread (0 = none).
@@ -323,21 +254,25 @@ impl VersionStore {
     /// and `pre` = the head bytes *before* the mutation. On a `pending`
     /// 0 → 1 transition the pre-image is pushed onto the chain tagged
     /// with the page's `committed_ts`. Returns chain entries dropped by
-    /// the cap (for the prune span) — 0 when nothing was captured.
-    pub(crate) fn note_write(&self, page: PageId, pre: &[u8]) -> u64 {
+    /// the cap (for the prune span) — 0 when nothing was captured. A page
+    /// past [`MAX_PAGES`] is an `OutOfRange` error that changed nothing.
+    pub(crate) fn note_write(&self, page: PageId, pre: &[u8]) -> Result<u64, OsError> {
         let txn = CURRENT_TXN.get();
         if txn == 0 {
-            return 0;
+            return Ok(0);
         }
+        let vm = self
+            .metas
+            .ensure(page as usize, VersionMeta::default)
+            .ok_or_else(|| past_bound(page))?;
         {
             let mut w = self.writes.lock();
             let set = w.entry(txn).or_default();
             if set.contains(&page) {
-                return 0;
+                return Ok(0);
             }
             set.push(page);
         }
-        let vm = self.ensure(page);
         let mut chain = vm.chain.lock();
         let mut dropped = 0u64;
         if vm.pending.load(Relaxed) == 0 {
@@ -356,10 +291,10 @@ impl VersionStore {
             self.chain_max.fetch_max(chain.len() as u64, Relaxed);
         }
         vm.pending.fetch_add(1, Release);
-        dropped
+        Ok(dropped)
     }
 
-    /// Resolve `page` at snapshot timestamp `ts` under the chain lock,
+    /// Resolve `page` at snapshot timestamp `ts` under its chain lock,
     /// which freezes `pending`/`committed_ts` (streaks start and end
     /// under it). A covering chain entry is copied into `dst` (immutable
     /// once captured — no validation needed). If instead the *head* is
@@ -369,18 +304,22 @@ impl VersionStore {
     /// pass-through device read) serves the head right here; a pool that
     /// cannot promise that (the cached seqlock head needs no chain lock
     /// anyway) returns `None` and retries its own validated protocol,
-    /// signalled as [`Resolution::HeadRetry`].
+    /// signalled as [`Resolution::HeadRetry`]. So does a head read under
+    /// the `fresh` meta's lock once the page has a meta of its own: a
+    /// first write may have begun on it.
     pub(crate) fn resolve_chain(
         &self,
-        vm: &VersionMeta,
+        page: PageId,
         ts: u64,
         dst: &mut [u8],
         head_read: impl FnOnce(&mut [u8]) -> Option<Result<(), OsError>>,
     ) -> Resolution {
+        let vm = self.meta(page);
         let chain = vm.chain.lock();
         if vm.pending.load(Relaxed) == 0 && vm.committed_ts.load(Relaxed) <= ts {
             return match head_read(dst) {
-                Some(Ok(())) => Resolution::Head,
+                Some(Ok(())) if std::ptr::eq(vm, self.meta(page)) => Resolution::Head,
+                Some(Ok(())) => Resolution::HeadRetry,
                 Some(Err(e)) => Resolution::HeadErr(e),
                 None => Resolution::HeadRetry,
             };
@@ -411,7 +350,10 @@ impl VersionStore {
             }
         }
         for &page in &touched {
-            let vm = self.ensure(page);
+            let vm = self
+                .metas
+                .get(page as usize)
+                .expect("a noted page has a meta");
             let _chain = vm.chain.lock();
             // Timestamp first, then `pending` ("Publication order").
             let pending = vm.pending.load(Relaxed);
@@ -429,29 +371,30 @@ impl VersionStore {
         }
         touched.sort_unstable();
         touched.dedup();
-        self.prune_pages(&touched)
+        self.prune_pages(touched.iter().map(|&page| (page, self.meta(page))))
     }
 
     /// Prune `pages` against the low-water mark: every active snapshot
     /// plus the current `stable` (the next snapshot will be taken there).
     ///
-    /// The snapshot registry lock is held across the *whole* sweep — the
+    /// The snapshot registry lock is held across the *whole* pass — the
     /// keep set must never go stale against a concurrent registration. A
     /// registration therefore either lands in this keep set, or waits and
     /// registers at the then-current `stable`, whose state every head
-    /// covers. (`stable` itself may still advance mid-sweep, but only to
+    /// covers. (`stable` itself may still advance mid-pass, but only to
     /// installed timestamps ≥ any closed entry's upper bound, so it can
-    /// never land inside an interval this sweep drops.)
-    fn prune_pages(&self, pages: &[PageId]) -> Vec<(PageId, u64)> {
+    /// never land inside an interval this pass drops.)
+    fn prune_pages<'a>(
+        &'a self,
+        pages: impl Iterator<Item = (PageId, &'a VersionMeta)>,
+    ) -> Vec<(PageId, u64)> {
         let snaps = self.snaps.lock();
         let mut keep: Vec<u64> = snaps.keys().copied().collect();
         keep.push(self.stable.load(Relaxed));
         keep.sort_unstable();
         keep.dedup();
         let swept = pages
-            .iter()
-            .filter_map(|&page| {
-                let vm = self.get(page)?;
+            .filter_map(|(page, vm)| {
                 let dropped = self.prune_one(vm, &keep);
                 (dropped > 0).then_some((page, dropped))
             })
@@ -523,8 +466,9 @@ impl VersionStore {
         (ts, active)
     }
 
-    /// Deregister a snapshot and sweep-prune every chain against the new
-    /// low-water mark. Returns `(page, entries_dropped)` pairs.
+    /// Deregister a snapshot and prune every chain against the new
+    /// low-water mark — fresh metas, whose chains are empty, are skipped
+    /// without taking their lock. Returns `(page, entries_dropped)` pairs.
     pub(crate) fn snapshot_end(&self, ts: u64) -> Vec<(PageId, u64)> {
         {
             let mut s = self.snaps.lock();
@@ -535,19 +479,14 @@ impl VersionStore {
                 }
             }
         }
-        let pages: Vec<PageId> = self.alloc.lock().map.keys().copied().collect();
-        self.prune_pages(&pages)
+        self.prune_pages(self.written())
     }
 
     pub(crate) fn stats(&self) -> VersionStats {
-        let live_entries = {
-            let a = self.alloc.lock();
-            a.map
-                .values()
-                .filter_map(|&i| self.dir.get(i))
-                .map(|vm| vm.chain.lock().len() as u64)
-                .sum()
-        };
+        let live_entries = self
+            .written()
+            .map(|(_, vm)| vm.chain.lock().len() as u64)
+            .sum();
         VersionStats {
             chain_max: self.chain_max.load(Relaxed),
             active: self.snaps.lock().values().sum(),

@@ -26,7 +26,7 @@ impl Xtea {
     }
 
     /// Encrypt one 64-bit block given as two 32-bit words.
-    pub fn encrypt_block(&self, block: [u32; 2]) -> [u32; 2] {
+    fn encrypt_block(&self, block: [u32; 2]) -> [u32; 2] {
         let [mut v0, mut v1] = block;
         let mut sum: u32 = 0;
         for _ in 0..ROUNDS {
@@ -44,7 +44,7 @@ impl Xtea {
     }
 
     /// Decrypt one 64-bit block given as two 32-bit words.
-    pub fn decrypt_block(&self, block: [u32; 2]) -> [u32; 2] {
+    fn decrypt_block(&self, block: [u32; 2]) -> [u32; 2] {
         let [mut v0, mut v1] = block;
         let mut sum: u32 = DELTA.wrapping_mul(ROUNDS);
         for _ in 0..ROUNDS {

@@ -338,9 +338,11 @@ lru = "LRU"
         assert!(c.feature_map.contains_key("concurrency-multi-writer"));
         // The seqlock protocol fields carry reasoned allowlist entries;
         // `pins` was retired along with the field itself (version
-        // validation subsumes pinning on the hit path).
+        // validation subsumes pinning on the hit path), and the hashed
+        // `PageTable` with its type (the page map that replaced it loads
+        // Acquire and stores Release, so it needs no entry).
         assert!(c.atomic_allow_reason("SharedFrame", "version").is_some());
-        assert!(c.atomic_allow_reason("PageTable", "slots").is_some());
+        assert!(c.atomic_allow_reason("PageTable", "slots").is_none());
         assert!(c.atomic_allow_reason("SharedFrame", "pins").is_none());
         // The former shard->shard upgrade allowlist entry is retired:
         // Pass A's edge-aware joins prove the release-then-reacquire

@@ -98,7 +98,8 @@ impl FrameAllocator {
     }
 
     /// High-water mark of live frames (the RAM NFP).
-    pub fn peak(&self) -> usize {
+    #[cfg(test)]
+    fn peak(&self) -> usize {
         self.peak
     }
 

@@ -21,9 +21,10 @@
 //!   ordering bugs become observable.
 //!
 //! For multi-crash experiments a queue of follow-up plans can be installed
-//! with [`FaultDevice::push_plan`]; each [`FaultDevice::heal`] arms the next
-//! one, so a schedule like "crash during recovery from the first crash"
-//! survives the heal that separates the two crashes.
+//! (`push_plan`, so far used only by this module's tests); each
+//! [`FaultDevice::heal`] arms the next one, so a schedule like "crash during
+//! recovery from the first crash" survives the heal that separates the two
+//! crashes.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -101,7 +102,8 @@ impl<D: BlockDevice> FaultDevice<D> {
     }
 
     /// Whether the failure has been triggered.
-    pub fn is_tripped(&self) -> bool {
+    #[cfg(test)]
+    fn is_tripped(&self) -> bool {
         self.tripped
     }
 
@@ -114,11 +116,6 @@ impl<D: BlockDevice> FaultDevice<D> {
     /// Successful durability barriers so far.
     pub fn syncs_done(&self) -> u64 {
         self.syncs_done
-    }
-
-    /// Pages staged in the volatile cache (write-back mode only).
-    pub fn staged_pages(&self) -> usize {
-        self.staged.len()
     }
 
     /// The currently armed plan.
@@ -134,7 +131,8 @@ impl<D: BlockDevice> FaultDevice<D> {
     /// Queue a plan to be armed by a future [`FaultDevice::heal`]. Plans
     /// arm in FIFO order; once the queue is empty, heal installs the
     /// benign default plan.
-    pub fn push_plan(&mut self, plan: FaultPlan) {
+    #[cfg(test)]
+    fn push_plan(&mut self, plan: FaultPlan) {
         self.schedule.push_back(plan);
     }
 

@@ -91,7 +91,8 @@ impl FlashDevice {
     }
 
     /// Highest erase count over all blocks (simple wear metric).
-    pub fn max_wear(&self) -> u32 {
+    #[cfg(test)]
+    fn max_wear(&self) -> u32 {
         self.erase_counts.iter().copied().max().unwrap_or(0)
     }
 

@@ -38,7 +38,8 @@ impl InMemoryDevice {
 
     /// Bytes currently held (pages * page size) — the RAM-footprint metric
     /// used by NFP reports.
-    pub fn resident_bytes(&self) -> usize {
+    #[cfg(test)]
+    fn resident_bytes(&self) -> usize {
         self.pages.len() * self.page_size
     }
 }

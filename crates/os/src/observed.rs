@@ -57,7 +57,7 @@ impl ObservedDevice {
     /// Wrap `inner`, recording into an existing [`IoTiming`] (so several
     /// devices — data, log — can share one set of histograms or keep
     /// separate ones, caller's choice).
-    pub fn with_timing(inner: Box<dyn BlockDevice>, timing: Arc<IoTiming>) -> Self {
+    fn with_timing(inner: Box<dyn BlockDevice>, timing: Arc<IoTiming>) -> Self {
         ObservedDevice { inner, timing }
     }
 

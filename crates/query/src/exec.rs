@@ -132,7 +132,7 @@ impl SqlEngine {
     }
 
     /// Execute an already-parsed statement.
-    pub fn execute_stmt(&mut self, pager: &mut Pager, stmt: Stmt) -> QueryResult<QueryOutput> {
+    fn execute_stmt(&mut self, pager: &mut Pager, stmt: Stmt) -> QueryResult<QueryOutput> {
         match stmt {
             Stmt::CreateTable { name, columns } => {
                 let schema = Schema::new(columns);

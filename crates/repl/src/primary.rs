@@ -82,7 +82,8 @@ impl Primary {
     }
 
     /// Ack timeout for the synchronous policy (default 5 s).
-    pub fn set_ack_timeout(&mut self, t: Duration) {
+    #[cfg(test)]
+    fn set_ack_timeout(&mut self, t: Duration) {
         self.ack_timeout = t;
     }
 
@@ -98,11 +99,6 @@ impl Primary {
             acked: 0,
         });
         Replica::new(id, rx, ack_tx)
-    }
-
-    /// Number of attached replicas.
-    pub fn replica_count(&self) -> usize {
-        self.links.len()
     }
 
     /// Last shipped sequence number.
@@ -140,7 +136,7 @@ impl Primary {
     }
 
     /// Block until every replica acknowledged `seq`.
-    pub fn wait_for(&mut self, seq: u64) -> Result<(), ReplicationError> {
+    fn wait_for(&mut self, seq: u64) -> Result<(), ReplicationError> {
         for (i, link) in self.links.iter_mut().enumerate() {
             while link.acked < seq {
                 match link.ack_rx.recv_timeout(self.ack_timeout) {

@@ -129,12 +129,13 @@ impl BTree {
     /// uses this: a reader resolves `root_slot` through its own pager view
     /// on every lookup, so a root moved by the writer (split, collapse) is
     /// picked up without reopening.
-    pub fn at_root(root: PageId, root_slot: usize) -> BTree {
+    fn at_root(root: PageId, root_slot: usize) -> BTree {
         BTree { root, root_slot }
     }
 
-    /// The current root page (tests, diagnostics).
-    pub fn root_page(&self) -> PageId {
+    /// The current root page.
+    #[cfg(test)]
+    fn root_page(&self) -> PageId {
         self.root
     }
 

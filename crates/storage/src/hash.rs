@@ -33,7 +33,7 @@ fn cell_value(c: &[u8]) -> &[u8] {
 }
 
 /// FNV-1a 64-bit hash (from scratch; stable across platforms).
-pub fn fnv1a(data: &[u8]) -> u64 {
+fn fnv1a(data: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in data {
         h ^= u64::from(b);
@@ -52,7 +52,7 @@ pub struct HashIndex {
 
 impl HashIndex {
     /// Buckets that fit one directory page at the given page size.
-    pub fn max_buckets(pager: &Pager) -> u32 {
+    fn max_buckets(pager: &Pager) -> u32 {
         ((pager.page_size() - PAGE_HEADER_SIZE) / 4) as u32
     }
 

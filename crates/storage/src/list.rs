@@ -55,11 +55,6 @@ impl ListIndex {
         Ok(ListIndex { head, root_slot })
     }
 
-    /// Head page (diagnostics).
-    pub fn head_page(&self) -> PageId {
-        self.head
-    }
-
     /// Root slot this list persists to.
     pub fn root_slot(&self) -> usize {
         self.root_slot
@@ -200,25 +195,6 @@ impl ListIndex {
     pub fn is_empty(&self, pager: &mut Pager) -> Result<bool> {
         Ok(self.len(pager)? == 0)
     }
-
-    /// Collect every `(key, value)` pair, in storage (not key) order.
-    pub fn scan_all(&self, pager: &mut Pager) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
-        let mut page = self.head;
-        let mut out = Vec::new();
-        loop {
-            let next = pager.with_page(page, |buf| {
-                let v = PageView::new(buf);
-                for (_, c) in v.iter() {
-                    out.push((cell_key(c).to_vec(), cell_value(c).to_vec()));
-                }
-                v.next_page()
-            })?;
-            match next {
-                Some(p) => page = p,
-                None => return Ok(out),
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -279,7 +255,6 @@ mod tests {
                 Some(vec![i as u8; 16])
             );
         }
-        assert_eq!(l.scan_all(&mut pg).unwrap().len(), 100);
     }
 
     #[test]

@@ -23,8 +23,6 @@
 //! * **ordered cells** ([`SlottedPage::insert_at`]/[`SlottedPage::remove_at`]):
 //!   the slot directory is treated as a dense sorted array (B+-tree nodes).
 
-use crate::error::{Result, StorageError};
-
 /// Size of the fixed page header in bytes.
 pub const PAGE_HEADER_SIZE: usize = 16;
 
@@ -168,7 +166,8 @@ impl<'a> PageView<'a> {
     }
 
     /// Contiguous free bytes (between slot directory and cell area).
-    pub fn free_space(&self) -> usize {
+    #[cfg(test)]
+    fn free_space(&self) -> usize {
         let free_end = get_u16(self.buf, 4) as usize;
         let dir_end = PAGE_HEADER_SIZE + 4 * self.slot_count();
         free_end.saturating_sub(dir_end)
@@ -236,11 +235,6 @@ impl<'a> SlottedPage<'a> {
     /// See [`PageView::live_count`].
     pub fn live_count(&self) -> usize {
         self.view().live_count()
-    }
-
-    /// See [`PageView::free_space`].
-    pub fn free_space(&self) -> usize {
-        self.view().free_space()
     }
 
     /// See [`PageView::total_free`].
@@ -474,18 +468,6 @@ impl<'a> SlottedPage<'a> {
     }
 }
 
-/// Check that the buffer's type byte matches, as a corruption guard.
-pub fn expect_type(buf: &[u8], page: u32, ty: PageType) -> Result<()> {
-    if PageType::from_u8(buf[0]) == Some(ty) {
-        Ok(())
-    } else {
-        Err(StorageError::Corrupt {
-            page,
-            reason: format!("expected {:?}, found type byte {}", ty, buf[0]),
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -502,7 +484,7 @@ mod tests {
         assert_eq!(p.slot_count(), 0);
         assert_eq!(p.next_page(), None);
         assert_eq!(p.aux(), None);
-        assert_eq!(p.free_space(), 256 - PAGE_HEADER_SIZE);
+        assert_eq!(p.view().free_space(), 256 - PAGE_HEADER_SIZE);
     }
 
     #[test]
@@ -648,22 +630,13 @@ mod tests {
     }
 
     #[test]
-    fn expect_type_guard() {
-        let mut buf = page(128);
-        SlottedPage::init(&mut buf, PageType::Heap);
-        assert!(expect_type(&buf, 3, PageType::Heap).is_ok());
-        let err = expect_type(&buf, 3, PageType::BTreeLeaf).unwrap_err();
-        assert!(err.to_string().contains("page 3"));
-    }
-
-    #[test]
     fn total_free_accounts_for_garbage() {
         let mut buf = page(256);
         let mut p = SlottedPage::init(&mut buf, PageType::Heap);
         let s = p.insert(&[0u8; 50]).unwrap();
-        let before = p.free_space();
+        let before = p.view().free_space();
         p.delete(s);
-        assert_eq!(p.free_space(), before, "contiguous space unchanged");
+        assert_eq!(p.view().free_space(), before, "contiguous space unchanged");
         assert!(p.total_free() > before, "garbage counted as reclaimable");
     }
 

@@ -180,7 +180,8 @@ impl Pager {
     }
 
     /// Head of the free list, `None` when empty.
-    pub fn free_head(&self) -> Result<Option<PageId>> {
+    #[cfg(test)]
+    fn free_head(&self) -> Result<Option<PageId>> {
         let v = self.meta.free_head;
         Ok(if v == NO_PAGE { None } else { Some(v) })
     }

@@ -21,22 +21,6 @@ impl RecordId {
     pub fn new(page: u32, slot: u16) -> Self {
         RecordId { page, slot }
     }
-
-    /// Pack into 6 bytes (LE page, LE slot) for embedding in index values.
-    pub fn to_bytes(self) -> [u8; 6] {
-        let mut b = [0u8; 6];
-        b[0..4].copy_from_slice(&self.page.to_le_bytes());
-        b[4..6].copy_from_slice(&self.slot.to_le_bytes());
-        b
-    }
-
-    /// Unpack from the 6-byte form.
-    pub fn from_bytes(b: &[u8; 6]) -> Self {
-        RecordId {
-            page: u32::from_le_bytes(b[0..4].try_into().expect("4 bytes")),
-            slot: u16::from_le_bytes(b[4..6].try_into().expect("2 bytes")),
-        }
-    }
 }
 
 impl fmt::Display for RecordId {
@@ -48,12 +32,6 @@ impl fmt::Display for RecordId {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn byte_round_trip() {
-        let r = RecordId::new(0xDEADBEEF, 0x1234);
-        assert_eq!(RecordId::from_bytes(&r.to_bytes()), r);
-    }
 
     #[test]
     fn ordering_is_page_major() {

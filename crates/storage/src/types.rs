@@ -348,7 +348,8 @@ impl Schema {
     }
 
     /// Decode a full row.
-    pub fn decode_row(&self, data: &[u8]) -> Result<Vec<Value>> {
+    #[cfg(test)]
+    fn decode_row(&self, data: &[u8]) -> Result<Vec<Value>> {
         let mut row = Vec::with_capacity(self.arity());
         self.decode_row_into(data, &vec![true; self.arity()], &mut row)?;
         Ok(row)
@@ -356,7 +357,7 @@ impl Schema {
 
     /// Decode a row into `row` (cleared first), materialising only the
     /// columns `keep` marks. Every other column is checked just as fully
-    /// as [`Schema::decode_row`] checks it and left `Null`, so a corrupt
+    /// as a kept one and left `Null`, so a corrupt
     /// column fails the decode whether or not it is read.
     pub fn decode_row_into(
         &self,

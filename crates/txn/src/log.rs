@@ -205,7 +205,8 @@ impl LogWriter {
 
     /// Capacity of the persistent encode buffer (tests assert it reaches
     /// a steady state — i.e. appends stop allocating).
-    pub fn frame_buf_capacity(&self) -> usize {
+    #[cfg(test)]
+    fn frame_buf_capacity(&self) -> usize {
         self.frame_buf.capacity()
     }
 
@@ -310,7 +311,7 @@ impl LogReader {
     }
 
     /// Read the next record; `None` at the (possibly torn) end of the log.
-    pub fn next_record(&mut self) -> Result<Option<(Lsn, LogRecord)>, OsError> {
+    fn next_record(&mut self) -> Result<Option<(Lsn, LogRecord)>, OsError> {
         let lsn = self.pos;
         let header = match self.read_bytes(FRAME_HEADER)? {
             Some(h) => h,

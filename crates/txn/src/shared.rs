@@ -126,8 +126,8 @@ impl SharedTxnManager {
 
     /// Newest commit timestamp handed to a drained batch (Snapshot
     /// feature); 0 before the first commit.
-    #[cfg(feature = "snapshot")]
-    pub fn commit_ts(&self) -> u64 {
+    #[cfg(all(test, feature = "snapshot"))]
+    fn commit_ts(&self) -> u64 {
         self.clock.load(std::sync::atomic::Ordering::Acquire)
     }
 
