@@ -44,9 +44,34 @@ cargo test -q -p fame-txn
 echo "== fame-txn alone in its MultiWriter build (the blocking lock table's deadlock scripts and the shared manager)"
 cargo test -q -p fame-txn --features multi-writer,obs
 
-echo "== replacement alternatives alone (each member of the group builds and passes without the other)"
+echo "== replacement alternatives alone (each member of the group builds and passes without the other, in both pools)"
 cargo test -q -p fame-buffer --no-default-features --features lru
 cargo test -q -p fame-buffer --no-default-features --features lfu
+for replacement in lru lfu; do
+    cargo clippy -p fame-buffer --no-default-features --features shared,$replacement --all-targets -- -D warnings
+    cargo test -q -p fame-buffer --no-default-features --features shared,$replacement
+done
+
+echo "== facade refinements in their own products (each db/ file under the gate that selects it, warnings are errors)"
+# The workspace build unifies fame-dbms to `full`, where a refinement
+# gated wrong still compiles; these products select one refinement each.
+# product-min is the benchmark's minimal product (benchmark/Cargo.toml).
+for features in \
+        api-put,api-get,index-btree,btree-update,buffer,replace-lru,alloc-dynamic,os-inmem \
+        standard \
+        standard,transactions,commit-force \
+        standard,replication \
+        standard,statistics \
+        standard,api-batch \
+        standard,sql \
+        standard,index-queue \
+        standard,concurrency-multi \
+        standard,concurrency-multi-writer,commit-group \
+        standard,concurrency-snapshot,commit-force \
+        standard,obs-trace; do
+    echo "   --features $features"
+    cargo clippy -q -p fame-dbms --no-default-features --features "$features" -- -D warnings
+done
 
 echo "== SQL engine without the Optimizer (every statement a full scan through the streaming executor)"
 cargo test -q -p fame-query --no-default-features --features sql
@@ -143,9 +168,9 @@ echo "== code budgets (facade cfg gates and lines, engine lines; lower the ceili
 # made of — one lock table, one commit step, one op ring, two pools (the
 # pools share an outline and no code; ROADMAP records why they stay). A
 # PR that deletes code lowers a ceiling; none is ever raised.
-FACADE_CFG_CEILING=361
-FACADE_LINES_CEILING=3717
-ENGINE_LINES_CEILING=12135
+FACADE_CFG_CEILING=299
+FACADE_LINES_CEILING=3712
+ENGINE_LINES_CEILING=12131
 # Counted recursively, so splitting a file into a module directory moves
 # no line out of the count.
 facade_cfg=$(find crates/core/src -name '*.rs' -exec cat {} + | grep -c 'cfg(')

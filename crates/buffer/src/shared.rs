@@ -1226,9 +1226,10 @@ fn pick_victim(shard: &CachedShard, s: &ShardCore, kind: ReplacementKind) -> Opt
         }
         let stamp = fr.stamp.load(Relaxed) as u128;
         let score = match kind {
+            #[cfg(feature = "lru")]
+            ReplacementKind::Lru => stamp,
             #[cfg(feature = "lfu")]
             ReplacementKind::Lfu => ((fr.count.load(Relaxed) as u128) << 64) | stamp,
-            _ => stamp,
         };
         if best.map(|(b, _)| score < b).unwrap_or(true) {
             best = Some((score, i));

@@ -93,29 +93,6 @@ pub struct TxnConfig {
     pub commit: fame_txn::CommitPolicy,
 }
 
-/// Statistics settings (feature `statistics`).
-///
-/// The counters and histograms are always on when the feature is composed
-/// (they are cheaper than a branch to skip them); this only sizes the
-/// op-trace ring. The Tracing child's span rings (feature `obs-trace`)
-/// have a fixed size, which is not set here.
-#[cfg(feature = "statistics")]
-#[derive(Debug, Clone, Copy)]
-pub struct StatsConfig {
-    /// Capacity of the op-trace ring (events; allocated once at open,
-    /// oldest entries overwritten). 0 is clamped to 1.
-    pub trace_capacity: usize,
-}
-
-#[cfg(feature = "statistics")]
-impl Default for StatsConfig {
-    fn default() -> Self {
-        StatsConfig {
-            trace_capacity: 256,
-        }
-    }
-}
-
 /// Complete runtime configuration of one product instance.
 #[derive(Debug, Clone)]
 pub struct DbmsConfig {
@@ -157,9 +134,6 @@ pub struct DbmsConfig {
     /// Replication acknowledgement policy.
     #[cfg(feature = "replication")]
     pub replication: Option<fame_repl::AckPolicy>,
-    /// Statistics settings (op-trace ring size).
-    #[cfg(feature = "statistics")]
-    pub stats: StatsConfig,
 }
 
 impl DbmsConfig {
@@ -189,8 +163,6 @@ impl DbmsConfig {
             crypto_key: None,
             #[cfg(feature = "replication")]
             replication: None,
-            #[cfg(feature = "statistics")]
-            stats: StatsConfig::default(),
         }
     }
 
@@ -283,14 +255,11 @@ impl DbmsConfig {
                 return Err("replication is not supported with Concurrency::MultiWriter".into());
             }
         }
-        #[cfg(feature = "transactions")]
-        {
-            #[cfg(feature = "buffer")]
-            if self.transactions.is_some() && self.buffer.is_none() {
-                // Mirrors the model constraint `Transaction requires
-                // BufferManager`.
-                return Err("transactions require the buffer manager".into());
-            }
+        #[cfg(all(feature = "transactions", feature = "buffer"))]
+        if self.transactions.is_some() && self.buffer.is_none() {
+            // Mirrors the model constraint `Transaction requires
+            // BufferManager`.
+            return Err("transactions require the buffer manager".into());
         }
         Ok(())
     }
@@ -298,60 +267,42 @@ impl DbmsConfig {
 
 fn default_os() -> OsTarget {
     #[cfg(feature = "os-inmem")]
-    {
-        OsTarget::InMemory {
-            capacity_pages: None,
-        }
-    }
+    return OsTarget::InMemory {
+        capacity_pages: None,
+    };
     #[cfg(all(not(feature = "os-inmem"), feature = "os-std"))]
-    {
-        OsTarget::File {
-            path: std::env::temp_dir().join("fame-dbms.db"),
-        }
-    }
+    return OsTarget::File {
+        path: std::env::temp_dir().join("fame-dbms.db"),
+    };
     #[cfg(all(
         not(feature = "os-inmem"),
         not(feature = "os-std"),
         feature = "os-flash"
     ))]
-    {
-        OsTarget::Flash(FlashConfig::default())
-    }
+    return OsTarget::Flash(FlashConfig::default());
 }
 
 fn default_index() -> IndexKind {
     #[cfg(feature = "index-btree")]
-    {
-        IndexKind::BTree
-    }
+    return IndexKind::BTree;
     #[cfg(all(not(feature = "index-btree"), feature = "index-list"))]
-    {
-        IndexKind::List
-    }
+    return IndexKind::List;
     #[cfg(all(
         not(feature = "index-btree"),
         not(feature = "index-list"),
         feature = "index-hash"
     ))]
-    {
-        IndexKind::Hash { buckets: 64 }
-    }
+    return IndexKind::Hash { buckets: 64 };
 }
 
 #[cfg(feature = "buffer")]
 fn default_replacement() -> fame_buffer::ReplacementKind {
     #[cfg(feature = "replace-lru")]
-    {
-        fame_buffer::ReplacementKind::Lru
-    }
+    return fame_buffer::ReplacementKind::Lru;
     #[cfg(all(not(feature = "replace-lru"), feature = "replace-lfu"))]
-    {
-        fame_buffer::ReplacementKind::Lfu
-    }
+    return fame_buffer::ReplacementKind::Lfu;
     #[cfg(all(not(feature = "replace-lru"), not(feature = "replace-lfu")))]
-    {
-        compile_error!("feature `buffer` needs `replace-lru` or `replace-lfu`")
-    }
+    compile_error!("feature `buffer` needs `replace-lru` or `replace-lfu`")
 }
 
 #[cfg(test)]

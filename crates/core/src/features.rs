@@ -134,14 +134,8 @@ pub fn model_configuration(
     if let Some(b) = &config.buffer {
         select("BufferManager");
         select("Replacement");
-        match b.replacement {
-            #[cfg(feature = "replace-lru")]
-            fame_buffer::ReplacementKind::Lru => select("LRU"),
-            #[cfg(feature = "replace-lfu")]
-            fame_buffer::ReplacementKind::Lfu => select("LFU"),
-            #[allow(unreachable_patterns)]
-            _ => select("LRU"),
-        }
+        // The policy's report name is its Fig. 2 feature: LRU or LFU.
+        select(b.replacement.name());
         select("MemoryAlloc");
         if b.static_alloc {
             select("Static");

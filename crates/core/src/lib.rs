@@ -56,39 +56,21 @@ compile_error!("FAME-DBMS needs at least one OS backend: os-std, os-inmem, or os
 ))]
 compile_error!("feature `transactions` needs a commit protocol: commit-force or commit-group");
 
-#[cfg(feature = "api-batch")]
-mod batch;
 pub mod config;
 pub mod db;
 pub mod error;
 mod factory;
 pub mod features;
-#[cfg(feature = "statistics")]
-mod stats;
 
 #[cfg(feature = "transactions")]
 pub use config::TxnConfig;
 pub use config::{BufferConfig, DbmsConfig, IndexKind, OsTarget};
-pub use db::Database;
+// The facade and the handle types of every composed refinement, gated
+// once in `db`.
+pub use db::*;
 pub use error::DbmsError;
 pub use features::{active_features, model_configuration};
 
-#[cfg(feature = "statistics")]
-pub use config::StatsConfig;
-#[cfg(feature = "concurrency-multi")]
-pub use db::DbReader;
-#[cfg(feature = "concurrency-snapshot")]
-pub use db::DbSnapshot;
-#[cfg(feature = "concurrency-multi-writer")]
-pub use db::DbWriter;
-#[cfg(all(feature = "concurrency-multi-writer", feature = "statistics"))]
-pub use db::LockStats;
-#[cfg(feature = "transactions")]
-pub use db::TxnHandle;
-#[cfg(feature = "api-batch")]
-pub use db::WriteBatch;
-#[cfg(feature = "statistics")]
-pub use db::{IntegritySummary, StatsSnapshot};
 #[cfg(feature = "buffer")]
 pub use fame_buffer::Concurrency;
 

@@ -59,7 +59,7 @@ pub struct Primary {
     ack_timeout: Duration,
     /// Tracing feature: one `repl-ship` span per shipped operation.
     #[cfg(feature = "trace")]
-    sink: Option<std::sync::Arc<fame_obs::TraceSink>>,
+    sink: std::sync::OnceLock<std::sync::Arc<fame_obs::TraceSink>>,
 }
 
 impl Primary {
@@ -71,14 +71,14 @@ impl Primary {
             seq: 0,
             ack_timeout: Duration::from_secs(5),
             #[cfg(feature = "trace")]
-            sink: None,
+            sink: std::sync::OnceLock::new(),
         }
     }
 
-    /// Install the span sink (Tracing feature).
+    /// Install the span sink (Tracing feature); the first install wins.
     #[cfg(feature = "trace")]
-    pub fn set_trace_sink(&mut self, sink: std::sync::Arc<fame_obs::TraceSink>) {
-        self.sink = Some(sink);
+    pub fn set_trace_sink(&self, sink: std::sync::Arc<fame_obs::TraceSink>) {
+        let _ = self.sink.set(sink);
     }
 
     /// Ack timeout for the synchronous policy (default 5 s).
@@ -123,7 +123,7 @@ impl Primary {
             self.wait_for(seq)?;
         }
         #[cfg(feature = "trace")]
-        if let Some(s) = &self.sink {
+        if let Some(s) = self.sink.get() {
             s.emit(
                 fame_obs::SpanKind::ReplShip,
                 0,

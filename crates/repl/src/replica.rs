@@ -49,23 +49,11 @@ impl ReplicaState {
     /// Order-independent digest of the state (FNV-1a over sorted entries);
     /// primaries compare digests to verify convergence.
     pub fn digest(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |b: u8| {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x1000_0000_01b3);
-        };
-        for ((idx, k), v) in &self.data {
-            mix(*idx);
-            for &b in k {
-                mix(b);
-            }
-            mix(0xFE);
-            for &b in v {
-                mix(b);
-            }
-            mix(0xFF);
-        }
-        h
+        digest_of(
+            self.data
+                .iter()
+                .map(|((idx, k), v)| (*idx, k.as_slice(), v.as_slice())),
+        )
     }
 }
 

@@ -109,6 +109,9 @@ enum Ins {
 }
 
 impl BTree {
+    /// The access method's name in reports (`StatsSnapshot::index`).
+    pub const NAME: &'static str = "B+-Tree";
+
     /// Create an empty tree and persist its root in `root_slot`.
     pub fn create(pager: &mut Pager, root_slot: usize) -> Result<BTree> {
         let root = pager.allocate()?;

@@ -51,6 +51,9 @@ pub struct HashIndex {
 }
 
 impl HashIndex {
+    /// The access method's name in reports (`StatsSnapshot::index`).
+    pub const NAME: &'static str = "Hash";
+
     /// Buckets that fit one directory page at the given page size.
     fn max_buckets(pager: &Pager) -> u32 {
         ((pager.page_size() - PAGE_HEADER_SIZE) / 4) as u32

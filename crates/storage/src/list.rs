@@ -39,6 +39,9 @@ pub struct ListIndex {
 }
 
 impl ListIndex {
+    /// The access method's name in reports (`StatsSnapshot::index`).
+    pub const NAME: &'static str = "List";
+
     /// Create an empty list persisted in `root_slot`.
     pub fn create(pager: &mut Pager, root_slot: usize) -> Result<ListIndex> {
         let head = pager.allocate()?;
