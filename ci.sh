@@ -72,8 +72,15 @@ for features in \
     echo "   --features $features"
     cargo clippy -q -p fame-dbms --no-default-features --features "$features" -- -D warnings
 done
+# The MultiReader product with its tests: without replace-lfu the
+# readers suite composes one replacement policy.
+cargo clippy -q -p fame-dbms --no-default-features --features standard,concurrency-multi --all-targets -- -D warnings
 
 echo "== SQL engine without the Optimizer (every statement a full scan through the streaming executor)"
+# The workspace build always composes the Optimizer in, so code on the
+# far side of its gate is only linted here.
+cargo clippy -p fame-query --no-default-features --features sql --all-targets -- -D warnings
+cargo clippy -p fame-query --no-default-features --features sql,obs --all-targets -- -D warnings
 cargo test -q -p fame-query --no-default-features --features sql
 
 echo "== fame-lint self-run + E11 seeded-defect corpus (gate: violations fail, warnings pass)"

@@ -8,6 +8,7 @@
 //! copied out.
 
 use std::borrow::Cow;
+use std::sync::Arc;
 
 use fame_storage::{BTree, DataType, Pager, Schema, Value};
 
@@ -81,6 +82,11 @@ pub struct QueryObsSnapshot {
 /// The SQL engine: parser + planner + executor over a [`Catalog`].
 pub struct SqlEngine {
     catalog: Catalog,
+    /// Tables resolved since their name was last created or dropped. The
+    /// engine is its catalog's only writer (it hands the catalog out by
+    /// shared reference), so only its own CREATE and DROP can make an
+    /// entry stale, and both drop it.
+    tables: Vec<Arc<TableInfo>>,
     /// Access-path labels of executed SELECT/UPDATE/DELETE statements
     /// (diagnostics for the optimizer ablation).
     last_path: Option<&'static str>,
@@ -93,6 +99,7 @@ impl SqlEngine {
     pub fn new(catalog: Catalog) -> Self {
         SqlEngine {
             catalog,
+            tables: Vec::new(),
             last_path: None,
             #[cfg(feature = "obs")]
             obs: QueryObs::default(),
@@ -125,6 +132,21 @@ impl SqlEngine {
         }
     }
 
+    /// The named table, resolved through the catalog on first use.
+    fn table(&mut self, pager: &mut Pager, name: &str) -> QueryResult<Arc<TableInfo>> {
+        if let Some(info) = self.tables.iter().find(|t| t.name == name) {
+            return Ok(Arc::clone(info));
+        }
+        let info = Arc::new(self.catalog.table(pager, name)?);
+        self.tables.push(Arc::clone(&info));
+        Ok(info)
+    }
+
+    /// Drop the resolved entry of a table whose catalog entry changes.
+    fn forget(&mut self, name: &str) {
+        self.tables.retain(|t| t.name != name);
+    }
+
     /// Parse and execute one statement.
     pub fn execute(&mut self, pager: &mut Pager, sql: &str) -> QueryResult<QueryOutput> {
         let stmt = parse(sql)?;
@@ -146,15 +168,17 @@ impl SqlEngine {
                         schema.columns()[0].name
                     )));
                 }
+                self.forget(&name);
                 self.catalog.create_table(pager, &name, &schema)?;
                 Ok(QueryOutput::Created)
             }
             Stmt::DropTable { name } => {
+                self.forget(&name);
                 self.catalog.drop_table(pager, &name)?;
                 Ok(QueryOutput::Dropped)
             }
             Stmt::Insert { table, rows } => {
-                let info = self.catalog.table(pager, &table)?;
+                let info = self.table(pager, &table)?;
                 let mut tree = BTree::open(pager, info.slot)?;
                 let mut n = 0;
                 for row in rows {
@@ -181,7 +205,7 @@ impl SqlEngine {
                 sets,
                 predicate,
             } => {
-                let info = self.catalog.table(pager, &table)?;
+                let info = self.table(pager, &table)?;
                 let sets = sets
                     .into_iter()
                     .map(|(col, value)| Ok((column(&info.schema, &col)?, value)))
@@ -213,7 +237,7 @@ impl SqlEngine {
                 Ok(QueryOutput::Updated(n))
             }
             Stmt::Delete { table, predicate } => {
-                let info = self.catalog.table(pager, &table)?;
+                let info = self.table(pager, &table)?;
                 validate_predicate(&info, &predicate)?;
                 let mut keys = Vec::new();
                 let none = vec![false; info.schema.arity()];
@@ -246,7 +270,7 @@ impl SqlEngine {
                 )))
             }
         };
-        let info = self.catalog.table(pager, &table)?;
+        let info = self.table(pager, &table)?;
         validate_predicate(&info, &predicate)?;
         let plan = plan(&info.schema, predicate);
 
@@ -298,34 +322,40 @@ impl SqlEngine {
         order_by: Option<OrderBy>,
         limit: Option<usize>,
     ) -> QueryResult<QueryOutput> {
-        let info = self.catalog.table(pager, table)?;
+        let info = self.table(pager, table)?;
         let schema = &info.schema;
         let count = cols == SelectCols::CountStar;
-        let (columns, mut sources) = match cols {
+        // Per output column: the row index it is taken from, and whether
+        // this is that column's last use, where it is moved, not cloned
+        // (`SELECT v, v` clones the first).
+        let (columns, mut moves): (_, Vec<(usize, bool)>) = match cols {
             SelectCols::All => (
                 schema.columns().iter().map(|c| c.name.clone()).collect(),
-                (0..schema.arity()).collect(),
+                (0..schema.arity()).map(|c| (c, true)).collect(),
             ),
             SelectCols::Some(names) => {
-                let idxs = names
+                let moves = names
                     .iter()
-                    .map(|n| column(schema, n))
-                    .collect::<QueryResult<Vec<_>>>()?;
-                (names, idxs)
+                    .map(|n| Ok((column(schema, n)?, true)))
+                    .collect::<QueryResult<_>>()?;
+                (names, moves)
             }
             SelectCols::CountStar => (Vec::new(), Vec::new()),
         };
-        let width = sources.len();
+        let width = moves.len();
         // Position of the sort column in an output row; one that is not
         // projected rides behind the projection until the sort is done.
         let sort = match order_by {
             None => None,
             Some(ob) => {
                 let idx = column(schema, &ob.column)?;
-                let at = sources.iter().position(|&c| c == idx).unwrap_or_else(|| {
-                    sources.push(idx);
-                    width
-                });
+                let at = moves
+                    .iter()
+                    .position(|&(c, _)| c == idx)
+                    .unwrap_or_else(|| {
+                        moves.push((idx, true));
+                        width
+                    });
                 Some((at, ob.desc))
             }
         };
@@ -338,16 +368,11 @@ impl SqlEngine {
             let n = limit.map_or(n, |l| n.min(l as u64));
             return Ok(QueryOutput::Count(n));
         }
-        for &c in &sources {
+        for j in 0..moves.len() {
+            let c = moves[j].0;
             keep[c] = true;
+            moves[j].1 = !moves[j + 1..].iter().any(|&(d, _)| d == c);
         }
-        // Move each source column out at its last use (`SELECT v, v`
-        // clones the first).
-        let moves: Vec<(usize, bool)> = sources
-            .iter()
-            .enumerate()
-            .map(|(j, &c)| (c, !sources[j + 1..].contains(&c)))
-            .collect();
         let mut rows: Vec<Vec<Value>> = Vec::new();
         self.matching_rows(pager, &info, predicate, keep, &mut |_, row| {
             rows.push(
@@ -377,7 +402,7 @@ impl SqlEngine {
         if let Some(n) = limit {
             rows.truncate(n);
         }
-        if sources.len() > width {
+        if moves.len() > width {
             for r in &mut rows {
                 r.truncate(width);
             }
@@ -952,13 +977,24 @@ mod tests {
             e.execute(&mut pg, "SELECT * FROM users"),
             Err(QueryError::NoSuchTable(_))
         ));
-        // The slot is reusable.
-        e.execute(&mut pg, "CREATE TABLE users (id U32, x U32)")
+        // The slot is reusable, and the name is resolved afresh: the new
+        // schema decides coercion, projection and the key.
+        e.execute(&mut pg, "CREATE TABLE users (id I64, x U32)")
             .unwrap();
         assert_eq!(
             e.execute(&mut pg, "SELECT COUNT(*) FROM users").unwrap(),
             QueryOutput::Count(0)
         );
+        e.execute(&mut pg, "INSERT INTO users VALUES (-5, 7)")
+            .unwrap();
+        assert!(matches!(
+            e.execute(&mut pg, "SELECT name FROM users"),
+            Err(QueryError::NoSuchColumn(_))
+        ));
+        let out = e
+            .execute(&mut pg, "SELECT x FROM users WHERE id = -5")
+            .unwrap();
+        assert_eq!(out.rows().unwrap(), &vec![vec![Value::U32(7)]]);
     }
 
     #[cfg(feature = "optimizer")]
@@ -1014,6 +1050,32 @@ mod tests {
             .execute(&mut pg, "EXPLAIN CREATE TABLE t (id U32)")
             .is_err());
         let _ = pg;
+    }
+
+    #[test]
+    fn non_ascii_strings_round_trip() {
+        let (mut pg, mut e) = setup();
+        e.execute(&mut pg, "CREATE TABLE t (id U32, s TEXT)")
+            .unwrap();
+        e.execute(
+            &mut pg,
+            "INSERT INTO t VALUES (1, 'café'), (2, 'l''été à 東京')",
+        )
+        .unwrap();
+        let out = e
+            .execute(&mut pg, "SELECT s FROM t WHERE s >= 'c'")
+            .unwrap();
+        assert_eq!(
+            out.rows().unwrap(),
+            &vec![
+                vec![Value::Str("café".into())],
+                vec![Value::Str("l'été à 東京".into())]
+            ]
+        );
+        let out = e
+            .execute(&mut pg, "SELECT id FROM t WHERE s = 'café'")
+            .unwrap();
+        assert_eq!(out.rows().unwrap(), &vec![vec![Value::U32(1)]]);
     }
 
     #[test]

@@ -12,7 +12,14 @@
 //!   predicates on the primary key use the B+-tree ([`plan::AccessPath`]).
 //!
 //! Pipeline: SQL text → [`sql::lexer`] → [`sql::parser`] → [`sql::ast`] →
-//! [`plan`] (+ [`optimizer`]) → [`exec`] against [`catalog`] tables. Per
+//! [`plan`] (+ [`optimizer`]) → [`exec`] against [`catalog`] tables. The
+//! lexer's tokens borrow from the statement text (a string literal is
+//! copied only to unescape a `''`), and the parser moves them, so an
+//! identifier or literal is copied once, into the owned AST. The
+//! optimizer folds constants in place, reusing the AST's boxes.
+//! [`SqlEngine`] keeps each table it has resolved through the catalog
+//! (root slot and decoded schema) until its own CREATE or DROP of that
+//! name; it is the catalog's only writer. Per
 //! statement, [`exec`] resolves the residual predicate's column names to
 //! row indexes once; per row, it streams: the access path
 //! ([`fame_storage::BTree::scan_with`] or [`fame_storage::BTree::get_with`])

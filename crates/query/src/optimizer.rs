@@ -26,9 +26,7 @@ pub fn optimize(schema: &Schema, predicate: Option<Expr>) -> Plan {
     let mut end: Option<Vec<u8>> = None;
 
     if let Some(pred) = &predicate {
-        let mut conjuncts = Vec::new();
-        collect_conjuncts(pred, &mut conjuncts);
-        for c in conjuncts {
+        for_each_conjunct(pred, &mut |c| {
             if let Some((op, value)) = pk_comparison(c, &pk.name) {
                 // Rows are keyed by the column's encoding, so the literal
                 // is encoded as the column would store it; one that does
@@ -38,7 +36,7 @@ pub fn optimize(schema: &Schema, predicate: Option<Expr>) -> Plan {
                     .ok()
                     .and_then(|v| v.to_key_bytes());
                 let Some(key) = key else {
-                    continue;
+                    return;
                 };
                 match op {
                     BinOp::Eq => point = Some(key),
@@ -49,7 +47,7 @@ pub fn optimize(schema: &Schema, predicate: Option<Expr>) -> Plan {
                     _ => {}
                 }
             }
-        }
+        });
     }
 
     let path = if let Some(key) = point {
@@ -87,18 +85,18 @@ fn tighten_end(end: &mut Option<Vec<u8>>, candidate: Vec<u8>) {
     }
 }
 
-/// Split a predicate into top-level AND conjuncts.
-fn collect_conjuncts<'e>(e: &'e Expr, out: &mut Vec<&'e Expr>) {
+/// Visit a predicate's top-level AND conjuncts, left to right.
+fn for_each_conjunct<'e>(e: &'e Expr, visit: &mut impl FnMut(&'e Expr)) {
     match e {
         Expr::Binary {
             op: BinOp::And,
             lhs,
             rhs,
         } => {
-            collect_conjuncts(lhs, out);
-            collect_conjuncts(rhs, out);
+            for_each_conjunct(lhs, visit);
+            for_each_conjunct(rhs, visit);
         }
-        other => out.push(other),
+        other => visit(other),
     }
 }
 
@@ -125,63 +123,70 @@ fn pk_comparison<'e>(e: &'e Expr, pk: &str) -> Option<(BinOp, &'e Value)> {
 }
 
 /// Constant folding with Kleene three-valued logic.
-pub fn fold(e: Expr) -> Expr {
-    match e {
+pub fn fold(mut e: Expr) -> Expr {
+    fold_in_place(&mut e);
+    e
+}
+
+/// [`fold`] on a borrowed tree: a node that folds is overwritten with
+/// its literal or with the operand it reduces to, moved out of its box,
+/// and every node that stays keeps its boxes.
+fn fold_in_place(e: &mut Expr) {
+    let folded = match e {
         Expr::Binary { op, lhs, rhs } => {
-            let lhs = fold(*lhs);
-            let rhs = fold(*rhs);
-            match (op, &lhs, &rhs) {
+            fold_in_place(lhs);
+            fold_in_place(rhs);
+            match (*op, &**lhs, &**rhs) {
                 // Comparisons of two literals.
                 (
-                    BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge,
+                    op @ (BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge),
                     Expr::Literal(a),
                     Expr::Literal(b),
-                ) => match a.compare(b) {
-                    None => Expr::Literal(Value::Null),
-                    Some(ord) => {
-                        let truth = match op {
-                            BinOp::Eq => ord.is_eq(),
-                            BinOp::Ne => ord.is_ne(),
-                            BinOp::Lt => ord.is_lt(),
-                            BinOp::Le => ord.is_le(),
-                            BinOp::Gt => ord.is_gt(),
-                            BinOp::Ge => ord.is_ge(),
-                            _ => unreachable!(),
-                        };
-                        Expr::Literal(Value::Bool(truth))
-                    }
-                },
+                ) => Expr::Literal(match a.compare(b) {
+                    None => Value::Null,
+                    Some(ord) => Value::Bool(match op {
+                        BinOp::Eq => ord.is_eq(),
+                        BinOp::Ne => ord.is_ne(),
+                        BinOp::Lt => ord.is_lt(),
+                        BinOp::Le => ord.is_le(),
+                        BinOp::Gt => ord.is_gt(),
+                        BinOp::Ge => ord.is_ge(),
+                        _ => unreachable!(),
+                    }),
+                }),
                 // AND identities.
                 (BinOp::And, Expr::Literal(Value::Bool(false)), _)
                 | (BinOp::And, _, Expr::Literal(Value::Bool(false))) => {
                     Expr::Literal(Value::Bool(false))
                 }
-                (BinOp::And, Expr::Literal(Value::Bool(true)), _) => rhs,
-                (BinOp::And, _, Expr::Literal(Value::Bool(true))) => lhs,
+                (BinOp::And, Expr::Literal(Value::Bool(true)), _) => take(rhs),
+                (BinOp::And, _, Expr::Literal(Value::Bool(true))) => take(lhs),
                 // OR identities.
                 (BinOp::Or, Expr::Literal(Value::Bool(true)), _)
                 | (BinOp::Or, _, Expr::Literal(Value::Bool(true))) => {
                     Expr::Literal(Value::Bool(true))
                 }
-                (BinOp::Or, Expr::Literal(Value::Bool(false)), _) => rhs,
-                (BinOp::Or, _, Expr::Literal(Value::Bool(false))) => lhs,
-                _ => Expr::Binary {
-                    op,
-                    lhs: Box::new(lhs),
-                    rhs: Box::new(rhs),
-                },
+                (BinOp::Or, Expr::Literal(Value::Bool(false)), _) => take(rhs),
+                (BinOp::Or, _, Expr::Literal(Value::Bool(false))) => take(lhs),
+                _ => return,
             }
         }
         Expr::Not(inner) => {
-            let inner = fold(*inner);
-            match inner {
+            fold_in_place(inner);
+            match **inner {
                 Expr::Literal(Value::Bool(b)) => Expr::Literal(Value::Bool(!b)),
                 Expr::Literal(Value::Null) => Expr::Literal(Value::Null),
-                other => Expr::Not(Box::new(other)),
+                _ => return,
             }
         }
-        other => other,
-    }
+        _ => return,
+    };
+    *e = folded;
+}
+
+/// Move an operand out of its box, leaving a literal that needs no heap.
+fn take(operand: &mut Expr) -> Expr {
+    std::mem::replace(operand, Expr::Literal(Value::Null))
 }
 
 #[cfg(test)]

@@ -3,21 +3,27 @@
 //! Keywords are case-insensitive; identifiers keep their case. String
 //! literals use single quotes with `''` as the escape. Numbers are i64 or
 //! f64; hex blobs are `x'AB01'`.
+//!
+//! Tokens borrow from the statement: a word is a slice of the input, and
+//! so is a string literal unless it contains a `''` escape, the one case
+//! that needs an owned, unescaped copy.
+
+use std::borrow::Cow;
 
 use crate::error::{QueryError, QueryResult};
 
-/// A lexical token.
+/// A lexical token, borrowing from the statement it was read from.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Token {
-    /// Keyword (uppercased) or identifier (original case) — the parser
-    /// distinguishes by matching uppercase.
-    Word(String),
+pub enum Token<'a> {
+    /// Keyword or identifier, in its original case — the parser tells
+    /// them apart by comparing case-insensitively.
+    Word(&'a str),
     /// Integer literal.
     Int(i64),
     /// Float literal.
     Float(f64),
-    /// String literal (unescaped).
-    Str(String),
+    /// String literal, unescaped (owned only when it held a `''`).
+    Str(Cow<'a, str>),
     /// Hex blob literal.
     Blob(Vec<u8>),
     /// `(`
@@ -45,9 +51,11 @@ pub enum Token {
 }
 
 /// Tokenize a statement.
-pub fn lex(input: &str) -> QueryResult<Vec<Token>> {
+pub fn lex(input: &str) -> QueryResult<Vec<Token<'_>>> {
     let bytes = input.as_bytes();
-    let mut out = Vec::new();
+    // A token with the space after it mostly takes three bytes or more
+    // (`id = 42`), so one allocation usually holds them all.
+    let mut out = Vec::with_capacity(input.len() / 3 + 1);
     let mut i = 0;
     let err = |at: usize, msg: &str| QueryError::Lex {
         at,
@@ -114,28 +122,30 @@ pub fn lex(input: &str) -> QueryResult<Vec<Token>> {
                 }
             }
             '\'' => {
-                // String literal with '' escapes.
+                // String literal with '' escapes. A quote is one byte and
+                // never part of a multi-byte character, so the body is a
+                // whole-UTF-8 slice of the input.
                 let start = i;
+                let mut escaped = false;
                 i += 1;
-                let mut s = String::new();
                 loop {
                     match bytes.get(i) {
                         None => return Err(err(start, "unterminated string")),
                         Some(b'\'') if bytes.get(i + 1) == Some(&b'\'') => {
-                            s.push('\'');
+                            escaped = true;
                             i += 2;
                         }
-                        Some(b'\'') => {
-                            i += 1;
-                            break;
-                        }
-                        Some(&b) => {
-                            s.push(b as char);
-                            i += 1;
-                        }
+                        Some(b'\'') => break,
+                        Some(_) => i += 1,
                     }
                 }
-                out.push(Token::Str(s));
+                let body = &input[start + 1..i];
+                i += 1;
+                out.push(Token::Str(if escaped {
+                    Cow::Owned(body.replace("''", "'"))
+                } else {
+                    Cow::Borrowed(body)
+                }));
             }
             '-' | '0'..='9' => {
                 let start = i;
@@ -195,9 +205,15 @@ pub fn lex(input: &str) -> QueryResult<Vec<Token>> {
                 {
                     i += 1;
                 }
-                out.push(Token::Word(input[start..i].to_string()));
+                out.push(Token::Word(&input[start..i]));
             }
-            _ => return Err(err(i, &format!("unexpected character `{c}`"))),
+            _ => {
+                let c = input[i..]
+                    .chars()
+                    .next()
+                    .expect("i is below the input length");
+                return Err(err(i, &format!("unexpected character `{c}`")));
+            }
         }
     }
     Ok(out)
@@ -213,12 +229,12 @@ mod tests {
         assert_eq!(
             t,
             vec![
-                Token::Word("SELECT".into()),
+                Token::Word("SELECT"),
                 Token::Star,
-                Token::Word("FROM".into()),
-                Token::Word("t".into()),
-                Token::Word("WHERE".into()),
-                Token::Word("a".into()),
+                Token::Word("FROM"),
+                Token::Word("t"),
+                Token::Word("WHERE"),
+                Token::Word("a"),
                 Token::Ge,
                 Token::Int(10),
                 Token::Semi,
@@ -230,6 +246,25 @@ mod tests {
     fn strings_with_escapes() {
         let t = lex("'it''s'").unwrap();
         assert_eq!(t, vec![Token::Str("it's".into())]);
+    }
+
+    #[test]
+    fn strings_are_utf8_and_borrowed_unless_escaped() {
+        let input = "'café' 'naïve ''ü'' 東京'";
+        let t = lex(input).unwrap();
+        assert_eq!(
+            t,
+            vec![
+                Token::Str("café".into()),
+                Token::Str("naïve 'ü' 東京".into())
+            ]
+        );
+        assert!(matches!(&t[0], Token::Str(Cow::Borrowed(s)) if s.as_ptr() == input[1..].as_ptr()));
+        assert!(matches!(&t[1], Token::Str(Cow::Owned(_))));
+        match lex("SELECT é") {
+            Err(QueryError::Lex { at: 7, msg }) => assert_eq!(msg, "unexpected character `é`"),
+            other => panic!("unexpected {other:?}"),
+        }
     }
 
     #[test]
@@ -279,11 +314,7 @@ mod tests {
         let t = lex("xval x1 x'00'").unwrap();
         assert_eq!(
             t,
-            vec![
-                Token::Word("xval".into()),
-                Token::Word("x1".into()),
-                Token::Blob(vec![0]),
-            ]
+            vec![Token::Word("xval"), Token::Word("x1"), Token::Blob(vec![0]),]
         );
     }
 }

@@ -1,4 +1,10 @@
 //! Recursive-descent parser for the FAME-DBMS SQL dialect.
+//!
+//! The parser consumes the lexer's tokens by move: a keyword is compared
+//! in place and dropped, and an identifier or string literal is copied
+//! once, into the statement's owned AST.
+
+use std::iter::Peekable;
 
 use fame_storage::{DataType, Value};
 
@@ -8,46 +14,36 @@ use crate::sql::lexer::{lex, Token};
 
 /// Parse one statement (a trailing `;` is allowed).
 pub fn parse(input: &str) -> QueryResult<Stmt> {
-    let tokens = lex(input)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser {
+        tokens: lex(input)?.into_iter().peekable(),
+    };
     let stmt = p.statement()?;
     p.eat_if(&Token::Semi);
-    if p.pos != p.tokens.len() {
+    if let Some(t) = p.peek() {
         return Err(QueryError::Parse(format!(
-            "trailing input after statement: {:?}",
-            p.tokens[p.pos]
+            "trailing input after statement: {t:?}"
         )));
     }
     Ok(stmt)
 }
 
-struct Parser {
-    tokens: Vec<Token>,
-    pos: usize,
+struct Parser<'a> {
+    tokens: Peekable<std::vec::IntoIter<Token<'a>>>,
 }
 
-impl Parser {
-    fn peek(&self) -> Option<&Token> {
-        self.tokens.get(self.pos)
+impl<'a> Parser<'a> {
+    fn peek(&mut self) -> Option<&Token<'a>> {
+        self.tokens.peek()
     }
 
-    fn next(&mut self) -> QueryResult<Token> {
-        let t = self
-            .tokens
-            .get(self.pos)
-            .cloned()
-            .ok_or_else(|| QueryError::Parse("unexpected end of input".into()))?;
-        self.pos += 1;
-        Ok(t)
+    fn next(&mut self) -> QueryResult<Token<'a>> {
+        self.tokens
+            .next()
+            .ok_or_else(|| QueryError::Parse("unexpected end of input".into()))
     }
 
     fn eat_if(&mut self, t: &Token) -> bool {
-        if self.peek() == Some(t) {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
+        self.tokens.next_if(|got| got == t).is_some()
     }
 
     fn expect(&mut self, t: &Token) -> QueryResult<()> {
@@ -67,13 +63,16 @@ impl Parser {
         }
     }
 
-    fn at_keyword(&self, kw: &str) -> bool {
-        matches!(self.peek(), Some(Token::Word(w)) if w.eq_ignore_ascii_case(kw))
+    /// Consume `kw` if it comes next.
+    fn eat_keyword(&mut self, kw: &str) -> bool {
+        self.tokens
+            .next_if(|t| matches!(t, Token::Word(w) if w.eq_ignore_ascii_case(kw)))
+            .is_some()
     }
 
     fn identifier(&mut self) -> QueryResult<String> {
         match self.next()? {
-            Token::Word(w) => Ok(w),
+            Token::Word(w) => Ok(w.to_string()),
             got => Err(QueryError::Parse(format!(
                 "expected identifier, got {got:?}"
             ))),
@@ -159,7 +158,7 @@ impl Parser {
                 }
             }
             Token::Float(f) => Value::F64(f),
-            Token::Str(s) => Value::Str(s),
+            Token::Str(s) => Value::Str(s.into_owned()),
             Token::Blob(b) => Value::Bytes(b),
             Token::Word(w) if w.eq_ignore_ascii_case("NULL") => Value::Null,
             Token::Word(w) if w.eq_ignore_ascii_case("TRUE") => Value::Bool(true),
@@ -196,8 +195,7 @@ impl Parser {
         self.keyword("SELECT")?;
         let cols = if self.eat_if(&Token::Star) {
             SelectCols::All
-        } else if self.at_keyword("COUNT") {
-            self.keyword("COUNT")?;
+        } else if self.eat_keyword("COUNT") {
             self.expect(&Token::LParen)?;
             self.expect(&Token::Star)?;
             self.expect(&Token::RParen)?;
@@ -212,25 +210,18 @@ impl Parser {
         self.keyword("FROM")?;
         let table = self.identifier()?;
         let predicate = self.opt_where()?;
-        let order_by = if self.at_keyword("ORDER") {
-            self.keyword("ORDER")?;
+        let order_by = if self.eat_keyword("ORDER") {
             self.keyword("BY")?;
             let column = self.identifier()?;
-            let desc = if self.at_keyword("DESC") {
-                self.keyword("DESC")?;
-                true
-            } else {
-                if self.at_keyword("ASC") {
-                    self.keyword("ASC")?;
-                }
-                false
-            };
+            let desc = self.eat_keyword("DESC");
+            if !desc {
+                self.eat_keyword("ASC");
+            }
             Some(OrderBy { column, desc })
         } else {
             None
         };
-        let limit = if self.at_keyword("LIMIT") {
-            self.keyword("LIMIT")?;
+        let limit = if self.eat_keyword("LIMIT") {
             match self.next()? {
                 Token::Int(n) if n >= 0 => Some(n as usize),
                 got => {
@@ -281,8 +272,7 @@ impl Parser {
     }
 
     fn opt_where(&mut self) -> QueryResult<Option<Expr>> {
-        if self.at_keyword("WHERE") {
-            self.keyword("WHERE")?;
+        if self.eat_keyword("WHERE") {
             Ok(Some(self.expr()?))
         } else {
             Ok(None)
@@ -292,8 +282,7 @@ impl Parser {
     // Precedence: OR < AND < NOT < comparison < primary.
     fn expr(&mut self) -> QueryResult<Expr> {
         let mut lhs = self.and_expr()?;
-        while self.at_keyword("OR") {
-            self.keyword("OR")?;
+        while self.eat_keyword("OR") {
             let rhs = self.and_expr()?;
             lhs = Expr::binary(BinOp::Or, lhs, rhs);
         }
@@ -302,8 +291,7 @@ impl Parser {
 
     fn and_expr(&mut self) -> QueryResult<Expr> {
         let mut lhs = self.not_expr()?;
-        while self.at_keyword("AND") {
-            self.keyword("AND")?;
+        while self.eat_keyword("AND") {
             let rhs = self.not_expr()?;
             lhs = Expr::binary(BinOp::And, lhs, rhs);
         }
@@ -311,8 +299,7 @@ impl Parser {
     }
 
     fn not_expr(&mut self) -> QueryResult<Expr> {
-        if self.at_keyword("NOT") {
-            self.keyword("NOT")?;
+        if self.eat_keyword("NOT") {
             Ok(Expr::Not(Box::new(self.not_expr()?)))
         } else {
             self.comparison()
@@ -330,7 +317,7 @@ impl Parser {
             Some(Token::Ge) => BinOp::Ge,
             _ => return Ok(lhs),
         };
-        self.pos += 1;
+        self.tokens.next();
         let rhs = self.primary()?;
         Ok(Expr::binary(op, lhs, rhs))
     }
@@ -338,7 +325,7 @@ impl Parser {
     fn primary(&mut self) -> QueryResult<Expr> {
         match self.peek() {
             Some(Token::LParen) => {
-                self.pos += 1;
+                self.tokens.next();
                 let e = self.expr()?;
                 self.expect(&Token::RParen)?;
                 Ok(e)

@@ -8,7 +8,10 @@
 //! string, NULL), so a plan that narrows the key range wrongly shows up
 //! as a missing or extra row. Key conjuncts are often ANDed in front of a
 //! non-key filter, so range paths carry a residual that must still be
-//! checked.
+//! checked. Strings include non-ASCII text and an embedded quote, which
+//! the statements spell `''`. Statements insert rows one at a time, and
+//! one statement drops the table and creates it again with the other key
+//! type, so every later statement must see the new schema.
 
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
@@ -20,7 +23,7 @@ use fame_storage::{Pager, Value};
 use proptest::prelude::*;
 
 const COLS: [&str; 3] = ["id", "v", "s"];
-const STRS: [&str; 4] = ["a", "b", "ab", "c"];
+const STRS: [&str; 6] = ["a", "b", "ab", "c", "né", "it's"];
 
 /// A predicate, rendered to SQL and evaluated by the model.
 #[derive(Debug, Clone)]
@@ -56,6 +59,14 @@ enum Stmt {
     Delete {
         pred: Option<Pred>,
     },
+    /// `INSERT INTO t VALUES (key, v, STRS[s])`.
+    Insert {
+        key: i64,
+        v: Option<u32>,
+        s: usize,
+    },
+    /// `DROP TABLE t`, then `CREATE TABLE t` with the other key type.
+    Recreate,
 }
 
 const PROJS: [Option<&[usize]>; 6] = [
@@ -81,7 +92,7 @@ fn sql_lit(v: &Value) -> String {
         Value::U32(x) => x.to_string(),
         Value::I64(x) => x.to_string(),
         Value::F64(x) => format!("{x:?}"),
-        Value::Str(s) => format!("'{s}'"),
+        Value::Str(s) => format!("'{}'", s.replace('\'', "''")),
         other => unreachable!("not generated: {other:?}"),
     }
 }
@@ -112,7 +123,23 @@ fn sql_where(pred: &Option<Pred>) -> String {
         .map_or(String::new(), |p| format!(" WHERE {}", sql_pred(p)))
 }
 
-fn sql(stmt: &Stmt) -> String {
+fn create_sql(i64_key: bool) -> String {
+    let key_ty = if i64_key { "I64" } else { "U32" };
+    format!("CREATE TABLE t (id {key_ty}, v U32, s TEXT)")
+}
+
+fn insert_sql(key: i64, v: Option<u32>, s: &str) -> String {
+    let v = v.map_or(Value::Null, Value::U32);
+    format!(
+        "INSERT INTO t VALUES ({key}, {}, {})",
+        sql_lit(&v),
+        sql_lit(&Value::Str(s.into()))
+    )
+}
+
+/// The statement's text; `Recreate` renders its CREATE (the DROP before
+/// it is run on its own).
+fn sql(stmt: &Stmt, i64_key: bool) -> String {
     match stmt {
         Stmt::Select {
             proj,
@@ -143,6 +170,8 @@ fn sql(stmt: &Stmt) -> String {
             )
         }
         Stmt::Delete { pred } => format!("DELETE FROM t{}", sql_where(pred)),
+        Stmt::Insert { key, v, s } => insert_sql(*key, *v, STRS[*s]),
+        Stmt::Recreate => create_sql(!i64_key),
     }
 }
 
@@ -216,8 +245,15 @@ fn model_eval(p: &Pred, row: &[Value]) -> Option<bool> {
 }
 
 /// What the model says a statement returns; `None` = an error. Applies
-/// the statement's writes to the model.
-fn model_run(model: &mut Model, i64_key: bool, stmt: &Stmt) -> Option<QueryOutput> {
+/// the statement's writes to the model, and `Recreate`'s flip of the key
+/// type to `i64_key`.
+fn model_run(model: &mut Model, i64_key: &mut bool, stmt: &Stmt) -> Option<QueryOutput> {
+    if let Stmt::Recreate = stmt {
+        model.clear();
+        *i64_key = !*i64_key;
+        return Some(QueryOutput::Created);
+    }
+    let i64_key = *i64_key;
     let hits = |model: &Model, pred: &Option<Pred>| -> Vec<i64> {
         model
             .iter()
@@ -289,6 +325,16 @@ fn model_run(model: &mut Model, i64_key: bool, stmt: &Stmt) -> Option<QueryOutpu
             }
             Some(QueryOutput::Deleted(keys.len()))
         }
+        Stmt::Insert { key, v, s } => {
+            // A negative key does not coerce into a U32 key column; a
+            // present one is a duplicate.
+            if (!i64_key && *key < 0) || model.contains_key(key) {
+                return None;
+            }
+            model.insert(*key, (*v, STRS[*s].to_string()));
+            Some(QueryOutput::Inserted(1))
+        }
+        Stmt::Recreate => unreachable!("answered above"),
     }
 }
 
@@ -366,7 +412,19 @@ fn stmt() -> BoxedStrategy<Stmt> {
     let update =
         (set, where_clause()).prop_map(|((col, lit), pred)| Stmt::Update { col, lit, pred });
     let delete = where_clause().prop_map(|pred| Stmt::Delete { pred });
-    prop_oneof![select.clone(), select.clone(), select, update, delete].boxed()
+    let insert = (-20i64..35, prop::option::of(0u32..20), 0usize..STRS.len())
+        .prop_map(|(key, v, s)| Stmt::Insert { key, v, s });
+    prop_oneof![
+        select.clone(),
+        select.clone(),
+        select,
+        update,
+        delete,
+        insert.clone(),
+        insert,
+        Just(Stmt::Recreate),
+    ]
+    .boxed()
 }
 
 fn engine() -> (Pager, SqlEngine) {
@@ -393,7 +451,7 @@ proptest! {
             (prop::option::of(0u32..20), 0usize..STRS.len()),
             0..=20,
         ),
-        stmts in prop::collection::vec(stmt(), 1..8),
+        stmts in prop::collection::vec(stmt(), 1..12),
     ) {
         // I64 keys straddle zero; U32 keys start at it.
         let shift = if i64_key { 15 } else { 0 };
@@ -402,18 +460,19 @@ proptest! {
             .map(|(k, (v, s))| (k - shift, (v, STRS[s].to_string())))
             .collect();
         let (mut pg, mut e) = engine();
-        let key_ty = if i64_key { "I64" } else { "U32" };
-        e.execute(&mut pg, &format!("CREATE TABLE t (id {key_ty}, v U32, s TEXT)"))
-            .unwrap();
+        let mut i64_key = i64_key;
+        e.execute(&mut pg, &create_sql(i64_key)).unwrap();
         for (&k, r) in &model {
-            let v = r.0.map_or("NULL".to_string(), |v| v.to_string());
-            e.execute(&mut pg, &format!("INSERT INTO t VALUES ({k}, {v}, '{}')", r.1))
-                .unwrap();
+            e.execute(&mut pg, &insert_sql(k, r.0, &r.1)).unwrap();
         }
         let everything = Stmt::Select { proj: Some(&[]), pred: None, order: None, limit: None };
         for stmt in stmts.iter().chain([&everything]) {
-            let text = sql(stmt);
-            let want = model_run(&mut model, i64_key, stmt);
+            if let Stmt::Recreate = stmt {
+                let dropped = e.execute(&mut pg, "DROP TABLE t");
+                prop_assert!(matches!(dropped, Ok(QueryOutput::Dropped)), "DROP: {dropped:?}");
+            }
+            let text = sql(stmt, i64_key);
+            let want = model_run(&mut model, &mut i64_key, stmt);
             let got = e.execute(&mut pg, &text);
             let agree = match (&got, &want) {
                 (Ok(got), Some(want)) => got == want,

@@ -27,13 +27,13 @@ fn multi_config(frames: usize, shards: usize) -> DbmsConfig {
 #[test]
 fn readers_agree_with_model_under_eviction_churn() {
     use fame_dbms::fame_buffer::ReplacementKind;
-    for replacement in [
+    // One element without LFU composed in, so no `for` over a literal.
+    let replacements = [
         ReplacementKind::Lru,
         #[cfg(feature = "replace-lfu")]
         ReplacementKind::Lfu,
-    ] {
-        churn_readers(replacement);
-    }
+    ];
+    replacements.into_iter().for_each(churn_readers);
 }
 
 fn churn_readers(replacement: fame_dbms::fame_buffer::ReplacementKind) {
