@@ -58,6 +58,7 @@ echo "== facade refinements in their own products (each db/ file under the gate 
 # product-min is the benchmark's minimal product (benchmark/Cargo.toml).
 for features in \
         api-put,api-get,index-btree,btree-update,buffer,replace-lru,alloc-dynamic,os-inmem \
+        api-put,index-hash,os-inmem \
         standard \
         standard,transactions,commit-force \
         standard,replication \
@@ -175,9 +176,9 @@ echo "== code budgets (facade cfg gates and lines, engine lines; lower the ceili
 # made of — one lock table, one commit step, one op ring, two pools (the
 # pools share an outline and no code; ROADMAP records why they stay). A
 # PR that deletes code lowers a ceiling; none is ever raised.
-FACADE_CFG_CEILING=299
-FACADE_LINES_CEILING=3712
-ENGINE_LINES_CEILING=12131
+FACADE_CFG_CEILING=298
+FACADE_LINES_CEILING=3701
+ENGINE_LINES_CEILING=12120
 # Counted recursively, so splitting a file into a module directory moves
 # no line out of the count.
 facade_cfg=$(find crates/core/src -name '*.rs' -exec cat {} + | grep -c 'cfg(')

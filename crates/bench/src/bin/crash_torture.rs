@@ -8,9 +8,8 @@
 //! `bench-results/torture_run.tsv`.
 //!
 //! Usage: `cargo run --release -p fame-bench --bin crash_torture`
-//! (`--quick` thins every sweep by 8× for CI gates).
-
-use std::io::Write as _;
+//! (`--quick` thins every sweep by 8× and only prints, leaving the
+//! committed TSV of the full sweep alone).
 
 use fame_bench::torture::{default_specs, torture};
 
@@ -23,30 +22,22 @@ fn main() {
         }
     }
 
-    std::fs::create_dir_all("bench-results").expect("create bench-results/");
-    let mut out =
-        std::fs::File::create("bench-results/torture_run.tsv").expect("create torture_run.tsv");
-    writeln!(
-        out,
-        "variant\tmode\tcrash_at\tcompleted_commits\tdurable_commits\trecovered_prefix\tviolations"
-    )
-    .unwrap();
-
-    let mut total_points = 0usize;
-    let mut total_violations = 0usize;
+    let mut tsv = String::from(
+        "variant\tmode\tcrash_at\tfired\tcompleted_commits\tdurable_commits\trecovered_prefix\tviolations\n",
+    );
+    let (mut total_points, mut total_violations) = (0, 0);
     for spec in &specs {
         let result = torture(spec);
-        let points = result.crash_points();
-        let violations = result.violations();
+        let (points, violations) = (result.crash_points(), result.violations());
         total_points += points;
         total_violations += violations;
         for r in &result.rows {
-            writeln!(
-                out,
-                "{}\t{}\t{}\t{}\t{}\t{}\t{}",
+            tsv += &format!(
+                "{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\n",
                 r.variant,
                 r.mode,
                 r.crash_at,
+                r.fired,
                 r.completed,
                 r.durable,
                 r.recovered.map_or_else(|| "-".into(), |m| m.to_string()),
@@ -55,17 +46,23 @@ fn main() {
                 } else {
                     r.violations.join("; ")
                 },
-            )
-            .unwrap();
+            );
         }
         println!(
-            "{:28} {:5} crash points, {} violations",
-            spec.name, points, violations
+            "{:28} {:5} crash points, {} unfired, {} violations",
+            spec.name,
+            points,
+            result.unfired(),
+            violations
         );
     }
 
     println!("\ntotal: {total_points} crash points, {total_violations} violations");
-    println!("wrote bench-results/torture_run.tsv");
+    if !quick {
+        std::fs::create_dir_all("bench-results").expect("create bench-results/");
+        std::fs::write("bench-results/torture_run.tsv", tsv).expect("write torture_run.tsv");
+        println!("wrote bench-results/torture_run.tsv");
+    }
     if total_violations > 0 {
         std::process::exit(1);
     }

@@ -234,7 +234,6 @@ impl DbmsConfig {
             self.concurrency,
             fame_buffer::Concurrency::MultiWriter { .. }
         ) {
-            #[cfg(feature = "transactions")]
             if self.transactions.is_none() {
                 // Mirrors the model constraint `MultiWriter requires
                 // Transaction`: concurrent writers only make sense with

@@ -10,7 +10,7 @@
 use std::ops::{Deref, DerefMut};
 
 use fame_os::BlockDevice;
-use fame_storage::{PageRead, Pager};
+use fame_storage::Pager;
 
 use crate::config::{DbmsConfig, IndexKind};
 use crate::error::{DbmsError, Result};
@@ -147,16 +147,6 @@ impl Kv {
         })
     }
 
-    /// Point lookup: run `f` over the value bytes in place.
-    fn lookup<P: PageRead, R>(
-        &self,
-        pager: &mut P,
-        key: &[u8],
-        f: impl FnOnce(&[u8]) -> R,
-    ) -> Result<Option<R>> {
-        Ok(on_kv!(self, ix => ix.get_with(pager, key, f)?))
-    }
-
     /// `Err(FeatureNotCompiled(feature))` for a write the B+-tree cannot
     /// take because its sub-feature `feature` (Fig. 2: *B+-Tree → update,
     /// remove*) was composed out, i.e. `compiled` is false.
@@ -202,7 +192,7 @@ impl StorageCore {
         feature = "replication"
     ))]
     fn kv_get(&mut self, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        self.kv.lookup(&mut self.pager, key, |v| v.to_vec())
+        Ok(on_kv!(&self.kv, ix => ix.get_with(&mut self.pager, key, |v| v.to_vec())?))
     }
 
     #[cfg(any(
@@ -451,7 +441,7 @@ impl Database {
         let found = {
             let mut core = self.engine.core();
             let core = &mut *core;
-            core.kv.lookup(&mut core.pager, key, f)?
+            on_kv!(&core.kv, ix => ix.get_with(&mut core.pager, key, f)?)
         };
         record!(self, Get, 0, key.len() as u64, found.is_some() as u64);
         Ok(found)

@@ -3,7 +3,7 @@
 //! counters, and the optimistic lookup it shares with
 //! [`DbSnapshot`](super::DbSnapshot).
 
-use fame_storage::SharedPager;
+use fame_storage::{PageRead, SharedPager};
 
 use super::*;
 
@@ -54,7 +54,7 @@ impl Kv {
                 f,
             )?);
         }
-        self.lookup(pager, key, f)
+        Ok(on_kv!(self, ix => ix.get_with(pager, key, f)?))
     }
 }
 

@@ -454,4 +454,43 @@ fn make() -> Arc<Outer> { Arc::new(Outer { inner: Inner { pins: AtomicU32::new(0
         assert!(p.contains("Inner"));
         assert!(!p.contains("Lonely"));
     }
+
+    /// An allowlisted field is reported once per file: a load alone in a
+    /// file is a warning of its own, and a load beside a `fetch_add` of the
+    /// same field is one warning, not two. Splitting a file therefore
+    /// changes the warning count without any access going unseen.
+    #[test]
+    fn allowed_field_warns_once_per_file() {
+        let ws = Workspace::synthetic(
+            "t",
+            &[],
+            &[
+                (
+                    "acc.rs",
+                    "struct Acc { gets: AtomicU64 }\n\
+                     fn make() -> Arc<Acc> { Arc::new(Acc { gets: AtomicU64::new(0) }) }\n\
+                     fn bump(a: &Acc) { a.gets.fetch_add(1, Relaxed); }\n\
+                     fn read(a: &Acc) -> u64 { a.gets.load(Relaxed) }\n",
+                ),
+                (
+                    "stats.rs",
+                    "fn report(s: &Stats) -> u64 { s.readers.gets.load(Relaxed) }\n",
+                ),
+            ],
+        );
+        let parsed = crate::analysis::ParsedWorkspace::build(&ws);
+        let mut cfg = LintConfig::default();
+        cfg.atomic_allow.insert("Acc.gets".into(), "counter".into());
+        let mut report = Report::default();
+        run(&parsed, &cfg, &mut report);
+        let warned: Vec<(&str, u32)> = report
+            .diagnostics
+            .iter()
+            .map(|d| {
+                assert_eq!(d.code, "relaxed-atomic-allowed");
+                (d.file.as_str(), d.line)
+            })
+            .collect();
+        assert_eq!(warned, [("acc.rs", 3), ("stats.rs", 1)]);
+    }
 }

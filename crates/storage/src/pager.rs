@@ -106,10 +106,19 @@ pub struct Pager {
 }
 
 impl Pager {
-    /// Open a pager over a pool. A zero-page or empty device is formatted;
-    /// an existing image is verified (magic, version, page size).
+    /// Open a pager over a pool. An empty device, or one holding a single
+    /// all-zero page, is formatted; an existing image is verified (magic,
+    /// version, page size).
     pub fn open(mut pool: BufferPool) -> Result<Self> {
-        if pool.num_pages() == 0 {
+        // A crash inside the format below can keep the grown page and lose
+        // the meta-page write. The format syncs before anything else is
+        // written, so one all-zero page never held data: format it again.
+        let blank = match pool.num_pages() {
+            0 => true,
+            1 => pool.with_page(0, |buf| buf.iter().all(|&b| b == 0))?,
+            _ => false,
+        };
+        if blank {
             pool.ensure_pages(1)?;
             let page_size = pool.page_size();
             pool.with_page_mut(0, |buf| {
@@ -619,6 +628,18 @@ mod tests {
         dev.write_page(0, &junk).unwrap();
         let pool = BufferPool::unbuffered(Box::new(dev));
         assert!(matches!(Pager::open(pool), Err(StorageError::NotFormatted)));
+    }
+
+    #[test]
+    fn one_blank_page_is_formatted() {
+        // What a power cut between the format's page grow and its sync
+        // leaves on write-back media.
+        use fame_os::BlockDevice;
+        let mut dev = InMemoryDevice::new(256);
+        dev.ensure_pages(1).unwrap();
+        let mut p = Pager::open(BufferPool::unbuffered(Box::new(dev))).unwrap();
+        assert_eq!(p.allocated_pages().unwrap(), 1);
+        assert_eq!(p.allocate().unwrap(), 1);
     }
 
     #[test]
