@@ -161,7 +161,7 @@ echo "== bench-results (every file is written by a binary that still exists)"
 # Wall-clock numbers come from benchmark/ only (its output is git-ignored);
 # this directory holds the paper reproductions, the torture sweep and the
 # lint run. A file outside this list is a retired harness's TSV come back.
-results=" fig1a.tsv fig1b.tsv fig2.dot fig3_derivation.tsv fig3_derivation_run.tsv lint_run.tsv nfp_csp.tsv nfp_probe.tsv torture_run.tsv variants.tsv "
+results=" feature_map.tsv fig1a.tsv fig1b.tsv fig2.dot fig3_derivation.tsv fig3_derivation_run.tsv lint_run.tsv nfp_csp.tsv nfp_probe.tsv torture_run.tsv variants.tsv "
 for f in bench-results/*; do
     if [[ "$results" != *" ${f#bench-results/} "* ]]; then
         echo "FAIL: $f is written by no remaining binary" >&2
@@ -176,7 +176,7 @@ echo "== code budgets (facade cfg gates and lines, engine lines; lower the ceili
 # made of — one lock table, one commit step, one op ring, two pools (the
 # pools share an outline and no code; ROADMAP records why they stay). A
 # PR that deletes code lowers a ceiling; none is ever raised.
-FACADE_CFG_CEILING=298
+FACADE_CFG_CEILING=297
 FACADE_LINES_CEILING=3701
 ENGINE_LINES_CEILING=12120
 # Counted recursively, so splitting a file into a module directory moves

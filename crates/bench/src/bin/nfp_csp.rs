@@ -10,8 +10,8 @@
 
 use std::time::Instant;
 
-use fame_bench::Table;
-use fame_derivation::{solve_exhaustive, solve_greedy, FeedbackModel, Objective, PropertyStore};
+use fame_bench::paper;
+use fame_derivation::{solve_exhaustive, FeedbackModel, Objective, PropertyStore};
 use fame_feature_model::{models, Configuration};
 
 fn main() {
@@ -25,47 +25,24 @@ fn main() {
     );
 
     // ---- greedy vs exhaustive over a budget sweep -----------------------
-    let mut table = Table::new([
-        "ROM budget [KiB]",
-        "greedy perf",
-        "optimal perf",
-        "gap %",
-        "greedy examined",
-        "exhaustive examined",
-        "greedy ms",
-        "exhaustive ms",
-    ]);
-
-    for budget_kib in [48u32, 64, 80, 96, 128, 160, 200, 256] {
-        let objective = Objective::rom_budget("perf", f64::from(budget_kib) * 1024.0);
-
-        let t0 = Instant::now();
-        let g = solve_greedy(&model, &store, &objective);
-        let greedy_ms = t0.elapsed().as_secs_f64() * 1e3;
-
-        let t0 = Instant::now();
-        let e = solve_exhaustive(&model, &store, &objective);
-        let exhaustive_ms = t0.elapsed().as_secs_f64() * 1e3;
-
-        let gap = if e.objective > 0.0 {
-            (e.objective - g.objective.max(0.0)) / e.objective * 100.0
-        } else {
-            0.0
-        };
-        table.row([
-            budget_kib.to_string(),
-            format!("{:.1}", g.objective.max(0.0)),
-            format!("{:.1}", e.objective.max(0.0)),
-            format!("{gap:.1}"),
-            g.examined.to_string(),
-            e.examined.to_string(),
-            format!("{greedy_ms:.1}"),
-            format!("{exhaustive_ms:.1}"),
-        ]);
-    }
-
+    let table = paper::nfp_csp_table(&model, &store);
     println!("greedy vs exhaustive derivation (maximize perf under ROM budget)\n");
     print!("{}", table.render());
+
+    // ---- the exact solve at Berkeley DB scale ---------------------------
+    let bdb = models::berkeley_db();
+    let bdb_store = PropertyStore::seeded_from(&bdb);
+    let objective = Objective::rom_budget("rom_bytes", 650.0 * 1024.0);
+    let t0 = Instant::now();
+    let e = solve_exhaustive(&bdb, &bdb_store, &objective);
+    println!(
+        "\n{}: largest product within 650 KiB, solved exactly: {:.1} KiB, \
+         {} variants examined in {:.1} ms",
+        bdb.name(),
+        e.objective / 1024.0,
+        e.examined,
+        t0.elapsed().as_secs_f64() * 1e3
+    );
 
     // ---- the Feedback Approach ------------------------------------------
     println!("\nFeedback Approach: calibrating per-feature ROM values from measured products");

@@ -4,13 +4,15 @@
 //! variant counts) for the FAME-DBMS prototype model and the refactored
 //! Berkeley DB model, verifying the paper's in-text numbers: 24 optional
 //! Berkeley DB features and a configuration space large enough to require
-//! automated derivation.
+//! automated derivation. Also renders the cargo ↔ model map and Figure 2
+//! as DOT. The tables come from `fame_bench::paper`, whose test keeps the
+//! committed files current.
 //!
 //! Usage:
 //! * `cargo run -p fame-bench --bin variants` — statistics
 //! * `cargo run -p fame-bench --bin variants -- --dot` — Figure 2 as DOT
 
-use fame_bench::Table;
+use fame_bench::paper;
 use fame_feature_model::{dot, models, FeatureModel};
 
 fn main() {
@@ -20,24 +22,7 @@ fn main() {
         return;
     }
 
-    let mut table = Table::new([
-        "model",
-        "features",
-        "optional features",
-        "constraints",
-        "valid variants",
-    ]);
-
-    for model in [models::fame_dbms(), models::berkeley_db()] {
-        table.row([
-            model.name().to_string(),
-            model.len().to_string(),
-            model.optional_features().len().to_string(),
-            model.constraints().len().to_string(),
-            model.count_variants().to_string(),
-        ]);
-    }
-
+    let table = paper::variants_table();
     println!("feature-model statistics (Figure 2 and the §2.2 case study)\n");
     print!("{}", table.render());
 
@@ -60,11 +45,21 @@ fn main() {
         println!("  {}", c.describe(&fame));
     }
 
+    let map = paper::feature_map_table();
+    println!(
+        "\ncargo feature -> model feature (fame_feature_model::models::FAME_CARGO_FEATURES):\n"
+    );
+    print!("{}", map.render());
+
     let dir = std::path::Path::new("bench-results");
     let _ = std::fs::create_dir_all(dir);
     let _ = std::fs::write(dir.join("variants.tsv"), table.to_tsv());
-    let _ = std::fs::write(dir.join("fig2.dot"), dot::to_dot(&fame));
-    println!("\nresults written to bench-results/variants.tsv and bench-results/fig2.dot");
+    let _ = std::fs::write(dir.join("feature_map.tsv"), map.to_tsv());
+    let _ = std::fs::write(dir.join("fig2.dot"), paper::fig2_dot());
+    println!(
+        "\nresults written to bench-results/variants.tsv, bench-results/feature_map.tsv \
+         and bench-results/fig2.dot"
+    );
 }
 
 fn print_tree(model: &FeatureModel) {

@@ -186,13 +186,21 @@ impl DbmsConfig {
         }
     }
 
-    /// A simulated-flash database (requires the `os-flash` feature).
+    /// A simulated-flash database (requires the `os-flash` feature). Its
+    /// buffer, when composed, is a static arena: the deeply embedded
+    /// target has no dynamic allocator.
     #[cfg(feature = "os-flash")]
     pub fn on_flash(flash: FlashConfig) -> DbmsConfig {
+        let base = DbmsConfig::default_for_build();
         DbmsConfig {
             os: OsTarget::Flash(flash),
             page_size: flash.page_size,
-            ..DbmsConfig::default_for_build()
+            #[cfg(feature = "buffer")]
+            buffer: base.buffer.map(|b| BufferConfig {
+                static_alloc: true,
+                ..b
+            }),
+            ..base
         }
     }
 
@@ -219,6 +227,12 @@ impl DbmsConfig {
             if b.frames == 0 {
                 return Err("buffer needs at least one frame".into());
             }
+        }
+        #[cfg(all(feature = "os-flash", feature = "buffer"))]
+        if matches!(self.os, OsTarget::Flash(_)) && self.buffer.is_some_and(|b| !b.static_alloc) {
+            // Mirrors the model constraint `(NutOS & BufferManager) ->
+            // Static`: the deeply embedded target has no dynamic allocator.
+            return Err("a flash target's buffer needs a static arena".into());
         }
         // The page-to-shard map is a mask.
         #[cfg(feature = "buffer")]

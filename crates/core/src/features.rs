@@ -7,16 +7,19 @@
 //! the FAME-DBMS model — the same check the paper's derivation tooling
 //! performs before generating a product.
 
-use fame_feature_model::{models, ConfigError, Configuration, FeatureModel};
+use fame_feature_model::models::{self, Binding};
+use fame_feature_model::{ConfigError, Configuration, FeatureModel, Optionality};
 
-use crate::config::{DbmsConfig, IndexKind, OsTarget};
+use crate::config::{DbmsConfig, IndexKind};
 
-/// Cargo features compiled into this product, by their manifest names.
-pub fn active_features() -> Vec<&'static str> {
-    let mut out = Vec::new();
+/// Every cargo feature of this crate except the `default`, `standard` and
+/// `full` presets, each with whether this product composes it: the one
+/// compile-time list of cargo names (`cfg!` needs literals). A test pins
+/// it to the `[features]` keys of Cargo.toml.
+const PROBES: &[(&str, bool)] = {
     macro_rules! probe {
         ($($name:literal),* $(,)?) => {
-            $(if cfg!(feature = $name) { out.push($name); })*
+            &[$(($name, cfg!(feature = $name))),*]
         };
     }
     probe!(
@@ -53,18 +56,30 @@ pub fn active_features() -> Vec<&'static str> {
         "statistics",
         "obs-trace",
         "monolithic",
-    );
-    out
+    )
+};
+
+/// Cargo features compiled into this product, by their manifest names.
+pub fn active_features() -> Vec<&'static str> {
+    PROBES
+        .iter()
+        .filter(|&&(_, composed)| composed)
+        .map(|&(name, _)| name)
+        .collect()
 }
 
 /// Translate this build plus a runtime configuration into a configuration
 /// of the Figure 2 model, and validate it.
 ///
 /// Returns the (validated) configuration and the model, or the validation
-/// errors. The translation selects exactly one alternative per group based
-/// on the *runtime* choices (e.g. which replacement policy the instance
-/// actually uses), which is what distinguishes a product *instance* from
-/// the compiled *product*.
+/// errors. The instance's runtime choices (which index, target, policy,
+/// commit protocol it actually uses) select the
+/// [`Binding::Instance`] features; every composed [`Binding::Build`]
+/// feature whose parent is selected joins them, as do the ancestors and
+/// mandatory children of everything selected. That is what distinguishes
+/// a product *instance* from the compiled *product*. Which cargo feature
+/// composes which model feature is read from
+/// [`models::FAME_CARGO_FEATURES`].
 pub fn model_configuration(
     config: &DbmsConfig,
 ) -> Result<(FeatureModel, Configuration), Vec<ConfigError>> {
@@ -73,99 +88,76 @@ pub fn model_configuration(
     let mut select = |name: &str| {
         cfg.select(model.id(name));
     };
-    // Features a product has exactly when their cargo feature is composed.
-    for (composed, name) in [
-        (cfg!(feature = "api-put"), "Put"),
-        (cfg!(feature = "api-get"), "Get"),
-        (cfg!(feature = "api-remove"), "Remove"),
-        (cfg!(feature = "api-update"), "Update"),
-        (cfg!(feature = "api-batch"), "Batch"),
-        (cfg!(feature = "sql"), "SQLEngine"),
-        (cfg!(feature = "optimizer"), "Optimizer"),
-        (cfg!(feature = "data-types"), "DataTypes"),
-        (cfg!(feature = "statistics"), "Statistics"),
-        (cfg!(feature = "obs-trace"), "Tracing"),
-    ] {
-        if composed {
-            select(name);
-        }
-    }
 
-    select("FAME-DBMS");
-    select("Access");
-    select("API");
-    select("Storage");
-    select("Index");
+    // The runtime alternatives: one arm per choice the instance makes.
     match &config.index {
         #[cfg(feature = "index-btree")]
-        IndexKind::BTree => {
-            select("B+-Tree");
-            select("BTreeSearch");
-            if cfg!(feature = "btree-update") {
-                select("BTreeUpdate");
-            }
-            if cfg!(feature = "btree-remove") {
-                select("BTreeRemove");
-            }
-        }
+        IndexKind::BTree => select("B+-Tree"),
         #[cfg(feature = "index-list")]
         IndexKind::List => select("List"),
         #[cfg(feature = "index-hash")]
-        IndexKind::Hash { .. } => {
-            // HASH is a Berkeley DB feature outside Figure 2; model it as
-            // the closest structural equivalent (B+-Tree slot in Index).
-            select("B+-Tree");
-            select("BTreeSearch");
-        }
+        IndexKind::Hash { .. } => select("Hash"),
     }
-
-    select("OS-Abstraction");
-    select("Platform");
-    match &config.os {
-        #[cfg(feature = "os-inmem")]
-        OsTarget::InMemory { .. } => select("Linux"),
-        #[cfg(feature = "os-std")]
-        OsTarget::File { .. } => select("Linux"),
+    select(match &config.os {
         #[cfg(feature = "os-flash")]
-        OsTarget::Flash(_) => select("NutOS"),
-    }
-
+        crate::config::OsTarget::Flash(_) => "NutOS",
+        // In-memory and file targets: the paper's conventional OS.
+        #[allow(unreachable_patterns)]
+        _ => "Linux",
+    });
     #[cfg(feature = "buffer")]
     if let Some(b) = &config.buffer {
-        select("BufferManager");
-        select("Replacement");
         // The policy's report name is its Fig. 2 feature: LRU or LFU.
         select(b.replacement.name());
-        select("MemoryAlloc");
-        if b.static_alloc {
-            select("Static");
-        } else {
-            select("Dynamic");
-        }
-        select("Concurrency");
-        match config.concurrency {
+        select(if b.static_alloc { "Static" } else { "Dynamic" });
+        select(match config.concurrency {
             #[cfg(feature = "concurrency-multi-writer")]
-            fame_buffer::Concurrency::MultiWriter { .. } => {
-                select("MultiWriter");
-                if cfg!(feature = "concurrency-snapshot") {
-                    select("Snapshot");
-                }
-            }
+            fame_buffer::Concurrency::MultiWriter { .. } => "MultiWriter",
             #[cfg(feature = "concurrency-multi")]
-            fame_buffer::Concurrency::MultiReader { .. } => select("MultiReader"),
-            _ => select("Single"),
-        }
+            fame_buffer::Concurrency::MultiReader { .. } => "MultiReader",
+            _ => "Single",
+        });
     }
-
     #[cfg(feature = "transactions")]
     if let Some(t) = &config.transactions {
-        select("Transaction");
-        select("Commit");
-        match t.commit {
+        select(match t.commit {
             #[cfg(feature = "commit-force")]
-            fame_txn::CommitPolicy::Force => select("ForceCommit"),
+            fame_txn::CommitPolicy::Force => "ForceCommit",
             #[cfg(feature = "commit-group")]
-            fame_txn::CommitPolicy::Group { .. } => select("GroupCommit"),
+            fame_txn::CommitPolicy::Group { .. } => "GroupCommit",
+        });
+    }
+    #[cfg(feature = "crypto")]
+    if config.crypto_key.is_some() {
+        select("Crypto");
+    }
+    #[cfg(feature = "replication")]
+    if config.replication.is_some() {
+        select("Replication");
+    }
+
+    // Close the selection: ancestors of every choice, then in id order
+    // (a builder gives a parent a smaller id than its children) each
+    // mandatory child and each composed build-bound feature of a selected
+    // parent.
+    for id in cfg.selected().collect::<Vec<_>>() {
+        for a in model.ancestors(id) {
+            cfg.select(a);
+        }
+    }
+    let active = active_features();
+    let composed = |name: &str| {
+        models::FAME_CARGO_FEATURES
+            .iter()
+            .any(|&(cargo, feature, binding)| {
+                feature == name && binding == Binding::Build && active.contains(&cargo)
+            })
+    };
+    for (id, f) in model.iter() {
+        if f.parent().is_some_and(|p| cfg.is_selected(p))
+            && (f.optionality() == Optionality::Mandatory || composed(f.name()))
+        {
+            cfg.select(id);
         }
     }
 
@@ -176,6 +168,49 @@ pub fn model_configuration(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The `[features]` keys of this crate's Cargo.toml.
+    fn manifest_features() -> Vec<&'static str> {
+        let manifest = include_str!("../Cargo.toml");
+        let table = manifest
+            .split("\n[features]\n")
+            .nth(1)
+            .and_then(|rest| rest.split("\n[").next())
+            .expect("Cargo.toml has a [features] table");
+        table
+            .lines()
+            .filter(|l| l.starts_with(|c: char| c.is_ascii_lowercase()))
+            .filter_map(|l| l.split_once(" = ").map(|(key, _)| key))
+            .collect()
+    }
+
+    #[test]
+    fn probe_list_is_the_manifest_feature_keys() {
+        let mut probes: Vec<&str> = PROBES.iter().map(|&(name, _)| name).collect();
+        let mut keys: Vec<&str> = manifest_features()
+            .into_iter()
+            .filter(|k| !["default", "standard", "full"].contains(k))
+            .collect();
+        probes.sort_unstable();
+        keys.sort_unstable();
+        assert_eq!(probes, keys);
+    }
+
+    #[test]
+    fn every_cargo_feature_but_the_presets_names_a_model_feature() {
+        let model = models::fame_dbms();
+        let presets = ["default", "standard", "full", "monolithic"];
+        for key in manifest_features() {
+            match models::fame_feature_of(key) {
+                Some((feature, _)) => assert!(model.by_name(feature).is_some(), "{key}"),
+                None => assert!(presets.contains(&key), "{key} maps to no model feature"),
+            }
+        }
+        assert_eq!(
+            models::FAME_CARGO_FEATURES.len(),
+            manifest_features().len() - presets.len()
+        );
+    }
 
     #[test]
     fn active_features_nonempty_and_consistent() {
@@ -193,54 +228,5 @@ mod tests {
         let (model, cfg) = model_configuration(&config).expect("valid configuration");
         assert!(cfg.is_selected(model.id("FAME-DBMS")));
         assert!(cfg.is_selected(model.id("Storage")));
-    }
-
-    #[cfg(all(feature = "buffer", feature = "replace-lru"))]
-    #[test]
-    fn replacement_choice_is_reflected() {
-        let config = DbmsConfig::default_for_build();
-        let (model, cfg) = model_configuration(&config).unwrap();
-        if config.buffer.is_some() {
-            assert!(cfg.is_selected(model.id("BufferManager")));
-            assert!(
-                cfg.is_selected(model.id("LRU")) ^ cfg.is_selected(model.id("LFU")),
-                "exactly one replacement policy"
-            );
-        }
-    }
-
-    #[cfg(all(
-        feature = "concurrency-multi-writer",
-        feature = "commit-force",
-        feature = "buffer"
-    ))]
-    #[test]
-    fn multi_writer_instance_selects_alternative() {
-        use crate::config::TxnConfig;
-        let mut config = DbmsConfig::default_for_build();
-        config.concurrency = fame_buffer::Concurrency::MultiWriter { shards: 0 };
-        config.transactions = Some(TxnConfig {
-            commit: fame_txn::CommitPolicy::Force,
-        });
-        let (model, cfg) = model_configuration(&config).unwrap();
-        assert!(cfg.is_selected(model.id("MultiWriter")));
-        assert!(!cfg.is_selected(model.id("Single")));
-        assert!(
-            cfg.is_selected(model.id("Transaction")),
-            "MultiWriter requires Transaction (cross-tree constraint)"
-        );
-    }
-
-    #[cfg(all(feature = "transactions", feature = "commit-force", feature = "buffer"))]
-    #[test]
-    fn transaction_instance_selects_commit_protocol() {
-        use crate::config::TxnConfig;
-        let mut config = DbmsConfig::default_for_build();
-        config.transactions = Some(TxnConfig {
-            commit: fame_txn::CommitPolicy::Force,
-        });
-        let (model, cfg) = model_configuration(&config).unwrap();
-        assert!(cfg.is_selected(model.id("Transaction")));
-        assert!(cfg.is_selected(model.id("ForceCommit")));
     }
 }

@@ -14,7 +14,6 @@
 use fame_feature_model::{Configuration, FeatureModel};
 
 use crate::nfp::PropertyStore;
-use crate::solver::exhaustive::within_budgets;
 use crate::solver::{Objective, SolveOutcome};
 
 /// Greedy best-benefit-per-cost derivation. See module docs.
@@ -98,6 +97,18 @@ pub fn solve_greedy(
         objective: objective_value,
         examined,
     }
+}
+
+fn within_budgets(
+    model: &FeatureModel,
+    store: &PropertyStore,
+    cfg: &Configuration,
+    objective: &Objective,
+) -> bool {
+    objective
+        .budgets
+        .iter()
+        .all(|(prop, max)| store.predict(model, cfg, prop) <= *max)
 }
 
 #[cfg(test)]

@@ -1,5 +1,7 @@
 //! Built-in feature models: the FAME-DBMS prototype (Figure 2 of the paper)
-//! and the refactored Berkeley DB product line (§2.2).
+//! and the refactored Berkeley DB product line (§2.2), plus
+//! [`FAME_CARGO_FEATURES`], the one table that says which model feature
+//! each cargo feature of the `fame-dbms` crate composes.
 //!
 //! Both models carry non-functional attributes per feature:
 //!
@@ -19,7 +21,11 @@ use crate::constraint::Prop;
 use crate::model::{FeatureModel, GroupKind, ModelBuilder};
 
 /// Feature diagram of the FAME-DBMS prototype, Figure 2 of the paper,
-/// extended with the commit-protocol subfeatures mentioned in §2.3.
+/// extended with the commit-protocol subfeatures mentioned in §2.3, the
+/// concurrency, statistics and batch features later rounds composed, and
+/// the four Berkeley DB features Fig. 1a removes one at a time (Hash,
+/// Queue, Crypto, Replication). Every cargo feature of `fame-dbms` names
+/// one of these features ([`FAME_CARGO_FEATURES`]).
 ///
 /// Feature names (unique within the model):
 ///
@@ -31,19 +37,26 @@ use crate::model::{FeatureModel, GroupKind, ModelBuilder};
 /// ├── BufferManager             (optional)
 /// │   ├── Replacement           (mandatory; alternative: LFU | LRU)
 /// │   ├── MemoryAlloc           (mandatory; alternative: Dynamic | Static)
-/// │   └── Concurrency           (mandatory; alternative: Single | MultiReader | MultiWriter)
+/// │   └── Concurrency           (mandatory; alternative: Single | MultiReader)
+/// │       └── MultiReader
+/// │           └── MultiWriter   (optional)
+/// │               └── Snapshot  (optional)
 /// ├── Storage                   (mandatory)
-/// │   ├── Index                 (mandatory; or: B+-Tree | List)
+/// │   ├── Index                 (mandatory; or: B+-Tree | List | Hash)
 /// │   │   ├── B+-Tree: BTreeSearch (mand.), BTreeUpdate, BTreeRemove (opt.)
-/// │   │   └── List
-/// │   └── DataTypes             (optional)
+/// │   │   ├── List
+/// │   │   └── Hash
+/// │   ├── Queue                 (optional)
+/// │   ├── DataTypes             (optional)
+/// │   └── Crypto                (optional)
 /// ├── Access                    (mandatory)
 /// │   ├── API                   (mandatory; or: Put | Get | Remove | Update)
 /// │   │   └── Batch             (optional; requires Put)
 /// │   └── SQLEngine             (optional)
 /// ├── Optimizer                 (optional)
-/// └── Transaction               (optional)
-///     └── Commit                (mandatory; alternative: ForceCommit | GroupCommit)
+/// ├── Transaction               (optional)
+/// │   └── Commit                (mandatory; alternative: ForceCommit | GroupCommit)
+/// └── Replication               (optional)
 /// ```
 ///
 /// Cross-tree constraints:
@@ -148,9 +161,14 @@ pub fn fame_dbms() -> FeatureModel {
         multi,
         "Sharded latch-based pool: concurrent readers, single writer",
     );
-    let multi_writer = b.optional(conc, "MultiWriter");
-    b.attr(multi_writer, "rom_bytes", 5_400.0);
-    b.attr(multi_writer, "ram_bytes", 1_024.0);
+    // MultiWriter refines MultiReader (its cargo feature composes
+    // MultiReader's pool), so it nests below it the way Snapshot nests
+    // below MultiWriter. Its attributes are the increment over
+    // MultiReader: a MultiWriter product costs what it did when the two
+    // were alternatives (5 400 B ROM, 1 KiB RAM).
+    let multi_writer = b.optional(multi, "MultiWriter");
+    b.attr(multi_writer, "rom_bytes", 2_800.0);
+    b.attr(multi_writer, "ram_bytes", 512.0);
     b.doc(
         multi_writer,
         "MultiReader's pool plus concurrent writer transactions: \
@@ -193,12 +211,30 @@ pub fn fame_dbms() -> FeatureModel {
         list,
         "Unsorted list storage for minimal footprints (linear scan)",
     );
+    // The four Berkeley DB features of Fig. 1a carry the ROM its
+    // one-at-a-time rows measured (`bench-results/fig1a.tsv`: complete
+    // configuration minus the product without the feature) and no `perf`
+    // attribute, since no measurement supports one.
+    let hash = b.optional(index, "Hash");
+    b.attr(hash, "rom_bytes", 9.8 * 1024.0);
+    b.doc(
+        hash,
+        "Static hash table with overflow chains (Berkeley DB HASH)",
+    );
+    // Queue is an access method next to the primary index, not a primary
+    // index: a Queue-only product has nowhere to keep its records.
+    let queue = b.optional(storage, "Queue");
+    b.attr(queue, "rom_bytes", 9.0 * 1024.0);
+    b.doc(queue, "Fixed-length record FIFO (Berkeley DB QUEUE)");
     let dtypes = b.optional(storage, "DataTypes");
     b.attr(dtypes, "rom_bytes", 5_000.0);
     b.doc(
         dtypes,
         "Typed records and schemas instead of raw byte strings",
     );
+    let crypto = b.optional(storage, "Crypto");
+    b.attr(crypto, "rom_bytes", 2.6 * 1024.0);
+    b.doc(crypto, "Page encryption on the way to and from the device");
 
     // --- Access -----------------------------------------------------------
     let access = b.mandatory(root, "Access");
@@ -249,6 +285,14 @@ pub fn fame_dbms() -> FeatureModel {
     b.attr(group, "rom_bytes", 1_400.0);
     b.attr(group, "perf", 1.5);
 
+    // --- Replication ------------------------------------------------------------
+    let replication = b.optional(root, "Replication");
+    b.attr(replication, "rom_bytes", 84.1 * 1024.0);
+    b.doc(
+        replication,
+        "Primary ships committed operations to replicas",
+    );
+
     // --- Cross-tree constraints -------------------------------------------
     b.requires("Optimizer", "SQLEngine").unwrap();
     b.requires("Transaction", "BufferManager").unwrap();
@@ -275,6 +319,105 @@ pub fn fame_dbms() -> FeatureModel {
     }
 
     b.build().expect("FAME-DBMS model is well-formed")
+}
+
+/// When a composed feature becomes part of a product *instance*.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Binding {
+    /// Every instance of a build that composes the feature has it (when
+    /// its parent is selected).
+    Build,
+    /// Composing the feature makes it available; each instance's runtime
+    /// configuration (`DbmsConfig`) selects it or one of its siblings.
+    Instance,
+}
+
+/// The cargo ↔ model map: every cargo feature of the `fame-dbms` crate
+/// (its `[features]` keys except the presets `default`, `standard`,
+/// `full` and `monolithic`) and the [`fame_dbms`] feature it composes.
+/// Several cargo features may compose the same model feature.
+///
+/// `fame_dbms::model_configuration`, fame-lint's Pass B and
+/// `bench-results/feature_map.tsv` all read this table; nothing else
+/// keeps a copy.
+pub const FAME_CARGO_FEATURES: &[(&str, &str, Binding)] = &[
+    ("api-put", "Put", Binding::Build),
+    ("api-get", "Get", Binding::Build),
+    ("api-remove", "Remove", Binding::Build),
+    ("api-update", "Update", Binding::Build),
+    ("api-batch", "Batch", Binding::Build),
+    ("sql", "SQLEngine", Binding::Build),
+    ("optimizer", "Optimizer", Binding::Build),
+    ("index-btree", "B+-Tree", Binding::Instance),
+    ("btree-update", "BTreeUpdate", Binding::Build),
+    ("btree-remove", "BTreeRemove", Binding::Build),
+    ("index-list", "List", Binding::Instance),
+    ("index-hash", "Hash", Binding::Instance),
+    ("index-queue", "Queue", Binding::Build),
+    ("data-types", "DataTypes", Binding::Build),
+    ("buffer", "BufferManager", Binding::Instance),
+    ("replace-lru", "LRU", Binding::Instance),
+    ("replace-lfu", "LFU", Binding::Instance),
+    ("alloc-static", "Static", Binding::Instance),
+    ("alloc-dynamic", "Dynamic", Binding::Instance),
+    ("concurrency-multi", "MultiReader", Binding::Instance),
+    ("concurrency-multi-writer", "MultiWriter", Binding::Instance),
+    ("concurrency-snapshot", "Snapshot", Binding::Build),
+    ("os-std", "Linux", Binding::Instance),
+    ("os-inmem", "Linux", Binding::Instance),
+    ("os-flash", "NutOS", Binding::Instance),
+    ("transactions", "Transaction", Binding::Instance),
+    ("commit-force", "ForceCommit", Binding::Instance),
+    ("commit-group", "GroupCommit", Binding::Instance),
+    ("crypto", "Crypto", Binding::Instance),
+    ("replication", "Replication", Binding::Instance),
+    ("statistics", "Statistics", Binding::Build),
+    ("obs-trace", "Tracing", Binding::Build),
+];
+
+/// The [`fame_dbms`] features no cargo feature composes, with the reason.
+pub const FAME_UNNAMED_FEATURES: &[(&str, &str)] = &[
+    ("FAME-DBMS", "root: in every product"),
+    ("OS-Abstraction", "mandatory group node"),
+    (
+        "Platform",
+        "mandatory group node of the target alternatives",
+    ),
+    ("Win32", "no Win32 backend is implemented"),
+    (
+        "Replacement",
+        "mandatory group node of the replacement alternatives",
+    ),
+    (
+        "MemoryAlloc",
+        "mandatory group node of the allocation alternatives",
+    ),
+    (
+        "Concurrency",
+        "mandatory group node of the concurrency alternatives",
+    ),
+    (
+        "Single",
+        "the exclusive pool every buffered build has; concurrency-multi adds the alternative",
+    ),
+    ("Storage", "mandatory: the pager every product has"),
+    ("Index", "mandatory group node of the index or-group"),
+    (
+        "BTreeSearch",
+        "mandatory part of B+-Tree, composed by index-btree",
+    ),
+    ("Access", "mandatory group node"),
+    ("API", "mandatory group node of the API or-group"),
+    ("Commit", "mandatory group node of the commit alternatives"),
+];
+
+/// The model feature a cargo feature of `fame-dbms` composes, with its
+/// binding (`None` for presets and unknown names).
+pub fn fame_feature_of(cargo: &str) -> Option<(&'static str, Binding)> {
+    FAME_CARGO_FEATURES
+        .iter()
+        .find(|(c, _, _)| *c == cargo)
+        .map(|&(_, model, binding)| (model, binding))
 }
 
 /// The refactored Berkeley DB product line of §2.2: a core engine plus
@@ -485,6 +628,49 @@ mod tests {
         // The paper's point: even a prototype-scale model has a large
         // configuration space that makes manual derivation impractical.
         assert!(n > 1_000, "got {n}");
+        assert_eq!((m.len(), n), (45, 3_663_504));
+    }
+
+    #[test]
+    fn fame_names_the_fig1a_features_where_they_build() {
+        let m = fame_dbms();
+        let parent = |name: &str| {
+            let p = m.feature(m.id(name)).parent().unwrap();
+            m.feature(p).name().to_string()
+        };
+        assert_eq!(parent("Hash"), "Index");
+        assert_eq!(m.feature(m.id("Index")).group(), GroupKind::Or);
+        assert_eq!(parent("Queue"), "Storage");
+        assert_eq!(parent("Crypto"), "Storage");
+        assert_eq!(parent("Replication"), "FAME-DBMS");
+        assert_eq!(parent("MultiWriter"), "MultiReader");
+        for name in ["Hash", "Queue", "Crypto", "Replication"] {
+            let f = m.feature(m.id(name));
+            assert!(f.attribute("rom_bytes").unwrap() > 0.0, "{name}");
+            assert_eq!(f.attribute("perf"), None, "{name}: no measured perf");
+        }
+    }
+
+    #[test]
+    fn every_fame_feature_is_composed_or_listed_with_a_reason() {
+        let m = fame_dbms();
+        let named: std::collections::BTreeSet<&str> =
+            FAME_CARGO_FEATURES.iter().map(|&(_, f, _)| f).collect();
+        for (_, f) in m.iter() {
+            let unnamed = FAME_UNNAMED_FEATURES.iter().any(|&(u, _)| u == f.name());
+            assert!(
+                named.contains(f.name()) != unnamed,
+                "{}: composed by a cargo feature xor listed as unnamed",
+                f.name()
+            );
+        }
+        for &(cargo, feature, _) in FAME_CARGO_FEATURES {
+            assert!(m.by_name(feature).is_some(), "{cargo} -> {feature}");
+            assert_eq!(fame_feature_of(cargo).map(|(f, _)| f), Some(feature));
+        }
+        for &(feature, _) in FAME_UNNAMED_FEATURES {
+            assert!(m.by_name(feature).is_some(), "{feature}");
+        }
     }
 
     #[test]

@@ -46,8 +46,10 @@ pub struct ParsedFile {
 pub struct ParsedCrate {
     /// Package name.
     pub name: String,
+    /// Workspace-relative path of its `Cargo.toml`.
+    pub manifest: String,
     /// Declared cargo features.
-    pub features: std::collections::BTreeSet<String>,
+    pub features: std::collections::BTreeMap<String, crate::source::FeatureDecl>,
     /// Parsed files, path order.
     pub files: Vec<ParsedFile>,
 }
@@ -67,6 +69,7 @@ impl ParsedWorkspace {
                 .iter()
                 .map(|c| ParsedCrate {
                     name: c.name.clone(),
+                    manifest: c.manifest.clone(),
                     features: c.features.clone(),
                     files: c.files.iter().map(parse_file).collect(),
                 })

@@ -12,25 +12,33 @@
 //!    distinct members of the same `Alternative` group in the Fig. 2
 //!    model — no valid configuration enables both, so the gate is dead
 //!    under every valid configuration.
-//! 3. **unmapped-feature** (warning): a declared feature that is
-//!    neither mapped to a Fig. 2 feature nor listed as an extension /
-//!    internal feature in `lint.toml` — the mapping table has drifted.
+//! 3. **unmapped-feature** (warning): a gated feature that composes no
+//!    model feature and is not listed under `[feature-internal]` in
+//!    `lint.toml`.
+//!
+//! A feature's model feature comes from the model's own cargo table
+//! (`fame_feature_model::models::FAME_CARGO_FEATURES`) or, for a
+//! crate-internal feature such as fame-buffer's `lru`, from the
+//! `fame-dbms` feature whose `"fame-buffer/lru"` entry switches it on.
+//! The `fame-dbms` manifest itself is checked against the model in
+//! [`crate::cargomodel`].
 //!
 //! Gates are compile-time facts, so diagnostics carry `FlowConfirmed`
 //! with a `feature@line -> gate@line` provenance chain.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 use fame_derivation::{match_paren, Confidence, FlowStep, TokKind, Token};
+use fame_feature_model::models::FAME_CARGO_FEATURES;
 use fame_feature_model::{FeatureModel, GroupKind};
 
-use crate::analysis::ParsedWorkspace;
+use crate::analysis::{ParsedCrate, ParsedWorkspace};
 use crate::config::LintConfig;
 use crate::report::{Diagnostic, Pass, Report, Severity};
 
 /// A parsed `cfg` predicate.
 #[derive(Debug, Clone)]
-enum Pred {
+pub(crate) enum Pred {
     /// `feature = "name"` with the source line of the name.
     Feature(String, u32),
     /// `all(..)`.
@@ -45,7 +53,7 @@ enum Pred {
 
 impl Pred {
     /// Every feature name tested anywhere in the predicate.
-    fn features(&self, out: &mut Vec<(String, u32)>) {
+    pub(crate) fn features(&self, out: &mut Vec<(String, u32)>) {
         match self {
             Pred::Feature(name, line) => out.push((name.clone(), *line)),
             Pred::All(ps) | Pred::Any(ps) => ps.iter().for_each(|p| p.features(out)),
@@ -54,10 +62,22 @@ impl Pred {
         }
     }
 
+    /// The predicate's value when exactly the features `on` accepts are
+    /// enabled (`test`, `target_os`, ... count as false).
+    pub(crate) fn eval(&self, on: &dyn Fn(&str) -> bool) -> bool {
+        match self {
+            Pred::Feature(name, _) => on(name),
+            Pred::All(ps) => ps.iter().all(|p| p.eval(on)),
+            Pred::Any(ps) => ps.iter().any(|p| p.eval(on)),
+            Pred::Not(p) => !p.eval(on),
+            Pred::Other => false,
+        }
+    }
+
     /// Features that must all be enabled for the predicate to hold
     /// (conjunctive requirements only; `any`/`not` contribute nothing
     /// unless the `any` has a single branch).
-    fn required(&self, out: &mut Vec<(String, u32)>) {
+    pub(crate) fn required(&self, out: &mut Vec<(String, u32)>) {
         match self {
             Pred::Feature(name, line) => out.push((name.clone(), *line)),
             Pred::All(ps) => ps.iter().for_each(|p| p.required(out)),
@@ -117,8 +137,8 @@ fn parse_pred(toks: &[Token], i: usize) -> (Pred, usize) {
     (Pred::Other, i + 1)
 }
 
-/// One gate found in a file: the predicate and the line of the `cfg`.
-fn find_gates(toks: &[Token]) -> Vec<(Pred, u32)> {
+/// Every gate in `toks`: the predicate and the line of the `cfg`.
+pub(crate) fn find_gates(toks: &[Token]) -> Vec<(Pred, u32)> {
     let mut out = Vec::new();
     let mut i = 0;
     while i < toks.len() {
@@ -163,8 +183,37 @@ fn same_alternative_group(model: &FeatureModel, a: &str, b: &str) -> bool {
     }
 }
 
+/// The crate whose manifest composes the product line.
+pub(crate) const CORE: &str = "fame-dbms";
+
+/// Cargo feature name -> the model feature it composes: the rows of
+/// `FAME_CARGO_FEATURES`, plus each crate-internal feature a `fame-dbms`
+/// feature switches on through a `"crate/feature"` entry.
+pub(crate) fn model_names(core: Option<&ParsedCrate>) -> BTreeMap<String, &'static str> {
+    let mut names: BTreeMap<String, &'static str> = FAME_CARGO_FEATURES
+        .iter()
+        .map(|&(cargo, feature, _)| (cargo.to_string(), feature))
+        .collect();
+    for (cargo, feature, _) in FAME_CARGO_FEATURES {
+        let Some(decl) = core.and_then(|c| c.features.get(*cargo)) else {
+            continue;
+        };
+        for entry in &decl.implies {
+            if let Some((_, inner)) = entry.split_once('/') {
+                names.entry(inner.to_string()).or_insert(feature);
+            }
+        }
+    }
+    names
+}
+
 /// Run Pass B over the parsed workspace.
 pub fn run(parsed: &ParsedWorkspace, cfg: &LintConfig, model: &FeatureModel, report: &mut Report) {
+    let core = parsed.crates.iter().find(|c| c.name == CORE);
+    let names = model_names(core);
+    if let Some(core) = core {
+        crate::cargomodel::check(core, cfg, model, report);
+    }
     for krate in &parsed.crates {
         // One unmapped-feature warning per (crate, feature).
         let mut warned_unmapped: BTreeSet<String> = BTreeSet::new();
@@ -173,7 +222,7 @@ pub fn run(parsed: &ParsedWorkspace, cfg: &LintConfig, model: &FeatureModel, rep
                 let mut all_feats = Vec::new();
                 pred.features(&mut all_feats);
                 for (name, line) in &all_feats {
-                    if !krate.features.contains(name) {
+                    if !krate.features.contains_key(name) {
                         report.diagnostics.push(Diagnostic {
                             pass: Pass::CfgGate,
                             krate: krate.name.clone(),
@@ -199,28 +248,7 @@ pub fn run(parsed: &ParsedWorkspace, cfg: &LintConfig, model: &FeatureModel, rep
                         });
                         continue;
                     }
-                    let mapped = cfg.feature_map.get(name);
-                    if let Some(m) = mapped {
-                        if model.by_name(m).is_none() {
-                            report.diagnostics.push(Diagnostic {
-                                pass: Pass::CfgGate,
-                                krate: krate.name.clone(),
-                                file: file.path.clone(),
-                                line: *line,
-                                severity: Severity::Violation,
-                                tier: Confidence::FlowConfirmed,
-                                code: "unknown-model-feature",
-                                message: format!(
-                                    "unknown-model-feature: lint.toml maps `{name}` to `{m}`, which the {} model does not contain",
-                                    model.name()
-                                ),
-                                chain: vec![FlowStep {
-                                    what: format!("feature \"{name}\""),
-                                    line: *line,
-                                }],
-                            });
-                        }
-                    } else if !cfg.feature_extensions.iter().any(|f| f == name)
+                    if !names.contains_key(name)
                         && !cfg.feature_internal.iter().any(|f| f == name)
                         && warned_unmapped.insert(name.clone())
                     {
@@ -233,7 +261,7 @@ pub fn run(parsed: &ParsedWorkspace, cfg: &LintConfig, model: &FeatureModel, rep
                             tier: Confidence::FlowConfirmed,
                             code: "unmapped-feature",
                             message: format!(
-                                "unmapped-feature: `{name}` is declared but neither mapped to a Fig. 2 feature nor listed under [feature-extensions]/[feature-internal] in lint.toml"
+                                "unmapped-feature: `{name}` composes no model feature and is not listed under [feature-internal] in lint.toml"
                             ),
                             chain: vec![FlowStep {
                                 what: format!("feature \"{name}\""),
@@ -253,9 +281,7 @@ pub fn run(parsed: &ParsedWorkspace, cfg: &LintConfig, model: &FeatureModel, rep
                         if na == nb {
                             continue;
                         }
-                        let (Some(ma), Some(mb)) =
-                            (cfg.feature_map.get(na), cfg.feature_map.get(nb))
-                        else {
+                        let (Some(ma), Some(mb)) = (names.get(na), names.get(nb)) else {
                             continue;
                         };
                         if ma != mb && same_alternative_group(model, ma, mb) {

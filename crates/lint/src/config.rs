@@ -73,11 +73,9 @@ pub struct LintConfig {
     pub lock_allow: BTreeMap<(String, String), String>,
     /// Function names excluded from call-graph propagation.
     pub call_exclude: Vec<String>,
-    /// cargo feature -> Fig. 2 model feature name.
-    pub feature_map: BTreeMap<String, String>,
-    /// Declared extensions beyond the Fig. 2 model.
-    pub feature_extensions: Vec<String>,
-    /// Internal features (presets, test harness).
+    /// Features that compose no model feature: the `fame-dbms` presets
+    /// and test-harness switches (the cargo -> model map itself is
+    /// `fame_feature_model::models::FAME_CARGO_FEATURES`).
     pub feature_internal: Vec<String>,
     /// Allowlisted relaxed atomics: "Type.field" or "Type.*" -> reason.
     pub atomic_allow: BTreeMap<String, String>,
@@ -139,12 +137,6 @@ impl LintConfig {
             }
             "call-exclude" if key == "names" => {
                 self.call_exclude = value.as_list(lno)?.to_vec();
-            }
-            "feature-map" => {
-                self.feature_map.insert(key, value.as_str(lno)?.to_string());
-            }
-            "feature-extensions" if key == "names" => {
-                self.feature_extensions = value.as_list(lno)?.to_vec();
             }
             "feature-internal" if key == "names" => {
                 self.feature_internal = value.as_list(lno)?.to_vec();
@@ -290,8 +282,8 @@ shard = ["shard"]
 [lock-allow]
 "shard->shard" = "upgrade # not a comment"
 
-[feature-map]
-lru = "LRU"
+[feature-internal]
+names = ["default"]
 
 [atomic-allow]
 "Counter.0" = "stats"
@@ -307,7 +299,7 @@ lru = "LRU"
             c.allow_reason("shard", "shard"),
             Some("upgrade # not a comment")
         );
-        assert_eq!(c.feature_map["lru"], "LRU");
+        assert_eq!(c.feature_internal, ["default"]);
         assert_eq!(c.atomic_allow_reason("Counter", "0"), Some("stats"));
         assert_eq!(c.atomic_allow_reason("Histogram", "sum_ns"), Some("stats"));
         assert_eq!(c.atomic_allow_reason("Histogram", "0"), Some("stats"));
@@ -325,7 +317,8 @@ lru = "LRU"
 
     #[test]
     fn missing_order_is_an_error() {
-        assert!(LintConfig::parse("[feature-map]\nlru = \"LRU\"\n").is_err());
+        let e = LintConfig::parse("[feature-internal]\nnames = [\"default\"]\n").unwrap_err();
+        assert!(e.to_string().contains("lock-order"), "{e}");
     }
 
     #[test]
@@ -334,8 +327,13 @@ lru = "LRU"
         let text = include_str!("../../../lint.toml");
         let c = LintConfig::parse(text).unwrap();
         assert_eq!(c.lock_order, ["lock_table", "shard", "device", "meta"]);
-        assert!(c.feature_map.contains_key("commit-group"));
-        assert!(c.feature_map.contains_key("concurrency-multi-writer"));
+        // The cargo -> model map lives in the feature model alone: the
+        // tables that used to copy it are unknown sections now.
+        assert!(c.feature_internal.iter().any(|f| f == "monolithic"));
+        for copy in ["feature-map", "feature-extensions"] {
+            let e = LintConfig::parse(&format!("{text}\n[{copy}]\nnames = [\"x\"]\n")).unwrap_err();
+            assert!(e.to_string().contains(copy), "{e}");
+        }
         // The seqlock protocol fields carry reasoned allowlist entries;
         // `pins` was retired along with the field itself (version
         // validation subsumes pinning on the hit path), and the hashed

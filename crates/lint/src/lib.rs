@@ -8,9 +8,10 @@
 //!
 //! * **Pass A** ([`locks`]) — lock-order graph vs the declared
 //!   `shard → device → meta` order in `lint.toml`;
-//! * **Pass B** ([`cfggate`]) — every `#[cfg(feature = ..)]`/`cfg!`
-//!   cross-checked against crate manifests and the Fig. 2 model's
-//!   alternative groups;
+//! * **Pass B** ([`cfggate`], [`cargomodel`]) — every
+//!   `#[cfg(feature = ..)]`/`cfg!` cross-checked against crate manifests
+//!   and the feature model's alternative groups, and the `fame-dbms`
+//!   manifest checked against the model in both directions;
 //! * **Pass C** ([`atomics`]) — `Ordering::Relaxed` on atomics
 //!   published across threads, with a reasoned allowlist.
 //!
@@ -21,6 +22,7 @@
 
 pub mod analysis;
 pub mod atomics;
+pub mod cargomodel;
 pub mod cfggate;
 pub mod config;
 pub mod corpus;

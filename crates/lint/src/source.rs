@@ -2,7 +2,7 @@
 //! synthetic crate, for the seeded-defect corpus) into the flat
 //! `crate -> files -> text` shape the passes consume.
 
-use std::collections::BTreeSet;
+use std::collections::BTreeMap;
 use std::fs;
 use std::io;
 use std::path::Path;
@@ -16,13 +16,25 @@ pub struct SourceFile {
     pub text: String,
 }
 
+/// One `[features]` entry of a crate manifest.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct FeatureDecl {
+    /// 1-based line of the key in `Cargo.toml`.
+    pub line: u32,
+    /// The array's entries: other features of the crate, `dep:` entries
+    /// and `crate/feature` (or weak `crate?/feature`) entries.
+    pub implies: Vec<String>,
+}
+
 /// One crate: its name, its declared cargo features, its sources.
 #[derive(Debug, Clone)]
 pub struct CrateSource {
     /// Package name from `Cargo.toml` (e.g. `fame-buffer`).
     pub name: String,
-    /// Feature names declared in `[features]`.
-    pub features: BTreeSet<String>,
+    /// Workspace-relative path of the crate's `Cargo.toml`.
+    pub manifest: String,
+    /// Features declared in `[features]`, by name.
+    pub features: BTreeMap<String, FeatureDecl>,
     /// The crate's `src/**/*.rs`, sorted by path.
     pub files: Vec<SourceFile>,
 }
@@ -62,6 +74,11 @@ impl Workspace {
             files.sort_by(|a, b| a.path.cmp(&b.path));
             crates.push(CrateSource {
                 name,
+                manifest: manifest
+                    .strip_prefix(root)
+                    .unwrap_or(&manifest)
+                    .to_string_lossy()
+                    .replace('\\', "/"),
                 features,
                 files,
             });
@@ -76,7 +93,11 @@ impl Workspace {
         Workspace {
             crates: vec![CrateSource {
                 name: crate_name.to_string(),
-                features: features.iter().map(|s| s.to_string()).collect(),
+                manifest: "Cargo.toml".to_string(),
+                features: features
+                    .iter()
+                    .map(|s| (s.to_string(), FeatureDecl::default()))
+                    .collect(),
                 files: files
                     .iter()
                     .map(|(path, text)| SourceFile {
@@ -140,18 +161,18 @@ fn package_name(manifest: &str) -> Option<String> {
     None
 }
 
-/// Keys of the `[features]` table. `dep:` entries inside the arrays do
-/// not declare features; the keys themselves do.
-fn declared_features(manifest: &str) -> BTreeSet<String> {
-    let mut out = BTreeSet::new();
+/// The `[features]` table: each key with its line and array entries.
+fn declared_features(manifest: &str) -> BTreeMap<String, FeatureDecl> {
+    let mut out = BTreeMap::new();
     let mut in_features = false;
-    let mut in_array = false;
-    for line in manifest.lines() {
-        let line = line.trim();
-        if line.starts_with('#') {
+    // The entry whose (possibly multi-line) array is still open.
+    let mut open: Option<String> = None;
+    for (idx, raw) in manifest.lines().enumerate() {
+        let line = raw.split('#').next().unwrap_or("").trim();
+        if line.is_empty() {
             continue;
         }
-        if !in_array {
+        if open.is_none() {
             if let Some(section) = line.strip_prefix('[') {
                 in_features = section.trim_end_matches(']') == "features";
                 continue;
@@ -160,22 +181,39 @@ fn declared_features(manifest: &str) -> BTreeSet<String> {
         if !in_features {
             continue;
         }
-        if in_array {
-            // Multi-line array continuation: wait for the closing bracket.
-            if line.contains(']') {
-                in_array = false;
+        let items = match &open {
+            Some(_) => line,
+            None => {
+                let Some((key, rest)) = line.split_once('=') else {
+                    continue;
+                };
+                let key = key.trim().trim_matches('"').to_string();
+                out.insert(
+                    key.clone(),
+                    FeatureDecl {
+                        line: idx as u32 + 1,
+                        implies: Vec::new(),
+                    },
+                );
+                open = Some(key);
+                rest.trim().trim_start_matches('[')
             }
-            continue;
-        }
-        if let Some((key, rest)) = line.split_once('=') {
-            let key = key.trim().trim_matches('"');
-            if !key.is_empty() {
-                out.insert(key.to_string());
-            }
-            let rest = rest.trim();
-            if rest.starts_with('[') && !rest.contains(']') {
-                in_array = true;
-            }
+        };
+        let key = open.clone().expect("an entry is open");
+        let (items, closed) = match items.split_once(']') {
+            Some((items, _)) => (items, true),
+            None => (items, false),
+        };
+        let decl = out.get_mut(&key).expect("inserted above");
+        decl.implies.extend(
+            items
+                .split(',')
+                .map(|item| item.trim().trim_matches('"'))
+                .filter(|item| !item.is_empty())
+                .map(str::to_string),
+        );
+        if closed {
+            open = None;
         }
     }
     out
@@ -208,9 +246,13 @@ notafeature = "1"
         assert_eq!(package_name(m).as_deref(), Some("fame-core"));
         let f = declared_features(m);
         assert_eq!(
-            f.iter().map(String::as_str).collect::<Vec<_>>(),
+            f.keys().map(String::as_str).collect::<Vec<_>>(),
             ["default", "full", "obs", "standard"]
         );
+        assert_eq!(f["standard"].implies, ["api-put", "api-get"]);
+        assert_eq!(f["standard"].line, 7);
+        assert_eq!(f["obs"].implies, ["dep:fame-obs"]);
+        assert_eq!(f["full"].implies, ["standard"]);
     }
 
     #[test]
@@ -218,6 +260,6 @@ notafeature = "1"
         let ws = Workspace::synthetic("corpus", &["lru"], &[("lib.rs", "fn f() {}")]);
         assert_eq!(ws.crates.len(), 1);
         assert_eq!(ws.file_count(), 1);
-        assert!(ws.crates[0].features.contains("lru"));
+        assert!(ws.crates[0].features.contains_key("lru"));
     }
 }

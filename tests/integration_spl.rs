@@ -1,7 +1,7 @@
 //! Integration: the product line as a whole — cargo-feature composition,
 //! the executable Figure 2 model, and their agreement.
 
-use fame_dbms::{active_features, model_configuration, Database, DbmsConfig};
+use fame_dbms::{active_features, model_configuration, Database, DbmsConfig, IndexKind};
 use fame_feature_model::{count, models, Configuration};
 
 #[test]
@@ -24,22 +24,114 @@ fn built_product_is_a_valid_model_configuration() {
     assert!(!cfg.is_selected(model.id("Transaction")));
 }
 
+#[cfg(all(feature = "buffer", feature = "replace-lru"))]
+#[test]
+fn replacement_choice_is_reflected() {
+    let config = DbmsConfig::default_for_build();
+    let (model, cfg) = model_configuration(&config).unwrap();
+    if config.buffer.is_some() {
+        assert!(cfg.is_selected(model.id("BufferManager")));
+        assert!(
+            cfg.is_selected(model.id("LRU")) ^ cfg.is_selected(model.id("LFU")),
+            "exactly one replacement policy"
+        );
+    }
+}
+
+#[cfg(all(
+    feature = "concurrency-multi-writer",
+    feature = "commit-force",
+    feature = "buffer"
+))]
+#[test]
+fn multi_writer_instance_selects_alternative() {
+    use fame_dbms::TxnConfig;
+    let mut config = DbmsConfig::default_for_build();
+    config.concurrency = fame_dbms::Concurrency::MultiWriter { shards: 0 };
+    config.transactions = Some(TxnConfig {
+        commit: fame_dbms::fame_txn::CommitPolicy::Force,
+    });
+    let (model, cfg) = model_configuration(&config).unwrap();
+    assert!(cfg.is_selected(model.id("MultiWriter")));
+    assert!(!cfg.is_selected(model.id("Single")));
+    assert!(
+        cfg.is_selected(model.id("Transaction")),
+        "MultiWriter requires Transaction (cross-tree constraint)"
+    );
+}
+
+#[cfg(all(feature = "transactions", feature = "commit-force", feature = "buffer"))]
+#[test]
+fn transaction_instance_selects_commit_protocol() {
+    use fame_dbms::TxnConfig;
+    let mut config = DbmsConfig::default_for_build();
+    config.transactions = Some(TxnConfig {
+        commit: fame_dbms::fame_txn::CommitPolicy::Force,
+    });
+    let (model, cfg) = model_configuration(&config).unwrap();
+    assert!(cfg.is_selected(model.id("Transaction")));
+    assert!(cfg.is_selected(model.id("ForceCommit")));
+}
+
+#[cfg(feature = "index-hash")]
+#[test]
+fn hash_instance_selects_hash() {
+    let mut config = DbmsConfig::default_for_build();
+    config.index = IndexKind::Hash { buckets: 16 };
+    let (model, cfg) = model_configuration(&config).unwrap();
+    assert!(cfg.is_selected(model.id("Hash")));
+    assert!(!cfg.is_selected(model.id("B+-Tree")));
+    assert!(!cfg.is_selected(model.id("BTreeSearch")));
+}
+
+#[cfg(all(feature = "os-flash", feature = "buffer"))]
+#[test]
+fn flash_instance_is_model_valid() {
+    let mut config = DbmsConfig::on_flash(fame_dbms::fame_os::FlashConfig::default());
+    assert!(config.check().is_ok(), "{:?}", config.check());
+    let (model, cfg) = model_configuration(&config).expect("(NutOS & BufferManager) -> Static");
+    assert!(cfg.is_selected(model.id("NutOS")));
+    assert!(cfg.is_selected(model.id("Static")));
+    // `check()` mirrors the constraint: no dynamic buffer on flash.
+    if let Some(b) = &mut config.buffer {
+        b.static_alloc = false;
+    }
+    assert!(config.check().is_err());
+}
+
+#[cfg(all(feature = "crypto", feature = "replication"))]
+#[test]
+fn crypto_and_replication_follow_the_instance() {
+    let mut config = DbmsConfig::default_for_build();
+    let (model, cfg) = model_configuration(&config).unwrap();
+    assert!(!cfg.is_selected(model.id("Crypto")));
+    assert!(!cfg.is_selected(model.id("Replication")));
+    config.crypto_key = Some([7; 16]);
+    config.replication = Some(fame_dbms::fame_repl::AckPolicy::Asynchronous);
+    let (model, cfg) = model_configuration(&config).unwrap();
+    assert!(cfg.is_selected(model.id("Crypto")));
+    assert!(cfg.is_selected(model.id("Replication")));
+}
+
 #[test]
 fn fame_model_counts_match_enumeration() {
     let model = models::fame_dbms();
     let counted = count::count_variants(&model);
     let enumerated = count::enumerate_variants(&model).len() as u128;
     assert_eq!(counted, enumerated);
-    assert!(counted > 10_000, "prototype space is large: {counted}");
+    assert_eq!(counted, 3_663_504, "the model's real size");
 }
 
 #[test]
 fn every_enumerated_fame_variant_validates() {
     let model = models::fame_dbms();
     let variants = count::enumerate_variants(&model);
-    for v in variants.iter().take(2000) {
-        let cfg = Configuration::from_ids(v.iter().copied());
-        assert!(model.validate(&cfg).is_ok());
+    // Every thousandth variant and the last: a sample that spans the
+    // whole enumeration, not just its first subtree combinations.
+    let sample = variants.iter().step_by(1000).chain(variants.last());
+    for &v in sample {
+        let cfg = Configuration::from_ids(count::variant_features(v));
+        assert!(model.validate(&cfg).is_ok(), "{:?}", cfg.names(&model));
     }
 }
 
@@ -79,7 +171,6 @@ fn propagation_enforces_cross_tree_constraints() {
 fn runtime_config_variants_all_open() {
     // Every runtime choice expressible in this build must yield a working
     // database: index kinds x buffer on/off.
-    use fame_dbms::IndexKind;
     let mut cases: Vec<DbmsConfig> = Vec::new();
     let mut base = DbmsConfig::in_memory();
     base.index = IndexKind::BTree;
