@@ -177,8 +177,8 @@ echo "== code budgets (facade cfg gates and lines, engine lines; lower the ceili
 # pools share an outline and no code; ROADMAP records why they stay). A
 # PR that deletes code lowers a ceiling; none is ever raised.
 FACADE_CFG_CEILING=297
-FACADE_LINES_CEILING=3701
-ENGINE_LINES_CEILING=12120
+FACADE_LINES_CEILING=3699
+ENGINE_LINES_CEILING=11961
 # Counted recursively, so splitting a file into a module directory moves
 # no line out of the count.
 facade_cfg=$(find crates/core/src -name '*.rs' -exec cat {} + | grep -c 'cfg(')

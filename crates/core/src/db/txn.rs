@@ -2,7 +2,7 @@
 //! protocol both engines run, and recovery at open. `Own` arms run the
 //! protocol over the owned manager, `Shared` ones delegate to [`DbWriter`].
 
-use fame_txn::{LogRecord, Lsn, TxnId, TxnManager, UndoAction};
+use fame_txn::{LogImage, LogRecord, TxnId, TxnManager, UndoAction};
 
 use super::*;
 
@@ -19,16 +19,12 @@ impl TxnHandle {
     }
 }
 
-/// The surviving log records and the LSN appends resume at: what recovery
-/// replays once the facade is assembled.
-pub(super) type Replay = (Vec<(Lsn, LogRecord)>, u64);
-
 /// [`open_log`]'s data device (behind the log's write barrier), manager and
-/// replay; the last two `None` when transactions are not configured.
-pub(super) type OpenedLog = (Box<dyn BlockDevice>, Option<TxnManager>, Option<Replay>);
+/// log image; the last two `None` when transactions are not configured.
+pub(super) type OpenedLog = (Box<dyn BlockDevice>, Option<TxnManager>, Option<LogImage>);
 
-/// Read the surviving log back *before* the pool exists: the records
-/// position the writer's resume LSN and drive recovery once the facade is
+/// Read the surviving log back *before* the pool exists: its image
+/// positions the writer's resume LSN and drives recovery once the facade is
 /// assembled, and the writer's barrier goes in front of the data device —
 /// appends are buffered, so no data page may be written ahead of the log
 /// records describing it (the WAL rule, for both pools and for evictions
@@ -49,13 +45,13 @@ pub(super) fn open_log(
         (None, _) => return Ok((device, None, None)),
     };
     let mut reader = fame_txn::LogReader::new(log_dev);
-    let (records, resume) = reader.read_all()?;
-    let writer = fame_txn::LogWriter::new(reader.into_device(), resume)?;
+    let image = reader.image()?;
+    let writer = fame_txn::LogWriter::new(reader.into_device(), image.resume_lsn())?;
     let ordered = fame_os::OrderedDevice::new(device, writer.barrier());
     let mut mgr = TxnManager::new(writer, tc.commit);
-    let last_txn = records.iter().filter_map(|(_, r)| r.txn()).max();
+    let last_txn = image.records().filter_map(|(_, r)| r.txn()).max();
     mgr.resume_ids_after(last_txn.unwrap_or(0));
-    Ok((Box::new(ordered), Some(mgr), Some((records, resume))))
+    Ok((Box::new(ordered), Some(mgr), Some(image)))
 }
 
 impl Engine {
@@ -247,10 +243,13 @@ impl Database {
         self.last_recovery.as_ref()
     }
 
-    /// Replay the log records [`open_log`] read against the store (run at
+    /// Replay the log image [`open_log`] read against the store (run at
     /// open, once the facade is assembled).
-    pub(super) fn recovered(mut self, replay: Option<Replay>) -> Result<Database> {
-        let Some((records, resume)) = replay.filter(|(records, _)| !records.is_empty()) else {
+    pub(super) fn recovered(mut self, image: Option<LogImage>) -> Result<Database> {
+        let Some(image) = image else {
+            return Ok(self);
+        };
+        let Some((_, last)) = image.records().last() else {
             return Ok(self);
         };
         /// Adapter implementing the recovery callback over the storage core.
@@ -282,7 +281,7 @@ impl Database {
                 core: &mut core,
                 error: None,
             };
-            let stats = fame_txn::recover_records(&records, resume, &mut target);
+            let stats = fame_txn::recover_image(&image, &mut target);
             if let Some(e) = target.error {
                 return Err(e);
             }
@@ -294,8 +293,7 @@ impl Database {
             core.pager.sync()?;
             stats
         };
-        let sealed =
-            matches!(records.last(), Some((_, LogRecord::Checkpoint))) && stats.losers.is_empty();
+        let sealed = matches!(last, LogRecord::Checkpoint) && stats.losers.is_empty();
         if !sealed {
             self.engine
                 .txn_mut(|m| m.seal_recovery(&stats.losers))

@@ -184,11 +184,10 @@ impl SqlEngine {
                 for row in rows {
                     let row = coerce_row(&info.schema, row)?;
                     let key = key_of(&info.schema, &row)?;
-                    if tree.contains(pager, &key)? {
+                    let bytes = info.schema.encode_row(&row)?;
+                    if !tree.insert_new(pager, &key, &bytes)? {
                         return Err(QueryError::DuplicateKey(format!("{}", row[0])));
                     }
-                    let bytes = info.schema.encode_row(&row)?;
-                    tree.insert(pager, &key, &bytes)?;
                     n += 1;
                 }
                 Ok(QueryOutput::Inserted(n))

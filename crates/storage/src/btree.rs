@@ -364,6 +364,22 @@ impl BTree {
     /// Insert or overwrite (`put` semantics). Returns `true` when the key
     /// was new.
     pub fn insert(&mut self, pager: &mut Pager, key: &[u8], value: &[u8]) -> Result<bool> {
+        self.put(pager, key, value, true)
+    }
+
+    /// Insert a key that is absent. A present key is refused: `false`, and
+    /// no page is written — one descent where `contains` + `insert` take two.
+    pub fn insert_new(&mut self, pager: &mut Pager, key: &[u8], value: &[u8]) -> Result<bool> {
+        self.put(pager, key, value, false)
+    }
+
+    fn put(
+        &mut self,
+        pager: &mut Pager,
+        key: &[u8],
+        value: &[u8],
+        overwrite: bool,
+    ) -> Result<bool> {
         let cell = leaf_cell(key, value);
         if cell.len() > Self::max_cell(pager) {
             return Err(StorageError::RecordTooLarge {
@@ -371,7 +387,7 @@ impl BTree {
                 max: Self::max_cell(pager),
             });
         }
-        let (ins, was_new) = self.insert_rec(pager, self.root, key, value)?;
+        let (ins, was_new) = self.insert_rec(pager, self.root, key, value, overwrite)?;
         if let Ins::Split(sep, right) = ins {
             // Grow the tree: new internal root.
             let new_root = pager.allocate()?;
@@ -393,17 +409,23 @@ impl BTree {
         page: PageId,
         key: &[u8],
         value: &[u8],
+        overwrite: bool,
     ) -> Result<(Ins, bool)> {
-        let is_leaf = pager.with_page(page, |buf| {
-            PageView::new(buf).page_type() == Some(PageType::BTreeLeaf)
+        let (is_leaf, refused) = pager.with_page(page, |buf| {
+            let view = PageView::new(buf);
+            let leaf = view.page_type() == Some(PageType::BTreeLeaf);
+            (leaf, leaf && !overwrite && search(&view, key).is_ok())
         })?;
 
+        if refused {
+            return Ok((Ins::Fit, false));
+        }
         if is_leaf {
             return self.leaf_insert(pager, page, key, value);
         }
 
         let (child, _) = pager.with_page(page, |buf| descend_child(&PageView::new(buf), key))?;
-        let (ins, was_new) = self.insert_rec(pager, child, key, value)?;
+        let (ins, was_new) = self.insert_rec(pager, child, key, value, overwrite)?;
         let Ins::Split(sep, right) = ins else {
             return Ok((Ins::Fit, was_new));
         };
@@ -1047,6 +1069,35 @@ mod tests {
         let t = BTree::create(&mut pg, 0).unwrap();
         assert_eq!(t.get(&mut pg, b"nope").unwrap(), None);
         assert!(t.is_empty(&mut pg).unwrap());
+    }
+
+    #[test]
+    fn insert_new_refuses_a_present_key_without_writing() {
+        let mut pg = pager(256);
+        let mut t = BTree::create(&mut pg, 0).unwrap();
+        for i in 0..200 {
+            let (k, v) = kv(i);
+            assert!(t.insert_new(&mut pg, &k, &v).unwrap(), "{i} is new");
+        }
+        pg.sync().unwrap();
+        let writes = pg.pool().device_stats().writes;
+        for i in (0..200).step_by(7) {
+            let (k, _) = kv(i);
+            assert!(
+                !t.insert_new(&mut pg, &k, b"other").unwrap(),
+                "{i} is present"
+            );
+        }
+        pg.sync().unwrap();
+        assert_eq!(
+            pg.pool().device_stats().writes,
+            writes,
+            "a refusal writes no page"
+        );
+        for i in 0..200 {
+            let (k, v) = kv(i);
+            assert_eq!(t.get(&mut pg, &k).unwrap(), Some(v));
+        }
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //!
 //! * [`wal`] — logical log records (`Begin`/`Put`/`Remove`/`Commit`/...)
 //!   with per-record checksums;
-//! * [`log`] — an append-only log over any [`fame_os::BlockDevice`], with
-//!   torn-tail detection on read-back;
+//! * [`log`] — an append-only log over any [`fame_os::BlockDevice`], read
+//!   back as one image cut at the torn tail;
 //! * [`manager`] — [`manager::TxnManager`]: transaction table, undo
 //!   tracking, and the one commit step (append the commit records, the
 //!   one sync step, finish) that a single commit and a group-commit drain
@@ -44,11 +44,11 @@ pub mod wal;
 #[cfg(all(feature = "multi-writer", feature = "obs"))]
 pub use lock_table::LockObs;
 pub use lock_table::{block_of, BlockId, LockConflict, LockError, LockMode, LockTable};
-pub use log::{LogReader, LogWriter, Lsn};
+pub use log::{LogImage, LogReader, LogWriter, Lsn};
 #[cfg(feature = "obs")]
 pub use manager::TxnObs;
 pub use manager::{BatchWrite, CommitPolicy, TxnError, TxnId, TxnManager, UndoAction};
-pub use recovery::{recover, recover_records, RecoveryStats, RecoveryTarget};
+pub use recovery::{recover, recover_image, recover_records, RecoveryStats, RecoveryTarget};
 #[cfg(feature = "multi-writer")]
 pub use shared::SharedTxnManager;
 pub use wal::LogRecord;

@@ -5,9 +5,10 @@
 //! boundaries. The writer buffers the tail page in memory: an append is a
 //! copy into that page, and the device is touched only when a page fills
 //! or at [`LogWriter::sync`] (the dirty tail is written once, then the
-//! barrier). After a crash the reader sees every byte up to the last
-//! device write and stops at the first frame whose length or checksum is
-//! implausible — the torn tail.
+//! barrier). After a crash the reader copies every page up to the last
+//! device write into one [`LogImage`] and cuts it at the first frame whose
+//! length, checksum or payload is implausible — the torn tail; recovery
+//! then walks the image's frames in place.
 //!
 //! Buffering hands two duties to the engine (DESIGN.md §11). The
 //! write-ahead rule: a record must be on the log device before the data
@@ -253,32 +254,18 @@ impl Drop for LogWriter {
     }
 }
 
-/// Reads a log from the beginning, stopping at the torn tail.
+/// Reads a log back, stopping at the torn tail.
 ///
-/// The reader keeps the page under the cursor cached, so sequential
-/// scanning costs one device read per log page rather than one per frame
-/// header and payload chunk — recovery time is O(pages), not O(records).
+/// The reader copies the log's pages once into one contiguous
+/// [`LogImage`] — one device read per page — and walks its frames in place.
 pub struct LogReader {
     device: Box<dyn BlockDevice>,
-    pos: u64,
-    end: u64,
-    /// Cached image of page `cached_page_no`, if any.
-    page_buf: Vec<u8>,
-    cached_page_no: Option<PageId>,
 }
 
 impl LogReader {
     /// Open a reader over the whole device.
     pub fn new(device: Box<dyn BlockDevice>) -> Self {
-        let end = u64::from(device.num_pages()) * device.page_size() as u64;
-        let page_buf = vec![0u8; device.page_size()];
-        LogReader {
-            device,
-            pos: 0,
-            end,
-            page_buf,
-            cached_page_no: None,
-        }
+        LogReader { device }
     }
 
     /// Reclaim the device (e.g. to hand it to a [`LogWriter`] after a scan).
@@ -286,73 +273,89 @@ impl LogReader {
         self.device
     }
 
-    fn read_bytes(&mut self, len: usize) -> Result<Option<Vec<u8>>, OsError> {
-        if self.pos + len as u64 > self.end {
-            return Ok(None);
-        }
+    /// Read the log into one image, cut where the first frame whose length
+    /// is implausible, whose checksum fails or whose payload does not parse
+    /// begins — the torn tail.
+    pub fn image(&mut self) -> Result<LogImage, OsError> {
         let ps = self.device.page_size();
-        let mut out = Vec::with_capacity(len);
-        let mut pos = self.pos;
-        let mut remaining = len;
-        while remaining > 0 {
-            let page_no = (pos / ps as u64) as PageId;
-            let off = (pos % ps as u64) as usize;
-            if self.cached_page_no != Some(page_no) {
-                self.device.read_page(page_no, &mut self.page_buf)?;
-                self.cached_page_no = Some(page_no);
-            }
-            let n = (ps - off).min(remaining);
-            out.extend_from_slice(&self.page_buf[off..off + n]);
-            pos += n as u64;
-            remaining -= n;
+        let mut bytes = vec![0u8; ps * self.device.num_pages() as usize];
+        for (page, buf) in bytes.chunks_exact_mut(ps).enumerate() {
+            self.device.read_page(page as PageId, buf)?;
         }
-        self.pos = pos;
-        Ok(Some(out))
-    }
-
-    /// Read the next record; `None` at the (possibly torn) end of the log.
-    fn next_record(&mut self) -> Result<Option<(Lsn, LogRecord)>, OsError> {
-        let lsn = self.pos;
-        let header = match self.read_bytes(FRAME_HEADER)? {
-            Some(h) => h,
-            None => return Ok(None),
+        let mut frames = Frames {
+            bytes: &bytes,
+            pos: 0,
+            verify: true,
         };
-        let len = u32::from_le_bytes(header[0..4].try_into().expect("4 bytes")) as usize;
-        let want_sum = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes"));
-        // A zero length means we ran into the zero-filled tail; an
-        // implausibly large one means torn garbage.
-        if len == 0 || len > 1 << 20 {
-            self.pos = lsn;
-            return Ok(None);
-        }
-        let payload = match self.read_bytes(len)? {
-            Some(p) => p,
-            None => {
-                self.pos = lsn;
-                return Ok(None);
-            }
-        };
-        if checksum(&payload) != want_sum {
-            self.pos = lsn;
-            return Ok(None);
-        }
-        match LogRecord::decode(&payload) {
-            Some(r) => Ok(Some((lsn, r))),
-            None => {
-                self.pos = lsn;
-                Ok(None)
-            }
-        }
+        for _ in &mut frames {} // to the torn tail
+        bytes.truncate(frames.pos);
+        Ok(LogImage { bytes })
     }
 
     /// Read every valid record and return them with the end-of-log LSN
     /// (where a resumed writer should continue).
     pub fn read_all(&mut self) -> Result<(Vec<(Lsn, LogRecord)>, Lsn), OsError> {
-        let mut out = Vec::new();
-        while let Some(item) = self.next_record()? {
-            out.push(item);
+        let image = self.image()?;
+        let records = image.records().map(|(lsn, r)| (lsn, r.to_owned()));
+        Ok((records.collect(), image.resume_lsn()))
+    }
+}
+
+/// A log read back by [`LogReader::image`]: its valid frames, back to back
+/// from LSN 0 in one buffer, which recovery reads in place.
+pub struct LogImage {
+    bytes: Vec<u8>,
+}
+
+impl LogImage {
+    /// The LSN an appending writer resumes at: the end of the last valid frame.
+    pub fn resume_lsn(&self) -> Lsn {
+        self.bytes.len() as Lsn
+    }
+
+    /// Every record with its LSN, each borrowed from the image.
+    pub fn records(&self) -> impl Iterator<Item = (Lsn, LogRecord<&[u8]>)> {
+        self.records_from(0)
+    }
+
+    /// The records from the frame that starts at LSN `from` on.
+    pub(crate) fn records_from(&self, from: Lsn) -> impl Iterator<Item = (Lsn, LogRecord<&[u8]>)> {
+        Frames {
+            bytes: &self.bytes,
+            pos: from as usize,
+            verify: false,
         }
-        Ok((out, self.pos))
+    }
+}
+
+/// The frames of `bytes` from offset `pos` on. A verifying walk ends at
+/// the torn tail; an image is verified once, when it is read, and walked
+/// without the checksum after that.
+struct Frames<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+    verify: bool,
+}
+
+impl<'a> Iterator for Frames<'a> {
+    type Item = (Lsn, LogRecord<&'a [u8]>);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let at = self.pos;
+        let header = self.bytes.get(at..at + FRAME_HEADER)?;
+        let len = u32::from_le_bytes(header[..4].try_into().expect("4 bytes")) as usize;
+        // A zero length means we ran into the zero-filled tail; an
+        // implausibly large one means torn garbage.
+        if len == 0 || len > 1 << 20 {
+            return None;
+        }
+        let payload = self.bytes.get(at + FRAME_HEADER..at + FRAME_HEADER + len)?;
+        if self.verify && checksum(payload).to_le_bytes() != header[4..] {
+            return None;
+        }
+        let record = LogRecord::parse(payload)?;
+        self.pos = at + FRAME_HEADER + len;
+        Some((at as Lsn, record))
     }
 }
 
@@ -465,8 +468,8 @@ mod tests {
     #[test]
     fn sequential_scan_reads_each_page_once() {
         // Many tiny records packed into few pages: the reader must fetch
-        // each log page once (cached under the cursor), not once per frame
-        // header and payload chunk.
+        // each log page once (into its image), not once per frame header
+        // and payload chunk.
         let mut w = LogWriter::new(Box::new(InMemoryDevice::new(256)), 0).unwrap();
         for i in 0..100u64 {
             w.append(&LogRecord::Begin { txn: i }).unwrap();

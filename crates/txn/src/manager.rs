@@ -9,7 +9,7 @@ use fame_os::OsError;
 
 use crate::lock_table::{LockConflict, LockMode, LockTable};
 use crate::log::{LogWriter, Lsn};
-use crate::wal::{self, LogRecord};
+use crate::wal::LogRecord;
 
 pub use crate::wal::TxnId;
 
@@ -255,9 +255,16 @@ impl TxnManager {
     ) -> Result<Lsn, TxnError> {
         self.state(txn)?;
         debug_assert!(self.locks.holds_exclusive(txn, key), "{UNLOCKED}");
-        let lsn = self
-            .log
-            .append_with(|out| wal::encode_put(out, txn, index, key, old.as_deref(), new))?;
+        let lsn = self.log.append_with(|out| {
+            LogRecord::Put {
+                txn,
+                index,
+                key,
+                old: old.as_deref(),
+                new,
+            }
+            .encode_into(out)
+        })?;
         self.state(txn)?.undo.push(UndoAction {
             index,
             key: key.to_vec(),
@@ -277,9 +284,15 @@ impl TxnManager {
     ) -> Result<Lsn, TxnError> {
         self.state(txn)?;
         debug_assert!(self.locks.holds_exclusive(txn, key), "{UNLOCKED}");
-        let lsn = self
-            .log
-            .append_with(|out| wal::encode_remove(out, txn, index, key, &old))?;
+        let lsn = self.log.append_with(|out| {
+            LogRecord::Remove {
+                txn,
+                index,
+                key,
+                old: &old[..],
+            }
+            .encode_into(out)
+        })?;
         self.state(txn)?.undo.push(UndoAction {
             index,
             key: key.to_vec(),
@@ -306,10 +319,21 @@ impl TxnManager {
                 key,
                 old,
                 new,
-            } => wal::encode_put(out, txn, *index, key, old.as_deref(), new),
-            BatchWrite::Remove { index, key, old } => {
-                wal::encode_remove(out, txn, *index, key, old)
+            } => LogRecord::<&[u8]>::Put {
+                txn,
+                index: *index,
+                key,
+                old: old.as_deref(),
+                new,
             }
+            .encode_into(out),
+            BatchWrite::Remove { index, key, old } => LogRecord::<&[u8]>::Remove {
+                txn,
+                index: *index,
+                key,
+                old,
+            }
+            .encode_into(out),
         })?;
         let state = self.state(txn)?;
         for op in ops {
@@ -369,7 +393,8 @@ impl TxnManager {
         if let Some(&t) = txns.iter().find(|&&t| !self.is_active(t)) {
             return Err(TxnError::UnknownTxn(t));
         }
-        let encode = |&txn: &TxnId, out: &mut Vec<u8>| LogRecord::Commit { txn }.encode_into(out);
+        let encode =
+            |&txn: &TxnId, out: &mut Vec<u8>| LogRecord::<&[u8]>::Commit { txn }.encode_into(out);
         self.log.append_encoded(txns, encode)?;
         match self.policy {
             #[cfg(feature = "commit-force")]

@@ -1,30 +1,37 @@
 //! Crash recovery: redo winners, undo losers.
 //!
-//! The log is scanned once to classify transactions. A transaction's fate
-//! is decided by its **last terminal record**: a final `Commit` makes a
-//! winner, a final `Abort` marks it compensated online, and no terminal at
-//! all makes a loser. Last-record-wins matters because a commit whose
-//! durability sync fails leaves a `Commit` record in the buffered log while
-//! the transaction stays active; if the application then aborts it, the log
-//! legitimately contains `Commit` followed by `Abort` for the same id, and
-//! the abort is authoritative. After classification:
+//! One forward pass over the log decides each transaction's fate by its
+//! **last terminal record**: a final `Commit` makes a winner, a final
+//! `Abort` marks it compensated online, and no terminal at all makes a
+//! loser. Last-record-wins matters because a commit whose durability sync
+//! fails leaves a `Commit` record in the buffered log while the transaction
+//! stays active; if the application then aborts it, the log legitimately
+//! contains `Commit` followed by `Abort` for the same id, and the abort is
+//! authoritative. The same pass links each transaction's data records,
+//! newest first, in one vector. Then:
 //!
 //! 1. **Redo** — winners' `Put`/`Remove` operations are re-applied in log
 //!    order. Logical operations are idempotent (`put` overwrites, `remove`
 //!    of a missing key is a no-op), so recovery after recovery is safe.
 //! 2. **Undo** — losers' operations are compensated in reverse log order
-//!    using the before-images.
+//!    using the before-images, following the losers' links only.
 //!
 //! A `Checkpoint` record asserts all earlier effects are durable in the
-//! data store; scanning still starts at the beginning (logs are small on
-//! embedded devices) but redo skips records before the last checkpoint.
+//! data store; the fate pass still starts at the beginning (logs are small
+//! on embedded devices) but redo starts at the last checkpoint.
 //!
-//! The storage side is abstracted as [`RecoveryTarget`], implemented by
-//! the database facade in `fame-dbms`.
+//! Records are read in place from a [`LogImage`] ([`recover`],
+//! [`recover_image`]: the facade at open) or viewed from an owned list
+//! ([`recover_records`]: a log read earlier, as the benchmark ladder
+//! replays one); both run one core over borrowed records. The storage side
+//! is abstracted as [`RecoveryTarget`], implemented by the database facade
+//! in `fame-dbms`.
+
+use std::collections::{BinaryHeap, HashMap};
 
 use fame_os::OsError;
 
-use crate::log::{LogReader, Lsn};
+use crate::log::{LogImage, LogReader, Lsn};
 use crate::wal::{LogRecord, TxnId};
 
 /// Where recovery applies its effects.
@@ -55,369 +62,134 @@ pub fn recover<T: RecoveryTarget>(
     mut reader: LogReader,
     target: &mut T,
 ) -> Result<RecoveryStats, OsError> {
-    let (records, resume_lsn) = reader.read_all()?;
-    Ok(recover_records(&records, resume_lsn, target))
+    Ok(recover_image(&reader.image()?, target))
 }
 
-/// Recovery over an already-materialised record list. Split from
-/// [`recover`] so the integrity checker and the torture harness can replay
-/// a log they captured without round-tripping through a device.
+/// Recovery over a log image, its records borrowed in place.
+pub fn recover_image<T: RecoveryTarget>(image: &LogImage, target: &mut T) -> RecoveryStats {
+    replay(|at| image.records_from(at), image.resume_lsn(), target)
+}
+
+/// Recovery over an already-materialised record list, for a log read
+/// without a device round trip.
 pub fn recover_records<T: RecoveryTarget>(
     records: &[(Lsn, LogRecord)],
     resume_lsn: u64,
     target: &mut T,
 ) -> RecoveryStats {
-    // Pass 1: classify by last terminal record, find last checkpoint.
-    let mut terminal: std::collections::BTreeMap<TxnId, bool> = std::collections::BTreeMap::new(); // txn -> last terminal was Commit
-    let mut seen = std::collections::BTreeSet::new();
-    let mut last_checkpoint = 0usize;
-    for (i, (_, r)) in records.iter().enumerate() {
-        match r {
-            LogRecord::Commit { txn } => {
-                terminal.insert(*txn, true);
+    let from = |i: Lsn| {
+        (i..)
+            .zip(&records[i as usize..])
+            .map(|(i, (_, r))| (i, r.as_ref()))
+    };
+    replay(from, resume_lsn, target)
+}
+
+/// A transaction's fate, by its last terminal record.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Fate {
+    Winner,
+    /// Compensated online: neither redone nor undone.
+    Aborted,
+    Loser,
+}
+
+/// The one recovery core. `from(at)` walks the records in log order from
+/// the one at position `at` on, each with its position.
+fn replay<'a, I, T>(from: impl Fn(Lsn) -> I, resume_lsn: u64, target: &mut T) -> RecoveryStats
+where
+    I: Iterator<Item = (Lsn, LogRecord<&'a [u8]>)>,
+    T: RecoveryTarget,
+{
+    // Each transaction's fate and its newest data record's link; a link is
+    // a record's position and the link of its transaction's previous one.
+    let mut fates: HashMap<TxnId, (Fate, Option<usize>)> = HashMap::new();
+    let mut links: Vec<(Lsn, Option<usize>)> = Vec::new();
+    let mut checkpoint = 0;
+    for (at, record) in from(0) {
+        let Some(txn) = record.txn() else {
+            checkpoint = at;
+            continue;
+        };
+        let (fate, newest) = fates.entry(txn).or_insert((Fate::Loser, None));
+        match record {
+            LogRecord::Commit { .. } => *fate = Fate::Winner,
+            LogRecord::Abort { .. } => *fate = Fate::Aborted,
+            LogRecord::Put { .. } | LogRecord::Remove { .. } => {
+                links.push((at, newest.replace(links.len())));
             }
-            LogRecord::Abort { txn } => {
-                terminal.insert(*txn, false);
-            }
-            LogRecord::Checkpoint => last_checkpoint = i + 1,
-            _ => {}
-        }
-        if let Some(t) = r.txn() {
-            seen.insert(t);
+            LogRecord::Begin { .. } | LogRecord::Checkpoint => {}
         }
     }
-    let winners: std::collections::BTreeSet<TxnId> = terminal
-        .iter()
-        .filter(|(_, committed)| **committed)
-        .map(|(t, _)| *t)
-        .collect();
-    // Transactions whose last terminal record is an Abort were already
-    // compensated online; treat them as neither winners nor losers.
-    let losers: Vec<TxnId> = seen
-        .iter()
-        .copied()
-        .filter(|t| !terminal.contains_key(t))
-        .collect();
-
+    let with_fate = |want: Fate| {
+        let mut txns: Vec<TxnId> = fates
+            .iter()
+            .filter_map(|(&txn, &(fate, _))| (fate == want).then_some(txn))
+            .collect();
+        txns.sort_unstable();
+        txns
+    };
     let mut stats = RecoveryStats {
-        winners: winners.iter().copied().collect(),
-        losers: losers.clone(),
+        winners: with_fate(Fate::Winner),
+        losers: with_fate(Fate::Loser),
         redo_applied: 0,
         undo_applied: 0,
         resume_lsn,
     };
 
-    // Pass 2: redo winners from the last checkpoint on.
-    for (_, r) in &records[last_checkpoint..] {
-        match r {
+    // Redo winners from the last checkpoint on.
+    let winner = |txn| fates.get(&txn).map(|f| f.0) == Some(Fate::Winner);
+    for (_, record) in from(checkpoint) {
+        match record {
             LogRecord::Put {
                 txn,
                 index,
                 key,
                 new,
                 ..
-            } if winners.contains(txn) => {
-                target.apply_put(*index, key, new);
-                stats.redo_applied += 1;
-            }
+            } if winner(txn) => target.apply_put(index, key, new),
             LogRecord::Remove {
                 txn, index, key, ..
-            } if winners.contains(txn) => {
-                target.apply_remove(*index, key);
-                stats.redo_applied += 1;
-            }
-            _ => {}
+            } if winner(txn) => target.apply_remove(index, key),
+            _ => continue,
         }
+        stats.redo_applied += 1;
     }
 
-    // Pass 3: undo losers in reverse order (whole log: a loser may have
-    // started before the checkpoint).
-    let loser_set: std::collections::BTreeSet<TxnId> = losers.into_iter().collect();
-    for (_, r) in records.iter().rev() {
-        match r {
-            LogRecord::Put {
-                txn,
-                index,
-                key,
-                old,
-                ..
-            } if loser_set.contains(txn) => {
-                match old {
-                    Some(v) => target.apply_put(*index, key, v),
-                    None => target.apply_remove(*index, key),
+    // Undo the losers' records, newest first across all of them (the whole
+    // log: a loser may have started before the checkpoint).
+    let mut heads: BinaryHeap<usize> = fates
+        .values()
+        .filter_map(|&(fate, newest)| newest.filter(|_| fate == Fate::Loser))
+        .collect();
+    while let Some(link) = heads.pop() {
+        let (at, prev) = links[link];
+        heads.extend(prev);
+        match from(at).next().map(|(_, record)| record) {
+            Some(
+                LogRecord::Put {
+                    index,
+                    key,
+                    old: Some(old),
+                    ..
                 }
-                stats.undo_applied += 1;
-            }
-            LogRecord::Remove {
-                txn,
+                | LogRecord::Remove {
+                    index, key, old, ..
+                },
+            ) => target.apply_put(index, key, old),
+            Some(LogRecord::Put {
                 index,
                 key,
-                old,
-            } if loser_set.contains(txn) => {
-                target.apply_put(*index, key, old);
-                stats.undo_applied += 1;
-            }
-            _ => {}
+                old: None,
+                ..
+            }) => target.apply_remove(index, key),
+            _ => unreachable!("a link names a data record"),
         }
+        stats.undo_applied += 1;
     }
-
     stats
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::log::LogWriter;
-    use fame_os::InMemoryDevice;
-    use std::collections::BTreeMap;
-
-    /// A model store: one BTreeMap per index.
-    #[derive(Debug, Default, PartialEq, Eq)]
-    struct Mem {
-        data: BTreeMap<(u8, Vec<u8>), Vec<u8>>,
-    }
-
-    impl RecoveryTarget for Mem {
-        fn apply_put(&mut self, index: u8, key: &[u8], value: &[u8]) {
-            self.data.insert((index, key.to_vec()), value.to_vec());
-        }
-        fn apply_remove(&mut self, index: u8, key: &[u8]) {
-            self.data.remove(&(index, key.to_vec()));
-        }
-    }
-
-    fn writer() -> LogWriter {
-        LogWriter::new(Box::new(InMemoryDevice::new(128)), 0).unwrap()
-    }
-
-    #[test]
-    fn committed_work_is_redone() {
-        let mut w = writer();
-        w.append(&LogRecord::Begin { txn: 1 }).unwrap();
-        w.append(&LogRecord::Put {
-            txn: 1,
-            index: 0,
-            key: b"a".to_vec(),
-            old: None,
-            new: b"1".to_vec(),
-        })
-        .unwrap();
-        w.append(&LogRecord::Commit { txn: 1 }).unwrap();
-
-        let mut mem = Mem::default();
-        let stats = recover(LogReader::new(w.into_device()), &mut mem).unwrap();
-        assert_eq!(stats.winners, vec![1]);
-        assert!(stats.losers.is_empty());
-        assert_eq!(stats.redo_applied, 1);
-        assert_eq!(mem.data.get(&(0, b"a".to_vec())), Some(&b"1".to_vec()));
-    }
-
-    #[test]
-    fn uncommitted_work_is_undone() {
-        let mut w = writer();
-        w.append(&LogRecord::Begin { txn: 1 }).unwrap();
-        w.append(&LogRecord::Put {
-            txn: 1,
-            index: 0,
-            key: b"a".to_vec(),
-            old: Some(b"orig".to_vec()),
-            new: b"dirty".to_vec(),
-        })
-        .unwrap();
-        w.append(&LogRecord::Put {
-            txn: 1,
-            index: 0,
-            key: b"b".to_vec(),
-            old: None,
-            new: b"new".to_vec(),
-        })
-        .unwrap();
-        // Crash: no commit. Simulate the dirty state having reached disk.
-        let mut mem = Mem::default();
-        mem.apply_put(0, b"a", b"dirty");
-        mem.apply_put(0, b"b", b"new");
-
-        let stats = recover(LogReader::new(w.into_device()), &mut mem).unwrap();
-        assert_eq!(stats.losers, vec![1]);
-        assert_eq!(stats.undo_applied, 2);
-        assert_eq!(mem.data.get(&(0, b"a".to_vec())), Some(&b"orig".to_vec()));
-        assert_eq!(
-            mem.data.get(&(0, b"b".to_vec())),
-            None,
-            "created key removed"
-        );
-    }
-
-    #[test]
-    fn aborted_txn_is_not_undone_again() {
-        // Online abort already compensated; recovery must not double-undo.
-        let mut w = writer();
-        w.append(&LogRecord::Begin { txn: 1 }).unwrap();
-        w.append(&LogRecord::Put {
-            txn: 1,
-            index: 0,
-            key: b"a".to_vec(),
-            old: Some(b"orig".to_vec()),
-            new: b"tmp".to_vec(),
-        })
-        .unwrap();
-        w.append(&LogRecord::Abort { txn: 1 }).unwrap();
-
-        let mut mem = Mem::default();
-        mem.apply_put(0, b"a", b"orig"); // state after online undo
-        let stats = recover(LogReader::new(w.into_device()), &mut mem).unwrap();
-        assert!(stats.losers.is_empty());
-        assert_eq!(stats.undo_applied, 0);
-        assert_eq!(mem.data.get(&(0, b"a".to_vec())), Some(&b"orig".to_vec()));
-    }
-
-    #[test]
-    fn commit_then_abort_means_aborted() {
-        // A failed commit-sync leaves the Commit record in the log while the
-        // txn stays active; a subsequent abort appends Abort. The abort is
-        // authoritative: no redo, and no double-undo either.
-        let mut w = writer();
-        w.append(&LogRecord::Begin { txn: 1 }).unwrap();
-        w.append(&LogRecord::Put {
-            txn: 1,
-            index: 0,
-            key: b"a".to_vec(),
-            old: Some(b"orig".to_vec()),
-            new: b"tmp".to_vec(),
-        })
-        .unwrap();
-        w.append(&LogRecord::Commit { txn: 1 }).unwrap();
-        w.append(&LogRecord::Abort { txn: 1 }).unwrap();
-
-        let mut mem = Mem::default();
-        mem.apply_put(0, b"a", b"orig"); // state after online undo
-        let stats = recover(LogReader::new(w.into_device()), &mut mem).unwrap();
-        assert!(stats.winners.is_empty(), "late Abort overrides Commit");
-        assert!(stats.losers.is_empty());
-        assert_eq!(stats.redo_applied, 0);
-        assert_eq!(stats.undo_applied, 0);
-        assert_eq!(mem.data.get(&(0, b"a".to_vec())), Some(&b"orig".to_vec()));
-    }
-
-    #[test]
-    fn recover_records_matches_recover() {
-        let mut w = writer();
-        w.append(&LogRecord::Begin { txn: 7 }).unwrap();
-        w.append(&LogRecord::Put {
-            txn: 7,
-            index: 1,
-            key: b"k".to_vec(),
-            old: None,
-            new: b"v".to_vec(),
-        })
-        .unwrap();
-        w.append(&LogRecord::Commit { txn: 7 }).unwrap();
-
-        let mut reader = LogReader::new(w.into_device());
-        let (records, resume) = reader.read_all().unwrap();
-        let mut a = Mem::default();
-        let sa = recover_records(&records, resume, &mut a);
-        let mut b = Mem::default();
-        let sb = recover(LogReader::new(reader.into_device()), &mut b).unwrap();
-        assert_eq!(sa, sb);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn mixed_winners_and_losers() {
-        let mut w = writer();
-        for t in 1..=3u64 {
-            w.append(&LogRecord::Begin { txn: t }).unwrap();
-            w.append(&LogRecord::Put {
-                txn: t,
-                index: 0,
-                key: format!("k{t}").into_bytes(),
-                old: None,
-                new: format!("v{t}").into_bytes(),
-            })
-            .unwrap();
-        }
-        w.append(&LogRecord::Commit { txn: 2 }).unwrap();
-
-        let mut mem = Mem::default();
-        // All three writes may have reached the store before the crash.
-        for t in 1..=3u64 {
-            mem.apply_put(0, format!("k{t}").as_bytes(), format!("v{t}").as_bytes());
-        }
-        let stats = recover(LogReader::new(w.into_device()), &mut mem).unwrap();
-        assert_eq!(stats.winners, vec![2]);
-        assert_eq!(stats.losers, vec![1, 3]);
-        assert_eq!(mem.data.len(), 1);
-        assert!(mem.data.contains_key(&(0, b"k2".to_vec())));
-    }
-
-    #[test]
-    fn redo_skips_before_checkpoint_but_undo_does_not() {
-        let mut w = writer();
-        // Winner before the checkpoint: already durable, no redo needed.
-        w.append(&LogRecord::Begin { txn: 1 }).unwrap();
-        w.append(&LogRecord::Put {
-            txn: 1,
-            index: 0,
-            key: b"old-winner".to_vec(),
-            old: None,
-            new: b"x".to_vec(),
-        })
-        .unwrap();
-        w.append(&LogRecord::Commit { txn: 1 }).unwrap();
-        // Loser straddling the checkpoint.
-        w.append(&LogRecord::Begin { txn: 2 }).unwrap();
-        w.append(&LogRecord::Put {
-            txn: 2,
-            index: 0,
-            key: b"l".to_vec(),
-            old: Some(b"before".to_vec()),
-            new: b"during".to_vec(),
-        })
-        .unwrap();
-        w.append(&LogRecord::Checkpoint).unwrap();
-
-        let mut mem = Mem::default();
-        mem.apply_put(0, b"old-winner", b"x"); // durable per checkpoint
-        mem.apply_put(0, b"l", b"during");
-        let stats = recover(LogReader::new(w.into_device()), &mut mem).unwrap();
-        assert_eq!(stats.redo_applied, 0, "checkpoint skips old redo");
-        assert_eq!(stats.undo_applied, 1, "loser undone across checkpoint");
-        assert_eq!(mem.data.get(&(0, b"l".to_vec())), Some(&b"before".to_vec()));
-    }
-
-    #[test]
-    fn recovery_is_idempotent() {
-        let mut w = writer();
-        w.append(&LogRecord::Begin { txn: 1 }).unwrap();
-        w.append(&LogRecord::Remove {
-            txn: 1,
-            index: 2,
-            key: b"gone".to_vec(),
-            old: b"was-here".to_vec(),
-        })
-        .unwrap();
-        w.append(&LogRecord::Commit { txn: 1 }).unwrap();
-        let dev = w.into_device();
-
-        let mut mem = Mem::default();
-        mem.apply_put(2, b"gone", b"was-here");
-        let s1 = recover(LogReader::new(dev), &mut mem).unwrap();
-        assert_eq!(mem.data.len(), 0);
-        // Second recovery over the same log: same end state.
-        // (Rebuild the log bytes by replaying the same records.)
-        let mut w2 = writer();
-        w2.append(&LogRecord::Begin { txn: 1 }).unwrap();
-        w2.append(&LogRecord::Remove {
-            txn: 1,
-            index: 2,
-            key: b"gone".to_vec(),
-            old: b"was-here".to_vec(),
-        })
-        .unwrap();
-        w2.append(&LogRecord::Commit { txn: 1 }).unwrap();
-        let s2 = recover(LogReader::new(w2.into_device()), &mut mem).unwrap();
-        assert_eq!(mem.data.len(), 0);
-        assert_eq!(s1.redo_applied, s2.redo_applied);
-    }
-}
+#[path = "../tests/unit/recovery.rs"]
+mod tests;

@@ -13,9 +13,12 @@
 /// Transaction identifier.
 pub type TxnId = u64;
 
-/// A logical WAL record.
+/// A logical WAL record. `B` holds its byte strings: owned (`Vec<u8>`, the
+/// default) where a record is built or kept, borrowed (`&[u8]`) where it is
+/// read in place from a frame of a [`crate::LogImage`] or viewed from an
+/// owned record — what recovery and the commit path's encoder take.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum LogRecord {
+pub enum LogRecord<B = Vec<u8>> {
     /// Transaction started.
     Begin {
         /// The transaction.
@@ -38,11 +41,11 @@ pub enum LogRecord {
         /// Which index of the product the operation targeted.
         index: u8,
         /// The key.
-        key: Vec<u8>,
+        key: B,
         /// Previous value (`None` = key was absent), for undo.
-        old: Option<Vec<u8>>,
+        old: Option<B>,
         /// New value, for redo.
-        new: Vec<u8>,
+        new: B,
     },
     /// A key was removed from index `index`.
     Remove {
@@ -51,16 +54,16 @@ pub enum LogRecord {
         /// Which index of the product the operation targeted.
         index: u8,
         /// The key.
-        key: Vec<u8>,
+        key: B,
         /// The removed value, for undo.
-        old: Vec<u8>,
+        old: B,
     },
     /// Clean checkpoint: all data pages were flushed; recovery may start
     /// scanning here.
     Checkpoint,
 }
 
-impl LogRecord {
+impl<B: AsRef<[u8]>> LogRecord<B> {
     /// The record's transaction, if any.
     pub fn txn(&self) -> Option<TxnId> {
         match self {
@@ -73,6 +76,45 @@ impl LogRecord {
         }
     }
 
+    /// The same record over borrowed bytes.
+    pub(crate) fn as_ref(&self) -> LogRecord<&[u8]> {
+        self.map(|b| b.as_ref())
+    }
+
+    /// The same record with each byte string passed through `f`.
+    fn map<'a, C>(&'a self, f: impl Fn(&'a B) -> C) -> LogRecord<C> {
+        match self {
+            LogRecord::Begin { txn } => LogRecord::Begin { txn: *txn },
+            LogRecord::Commit { txn } => LogRecord::Commit { txn: *txn },
+            LogRecord::Abort { txn } => LogRecord::Abort { txn: *txn },
+            LogRecord::Put {
+                txn,
+                index,
+                key,
+                old,
+                new,
+            } => LogRecord::Put {
+                txn: *txn,
+                index: *index,
+                key: f(key),
+                old: old.as_ref().map(&f),
+                new: f(new),
+            },
+            LogRecord::Remove {
+                txn,
+                index,
+                key,
+                old,
+            } => LogRecord::Remove {
+                txn: *txn,
+                index: *index,
+                key: f(key),
+                old: f(old),
+            },
+            LogRecord::Checkpoint => LogRecord::Checkpoint,
+        }
+    }
+
     /// Serialize the payload (without the length/checksum frame).
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(32);
@@ -82,50 +124,65 @@ impl LogRecord {
 
     /// Serialize the payload by appending to `out`, reusing its existing
     /// allocation. This is the hot-path entry: [`crate::LogWriter`] keeps
-    /// one persistent frame buffer and encodes every record into it, so a
+    /// one persistent frame buffer and encodes every record into it — the
+    /// commit path a borrowed one, built from the caller's slices — so a
     /// steady-state append performs no heap allocation.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
+        out.push(match self {
+            LogRecord::Begin { .. } => 1,
+            LogRecord::Commit { .. } => 2,
+            LogRecord::Abort { .. } => 3,
+            LogRecord::Put { .. } => 4,
+            LogRecord::Remove { .. } => 5,
+            LogRecord::Checkpoint => 6,
+        });
+        if let Some(txn) = self.txn() {
+            out.extend_from_slice(&txn.to_le_bytes());
+        }
         match self {
-            LogRecord::Begin { txn } => {
-                out.push(1);
-                out.extend_from_slice(&txn.to_le_bytes());
-            }
-            LogRecord::Commit { txn } => {
-                out.push(2);
-                out.extend_from_slice(&txn.to_le_bytes());
-            }
-            LogRecord::Abort { txn } => {
-                out.push(3);
-                out.extend_from_slice(&txn.to_le_bytes());
-            }
             LogRecord::Put {
-                txn,
                 index,
                 key,
                 old,
                 new,
-            } => encode_put(out, *txn, *index, key, old.as_deref(), new),
+                ..
+            } => {
+                out.push(*index);
+                put_bytes(out, key.as_ref());
+                match old {
+                    None => out.push(0),
+                    Some(o) => {
+                        out.push(1);
+                        put_bytes(out, o.as_ref());
+                    }
+                }
+                put_bytes(out, new.as_ref());
+            }
             LogRecord::Remove {
-                txn,
-                index,
-                key,
-                old,
-            } => encode_remove(out, *txn, *index, key, old),
-            LogRecord::Checkpoint => out.push(6),
+                index, key, old, ..
+            } => {
+                out.push(*index);
+                put_bytes(out, key.as_ref());
+                put_bytes(out, old.as_ref());
+            }
+            _ => {}
         }
     }
+}
 
-    /// Deserialize a payload produced by [`LogRecord::encode`].
-    pub fn decode(data: &[u8]) -> Option<LogRecord> {
+impl<'a> LogRecord<&'a [u8]> {
+    /// Parse a payload produced by [`LogRecord::encode`] in place: the
+    /// record's byte strings borrow from `data`.
+    pub(crate) fn parse(data: &'a [u8]) -> Option<Self> {
         fn get_u64(data: &[u8], at: usize) -> Option<u64> {
             data.get(at..at + 8)
                 .map(|b| u64::from_le_bytes(b.try_into().expect("8 bytes")))
         }
-        fn get_bytes(data: &[u8], at: usize) -> Option<(Vec<u8>, usize)> {
+        fn get_bytes(data: &[u8], at: usize) -> Option<(&[u8], usize)> {
             let len =
                 u32::from_le_bytes(data.get(at..at + 4)?.try_into().expect("4 bytes")) as usize;
             let start = at + 4;
-            Some((data.get(start..start + len)?.to_vec(), start + len))
+            Some((data.get(start..start + len)?, start + len))
         }
 
         let (&tag, _) = data.split_first()?;
@@ -176,6 +233,11 @@ impl LogRecord {
             _ => return None,
         })
     }
+
+    /// The record with its byte strings copied out.
+    pub(crate) fn to_owned(&self) -> LogRecord {
+        self.map(|b| b.to_vec())
+    }
 }
 
 fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
@@ -183,53 +245,24 @@ fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
     out.extend_from_slice(b);
 }
 
-/// The payload of a [`LogRecord::Put`], from borrowed parts: the commit
-/// path encodes the caller's slices straight into the frame buffer
-/// instead of copying them into a throw-away record first.
-pub(crate) fn encode_put(
-    out: &mut Vec<u8>,
-    txn: TxnId,
-    index: u8,
-    key: &[u8],
-    old: Option<&[u8]>,
-    new: &[u8],
-) {
-    out.push(4);
-    out.extend_from_slice(&txn.to_le_bytes());
-    out.push(index);
-    put_bytes(out, key);
-    match old {
-        None => out.push(0),
-        Some(o) => {
-            out.push(1);
-            put_bytes(out, o);
-        }
-    }
-    put_bytes(out, new);
-}
-
-/// The payload of a [`LogRecord::Remove`], from borrowed parts.
-pub(crate) fn encode_remove(out: &mut Vec<u8>, txn: TxnId, index: u8, key: &[u8], old: &[u8]) {
-    out.push(5);
-    out.extend_from_slice(&txn.to_le_bytes());
-    out.push(index);
-    put_bytes(out, key);
-    put_bytes(out, old);
-}
-
 /// Fletcher-32 over the record payload. Kept local so the transaction
-/// feature does not depend on the (optional) crypto feature.
+/// feature does not depend on the (optional) crypto feature. Each sum stays
+/// below 2^32 for 359 words from a reduced start, so it is reduced once per
+/// block of that many — the same residues as a modulo per word, and
+/// `0xFFFF_FFFF` for no word at all.
 pub(crate) fn checksum(data: &[u8]) -> u32 {
-    let mut s1: u32 = 0xFFFF;
-    let mut s2: u32 = 0xFFFF;
-    let mut iter = data.chunks_exact(2);
-    for w in &mut iter {
-        s1 = (s1 + u32::from(u16::from_le_bytes([w[0], w[1]]))) % 65535;
-        s2 = (s2 + s1) % 65535;
-    }
-    if let [b] = iter.remainder() {
-        s1 = (s1 + u32::from(*b)) % 65535;
-        s2 = (s2 + s1) % 65535;
+    let (mut s1, mut s2) = (0xFFFFu32, 0xFFFFu32);
+    for block in data.chunks(2 * 359) {
+        let mut words = block.chunks_exact(2);
+        for w in &mut words {
+            s1 += u32::from(u16::from_le_bytes([w[0], w[1]]));
+            s2 += s1;
+        }
+        if let [b] = words.remainder() {
+            s1 += u32::from(*b);
+            s2 += s1;
+        }
+        (s1, s2) = (s1 % 65535, s2 % 65535);
     }
     (s2 << 16) | s1
 }
@@ -274,7 +307,8 @@ mod proptests {
     proptest! {
         #[test]
         fn any_record_round_trips(r in record_strategy()) {
-            prop_assert_eq!(LogRecord::decode(&r.encode()), Some(r));
+            let enc = r.encode();
+            prop_assert_eq!(LogRecord::parse(&enc), Some(r.as_ref()));
         }
 
         /// Truncated payloads never decode to a *different* valid record
@@ -284,7 +318,7 @@ mod proptests {
         fn truncation_never_panics(r in record_strategy(), cut in 0usize..64) {
             let enc = r.encode();
             let cut = cut.min(enc.len());
-            let _ = LogRecord::decode(&enc[..cut]); // must not panic
+            let _ = LogRecord::parse(&enc[..cut]); // must not panic
         }
 
         #[test]
@@ -337,22 +371,31 @@ mod tests {
     fn encode_decode_round_trip() {
         for r in samples() {
             let enc = r.encode();
-            assert_eq!(LogRecord::decode(&enc), Some(r));
+            assert_eq!(LogRecord::parse(&enc), Some(r.as_ref()));
         }
     }
 
     #[test]
     fn decode_rejects_garbage() {
-        assert_eq!(LogRecord::decode(&[]), None);
-        assert_eq!(LogRecord::decode(&[42]), None);
-        assert_eq!(LogRecord::decode(&[1, 0, 0]), None); // truncated txn id
-        assert_eq!(LogRecord::decode(&[4, 0, 0, 0, 0, 0, 0, 0, 0]), None);
+        assert_eq!(LogRecord::parse(&[]), None);
+        assert_eq!(LogRecord::parse(&[42]), None);
+        assert_eq!(LogRecord::parse(&[1, 0, 0]), None); // truncated txn id
+        assert_eq!(LogRecord::parse(&[4, 0, 0, 0, 0, 0, 0, 0, 0]), None);
     }
 
     #[test]
     fn txn_accessor() {
-        assert_eq!(LogRecord::Begin { txn: 3 }.txn(), Some(3));
-        assert_eq!(LogRecord::Checkpoint.txn(), None);
+        assert_eq!(LogRecord::<Vec<u8>>::Begin { txn: 3 }.txn(), Some(3));
+        assert_eq!(LogRecord::<Vec<u8>>::Checkpoint.txn(), None);
+    }
+
+    #[test]
+    fn checksum_is_fletcher_32() {
+        // Published vectors, and the unreduced start for no word at all.
+        assert_eq!(checksum(b"abcde"), 0xF04F_C729);
+        assert_eq!(checksum(b"abcdef"), 0x5650_2D2A);
+        assert_eq!(checksum(b"abcdefgh"), 0xEBE1_9591);
+        assert_eq!(checksum(b""), 0xFFFF_FFFF);
     }
 
     #[test]
