@@ -169,6 +169,16 @@ for f in bench-results/*; do
     fi
 done
 
+echo "== unsafe code (exactly one block in the crates: the cache hint in fame_os::prefetch)"
+# Every other line of the engine is safe Rust; a second unsafe block, fn,
+# impl or trait anywhere under crates/*/src fails here.
+unsafe_sites=$(grep -rnE '\bunsafe[[:space:]]*(\{|fn\b|impl\b|trait\b|extern\b)' crates/*/src || true)
+echo "$unsafe_sites" | sed 's/^/   /'
+if [ "$(grep -c . <<<"$unsafe_sites")" -ne 1 ] || [[ "$unsafe_sites" != crates/os/src/hint.rs:* ]]; then
+    echo "FAIL: crates/*/src must hold exactly one unsafe block, in crates/os/src/hint.rs" >&2
+    exit 1
+fi
+
 echo "== code budgets (facade cfg gates and lines, engine lines; lower the ceilings, never raise them)"
 # One engine behind the facade (DESIGN.md §13): a second copy of a
 # protocol or a read path shows up here first. The facade ceilings count

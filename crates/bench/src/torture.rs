@@ -841,6 +841,11 @@ pub fn default_specs() -> Vec<TortureSpec> {
         spec("btree/buffered/group3", BTree, Some(32), group(3), 10, 4),
         spec("list/buffered/force", List, Some(32), force, 8, 4),
         spec("hash/buffered/group2", Hash, Some(32), group(2), 8, 4),
+        // Slot 9 syncs its write of a key no earlier commit wrote (key 12:
+        // three ops per slot), then aborts; slot 10's commit makes the
+        // `Abort` durable while that write is on the data media and its
+        // compensation only in the pool, until the next data barrier.
+        spec("btree/synced-abort/force", BTree, Some(32), force, 12, 3),
         spec("btree/unbuffered/no-txn", BTree, None, None, 8, 4),
         spec("list/unbuffered/no-txn", List, None, None, 8, 4),
         // E10: batched write path — each slot is one WriteBatch applied
@@ -945,7 +950,7 @@ mod tests {
 
     #[test]
     fn non_txn_variant_recovers_last_synced_state() {
-        let spec = &default_specs()[4];
+        let spec = &by_name("btree/unbuffered/no-txn");
         let rec = record(spec);
         let row = crash_once(spec, &rec, "data-clean", rec.data_writes / 2);
         assert!(row.violations.is_empty(), "{:?}", row.violations);
@@ -1136,6 +1141,47 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// An abort compensates in the pool only; no record logs it. When the
+    /// aborted write reached the data media mid-transaction and a later
+    /// commit made the `Abort` durable, recovery must re-apply the
+    /// compensation at that `Abort` — without it the aborted bytes survive
+    /// the reopen.
+    #[test]
+    fn an_aborted_write_synced_before_its_abort_does_not_survive_a_crash() {
+        let spec = &TortureSpec {
+            buffer_frames: Some(64),
+            ..by_name("btree/buffered/force")
+        };
+        let (data, log) = fresh_universe(spec);
+        let mut db = open(spec, &data, &log).expect("open");
+        let t = db.begin().unwrap();
+        db.txn_put(t, b"k", b"committed").unwrap();
+        db.commit(t).unwrap();
+        db.sync().unwrap();
+        drop(db);
+
+        // The reopen seals the log with a checkpoint: nothing before it is
+        // redone, so no older redo can paper over the aborted write.
+        let mut db = open(spec, &data, &log).expect("reopen");
+        let t1 = db.begin().unwrap();
+        db.txn_put(t1, b"k", b"uncommitted").unwrap();
+        db.sync().unwrap(); // the aborted write reaches the data media
+        db.abort(t1).unwrap(); // compensated in the pool only
+        let t2 = db.begin().unwrap();
+        db.txn_put(t2, b"other", b"later").unwrap();
+        db.commit(t2).unwrap(); // its log sync makes the Abort durable
+        power_cut(&data, &log);
+        drop(db);
+        heal(&data, &log);
+
+        let mut db = open(spec, &data, &log).expect("reopen after crash");
+        assert_eq!(db.get(b"k").unwrap(), Some(b"committed".to_vec()));
+        assert_eq!(db.get(b"other").unwrap(), Some(b"later".to_vec()));
+        let stats = db.last_recovery().expect("the crash left work to replay");
+        assert!(stats.losers.is_empty(), "{stats:?}");
+        assert_eq!(stats.undo_applied, 1, "{stats:?}");
     }
 
     /// Transaction ids keep rising across a reopen. Recovery classifies by

@@ -94,6 +94,8 @@ impl Cached {
         page: PageId,
     ) -> Result<FrameIdx, OsError> {
         if let Some(idx) = self.resident(page) {
+            // Every line of the node at once, not one miss per search probe.
+            fame_os::prefetch(self.bytes(idx));
             stats.hits.inc();
             self.policy.on_access(idx);
             return Ok(idx);

@@ -22,10 +22,6 @@ mod local {
     pub struct Counter(AtomicU64);
 
     impl Counter {
-        pub const fn new() -> Self {
-            Counter(AtomicU64::new(0))
-        }
-
         #[inline]
         pub fn inc(&self) {
             self.add(1);
@@ -91,16 +87,6 @@ pub struct AtomicPoolStats {
 }
 
 impl AtomicPoolStats {
-    pub const fn new() -> Self {
-        AtomicPoolStats {
-            hits: Counter::new(),
-            misses: Counter::new(),
-            evictions: Counter::new(),
-            writebacks: Counter::new(),
-            latch_waits: Counter::new(),
-        }
-    }
-
     /// Copy the current values.
     pub fn snapshot(&self) -> PoolStats {
         PoolStats {
@@ -119,7 +105,7 @@ mod tests {
 
     #[test]
     fn snapshot_copies_all_fields() {
-        let s = AtomicPoolStats::new();
+        let s = AtomicPoolStats::default();
         s.hits.add(3);
         s.misses.inc();
         s.evictions.add(2);

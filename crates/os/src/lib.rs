@@ -19,7 +19,8 @@
 //!   every page write (the write-ahead rule of a buffered log).
 //!
 //! It also hosts the frame-allocation policies (feature *Memory Alloc*:
-//! `Static` vs `Dynamic`) used by the buffer manager.
+//! `Static` vs `Dynamic`) used by the buffer manager, and [`prefetch`],
+//! the one CPU cache hint the engine issues.
 
 pub mod alloc;
 pub mod device;
@@ -29,6 +30,7 @@ pub mod fault;
 pub mod file;
 #[cfg(feature = "flash")]
 pub mod flash;
+mod hint;
 #[cfg(feature = "inmem")]
 pub mod memory;
 #[cfg(feature = "obs")]
@@ -44,6 +46,7 @@ pub use fault::{FaultDevice, FaultPlan};
 pub use file::FileDevice;
 #[cfg(feature = "flash")]
 pub use flash::{FlashConfig, FlashDevice};
+pub use hint::prefetch;
 #[cfg(feature = "inmem")]
 pub use memory::InMemoryDevice;
 #[cfg(feature = "obs")]

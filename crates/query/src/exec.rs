@@ -224,13 +224,13 @@ impl SqlEngine {
                     info.schema.check_row(&row).map_err(QueryError::from)?;
                     let new_key = key_of(&info.schema, &row)?;
                     let bytes = info.schema.encode_row(&row)?;
-                    if new_key != old_key {
-                        if tree.contains(pager, &new_key)? {
-                            return Err(QueryError::DuplicateKey(format!("{}", row[0])));
-                        }
+                    if new_key == old_key {
+                        tree.insert(pager, &new_key, &bytes)?;
+                    } else if tree.insert_new(pager, &new_key, &bytes)? {
                         tree.remove(pager, &old_key)?;
+                    } else {
+                        return Err(QueryError::DuplicateKey(format!("{}", row[0])));
                     }
-                    tree.insert(pager, &new_key, &bytes)?;
                     n += 1;
                 }
                 Ok(QueryOutput::Updated(n))
@@ -874,6 +874,12 @@ mod tests {
             .execute(&mut pg, "UPDATE users SET id = 2 WHERE id = 1")
             .unwrap_err();
         assert!(matches!(err, QueryError::DuplicateKey(_)));
+        // The refusal wrote nothing: both rows are as they were.
+        for (id, name) in [(1, "alice"), (2, "bob")] {
+            let sql = format!("SELECT name FROM users WHERE id = {id}");
+            let out = e.execute(&mut pg, &sql).unwrap();
+            assert_eq!(out.rows().unwrap()[..], [vec![Value::Str(name.into())]]);
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! One forward pass over the log decides each transaction's fate by its
 //! **last terminal record**: a final `Commit` makes a winner, a final
-//! `Abort` marks it compensated online, and no terminal at all makes a
+//! `Abort` an aborted transaction, and no terminal at all makes a
 //! loser. Last-record-wins matters because a commit whose durability sync
 //! fails leaves a `Commit` record in the buffered log while the transaction
 //! stays active; if the application then aborts it, the log legitimately
@@ -11,8 +11,10 @@
 //! newest first, in one vector. Then:
 //!
 //! 1. **Redo** — winners' `Put`/`Remove` operations are re-applied in log
-//!    order. Logical operations are idempotent (`put` overwrites, `remove`
-//!    of a missing key is a no-op), so recovery after recovery is safe.
+//!    order, and an aborted transaction's online compensation (never
+//!    logged; a page synced mid-transaction still holds its writes) at its
+//!    final `Abort`. Logical operations are idempotent (`put` overwrites,
+//!    `remove` of a missing key is a no-op): recovery after recovery is safe.
 //! 2. **Undo** — losers' operations are compensated in reverse log order
 //!    using the before-images, following the losers' links only.
 //!
@@ -89,7 +91,7 @@ pub fn recover_records<T: RecoveryTarget>(
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Fate {
     Winner,
-    /// Compensated online: neither redone nor undone.
+    /// Compensated online, unlogged: re-compensated at its final `Abort`.
     Aborted,
     Loser,
 }
@@ -101,9 +103,9 @@ where
     I: Iterator<Item = (Lsn, LogRecord<&'a [u8]>)>,
     T: RecoveryTarget,
 {
-    // Each transaction's fate and its newest data record's link; a link is
-    // a record's position and the link of its transaction's previous one.
-    let mut fates: HashMap<TxnId, (Fate, Option<usize>)> = HashMap::new();
+    // Per transaction: its fate, its last terminal record's position and
+    // its newest data record's link (a position and the previous link).
+    let mut fates: HashMap<TxnId, (Fate, Lsn, Option<usize>)> = HashMap::new();
     let mut links: Vec<(Lsn, Option<usize>)> = Vec::new();
     let mut checkpoint = 0;
     for (at, record) in from(0) {
@@ -111,10 +113,10 @@ where
             checkpoint = at;
             continue;
         };
-        let (fate, newest) = fates.entry(txn).or_insert((Fate::Loser, None));
+        let (fate, end, newest) = fates.entry(txn).or_insert((Fate::Loser, 0, None));
         match record {
-            LogRecord::Commit { .. } => *fate = Fate::Winner,
-            LogRecord::Abort { .. } => *fate = Fate::Aborted,
+            LogRecord::Commit { .. } => (*fate, *end) = (Fate::Winner, at),
+            LogRecord::Abort { .. } => (*fate, *end) = (Fate::Aborted, at),
             LogRecord::Put { .. } | LogRecord::Remove { .. } => {
                 links.push((at, newest.replace(links.len())));
             }
@@ -124,7 +126,7 @@ where
     let with_fate = |want: Fate| {
         let mut txns: Vec<TxnId> = fates
             .iter()
-            .filter_map(|(&txn, &(fate, _))| (fate == want).then_some(txn))
+            .filter_map(|(&txn, &(fate, ..))| (fate == want).then_some(txn))
             .collect();
         txns.sort_unstable();
         txns
@@ -132,39 +134,13 @@ where
     let mut stats = RecoveryStats {
         winners: with_fate(Fate::Winner),
         losers: with_fate(Fate::Loser),
-        redo_applied: 0,
-        undo_applied: 0,
         resume_lsn,
+        ..RecoveryStats::default()
     };
-
-    // Redo winners from the last checkpoint on.
-    let winner = |txn| fates.get(&txn).map(|f| f.0) == Some(Fate::Winner);
-    for (_, record) in from(checkpoint) {
-        match record {
-            LogRecord::Put {
-                txn,
-                index,
-                key,
-                new,
-                ..
-            } if winner(txn) => target.apply_put(index, key, new),
-            LogRecord::Remove {
-                txn, index, key, ..
-            } if winner(txn) => target.apply_remove(index, key),
-            _ => continue,
-        }
-        stats.redo_applied += 1;
-    }
-
-    // Undo the losers' records, newest first across all of them (the whole
-    // log: a loser may have started before the checkpoint).
-    let mut heads: BinaryHeap<usize> = fates
-        .values()
-        .filter_map(|&(fate, newest)| newest.filter(|_| fate == Fate::Loser))
-        .collect();
-    while let Some(link) = heads.pop() {
+    // Restore one data record's before-image; the link of its
+    // transaction's previous record comes back.
+    let undo = |link: usize, target: &mut T| {
         let (at, prev) = links[link];
-        heads.extend(prev);
         match from(at).next().map(|(_, record)| record) {
             Some(
                 LogRecord::Put {
@@ -185,6 +161,42 @@ where
             }) => target.apply_remove(index, key),
             _ => unreachable!("a link names a data record"),
         }
+        prev
+    };
+
+    // Redo winners from the last checkpoint on; re-compensate an aborted
+    // transaction at its final `Abort` (its links reach past the checkpoint).
+    // It held its keys until then, so later winners are redone over it.
+    for (at, record) in from(checkpoint) {
+        let fate = record.txn().and_then(|txn| fates.get(&txn));
+        let winner = matches!(fate, Some((Fate::Winner, ..)));
+        match record {
+            LogRecord::Put {
+                index, key, new, ..
+            } if winner => target.apply_put(index, key, new),
+            LogRecord::Remove { index, key, .. } if winner => target.apply_remove(index, key),
+            LogRecord::Abort { .. } => {
+                if let Some(&(Fate::Aborted, _, mut link)) = fate.filter(|f| f.1 == at) {
+                    while let Some(l) = link {
+                        link = undo(l, target);
+                        stats.undo_applied += 1;
+                    }
+                }
+                continue;
+            }
+            _ => continue,
+        }
+        stats.redo_applied += 1;
+    }
+
+    // Undo the losers' records, newest first across all of them (the whole
+    // log: a loser may have started before the checkpoint).
+    let mut heads: BinaryHeap<usize> = fates
+        .values()
+        .filter_map(|&(fate, _, newest)| newest.filter(|_| fate == Fate::Loser))
+        .collect();
+    while let Some(link) = heads.pop() {
+        heads.extend(undo(link, target));
         stats.undo_applied += 1;
     }
     stats

@@ -272,6 +272,10 @@ struct Run {
     log: LogWriter,
     /// The store at the crash.
     store: Mem,
+    /// The media at the crash, had every page reached it before the aborts
+    /// compensated: the store at the last checkpoint plus every write since,
+    /// no compensation applied.
+    media: Mem,
     /// Winners' writes alone, replayed in log order: what recovery must
     /// leave.
     expected: Mem,
@@ -279,6 +283,8 @@ struct Run {
     /// LSNs of the winners' writes, and of the last checkpoint (0: none).
     won: Vec<u64>,
     checkpoint: u64,
+    /// Per aborted transaction, the LSN of its `Abort` and its writes.
+    aborted: Vec<(u64, usize)>,
     open: [Option<u64>; 4],
     /// Each open transaction's undo (before-images), oldest first.
     undo: Writes,
@@ -295,10 +301,12 @@ impl Run {
         Run {
             log: LogWriter::new(Box::new(InMemoryDevice::new(128)), 0).unwrap(),
             store: Mem::default(),
+            media: Mem::default(),
             expected: Mem::default(),
             winners: BTreeSet::new(),
             won: Vec::new(),
             checkpoint: 0,
+            aborted: Vec::new(),
             open: [None; 4],
             undo: BTreeMap::new(),
             redo: BTreeMap::new(),
@@ -344,6 +352,7 @@ impl Run {
         };
         let lsn = self.log.append(&record).unwrap();
         set(&mut self.store, &at, new.as_deref());
+        set(&mut self.media, &at, new.as_deref());
         self.undo
             .entry(txn)
             .or_default()
@@ -360,10 +369,12 @@ impl Run {
             self.log.append(&LogRecord::Commit { txn }).unwrap();
         }
         if abort {
-            for (at, old, _) in self.undo.remove(&txn).unwrap_or_default().into_iter().rev() {
+            let undo = self.undo.remove(&txn).unwrap_or_default();
+            let lsn = self.log.append(&LogRecord::Abort { txn }).unwrap();
+            self.aborted.push((lsn, undo.len()));
+            for (at, old, _) in undo.into_iter().rev() {
                 set(&mut self.store, &at, old.as_deref());
             }
-            self.log.append(&LogRecord::Abort { txn }).unwrap();
         } else {
             self.winners.insert(txn);
             for (at, new, lsn) in self.redo.remove(&txn).unwrap_or_default() {
@@ -387,7 +398,9 @@ proptest! {
 
     /// Recovery from the image (`recover`) and from `read_all`'s owned
     /// records (`recover_records`) agree on every count and leave the same
-    /// store, which holds the winners' writes and nothing else.
+    /// store, which holds the winners' writes and nothing else — also from
+    /// media that never saw an abort's compensation, which recovery
+    /// re-applies at each `Abort` after the last checkpoint.
     #[test]
     fn recovery_over_the_image_equals_recovery_over_records(
         steps in prop::collection::vec(step(), 0..60),
@@ -400,12 +413,20 @@ proptest! {
                 Step::Commit(slot) => run.end(slot, true, false),
                 Step::Abort(slot) => run.end(slot, false, true),
                 Step::CommitThenAbort(slot) => run.end(slot, true, true),
-                Step::Checkpoint => run.checkpoint = run.log.append(&LogRecord::Checkpoint).unwrap(),
+                Step::Checkpoint => {
+                    run.checkpoint = run.log.append(&LogRecord::Checkpoint).unwrap();
+                    run.media = run.store.clone();
+                }
             }
         }
         let losers: BTreeSet<u64> = run.open.iter().flatten().copied().collect();
         let loser_writes: usize = losers.iter().map(|t| run.undo.get(t).map_or(0, Vec::len)).sum();
         let redone = run.won.iter().filter(|&&lsn| lsn > run.checkpoint).count();
+        let compensated: usize = run
+            .aborted
+            .iter()
+            .filter_map(|&(lsn, writes)| (lsn > run.checkpoint).then_some(writes))
+            .sum();
 
         let mut reader = LogReader::new(run.log.into_device());
         let (records, resume) = reader.read_all().unwrap();
@@ -413,14 +434,18 @@ proptest! {
         let by_records = recover_records(&records, resume, &mut from_records);
         let mut from_image = run.store.clone();
         let by_image = recover(LogReader::new(reader.into_device()), &mut from_image).unwrap();
+        let mut from_media = run.media.clone();
+        let by_media = recover_records(&records, resume, &mut from_media);
 
         prop_assert_eq!(&by_image, &by_records);
         prop_assert_eq!(&from_image, &from_records);
         prop_assert_eq!(&from_image, &run.expected);
+        prop_assert_eq!(&by_media, &by_image);
+        prop_assert_eq!(&from_media, &run.expected);
         prop_assert_eq!(by_image.winners, run.winners.into_iter().collect::<Vec<_>>());
         prop_assert_eq!(by_image.losers, losers.into_iter().collect::<Vec<_>>());
         prop_assert_eq!(by_image.redo_applied, redone);
-        prop_assert_eq!(by_image.undo_applied, loser_writes);
+        prop_assert_eq!(by_image.undo_applied, loser_writes + compensated);
         prop_assert_eq!(by_image.resume_lsn, resume);
     }
 }

@@ -86,7 +86,9 @@ fn uncommitted_work_is_undone() {
 
 #[test]
 fn aborted_txn_is_not_undone_again() {
-    // Online abort already compensated; recovery must not double-undo.
+    // Online abort compensated in memory only; a page synced before the
+    // abort may still hold the aborted write. Recovery re-applies the
+    // compensation once, at the Abort, and does not undo it as a loser.
     let mut w = writer();
     w.append(&LogRecord::Begin { txn: 1 }).unwrap();
     w.append(&LogRecord::Put {
@@ -100,10 +102,10 @@ fn aborted_txn_is_not_undone_again() {
     w.append(&LogRecord::Abort { txn: 1 }).unwrap();
 
     let mut mem = Mem::default();
-    mem.apply_put(0, b"a", b"orig"); // state after online undo
+    mem.apply_put(0, b"a", b"tmp"); // the aborted write reached the store
     let stats = recover(LogReader::new(w.into_device()), &mut mem).unwrap();
     assert!(stats.losers.is_empty());
-    assert_eq!(stats.undo_applied, 0);
+    assert_eq!(stats.undo_applied, 1);
     assert_eq!(mem.data.get(&(0, b"a".to_vec())), Some(&b"orig".to_vec()));
 }
 
@@ -111,7 +113,7 @@ fn aborted_txn_is_not_undone_again() {
 fn commit_then_abort_means_aborted() {
     // A failed commit-sync leaves the Commit record in the log while the
     // txn stays active; a subsequent abort appends Abort. The abort is
-    // authoritative: no redo, and no double-undo either.
+    // authoritative: no redo, and one compensation, at the Abort.
     let mut w = writer();
     w.append(&LogRecord::Begin { txn: 1 }).unwrap();
     w.append(&LogRecord::Put {
@@ -126,12 +128,12 @@ fn commit_then_abort_means_aborted() {
     w.append(&LogRecord::Abort { txn: 1 }).unwrap();
 
     let mut mem = Mem::default();
-    mem.apply_put(0, b"a", b"orig"); // state after online undo
+    mem.apply_put(0, b"a", b"tmp"); // the aborted write reached the store
     let stats = recover(LogReader::new(w.into_device()), &mut mem).unwrap();
     assert!(stats.winners.is_empty(), "late Abort overrides Commit");
     assert!(stats.losers.is_empty());
     assert_eq!(stats.redo_applied, 0);
-    assert_eq!(stats.undo_applied, 0);
+    assert_eq!(stats.undo_applied, 1);
     assert_eq!(mem.data.get(&(0, b"a".to_vec())), Some(&b"orig".to_vec()));
 }
 
