@@ -179,25 +179,35 @@ if [ "$(grep -c . <<<"$unsafe_sites")" -ne 1 ] || [[ "$unsafe_sites" != crates/o
     exit 1
 fi
 
-echo "== code budgets (facade cfg gates and lines, engine lines; lower the ceilings, never raise them)"
+echo "== code budgets (facade cfg gates and lines, engine and storage lines, page writes; lower the ceilings, never raise them)"
 # One engine behind the facade (DESIGN.md §13): a second copy of a
 # protocol or a read path shows up here first. The facade ceilings count
 # crates/core; the engine ceiling counts the four crates the engine is
 # made of — one lock table, one commit step, one op ring, two pools (the
-# pools share an outline and no code; ROADMAP records why they stay). A
-# PR that deletes code lowers a ceiling; none is ever raised.
+# pools share an outline and no code; ROADMAP records why they stay). The
+# storage ceilings count crates/storage/src — one page layer: one chain
+# under List and Hash, one cell codec — and the `with_page_mut` call sites
+# outside pager.rs (tests included), the places a page changes that a
+# logged structure change will have to cover. A PR that deletes code
+# lowers a ceiling; none is ever raised.
 FACADE_CFG_CEILING=297
-FACADE_LINES_CEILING=3699
-ENGINE_LINES_CEILING=11961
+FACADE_LINES_CEILING=3698
+ENGINE_LINES_CEILING=11960
+STORAGE_LINES_CEILING=5705
+STORAGE_PAGE_WRITES_CEILING=19
 # Counted recursively, so splitting a file into a module directory moves
 # no line out of the count.
 facade_cfg=$(find crates/core/src -name '*.rs' -exec cat {} + | grep -c 'cfg(')
 facade_lines=$(find crates/core/src -name '*.rs' -exec cat {} + | wc -l)
 engine_lines=$(find crates/{buffer,txn,core,obs}/src -name '*.rs' -exec cat {} + | wc -l)
+storage_lines=$(find crates/storage/src -name '*.rs' -exec cat {} + | wc -l)
+storage_page_writes=$(find crates/storage/src -name '*.rs' ! -name pager.rs -exec cat {} + | grep -c 'with_page_mut')
 echo "   crates/core/src/**/*.rs: $facade_cfg cfg gates (<= $FACADE_CFG_CEILING), $facade_lines lines (<= $FACADE_LINES_CEILING)"
 echo "   crates/{buffer,txn,core,obs}/src/**/*.rs: $engine_lines lines (<= $ENGINE_LINES_CEILING)"
+echo "   crates/storage/src/**/*.rs: $storage_lines lines (<= $STORAGE_LINES_CEILING), $storage_page_writes with_page_mut sites outside pager.rs (<= $STORAGE_PAGE_WRITES_CEILING)"
 if [ "$facade_cfg" -gt "$FACADE_CFG_CEILING" ] || [ "$facade_lines" -gt "$FACADE_LINES_CEILING" ] \
-        || [ "$engine_lines" -gt "$ENGINE_LINES_CEILING" ]; then
+        || [ "$engine_lines" -gt "$ENGINE_LINES_CEILING" ] || [ "$storage_lines" -gt "$STORAGE_LINES_CEILING" ] \
+        || [ "$storage_page_writes" -gt "$STORAGE_PAGE_WRITES_CEILING" ]; then
     echo "FAIL: the engine outgrew its code budget" >&2
     exit 1
 fi

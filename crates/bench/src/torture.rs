@@ -670,7 +670,16 @@ fn judge_prefix(
         .iter()
         .filter(|&&before| log_syncs_at_crash > before)
         .count();
-    row.recovered = rec.committed.iter().position(|s| s == recovered);
+    // Two committed states can be equal (a slot whose only effect is
+    // removing absent keys), so judge every prefix the state matches.
+    let matches: Vec<usize> = (0..rec.committed.len())
+        .filter(|&m| rec.committed[m] == *recovered)
+        .collect();
+    row.recovered = matches
+        .iter()
+        .copied()
+        .find(|m| (row.durable..=row.completed + 1).contains(m))
+        .or(matches.first().copied());
     match row.recovered {
         None => row
             .violations
@@ -913,6 +922,53 @@ mod tests {
         }
         assert!(points > 400, "{points} crash points");
         assert!(failures.is_empty(), "{failures:#?}");
+    }
+
+    /// Slots 2 and 3 leave the same state (slot 3 only removes an absent
+    /// key). Three commits were synced and the state recovered is that
+    /// of prefix 3, which equals prefix 2: a correct recovery.
+    #[test]
+    fn equal_consecutive_prefixes_are_not_a_durability_violation() {
+        let state = |keys: &[&str]| -> Model {
+            keys.iter()
+                .map(|k| (k.as_bytes().to_vec(), b"v".to_vec()))
+                .collect()
+        };
+        let rec = Recording {
+            log_writes: 0,
+            data_writes: 0,
+            log_syncs: 3,
+            committed: vec![
+                state(&[]),
+                state(&["a"]),
+                state(&["a", "b"]),
+                state(&["a", "b"]),
+                state(&["a", "b", "c"]),
+            ],
+            sync_states: vec![(0, state(&[]))],
+        };
+        let judge = |recovered: &Model| {
+            let mut row = CrashRow {
+                variant: "synthetic",
+                mode: "log-clean",
+                crash_at: 0,
+                fired: true,
+                completed: 0,
+                durable: 0,
+                recovered: None,
+                violations: Vec::new(),
+            };
+            judge_prefix(recovered, &rec, &[0, 1, 2], 3, &mut row);
+            row
+        };
+        let row = judge(&state(&["a", "b"]));
+        assert_eq!((row.durable, row.completed), (3, 3));
+        assert!(row.violations.is_empty(), "{:?}", row.violations);
+        assert_eq!(row.recovered, Some(3));
+        // A state older than the synced prefix still is a violation.
+        let lost = judge(&state(&["a"]));
+        assert_eq!(lost.recovered, Some(1));
+        assert!(lost.violations[0].starts_with("durability broken"));
     }
 
     #[test]

@@ -11,13 +11,10 @@ use crate::error::Result;
 pub(crate) fn make_device(config: &DbmsConfig) -> Result<Box<dyn BlockDevice>> {
     let dev: Box<dyn BlockDevice> = match &config.os {
         #[cfg(feature = "os-inmem")]
-        OsTarget::InMemory { capacity_pages } => match capacity_pages {
-            Some(cap) => Box::new(fame_os::InMemoryDevice::with_capacity(
-                config.page_size,
-                *cap,
-            )),
-            None => Box::new(fame_os::InMemoryDevice::new(config.page_size)),
-        },
+        OsTarget::InMemory { capacity_pages } => Box::new(match capacity_pages {
+            Some(cap) => fame_os::InMemoryDevice::with_capacity(config.page_size, *cap),
+            None => fame_os::InMemoryDevice::new(config.page_size),
+        }),
         #[cfg(feature = "os-std")]
         OsTarget::File { path } => Box::new(open_or_create(path, config.page_size)?),
         #[cfg(feature = "os-flash")]

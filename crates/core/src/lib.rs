@@ -36,16 +36,21 @@
 //! * [`fame_feature_model`] — the executable Figure 2 feature model; every
 //!   [`DbmsConfig`] can be checked against it
 
-// A product needs at least one index and one OS backend; fail composition
-// loudly instead of at first use.
+// A product needs at least one API operation (`api-batch` implies
+// `api-put`), one index and one OS backend; fail composition loudly.
+#[cfg(not(any(
+    feature = "api-put",
+    feature = "api-get",
+    feature = "api-remove",
+    feature = "api-update"
+)))]
+compile_error!("FAME-DBMS needs an API feature: api-put, api-get, api-remove, or api-update");
 #[cfg(not(any(
     feature = "index-btree",
     feature = "index-list",
     feature = "index-hash"
 )))]
-compile_error!(
-    "FAME-DBMS needs at least one index feature: index-btree, index-list, or index-hash"
-);
+compile_error!("FAME-DBMS needs an index feature: index-btree, index-list, or index-hash");
 #[cfg(not(any(feature = "os-std", feature = "os-inmem", feature = "os-flash")))]
 compile_error!("FAME-DBMS needs at least one OS backend: os-std, os-inmem, or os-flash");
 // Commit is a mandatory alternative group below Transaction (Fig. 2 +
@@ -83,11 +88,8 @@ pub use fame_storage;
 #[cfg(feature = "statistics")]
 pub use fame_obs;
 #[cfg(feature = "sql")]
-pub use fame_query;
+pub use fame_query::{self, QueryOutput};
 #[cfg(feature = "replication")]
 pub use fame_repl;
 #[cfg(feature = "transactions")]
 pub use fame_txn;
-
-#[cfg(feature = "sql")]
-pub use fame_query::QueryOutput;

@@ -23,43 +23,23 @@
 use fame_os::PageId;
 
 use crate::error::{Result, StorageError};
-use crate::page::{PageType, PageView, SlottedPage, PAGE_HEADER_SIZE};
+use crate::page::{cell, cell_key, cell_value, PageType, PageView, SlottedPage, PAGE_HEADER_SIZE};
 use crate::pager::{PageRead, Pager};
 
 /// Fraction of the page below which a node is considered under-full.
 const UNDERFLOW_DIVISOR: usize = 4;
 
 // ---- cell encodings -------------------------------------------------------
-
-fn leaf_cell(key: &[u8], value: &[u8]) -> Vec<u8> {
-    let mut c = Vec::with_capacity(2 + key.len() + value.len());
-    c.extend_from_slice(&(key.len() as u16).to_le_bytes());
-    c.extend_from_slice(key);
-    c.extend_from_slice(value);
-    c
-}
-
-fn cell_key(cell: &[u8]) -> &[u8] {
-    let klen = u16::from_le_bytes([cell[0], cell[1]]) as usize;
-    &cell[2..2 + klen]
-}
-
-fn leaf_value(cell: &[u8]) -> &[u8] {
-    let klen = u16::from_le_bytes([cell[0], cell[1]]) as usize;
-    &cell[2 + klen..]
-}
+//
+// Leaves hold the page codec's `[klen][key][value]` cells; a separator is
+// the same cell with the child page id as its 4-byte value.
 
 fn int_cell(key: &[u8], child: PageId) -> Vec<u8> {
-    let mut c = Vec::with_capacity(2 + key.len() + 4);
-    c.extend_from_slice(&(key.len() as u16).to_le_bytes());
-    c.extend_from_slice(key);
-    c.extend_from_slice(&child.to_le_bytes());
-    c
+    cell(key, &child.to_le_bytes())
 }
 
-fn int_child(cell: &[u8]) -> PageId {
-    let klen = u16::from_le_bytes([cell[0], cell[1]]) as usize;
-    u32::from_le_bytes(cell[2 + klen..2 + klen + 4].try_into().expect("4 bytes"))
+fn int_child(c: &[u8]) -> PageId {
+    u32::from_le_bytes(cell_value(c)[..4].try_into().expect("4 bytes"))
 }
 
 /// Binary search over the ordered cells of a node.
@@ -114,10 +94,7 @@ impl BTree {
 
     /// Create an empty tree and persist its root in `root_slot`.
     pub fn create(pager: &mut Pager, root_slot: usize) -> Result<BTree> {
-        let root = pager.allocate()?;
-        pager.with_page_mut(root, |buf| {
-            SlottedPage::init(buf, PageType::BTreeLeaf);
-        })?;
+        let root = pager.allocate(PageType::BTreeLeaf, |_| {})?;
         pager.set_root(root_slot, Some(root))?;
         Ok(BTree { root, root_slot })
     }
@@ -187,7 +164,7 @@ impl BTree {
                     Some(PageType::BTreeLeaf) => match search(&view, key) {
                         Ok(i) => {
                             let f = f.take().expect("descent reaches one leaf");
-                            Step::Found(f(leaf_value(view.cell_at(i))))
+                            Step::Found(f(cell_value(view.cell_at(i))))
                         }
                         Err(_) => Step::Missing,
                     },
@@ -257,7 +234,7 @@ impl BTree {
                         Some(PageType::BTreeLeaf) => match search(&view, key) {
                             Ok(i) => {
                                 let f = f.take().expect("descent commits one leaf");
-                                Step::Found(f(leaf_value(view.cell_at(i))))
+                                Step::Found(f(cell_value(view.cell_at(i))))
                             }
                             Err(_) => Step::Missing,
                         },
@@ -380,7 +357,7 @@ impl BTree {
         value: &[u8],
         overwrite: bool,
     ) -> Result<bool> {
-        let cell = leaf_cell(key, value);
+        let cell = cell(key, value);
         if cell.len() > Self::max_cell(pager) {
             return Err(StorageError::RecordTooLarge {
                 size: cell.len(),
@@ -389,18 +366,44 @@ impl BTree {
         }
         let (ins, was_new) = self.insert_rec(pager, self.root, key, value, overwrite)?;
         if let Ins::Split(sep, right) = ins {
-            // Grow the tree: new internal root.
-            let new_root = pager.allocate()?;
-            let old_root = self.root;
-            pager.with_page_mut(new_root, |buf| {
-                let mut p = SlottedPage::init(buf, PageType::BTreeInternal);
-                p.set_aux(Some(old_root));
-                let ok = p.insert_at(0, &int_cell(&sep, right));
-                debug_assert!(ok, "fresh root holds one separator");
-            })?;
-            self.set_root(pager, new_root)?;
+            self.grow_root(pager, &sep, right)?;
         }
         Ok(was_new)
+    }
+
+    /// A split reached the root: grow the tree by a new internal root
+    /// over the old root and `right`.
+    fn grow_root(&mut self, pager: &mut Pager, sep: &[u8], right: PageId) -> Result<()> {
+        let old_root = self.root;
+        let new_root = pager.allocate(PageType::BTreeInternal, |p| {
+            p.set_aux(Some(old_root));
+            let ok = p.insert_at(0, &int_cell(sep, right));
+            debug_assert!(ok, "fresh root holds one separator");
+        })?;
+        self.set_root(pager, new_root)
+    }
+
+    /// Add separator `sep` → `right` to internal node `page`, splitting
+    /// the node when it is full.
+    fn insert_separator(
+        &mut self,
+        pager: &mut Pager,
+        page: PageId,
+        sep: &[u8],
+        right: PageId,
+    ) -> Result<Ins> {
+        let cell = int_cell(sep, right);
+        let fit = pager.with_page_mut(page, |buf| {
+            let mut p = SlottedPage::new(buf);
+            // Separators are unique, so `Ok` cannot happen.
+            let idx = search(&p.view(), sep).unwrap_or_else(|i| i);
+            p.insert_at(idx, &cell)
+        })?;
+        if fit {
+            Ok(Ins::Fit)
+        } else {
+            self.split_internal(pager, page, sep, right)
+        }
     }
 
     fn insert_rec(
@@ -429,22 +432,7 @@ impl BTree {
         let Ins::Split(sep, right) = ins else {
             return Ok((Ins::Fit, was_new));
         };
-
-        // Add the separator to this internal node.
-        let cell = int_cell(&sep, right);
-        let fit = pager.with_page_mut(page, |buf| {
-            let mut p = SlottedPage::new(buf);
-            let idx = match search(&p.view(), &sep) {
-                Ok(i) => i, // cannot happen with unique separators
-                Err(i) => i,
-            };
-            p.insert_at(idx, &cell)
-        })?;
-        if fit {
-            return Ok((Ins::Fit, was_new));
-        }
-        let split = self.split_internal(pager, page, &sep, right)?;
-        Ok((split, was_new))
+        Ok((self.insert_separator(pager, page, &sep, right)?, was_new))
     }
 
     fn leaf_insert(
@@ -454,7 +442,7 @@ impl BTree {
         key: &[u8],
         value: &[u8],
     ) -> Result<(Ins, bool)> {
-        let cell = leaf_cell(key, value);
+        let cell = cell(key, value);
         enum Outcome {
             Fit(bool),
             NeedsSplit(bool),
@@ -513,16 +501,14 @@ impl BTree {
             cells.get(pos).map(|c| cell_key(c) != key).unwrap_or(true),
             "key must be absent before split-insert"
         );
-        cells.insert(pos, leaf_cell(key, value));
+        cells.insert(pos, cell(key, value));
 
         let split_at = split_point(&cells);
         let right_cells = cells.split_off(split_at);
         let sep = cell_key(&right_cells[0]).to_vec();
 
-        let right = pager.allocate()?;
-        pager.with_page_mut(right, |buf| {
-            let mut p = SlottedPage::init(buf, PageType::BTreeLeaf);
-            write_cells(&mut p, &right_cells);
+        let right = pager.allocate(PageType::BTreeLeaf, |p| {
+            write_cells(p, &right_cells);
             p.set_next_page(next);
         })?;
         pager.with_page_mut(page, |buf| {
@@ -557,11 +543,9 @@ impl BTree {
         let promoted_key = cell_key(&promoted).to_vec();
         let right_leftmost = int_child(&promoted);
 
-        let right = pager.allocate()?;
-        pager.with_page_mut(right, |buf| {
-            let mut p = SlottedPage::init(buf, PageType::BTreeInternal);
+        let right = pager.allocate(PageType::BTreeInternal, |p| {
             p.set_aux(Some(right_leftmost));
-            write_cells(&mut p, &right_cells);
+            write_cells(p, &right_cells);
         })?;
         pager.with_page_mut(page, |buf| {
             let mut p = SlottedPage::init(buf, PageType::BTreeInternal);
@@ -688,37 +672,12 @@ impl BTree {
             let mut level = path.len() - 1;
             while let Ins::Split(sep, right) = ins {
                 if level == 0 {
-                    // Split reached the root: grow the tree.
-                    let new_root = pager.allocate()?;
-                    let old_root = self.root;
-                    pager.with_page_mut(new_root, |buf| {
-                        let mut p = SlottedPage::init(buf, PageType::BTreeInternal);
-                        p.set_aux(Some(old_root));
-                        let ok = p.insert_at(0, &int_cell(&sep, right));
-                        debug_assert!(ok, "fresh root holds one separator");
-                    })?;
-                    self.set_root(pager, new_root)?;
-                    ins = Ins::Fit;
+                    self.grow_root(pager, &sep, right)?;
                     break;
                 }
                 level -= 1;
-                let parent = path[level].page;
-                let cell = int_cell(&sep, right);
-                let fit = pager.with_page_mut(parent, |buf| {
-                    let mut p = SlottedPage::new(buf);
-                    let idx = match search(&p.view(), &sep) {
-                        Ok(i) => i, // cannot happen with unique separators
-                        Err(i) => i,
-                    };
-                    p.insert_at(idx, &cell)
-                })?;
-                ins = if fit {
-                    Ins::Fit
-                } else {
-                    self.split_internal(pager, parent, &sep, right)?
-                };
+                ins = self.insert_separator(pager, path[level].page, &sep, right)?;
             }
-            let _ = ins;
             if had_split {
                 // Splits restructured nodes and bounds along the descent;
                 // rebuild the path from the root for the next key.
@@ -961,7 +920,7 @@ impl BTree {
                     if end.is_some_and(|e| key >= e) {
                         return Ok(None);
                     }
-                    f(key, leaf_value(cell))?;
+                    f(key, cell_value(cell))?;
                 }
                 Ok(v.next_page())
             })??;
@@ -993,7 +952,7 @@ impl Cursor {
                 if self.idx < v.slot_count() {
                     let cell = v.cell_at(self.idx);
                     (
-                        Some((cell_key(cell).to_vec(), leaf_value(cell).to_vec())),
+                        Some((cell_key(cell).to_vec(), cell_value(cell).to_vec())),
                         None,
                     )
                 } else {

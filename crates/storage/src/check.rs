@@ -26,7 +26,7 @@
 
 use fame_os::PageId;
 
-use crate::page::{PageType, NO_PAGE, PAGE_HEADER_SIZE};
+use crate::page::{get_u16, get_u32, PageType, PageView, NO_PAGE, PAGE_HEADER_SIZE};
 use crate::pager::{self, Pager, ROOT_SLOTS};
 use crate::Result;
 
@@ -135,35 +135,13 @@ impl Checker {
     }
 }
 
-fn get_u16(buf: &[u8], at: usize) -> u16 {
-    u16::from_le_bytes([buf[at], buf[at + 1]])
-}
-
-fn get_u32(buf: &[u8], at: usize) -> u32 {
-    u32::from_le_bytes([buf[at], buf[at + 1], buf[at + 2], buf[at + 3]])
-}
-
-fn page_type(buf: &[u8]) -> Option<PageType> {
-    PageType::from_u8(buf[0])
-}
-
-fn next_page(buf: &[u8]) -> Option<PageId> {
-    let n = get_u32(buf, 6);
-    (n != NO_PAGE).then_some(n)
-}
-
-fn aux(buf: &[u8]) -> Option<u32> {
-    let a = get_u32(buf, 10);
-    (a != NO_PAGE).then_some(a)
-}
-
 /// Validate the slot directory of a slotted page *before* trusting any
 /// accessor over it: every live cell must lie between the end of the slot
 /// directory and the end of the page. Returns the live `(offset, len)`
 /// pairs in slot order, or `None` when the directory itself is broken.
 fn checked_slots(ck: &mut Checker, page: PageId, buf: &[u8]) -> Option<Vec<(usize, usize)>> {
     const TOMBSTONE: u16 = u16::MAX;
-    let slots = get_u16(buf, 2) as usize;
+    let slots = PageView::new(buf).slot_count();
     let dir_end = PAGE_HEADER_SIZE + 4 * slots;
     if dir_end > ck.page_size {
         ck.flag(
@@ -221,7 +199,7 @@ fn check_btree(
     leaves: &mut Vec<(PageId, Option<PageId>)>,
 ) -> Result<()> {
     let buf = pager.with_page(page, |b| b.to_vec())?;
-    let ty = page_type(&buf);
+    let view = PageView::new(&buf);
     let Some(slots) = checked_slots(ck, page, &buf) else {
         return Ok(());
     };
@@ -251,14 +229,14 @@ fn check_btree(
         }
     }
 
-    match ty {
+    match view.page_type() {
         Some(PageType::BTreeLeaf) => {
             ck.leaf_depths.insert(depth);
-            leaves.push((page, next_page(&buf)));
+            leaves.push((page, view.next_page()));
         }
         Some(PageType::BTreeInternal) => {
             // Leftmost child in aux, then one child per separator cell.
-            let Some(leftmost) = aux(&buf) else {
+            let Some(leftmost) = view.aux() else {
                 ck.flag(
                     Some(page),
                     "internal node without a leftmost child".to_string(),
@@ -324,7 +302,8 @@ fn check_chain(
     let mut page = Some(head);
     while let Some(p) = page {
         let buf = pager.with_page(p, |b| b.to_vec())?;
-        if page_type(&buf) != Some(expect) {
+        let view = PageView::new(&buf);
+        if view.page_type() != Some(expect) {
             ck.flag(
                 Some(p),
                 format!("{from}: expected {expect:?}, found type byte {}", buf[0]),
@@ -341,7 +320,7 @@ fn check_chain(
                 }
             }
         }
-        page = match next_page(&buf) {
+        page = match view.next_page() {
             Some(n) if ck.enter(n, from) => Some(n),
             _ => None,
         };
@@ -352,7 +331,7 @@ fn check_chain(
 /// Hash index: directory of bucket heads, each an overflow chain.
 fn check_hash(pager: &mut Pager, ck: &mut Checker, dir: PageId) -> Result<()> {
     let buf = pager.with_page(dir, |b| b.to_vec())?;
-    let Some(buckets) = aux(&buf) else {
+    let Some(buckets) = PageView::new(&buf).aux() else {
         ck.flag(
             Some(dir),
             "hash directory without a bucket count".to_string(),
@@ -392,12 +371,9 @@ fn check_queue(pager: &mut Pager, ck: &mut Checker, dir: PageId) -> Result<()> {
             continue;
         }
         if ck.enter(data, "queue ring slot") {
-            let dbuf = pager.with_page(data, |b| b.to_vec())?;
-            if page_type(&dbuf) != Some(PageType::Queue) {
-                ck.flag(
-                    Some(data),
-                    format!("queue data page has type byte {}", dbuf[0]),
-                );
+            let ty = pager.with_page(data, |b| b[0])?;
+            if PageType::from_u8(ty) != Some(PageType::Queue) {
+                ck.flag(Some(data), format!("queue data page has type byte {ty}"));
             }
         }
     }
@@ -462,7 +438,7 @@ pub fn check_pager(pager: &mut Pager) -> Result<IntegrityReport> {
         if !ck.enter(root, "root slot") {
             continue;
         }
-        let ty = pager.with_page(root, page_type)?;
+        let ty = pager.with_page(root, |b| PageView::new(b).page_type())?;
         match ty {
             Some(PageType::BTreeLeaf) | Some(PageType::BTreeInternal) => {
                 let mut leaves = Vec::new();
@@ -528,12 +504,9 @@ pub fn check_pager(pager: &mut Pager) -> Result<IntegrityReport> {
             ck.flag(Some(p), "free list cycles".to_string());
             break;
         }
-        let buf = pager.with_page(p, |b| b.to_vec())?;
-        if page_type(&buf) != Some(PageType::Free) {
-            ck.flag(
-                Some(p),
-                format!("free-list node carries type byte {}", buf[0]),
-            );
+        let (ty, next) = pager.with_page(p, |b| (b[0], PageView::new(b).next_page()))?;
+        if PageType::from_u8(ty) != Some(PageType::Free) {
+            ck.flag(Some(p), format!("free-list node carries type byte {ty}"));
         }
         if ck.reachable.contains(&p) {
             ck.flag(
@@ -541,7 +514,7 @@ pub fn check_pager(pager: &mut Pager) -> Result<IntegrityReport> {
                 "page is both free and reachable from a root".to_string(),
             );
         }
-        cursor = next_page(&buf);
+        cursor = next;
     }
     ck.report.free_pages = free.len() as u32;
 
@@ -576,8 +549,8 @@ mod tests {
     #[test]
     fn free_list_is_walked() {
         let mut p = pager();
-        let a = p.allocate().unwrap();
-        let b = p.allocate().unwrap();
+        let a = p.allocate(PageType::Heap, |_| {}).unwrap();
+        let b = p.allocate(PageType::Heap, |_| {}).unwrap();
         p.free(a).unwrap();
         p.free(b).unwrap();
         let r = check_pager(&mut p).unwrap();
@@ -625,7 +598,7 @@ mod tests {
     #[test]
     fn free_page_reached_from_root_is_flagged() {
         let mut p = pager();
-        let a = p.allocate().unwrap();
+        let a = p.allocate(PageType::Heap, |_| {}).unwrap();
         p.free(a).unwrap();
         p.set_root(3, Some(a)).unwrap();
         let r = check_pager(&mut p).unwrap();
@@ -639,7 +612,7 @@ mod tests {
     #[test]
     fn leaked_page_is_counted_not_flagged() {
         let mut p = pager();
-        let _orphan = p.allocate().unwrap();
+        let _orphan = p.allocate(PageType::Heap, |_| {}).unwrap();
         let r = check_pager(&mut p).unwrap();
         assert!(r.is_ok(), "leak is informational: {r}");
         assert_eq!(r.leaked_pages, 1);
@@ -648,8 +621,8 @@ mod tests {
     #[test]
     fn free_list_cycle_is_detected() {
         let mut p = pager();
-        let a = p.allocate().unwrap();
-        let b = p.allocate().unwrap();
+        let a = p.allocate(PageType::Heap, |_| {}).unwrap();
+        let b = p.allocate(PageType::Heap, |_| {}).unwrap();
         p.free(a).unwrap();
         p.free(b).unwrap();
         // Point a's next back at b (head) to close a loop: b -> a -> b.

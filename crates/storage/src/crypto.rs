@@ -150,7 +150,7 @@ mod tests {
             },
         );
         let mut pager = Pager::open(pool).unwrap();
-        let pg = pager.allocate().unwrap();
+        let pg = pager.allocate(crate::PageType::Heap, |_| {}).unwrap();
         pager
             .with_page_mut(pg, |buf| buf[0..4].copy_from_slice(b"data"))
             .unwrap();

@@ -1,36 +1,19 @@
 //! Hash index: Berkeley DB's HASH access method (configuration 3 of
 //! Figure 1 removes it).
 //!
-//! A directory page holds `2^k` bucket head pointers; each bucket is a
-//! chain of slotted pages holding `[klen:u16][key][value]` cells. Lookups
-//! hash the key (FNV-1a, implemented here — no external crates), pick the
-//! bucket, and walk its chain. The bucket count is fixed at creation;
-//! overflow pages absorb skew, which matches the static-hash designs used
-//! on small devices.
+//! A directory page holds the bucket head pointers; each bucket is a
+//! `chain` of slotted pages holding `[klen:u16][key][value]` cells.
+//! Lookups hash the key (FNV-1a, implemented here — no external crates),
+//! pick the bucket, and walk its chain. The bucket count is fixed at
+//! creation; overflow pages absorb skew, which matches the static-hash
+//! designs used on small devices.
 
 use fame_os::PageId;
 
+use crate::chain::Chain;
 use crate::error::{Result, StorageError};
-use crate::page::{PageType, PageView, SlottedPage, PAGE_HEADER_SIZE};
+use crate::page::{get_u32, PageType, PageView, PAGE_HEADER_SIZE};
 use crate::pager::{PageRead, Pager};
-
-fn cell(key: &[u8], value: &[u8]) -> Vec<u8> {
-    let mut c = Vec::with_capacity(2 + key.len() + value.len());
-    c.extend_from_slice(&(key.len() as u16).to_le_bytes());
-    c.extend_from_slice(key);
-    c.extend_from_slice(value);
-    c
-}
-
-fn cell_key(c: &[u8]) -> &[u8] {
-    let klen = u16::from_le_bytes([c[0], c[1]]) as usize;
-    &c[2..2 + klen]
-}
-
-fn cell_value(c: &[u8]) -> &[u8] {
-    let klen = u16::from_le_bytes([c[0], c[1]]) as usize;
-    &c[2 + klen..]
-}
 
 /// FNV-1a 64-bit hash (from scratch; stable across platforms).
 fn fnv1a(data: &[u8]) -> u64 {
@@ -63,19 +46,13 @@ impl HashIndex {
     /// the directory page) and persist it in `root_slot`.
     pub fn create(pager: &mut Pager, root_slot: usize, buckets: u32) -> Result<HashIndex> {
         let buckets = buckets.clamp(1, Self::max_buckets(pager));
-        let dir = pager.allocate()?;
-
-        // Allocate bucket heads first, then write the directory.
-        let mut heads = Vec::with_capacity(buckets as usize);
-        for _ in 0..buckets {
-            let b = pager.allocate()?;
-            pager.with_page_mut(b, |buf| {
-                SlottedPage::init(buf, PageType::HashBucket);
-            })?;
-            heads.push(b);
-        }
+        let dir = pager.allocate(PageType::HashDir, |p| p.set_aux(Some(buckets)))?;
+        // The bucket heads follow the directory, then the directory
+        // records them.
+        let heads = (0..buckets)
+            .map(|_| Ok(Chain::create(pager, PageType::HashBucket)?.head))
+            .collect::<Result<Vec<_>>>()?;
         pager.with_page_mut(dir, |buf| {
-            SlottedPage::init(buf, PageType::HashDir).set_aux(Some(buckets));
             for (i, &h) in heads.iter().enumerate() {
                 let at = PAGE_HEADER_SIZE + 4 * i;
                 buf[at..at + 4].copy_from_slice(&h.to_le_bytes());
@@ -96,8 +73,8 @@ impl HashIndex {
             let v = PageView::new(buf);
             (v.page_type(), v.aux().unwrap_or(0))
         })?;
-        // A torn or zeroed directory must not reach `bucket_head`: a count
-        // of 0 divides by zero there, a too-large one indexes past the page.
+        // A torn or zeroed directory must not reach `bucket`: a count of
+        // 0 divides by zero there, a too-large one indexes past the page.
         if page_type != Some(PageType::HashDir)
             || buckets == 0
             || buckets > Self::max_buckets(pager)
@@ -126,87 +103,28 @@ impl HashIndex {
 
     /// Largest cell accepted.
     pub fn max_cell(pager: &Pager) -> usize {
-        pager.page_size() - PAGE_HEADER_SIZE - 8
+        Chain::max_cell(pager)
     }
 
-    fn bucket_head<P: PageRead>(&self, pager: &mut P, key: &[u8]) -> Result<PageId> {
-        let b = (fnv1a(key) % u64::from(self.buckets)) as usize;
-        pager.with_page(self.dir, |buf| {
-            let at = PAGE_HEADER_SIZE + 4 * b;
-            u32::from_le_bytes(buf[at..at + 4].try_into().expect("4 bytes"))
+    /// The chain of bucket `b`, read from the directory.
+    fn bucket<P: PageRead>(&self, pager: &mut P, b: u32) -> Result<Chain> {
+        let head = pager.with_page(self.dir, |buf| {
+            get_u32(buf, PAGE_HEADER_SIZE + 4 * b as usize)
+        })?;
+        Ok(Chain {
+            head,
+            ty: PageType::HashBucket,
         })
     }
 
-    fn locate<P: PageRead>(&self, pager: &mut P, key: &[u8]) -> Result<Option<(PageId, u16)>> {
-        let mut page = self.bucket_head(pager, key)?;
-        loop {
-            let (hit, next) = pager.with_page(page, |buf| {
-                let v = PageView::new(buf);
-                let hit = v
-                    .iter()
-                    .find(|(_, c)| cell_key(c) == key)
-                    .map(|(slot, _)| slot);
-                (hit, v.next_page())
-            })?;
-            if let Some(slot) = hit {
-                return Ok(Some((page, slot)));
-            }
-            match next {
-                Some(p) => page = p,
-                None => return Ok(None),
-            }
-        }
+    /// The chain `key` hashes to.
+    fn chain_of<P: PageRead>(&self, pager: &mut P, key: &[u8]) -> Result<Chain> {
+        self.bucket(pager, (fnv1a(key) % u64::from(self.buckets)) as u32)
     }
 
     /// Insert or overwrite. Returns `true` when the key was new.
     pub fn insert(&mut self, pager: &mut Pager, key: &[u8], value: &[u8]) -> Result<bool> {
-        let c = cell(key, value);
-        if c.len() > Self::max_cell(pager) {
-            return Err(StorageError::RecordTooLarge {
-                size: c.len(),
-                max: Self::max_cell(pager),
-            });
-        }
-        if let Some((page, slot)) = self.locate(pager, key)? {
-            let updated =
-                pager.with_page_mut(page, |buf| SlottedPage::new(buf).update(slot, &c))?;
-            if !updated {
-                pager.with_page_mut(page, |buf| {
-                    SlottedPage::new(buf).delete(slot);
-                })?;
-                let head = self.bucket_head(pager, key)?;
-                self.append_to_chain(pager, head, &c)?;
-            }
-            return Ok(false);
-        }
-        let head = self.bucket_head(pager, key)?;
-        self.append_to_chain(pager, head, &c)?;
-        Ok(true)
-    }
-
-    fn append_to_chain(&self, pager: &mut Pager, mut page: PageId, c: &[u8]) -> Result<()> {
-        loop {
-            let (inserted, next) = pager.with_page_mut(page, |buf| {
-                let mut p = SlottedPage::new(buf);
-                (p.insert(c).is_some(), p.next_page())
-            })?;
-            if inserted {
-                return Ok(());
-            }
-            match next {
-                Some(p) => page = p,
-                None => {
-                    let fresh = pager.allocate()?;
-                    pager.with_page_mut(fresh, |buf| {
-                        SlottedPage::init(buf, PageType::HashBucket);
-                    })?;
-                    pager.with_page_mut(page, |buf| {
-                        SlottedPage::new(buf).set_next_page(Some(fresh));
-                    })?;
-                    page = fresh;
-                }
-            }
-        }
+        self.chain_of(pager, key)?.upsert(pager, key, value)
     }
 
     /// Look up a key.
@@ -221,46 +139,19 @@ impl HashIndex {
         key: &[u8],
         f: impl FnOnce(&[u8]) -> R,
     ) -> Result<Option<R>> {
-        match self.locate(pager, key)? {
-            None => Ok(None),
-            Some((page, slot)) => Ok(pager.with_page(page, |buf| {
-                PageView::new(buf).get(slot).map(|c| f(cell_value(c)))
-            })?),
-        }
+        self.chain_of(pager, key)?.get_with(pager, key, f)
     }
 
     /// Remove a key. Returns `true` if it existed.
     pub fn remove(&mut self, pager: &mut Pager, key: &[u8]) -> Result<bool> {
-        match self.locate(pager, key)? {
-            None => Ok(false),
-            Some((page, slot)) => {
-                pager.with_page_mut(page, |buf| {
-                    SlottedPage::new(buf).delete(slot);
-                })?;
-                Ok(true)
-            }
-        }
+        self.chain_of(pager, key)?.remove(pager, key)
     }
 
     /// Number of entries (walks every bucket chain).
     pub fn len(&self, pager: &mut Pager) -> Result<usize> {
         let mut total = 0;
         for b in 0..self.buckets {
-            let mut page = pager.with_page(self.dir, |buf| {
-                let at = PAGE_HEADER_SIZE + 4 * b as usize;
-                u32::from_le_bytes(buf[at..at + 4].try_into().expect("4 bytes"))
-            })?;
-            loop {
-                let (live, next) = pager.with_page(page, |buf| {
-                    let v = PageView::new(buf);
-                    (v.live_count(), v.next_page())
-                })?;
-                total += live;
-                match next {
-                    Some(p) => page = p,
-                    None => break,
-                }
-            }
+            total += self.bucket(pager, b)?.len(pager)?;
         }
         Ok(total)
     }
@@ -274,6 +165,7 @@ impl HashIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::page::SlottedPage;
     use fame_buffer::{BufferPool, ReplacementKind};
     use fame_os::{AllocPolicy, InMemoryDevice};
 
@@ -387,56 +279,5 @@ mod tests {
         let h = HashIndex::create(&mut pg, 0, 1_000_000).unwrap();
         assert!(h.buckets() <= HashIndex::max_buckets(&pg));
         assert!(h.buckets() >= 1);
-    }
-}
-
-#[cfg(test)]
-mod proptests {
-    use super::*;
-    use fame_buffer::{BufferPool, ReplacementKind};
-    use fame_os::{AllocPolicy, InMemoryDevice};
-    use proptest::prelude::*;
-    use std::collections::HashMap;
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(32))]
-
-        /// The hash index behaves like `HashMap<Vec<u8>, Vec<u8>>`.
-        #[test]
-        fn behaves_like_hashmap(
-            ops in prop::collection::vec(
-                (prop::collection::vec(any::<u8>(), 1..8),
-                 prop::option::of(prop::collection::vec(any::<u8>(), 0..16))),
-                1..150,
-            ),
-            buckets in 1u32..16,
-        ) {
-            let dev = InMemoryDevice::new(256);
-            let pool = BufferPool::new(
-                Box::new(dev),
-                ReplacementKind::Lru,
-                AllocPolicy::Dynamic { max_frames: Some(64) },
-            );
-            let mut pg = Pager::open(pool).unwrap();
-            let mut h = HashIndex::create(&mut pg, 0, buckets).unwrap();
-            let mut model: HashMap<Vec<u8>, Vec<u8>> = HashMap::new();
-            for (key, maybe_val) in ops {
-                match maybe_val {
-                    Some(v) => {
-                        let was_new = h.insert(&mut pg, &key, &v).unwrap();
-                        prop_assert_eq!(was_new, model.insert(key, v).is_none());
-                    }
-                    None => {
-                        let removed = h.remove(&mut pg, &key).unwrap();
-                        prop_assert_eq!(removed, model.remove(&key).is_some());
-                    }
-                }
-            }
-            prop_assert_eq!(h.len(&mut pg).unwrap(), model.len());
-            for (k, v) in &model {
-                let got = h.get(&mut pg, k).unwrap();
-                prop_assert_eq!(got.as_ref(), Some(v));
-            }
-        }
     }
 }

@@ -8,26 +8,30 @@
 //! | cargo feature | paper feature | module |
 //! |---------------|---------------|--------|
 //! | `btree`       | Storage → Index → B+-Tree | [`btree`] |
-//! | `list`        | Storage → Index → List    | [`list`]  |
-//! | `hash`        | Berkeley DB HASH (§2.2)   | [`hash`]  |
+//! | `list`        | Storage → Index → List    | [`list`] (one `chain`) |
+//! | `hash`        | Berkeley DB HASH (§2.2)   | [`hash`] (a directory of `chain`s) |
 //! | `queue`       | Berkeley DB QUEUE (§2.2)  | [`queue`] |
 //! | `data-types`  | Storage → Data Types      | [`types`] |
 //! | `crypto`      | Berkeley DB CRYPTO (§2.2) | [`crypto`] |
 //!
-//! Below the access methods sit the feature-independent substrate:
-//! [`page`] (slotted pages), [`pager`] (page allocation, free list, named
-//! roots) and [`record`] (record identifiers). All I/O flows through a
-//! [`fame_buffer::BufferPool`], so every access method automatically
-//! benefits from (or runs without) the Buffer Manager feature.
+//! Below the access methods sits one page layer: [`page`] (slotted pages
+//! and the `[klen][key][value]` cell codec every index shares), [`pager`]
+//! (page allocation, which formats every page it hands out; free list;
+//! named roots) and, for `list` or `hash`, `chain` (a linked run of
+//! slotted pages: List is one chain, Hash a directory of chains). All I/O
+//! flows through a [`fame_buffer::BufferPool`], so every access method
+//! automatically benefits from (or runs without) the Buffer Manager
+//! feature. [`check`] walks the raw image independently of all of them.
 
 pub mod check;
 pub mod error;
 pub mod page;
 pub mod pager;
-pub mod record;
 
 #[cfg(feature = "btree")]
 pub mod btree;
+#[cfg(any(feature = "list", feature = "hash"))]
+mod chain;
 #[cfg(feature = "crypto")]
 pub mod crypto;
 #[cfg(feature = "hash")]
@@ -60,6 +64,5 @@ pub use pager::{PageRead, Pager};
 pub use pager::{PagerOps, PagerOpsSnapshot};
 #[cfg(feature = "queue")]
 pub use queue::Queue;
-pub use record::RecordId;
 #[cfg(feature = "data-types")]
 pub use types::{DataType, Schema, Value};

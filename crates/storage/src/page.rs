@@ -18,10 +18,13 @@
 //!
 //! * **stable slots** ([`SlottedPage::insert`]/[`SlottedPage::delete`]):
 //!   slot ids survive other insertions/deletions (deleted slots become
-//!   tombstones and are reused). Heap/list storage builds [`crate::RecordId`]s
-//!   from these.
+//!   tombstones and are reused). The list and hash chains use these.
 //! * **ordered cells** ([`SlottedPage::insert_at`]/[`SlottedPage::remove_at`]):
 //!   the slot directory is treated as a dense sorted array (B+-tree nodes).
+//!
+//! Both disciplines store key/value cells in one encoding,
+//! `[klen:u16][key][value]` (`cell`, `cell_key`, `cell_value`); a B+-tree
+//! separator is the same cell with a 4-byte child id as its value.
 
 /// Size of the fixed page header in bytes.
 pub const PAGE_HEADER_SIZE: usize = 16;
@@ -75,7 +78,7 @@ impl PageType {
 }
 
 #[inline]
-fn get_u16(buf: &[u8], at: usize) -> u16 {
+pub(crate) fn get_u16(buf: &[u8], at: usize) -> u16 {
     u16::from_le_bytes([buf[at], buf[at + 1]])
 }
 
@@ -85,13 +88,37 @@ fn put_u16(buf: &mut [u8], at: usize, v: u16) {
 }
 
 #[inline]
-fn get_u32(buf: &[u8], at: usize) -> u32 {
+pub(crate) fn get_u32(buf: &[u8], at: usize) -> u32 {
     u32::from_le_bytes([buf[at], buf[at + 1], buf[at + 2], buf[at + 3]])
 }
 
 #[inline]
 fn put_u32(buf: &mut [u8], at: usize, v: u32) {
     buf[at..at + 4].copy_from_slice(&v.to_le_bytes());
+}
+
+/// Encode a `[klen:u16][key][value]` cell.
+#[cfg(any(feature = "btree", feature = "list", feature = "hash"))]
+pub(crate) fn cell(key: &[u8], value: &[u8]) -> Vec<u8> {
+    let mut c = Vec::with_capacity(2 + key.len() + value.len());
+    c.extend_from_slice(&(key.len() as u16).to_le_bytes());
+    c.extend_from_slice(key);
+    c.extend_from_slice(value);
+    c
+}
+
+/// The key of a cell written by [`cell`].
+#[cfg(any(feature = "btree", feature = "list", feature = "hash"))]
+#[inline]
+pub(crate) fn cell_key(c: &[u8]) -> &[u8] {
+    &c[2..2 + get_u16(c, 0) as usize]
+}
+
+/// The value of a cell written by [`cell`].
+#[cfg(any(feature = "btree", feature = "list", feature = "hash"))]
+#[inline]
+pub(crate) fn cell_value(c: &[u8]) -> &[u8] {
+    &c[2 + get_u16(c, 0) as usize..]
 }
 
 /// Read-only view of a slotted page (usable inside `with_page` closures).
@@ -217,6 +244,13 @@ impl<'a> SlottedPage<'a> {
         SlottedPage { buf }
     }
 
+    /// The raw page, for types that keep fields past the header (queue
+    /// directories).
+    #[cfg(feature = "queue")]
+    pub(crate) fn bytes_mut(&mut self) -> &mut [u8] {
+        self.buf
+    }
+
     /// Read-only view of this page.
     pub fn view(&self) -> PageView<'_> {
         PageView { buf: self.buf }
@@ -262,24 +296,14 @@ impl<'a> SlottedPage<'a> {
         put_u32(self.buf, 10, aux.unwrap_or(NO_PAGE));
     }
 
-    /// Cell bytes of a live slot.
+    /// See [`PageView::get`].
     pub fn get(&self, slot: u16) -> Option<&[u8]> {
-        let at = PAGE_HEADER_SIZE + 4 * slot as usize;
-        if slot as usize >= self.slot_count() {
-            return None;
-        }
-        let off = get_u16(self.buf, at);
-        if off == TOMBSTONE {
-            return None;
-        }
-        let len = get_u16(self.buf, at + 2) as usize;
-        Some(&self.buf[off as usize..off as usize + len])
+        self.view().get(slot)
     }
 
-    /// Cell at a dense index (ordered discipline).
+    /// See [`PageView::cell_at`].
     pub fn cell_at(&self, idx: usize) -> &[u8] {
-        self.get(idx as u16)
-            .expect("ordered pages have no tombstones")
+        self.view().cell_at(idx)
     }
 
     fn set_slot(&mut self, slot: usize, off: u16, len: u16) {
@@ -376,7 +400,10 @@ impl<'a> SlottedPage<'a> {
 
     /// Replace a live slot's cell. Shrinking updates in place; growth
     /// re-reserves space (compacting if needed). Returns `false` when the
-    /// slot is dead or the page cannot hold the new cell.
+    /// slot is dead or the page cannot hold the new cell. In the second
+    /// case the slot is left tombstoned and the old cell is gone (growth
+    /// tombstones it so compaction can reclaim its bytes): the caller
+    /// re-inserts the new cell elsewhere, as the chain's upsert does.
     pub fn update(&mut self, slot: u16, data: &[u8]) -> bool {
         if slot as usize >= self.slot_count() {
             return false;
@@ -399,14 +426,7 @@ impl<'a> SlottedPage<'a> {
                 self.set_slot(slot as usize, noff as u16, data.len() as u16);
                 true
             }
-            None => {
-                // Restore the old cell (still intact: reserve failed
-                // before any write, and compaction preserved live cells;
-                // the tombstoned old cell however was dropped by compact).
-                // To keep the failure path simple we re-insert the old
-                // bytes; if even that fails the page is corrupt.
-                false
-            }
+            None => false,
         }
     }
 
@@ -454,17 +474,11 @@ impl<'a> SlottedPage<'a> {
             self.set_slot(idx, off as u16, data.len() as u16);
             return true;
         }
-        let n = self.slot_count();
-        // Temporarily drop the entry so compaction reclaims the old cell.
+        // Drop the entry so compaction reclaims the old cell. When the
+        // page is genuinely full the entry stays removed: callers treat
+        // `false` as "redo via split + insert", which B+-tree update does.
         self.remove_at(idx);
-        if !self.insert_at(idx, data) {
-            // Page genuinely full; caller must split. The old cell bytes
-            // are gone from this page — callers treat `false` as "redo via
-            // remove + split + insert", which B+-tree update does.
-            self.set_slot_count(n - 1);
-            return false;
-        }
-        true
+        self.insert_at(idx, data)
     }
 }
 

@@ -15,7 +15,7 @@
 //! Freed pages are reformatted as empty `PageType::Free` pages and chained
 //! through the standard page-header next-page field, so a freed page stays
 //! identifiable as free on disk (the integrity checker depends on this).
-//! Access methods obtain pages via [`Pager::allocate`], return them via
+//! Access methods obtain formatted pages via [`Pager::allocate`], return them via
 //! [`Pager::free`], and persist their root page numbers in one of the 16
 //! named root slots — which is how a database image is reopened.
 
@@ -195,25 +195,34 @@ impl Pager {
         Ok(if v == NO_PAGE { None } else { Some(v) })
     }
 
-    /// Allocate a page: pop the free list or grow the device.
-    /// The returned page's contents are unspecified; callers initialize it.
-    pub fn allocate(&mut self) -> Result<PageId> {
+    /// Allocate a page of type `ty`: pop the free list or grow the device,
+    /// then format the page with [`SlottedPage::init`] and run `fill` over
+    /// it, in one page write. Every page an access method holds was
+    /// formatted here.
+    pub fn allocate(
+        &mut self,
+        ty: PageType,
+        fill: impl FnOnce(&mut SlottedPage<'_>),
+    ) -> Result<PageId> {
         #[cfg(feature = "obs")]
         self.ops.allocs.inc();
         let head = self.meta.free_head;
-        if head != NO_PAGE {
+        let page = if head != NO_PAGE {
             let next = self.pool.with_page(head, |buf| {
                 PageView::new(buf).next_page().unwrap_or(NO_PAGE)
             })?;
             self.write_meta_u32(OFF_FREE_HEAD, next)?;
             self.meta.free_head = next;
-            return Ok(head);
-        }
-        let count = self.meta.page_count;
-        self.pool.ensure_pages(count + 1)?;
-        self.write_meta_u32(OFF_PAGE_COUNT, count + 1)?;
-        self.meta.page_count = count + 1;
-        Ok(count)
+            head
+        } else {
+            let count = self.meta.page_count;
+            self.pool.ensure_pages(count + 1)?;
+            self.write_meta_u32(OFF_PAGE_COUNT, count + 1)?;
+            self.meta.page_count = count + 1;
+            count
+        };
+        self.with_page_mut(page, |buf| fill(&mut SlottedPage::init(buf, ty)))?;
+        Ok(page)
     }
 
     /// Return a page to the free list. The page is reformatted as an empty
@@ -533,21 +542,21 @@ mod tests {
     #[test]
     fn allocate_grows_then_reuses_freed() {
         let mut p = pager();
-        let a = p.allocate().unwrap();
-        let b = p.allocate().unwrap();
+        let a = p.allocate(PageType::Heap, |_| {}).unwrap();
+        let b = p.allocate(PageType::Heap, |_| {}).unwrap();
         assert_eq!((a, b), (1, 2));
         p.free(a).unwrap();
-        let c = p.allocate().unwrap();
+        let c = p.allocate(PageType::Heap, |_| {}).unwrap();
         assert_eq!(c, a, "free list reuse");
-        let d = p.allocate().unwrap();
+        let d = p.allocate(PageType::Heap, |_| {}).unwrap();
         assert_eq!(d, 3, "growth resumes after free list empty");
     }
 
     #[test]
     fn freed_pages_keep_their_type_tag() {
         let mut p = pager();
-        let a = p.allocate().unwrap();
-        let b = p.allocate().unwrap();
+        let a = p.allocate(PageType::Heap, |_| {}).unwrap();
+        let b = p.allocate(PageType::Heap, |_| {}).unwrap();
         p.free(a).unwrap();
         p.free(b).unwrap();
         assert_eq!(p.free_head().unwrap(), Some(b));
@@ -574,14 +583,16 @@ mod tests {
     #[test]
     fn free_list_is_lifo_chain() {
         let mut p = pager();
-        let pages: Vec<_> = (0..3).map(|_| p.allocate().unwrap()).collect();
+        let pages: Vec<_> = (0..3)
+            .map(|_| p.allocate(PageType::Heap, |_| {}).unwrap())
+            .collect();
         for &pg in &pages {
             p.free(pg).unwrap();
         }
         // LIFO: last freed comes back first.
-        assert_eq!(p.allocate().unwrap(), pages[2]);
-        assert_eq!(p.allocate().unwrap(), pages[1]);
-        assert_eq!(p.allocate().unwrap(), pages[0]);
+        assert_eq!(p.allocate(PageType::Heap, |_| {}).unwrap(), pages[2]);
+        assert_eq!(p.allocate(PageType::Heap, |_| {}).unwrap(), pages[1]);
+        assert_eq!(p.allocate(PageType::Heap, |_| {}).unwrap(), pages[0]);
     }
 
     #[test]
@@ -604,7 +615,7 @@ mod tests {
             let fdev = fame_os::FileDevice::create(&path, 256).unwrap();
             let pool = BufferPool::unbuffered(Box::new(fdev));
             let mut p = Pager::open(pool).unwrap();
-            let pg = p.allocate().unwrap();
+            let pg = p.allocate(PageType::Heap, |_| {}).unwrap();
             p.set_root(1, Some(pg)).unwrap();
             p.sync().unwrap();
         }
@@ -639,7 +650,7 @@ mod tests {
         dev.ensure_pages(1).unwrap();
         let mut p = Pager::open(BufferPool::unbuffered(Box::new(dev))).unwrap();
         assert_eq!(p.allocated_pages().unwrap(), 1);
-        assert_eq!(p.allocate().unwrap(), 1);
+        assert_eq!(p.allocate(PageType::Heap, |_| {}).unwrap(), 1);
     }
 
     #[test]
@@ -668,7 +679,7 @@ mod tests {
             2,
         );
         let mut p = Pager::open(pool).unwrap();
-        let pg = p.allocate().unwrap();
+        let pg = p.allocate(PageType::Heap, |_| {}).unwrap();
         p.with_page_mut(pg, |buf| buf[10] = 99).unwrap();
         let view = p.shared().expect("pool is shared");
         assert_eq!(view.with_page(pg, |buf| buf[10]).unwrap(), 99);
@@ -697,7 +708,7 @@ mod tests {
             4,
         );
         let mut p = Pager::open(pool).unwrap();
-        let page = p.allocate().unwrap();
+        let page = p.allocate(PageType::Heap, |_| {}).unwrap();
         p.set_root(0, Some(page)).unwrap();
         p.with_page_mut(page, |buf| buf[0] = 1).unwrap();
 
@@ -734,7 +745,7 @@ mod tests {
     #[test]
     fn ops_count_logical_operations() {
         let mut p = pager();
-        let a = p.allocate().unwrap();
+        let a = p.allocate(PageType::Heap, |_| {}).unwrap();
         p.with_page_mut(a, |buf| buf[20] = 1).unwrap();
         p.with_page(a, |_| ()).unwrap();
         p.with_page(a, |_| ()).unwrap();
@@ -743,6 +754,6 @@ mod tests {
         assert_eq!(ops.allocs, 1);
         assert_eq!(ops.frees, 1);
         assert_eq!(ops.page_reads, 2);
-        assert_eq!(ops.page_writes, 1);
+        assert_eq!(ops.page_writes, 2, "allocate's format is a page write");
     }
 }

@@ -17,7 +17,7 @@
 use fame_os::PageId;
 
 use crate::error::{Result, StorageError};
-use crate::page::{PageType, SlottedPage, NO_PAGE, PAGE_HEADER_SIZE};
+use crate::page::{PageType, NO_PAGE, PAGE_HEADER_SIZE};
 use crate::pager::Pager;
 
 const OFF_RECLEN: usize = PAGE_HEADER_SIZE;
@@ -44,9 +44,8 @@ impl Queue {
             record_len <= page_size - PAGE_HEADER_SIZE,
             "record must fit a page"
         );
-        let dir = pager.allocate()?;
-        pager.with_page_mut(dir, |buf| {
-            SlottedPage::init(buf, PageType::QueueDir);
+        let dir = pager.allocate(PageType::QueueDir, |p| {
+            let buf = p.bytes_mut();
             buf[OFF_RECLEN..OFF_RECLEN + 4].copy_from_slice(&(record_len as u32).to_le_bytes());
             buf[OFF_HEAD..OFF_HEAD + 8].copy_from_slice(&0u64.to_le_bytes());
             buf[OFF_TAIL..OFF_TAIL + 8].copy_from_slice(&0u64.to_le_bytes());
@@ -166,10 +165,7 @@ impl Queue {
         let page = match self.ring_get(pager, slot)? {
             Some(p) => p,
             None => {
-                let p = pager.allocate()?;
-                pager.with_page_mut(p, |buf| {
-                    SlottedPage::init(buf, PageType::Queue);
-                })?;
+                let p = pager.allocate(PageType::Queue, |_| {})?;
                 self.ring_set(pager, slot, Some(p))?;
                 p
             }
